@@ -30,7 +30,14 @@ from .malliavin import (
     dz_norm_ensemble,
     mt_diagnostic,
 )
-from .noise import lattice_covariance, lattice_variance, simulate_ensemble, simulate_hermite
+from .noise import (
+    _fbm_weights,
+    _window_scales,
+    lattice_covariance,
+    lattice_variance,
+    simulate_ensemble,
+    simulate_hermite,
+)
 from .presets import drift_preset, u0_preset
 from .rv import EpsilonSchedule, _eps_steps, qv_certificate
 from .transport import TestFunction, weak_form_residual
@@ -232,6 +239,13 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
     ids = np.arange(paths)
     if threads <= 1 or paths < 4 * threads:
         return simulate_ensemble(grid, spec, seed, ids)
+    # Build the cold plan once here; left to the pool, every thread would
+    # miss the cache at once and build the same plan.  The arguments match
+    # the calls inside noise so the lru key is shared.
+    if spec.q == 1:
+        _fbm_weights(grid.key(), spec.H)
+    else:
+        _window_scales(grid.key(), spec.H, 8)
     blocks = np.array_split(ids, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(

@@ -366,8 +366,9 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
 
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
     derivative table across paths, so the whole ensemble reduces to a
-    single GEMM; rank 2 needs the driving increments dW and rebuilds the
-    table path by path (quadratic in n per path).
+    single GEMM; rank 2 needs the driving increments dW and makes one
+    window pass for all paths (two small GEMMs per window, no per-path
+    table).
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 2 or z.shape[1] != grid.n + 1:
@@ -390,20 +391,29 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     dW = np.asarray(dW, dtype=float)
     if dW.shape != (P, grid.n):
         raise DomainError("dW must pair with z_values row by row")
-    if ks != kt and not b.is_zero:
-        cw = _ensemble_flow_weights(b, grid, z, ks, kt, x)
+    if ks == kt:
+        return np.zeros(P)
+    # The profile V = -(G[kt] - G[ks]) + sum(cw) G[kt] - cw @ G[ks:kt+1] is
+    # linear in the table rows, and row k of the table is
+    # G[k] = 2d sum_{l<k} T_l with T_l = lam2_l F_l^T (w * F_l dW), so
+    # V = 2d sum_l coef_l T_l with coef_l the sum of the row weights beyond
+    # l.  Those weights sum to zero, so windows l < ks drop out, and for
+    # ks <= l < kt coef_l = -1 + sum_{j <= l-ks} cw[j].
+    m = kt - ks
+    if b.is_zero:
+        coef = np.full((m, P), -1.0)
     else:
-        cw = None
-    out = np.empty(P)
-    for p in range(P):
-        G = _dz_table_raw(grid, spec, dW[p], nodes)
-        base = -(G[kt] - G[ks])
-        if cw is None:
-            V = base
-        else:
-            V = base + cw[:, p].sum() * G[kt] - cw[:, p] @ G[ks:kt + 1]
-        out[p] = np.sum(V * V) * grid.dt
-    return out
+        cw = _ensemble_flow_weights(b, grid, z, ks, kt, x)  # (m+1, P)
+        coef = np.cumsum(cw[:m], axis=0) - 1.0
+    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
+    lam2 = _window_scales(grid.key(), spec.H, nodes)
+    V = np.zeros((P, kt))
+    for j, l in enumerate(range(ks, kt)):
+        F, w = plan.factor_rows(l)
+        S = dW[:, : l + 1] @ F.T
+        scale = 2.0 * spec.d * lam2[l] * coef[j]
+        V[:, : l + 1] += (scale[:, None] * S * w) @ F
+    return np.sum(V * V, axis=1) * grid.dt
 
 
 def _ensemble_flow_weights(b: DriftField, grid: TimeGrid, z: np.ndarray,

@@ -86,6 +86,14 @@ class TestRun:
         run(cfg(out_dir=str(b), threads=4))
         assert (a / "qv.csv").read_bytes() == (b / "qv.csv").read_bytes()
 
+    def test_deterministic_rank2_malliavin(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        base = dict(kind="malliavin", q=2, n=32, paths=16, drift="sine")
+        run(cfg(**base, out_dir=str(a), threads=1))
+        run(cfg(**base, out_dir=str(b), threads=2))
+        assert (a / "malliavin.csv").read_bytes() == \
+            (b / "malliavin.csv").read_bytes()
+
     def test_seed_changes_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(cfg(out_dir=str(a)))
@@ -117,6 +125,13 @@ class TestRun:
         assert m.passed
         names = {c["name"] for c in m.checks}
         assert names == {"kde-mass", "no-atoms", "du-norm-positive"}
+
+    def test_rank2_density_runs_end_to_end(self, tmp_path):
+        m = run(cfg(kind="density", q=2, drift="sine", n=64, paths=1000,
+                    out_dir=str(tmp_path)))
+        assert m.passed
+        checks = {c["name"]: c["value"] for c in m.checks}
+        assert checks["du-norm-positive"] > 0.0
 
 
 class TestCliMain:

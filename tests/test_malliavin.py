@@ -12,7 +12,12 @@ from stochtransport.errors import (
     StructuralViolationError,
     UnsupportedOrderError,
 )
-from stochtransport.flow import DriftField, backward_ensemble, backward_flow
+from stochtransport.flow import (
+    DriftField,
+    backward_ensemble,
+    backward_ensemble_trajectory,
+    backward_flow,
+)
 from stochtransport.kernels import HermiteSpec, kernel_KH
 from stochtransport.malliavin import (
     MalliavinPath,
@@ -37,7 +42,7 @@ from stochtransport.noise import (
     simulate_ensemble,
     simulate_hermite,
 )
-from stochtransport.wiener import Perturbation, generate_increments
+from stochtransport.wiener import Perturbation, WienerLattice, generate_increments
 
 SINE = DriftField(
     b=lambda t, x: 0.5 * np.sin(x),
@@ -311,6 +316,33 @@ class TestDyRoutes:
         DZ = increment_derivative(Z)
         with pytest.raises(DomainError):
             dY_closed_form(SINE, Z, DZ, 1.0, 0.5, 0.3, 0.3)
+
+
+class TestDyNormEnsemble:
+    """The rank-2 ensemble norm against the per-path table route."""
+
+    @pytest.mark.parametrize("drift, s, t", [
+        (SINE, 0.0, 1.0),
+        (SINE, 0.25, 0.75),
+        (ZERO, 0.25, 0.75),
+        (SINE, 0.5, 0.5),
+    ])
+    def test_rank2_matches_profile_route(self, drift, s, t):
+        grid = TimeGrid(T=1.0, n=64)
+        spec = HermiteSpec.create(2, 0.7)
+        seed, paths, x = 13, 6, 0.3
+        dW = generate_increments(grid, seed, range(paths))
+        z = simulate_ensemble(grid, spec, seed, range(paths))
+        got = dy_norm_ensemble(drift, grid, spec, z, s, t, x, dW=dW)
+        traj = backward_ensemble_trajectory(drift, grid, z, x, t)
+        for p in range(paths):
+            w = WienerLattice(grid=grid, seed=seed, path_id=p, increments=dW[p])
+            Z = simulate_hermite(w, spec)
+            want = dY_profile(drift, Z, s, t, x, y_path=traj[:, p]).l2_norm_sq
+            if s == t:
+                assert got[p] == want == 0.0
+            else:
+                assert got[p] == pytest.approx(want, rel=1e-12)
 
 
 class TestDuChain:
