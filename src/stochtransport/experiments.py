@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, StochTransportError
 from .flow import backward_ensemble, forward_ensemble
 from .grid import TimeGrid
 from .kernels import HermiteSpec
@@ -32,6 +32,7 @@ from .malliavin import (
 )
 from .noise import (
     _fbm_weights,
+    _probe_indices,
     _window_scales,
     lattice_covariance,
     lattice_variance,
@@ -142,14 +143,12 @@ def validate(config: ExperimentConfig) -> list[str]:
             sched = EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))
             for e in sched.values:
                 _eps_steps(grid, float(e))
-        except (DomainError, GridError) as exc:
-            diags.append(f"bad eps schedule: {exc}")
-        except Exception as exc:  # ResolutionError and friends
+        except (StochTransportError, TypeError, ValueError) as exc:
             diags.append(f"bad eps schedule: {exc}")
     if config.kind == "transport-weakform":
         try:
             _eps_steps(grid, config.mollifier_eps)
-        except Exception as exc:
+        except (StochTransportError, TypeError, ValueError) as exc:
             diags.append(f"mollifier width: {exc}")
     t_end = config.t_end
     if not 0.0 <= config.s < t_end <= config.T:
@@ -260,7 +259,7 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
 def _run_noise_stats(config, grid, spec, out, checks, files):
     z = _simulate_blocks(grid, spec, config.seed, config.paths,
                          _thread_count(config))
-    probe_idx = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
+    probe_idx = _probe_indices(grid.n)
     times = grid.points[probe_idx]
     rows = []
     worst_mean = worst_var = 0.0

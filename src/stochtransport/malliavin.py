@@ -51,7 +51,14 @@ from .errors import (
 from .flow import DriftField, _check_times, backward_ensemble_trajectory, backward_trajectory
 from .grid import TimeGrid
 from .kernels import HermiteSpec, kernel_KH
-from .noise import NoisePath, _fbm_weights, _window_plan, _window_scales, pair_matrix
+from .noise import (
+    NoisePath,
+    _fbm_weights,
+    _pair_matrix_cached,
+    _probe_indices,
+    _window_plan,
+    _window_scales,
+)
 from .wiener import WienerLattice
 
 __all__ = [
@@ -164,8 +171,8 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float, spec: HermiteSpec,
         return 0.0
     k = w.grid.index_of(t)
     a = _step_of(w.grid, alpha)
-    lam = pair_matrix(w.grid, spec, t, nodes=nodes)
-    return float(2.0 * spec.d * (lam[a, :k] @ w.increments[:k]))
+    lam = _pair_matrix_cached(w.grid.key(), spec.H, k, nodes)
+    return float(2.0 * spec.d * (lam[a] @ w.increments[:k]))
 
 
 def dz_table(Z: NoisePath, nodes: int = 8) -> np.ndarray:
@@ -338,7 +345,7 @@ def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
     """||D Z_t||^2_{L^2} per path for a (paths, n) matrix of increments.
 
     rank 1 is deterministic (one value broadcast); rank 2 is one GEMM
-    against the cached pair matrix.
+    against the support block of the cached pair matrix.
     """
     dW = np.asarray(dW, dtype=float)
     if dW.ndim != 2 or dW.shape[1] != grid.n:
@@ -353,8 +360,8 @@ def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
         raise UnsupportedOrderError(f"rank {spec.q} not supported")
     if k == 0:
         return np.zeros(dW.shape[0])
-    lam = pair_matrix(grid, spec, t, nodes=nodes)
-    rows = 2.0 * spec.d * (dW @ lam)
+    lam = _pair_matrix_cached(grid.key(), spec.H, k, nodes)
+    rows = 2.0 * spec.d * (dW[:, :k] @ lam)
     return np.sum(rows * rows, axis=1) * grid.dt
 
 
@@ -489,11 +496,11 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None,
 
     Deterministic:  rank 1 uses kernel-row differences, rank 2 the exact
     identity E ||D(Z_t - Z_u)||^2 = 4 d^2 dt^2 ||Lambda_t - Lambda_u||_F^2.
-    Diagnostic only; the probe grid defaults to the eighths of [0, T].
+    Diagnostic only; the probe grid defaults to 0 and the eighths of [0, T],
+    whose pair matrices the rank-2 calibration pass has already recorded.
     """
     if times is None:
-        idx = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))
-        times = grid.points[idx]
+        times = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
     k_probe = sorted({grid.index_of(t) for t in np.atleast_1d(times)})
     worst = 0.0
     if spec.q == 1:
@@ -506,12 +513,13 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None,
         return worst
     if spec.q != 2:
         raise UnsupportedOrderError(f"rank {spec.q} not supported")
-    lams = {k: pair_matrix(grid, spec, grid.points[k], nodes=nodes)
+    lams = {k: _pair_matrix_cached(grid.key(), spec.H, k, nodes)
             for k in k_probe if k > 0}
-    lams[0] = 0.0
+    lams[0] = np.zeros((0, 0))
     for i, ku in enumerate(k_probe):
         for kt in k_probe[i:]:
-            diff = lams[kt] - lams[ku]
+            diff = lams[kt].copy()  # Lambda_u lives on the leading ku x ku block
+            diff[:ku, :ku] -= lams[ku]
             val = 4.0 * spec.d**2 * grid.dt**2 * float(np.sum(diff * diff))
             worst = max(worst, val)
     return worst

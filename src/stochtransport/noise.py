@@ -29,12 +29,18 @@ u-integral splits across grid windows [t_l, t_{l+1}], and on each window the
 chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, one small GEMM, with
 graded Gauss-Legendre u-panels and Gauss-Jacobi y-rules placing every kernel
 singularity inside a quadrature weight.  Cost is O(nodes * n^2) for a whole
-path, not per output time.
+path, not per output time.  The factor rows themselves are cheap: a bulk
+cell depends on its window only through the lag l - i, so its kernel powers
+are tabulated once per grid and only the three edge cells of a window are
+evaluated afresh.
 
 pair_matrix accumulates the identical window quadrature into an explicit
 matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces simulated
 values to floating-point roundoff — downstream first-variation code relies
-on that exact agreement.
+on that exact agreement.  The calibration pass accumulates those matrices
+anyway, in blocks of windows folded by one GEMM each, and records their
+supports at the probe times (the eighths of [0, T]), so the diagnostics
+that ask for pair matrices at those times cost no further pass.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -119,7 +125,8 @@ class _WindowPlan:
     matrix and F @ dW[:l+1] evaluates the chaos integrand at the u-nodes.
     The y-integrals are exact up to the stated rules:
 
-      - bulk cells: fixed Gauss-Legendre nodes, shared by every window;
+      - bulk cells: fixed Gauss-Legendre nodes, shared by every window, so
+        their kernel powers are tabulated once by lag (D, C);
       - cell 0: Gauss-Jacobi in y for the origin weight y^(1/2 - H');
       - cell l-1: substitution v = u - y, geometric panels doubling away
         from v = eps (the smallest u-offset keeps the rule finite);
@@ -149,11 +156,14 @@ class _WindowPlan:
         self.wu = np.concatenate(wu)
         self.M = self.du.size
 
-        # bulk y nodes per cell; sum f(Yb[i]) @ wyb = average over cell i
+        # bulk cells see window l only through the lag k = l - i >= 2:
+        # D[j, p, k - 2] = (k h + du_p - yoff_j)^(hp - 3/2) for y-node j at
+        # t_i + yoff_j, and C[i, j] = y^(1/2 - hp) times the averaging weight
         xb, wb = np.polynomial.legendre.leggauss(m_y)
-        self.Yb = pts[:-1, None] + (h / 2.0) * (xb + 1.0)
-        self.wyb = wb / 2.0
-        self.Yb_pow = self.Yb ** (0.5 - hp)
+        yoff = (h / 2.0) * (xb + 1.0)
+        lag = np.arange(2, n) * h
+        self.D = (lag + self.du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
+        self.C = (pts[:-1, None] + yoff) ** (0.5 - hp) * (wb / 2.0)
 
         # origin cell: weight y^(1/2-hp) at the left endpoint of [0, h]
         x0, w0 = _jacobi(m_edge, 0.0, 0.5 - hp)
@@ -190,10 +200,11 @@ class _WindowPlan:
             for p in range(self.M):
                 V[p, : Vn[p].size] = Vn[p]
                 W[p, : Wn[p].size] = Wn[p]
-            return V, W
+            return V, V ** (hp - 1.5) * W
 
-        self.Vn, self.Wn = near_template(h)
-        self.Vn_half, self.Wn_half = near_template(h / 2.0)
+        # v nodes and v^(hp - 3/2) times weights, full and half width
+        self.Vn, self.Kn = near_template(h)
+        self.Vn_half, self.Kn_half = near_template(h / 2.0)
 
         self.Beta0 = _beta_fn(1.5 - hp, hp - 0.5)
 
@@ -211,10 +222,9 @@ class _WindowPlan:
         ys = u[:, None] - self.vs
         F[:, l] = ((ys ** (0.5 - hp)) * self.ws).sum(axis=1) * upow
         # near cell l-1 (for l = 1 only its upper half)
-        Vn, Wn = (self.Vn, self.Wn) if l >= 2 else (self.Vn_half, self.Wn_half)
-        yn = np.where(Wn > 0, u[:, None] - Vn, 1.0)
-        vals = yn ** (0.5 - hp) * Vn ** (hp - 1.5) * Wn
-        F[:, l - 1] += vals.sum(axis=1) * upow
+        Vn, Kn = (self.Vn, self.Kn) if l >= 2 else (self.Vn_half, self.Kn_half)
+        yn = np.where(Kn > 0, u[:, None] - Vn, 1.0)
+        F[:, l - 1] += (yn ** (0.5 - hp) * Kn).sum(axis=1) * upow
         if l == 1:
             # remainder of cell 0: y in (0, h/2], origin rule rescaled
             y = self.y0 / 2.0
@@ -223,12 +233,10 @@ class _WindowPlan:
             return F, w
         # origin cell 0
         F[:, 0] = (((u[:, None] - self.y0) ** (hp - 1.5)) * self.w0).sum(axis=1) * upow
-        # bulk cells 1 .. l-2
+        # bulk cells 1 .. l-2: lags l-1 .. 2 of the tables
         if l >= 3:
-            Y = self.Yb[1 : l - 1]
-            Yp = self.Yb_pow[1 : l - 1]
-            diff = u[:, None, None] - Y[None]
-            F[:, 1 : l - 1] = ((diff ** (hp - 1.5)) * Yp[None]) @ self.wyb * upow[:, None]
+            bulk = np.einsum("jpk,kj->pk", self.D[:, :, l - 3 :: -1], self.C[1 : l - 1])
+            F[:, 1 : l - 1] = bulk * upow[:, None]
         return F, w
 
 
@@ -238,40 +246,98 @@ def _window_plan(grid_key, hp: float, c: float, nodes: int) -> _WindowPlan:
     return _WindowPlan(n, T, hp, c, nodes)
 
 
+def _probe_indices(n: int) -> np.ndarray:
+    """Grid indices of the eighths of [0, T], 0 excluded: the probe times of
+    the noise-stats and malliavin diagnostics, whose pair matrices the
+    calibration pass records."""
+    return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
+
+
+# Windows per blocked rank update of the pair matrix.
+_FOLD = 16
+
+
+def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
+                 tau: np.ndarray | None = None) -> dict:
+    """One window pass; the pair matrices A_k at the probe indices k.
+
+    A_k = sum_{l<k} lam2_l B_l with B_l = Psi_l^T Psi_l and Psi_l = sqrt(w) F_l
+    is supported on [:k, :k]; only that block is returned, symmetrized and
+    read-only.  Windows are folded into A in blocks of up to _FOLD, each one
+    GEMM over the stacked rows Psi, and every probe closes a block.  With
+    tau given the pass also calibrates (see _window_scales), solving lam2_l
+    in place before window l counts: x = <A_l, B_l> is
+    tr(Psi_l A_l0 Psi_l^T) for the part folded at the block start l0 plus
+    lam2_j ||Psi_l Psi_j^T||^2 for each window j of the block before l, and
+    y = ||B_l||^2 = ||Psi_l Psi_l^T||^2.
+    """
+    probes = {int(k) for k in probes}
+    kmax = max(probes)
+    edges = sorted(probes | set(range(0, kmax, _FOLD)))
+    A = np.zeros((kmax, kmax))
+    M = plan.M
+    blocks = {}
+    for l0, l1 in zip(edges, edges[1:] + [None]):
+        if l0 in probes:
+            blk = 0.5 * (A[:l0, :l0] + A[:l0, :l0].T)
+            blk.flags.writeable = False
+            blocks[l0] = blk
+        if l1 is None:
+            return blocks
+        m = l1 - l0
+        Psi = np.zeros((m * M, l1))
+        for a in range(m):
+            F, w = plan.factor_rows(l0 + a)
+            Psi[a * M : (a + 1) * M, : F.shape[1]] = np.sqrt(w)[:, None] * F
+        if tau is not None:
+            P0 = Psi[:, :l0]
+            x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0)
+            x0 = x0.reshape(m, M).sum(axis=1)
+            Q = Psi @ Psi.T
+            R = (Q * Q).reshape(m, M, m, M).sum(axis=(1, 3))
+            for a in range(m):
+                l = l0 + a
+                x = x0[a] + R[a, :a] @ lam2[l0:l]
+                y = R[a, a]
+                lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
+        A[:l1, :l1] += (np.repeat(lam2[l0:l1], M)[:, None] * Psi).T @ Psi
+
+
+@lru_cache(maxsize=4)  # an entry holds about 3.2 n^2 doubles of blocks
+def _calibration(grid_key, H: float, nodes: int):
+    """(lam2, probe pair blocks) of one calibration pass; see _window_scales."""
+    n, T = grid_key
+    hp = hurst_prime(2, H)
+    d = d_H(2, H)
+    plan = _window_plan(grid_key, hp, c_H(hp), nodes)
+    tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * d * d * plan.h * plan.h)
+    lam2 = np.empty(n)
+    blocks = _pair_blocks(plan, _probe_indices(n), lam2, tau)
+    lam2.flags.writeable = False
+    return lam2, blocks
+
+
 @lru_cache(maxsize=16)
 def _window_scales(grid_key, H: float, nodes: int) -> np.ndarray:
     """Variance-calibration factors lambda_l^2, one per window (rank 2).
 
-    With A_k = sum_{l<k} lambda_l^2 W_l (W_l the window-l Gram matrix of the
+    With A_k = sum_{l<k} lambda_l^2 B_l (B_l the window-l Gram matrix of the
     factor rows), the requirement Var Z(t_k) = 2 d^2 dt^2 ||A_k||_F^2
     = t_k^(2H) at every k reduces to one quadratic per window: writing
-    x = <A_l, W_l>_F, y = ||W_l||_F^2 and
+    x = <A_l, B_l>_F, y = ||B_l||_F^2 and
     tau = (t_{l+1}^(2H) - t_l^(2H)) / (2 d^2 dt^2), solve
     y * lam^4 + 2 x * lam^2 = tau for lam^2.  x, y, tau are all positive, so
     the positive root always exists; each window keeps one deterministic,
     adapted scale and path simulation stays a single incremental pass.  The
     factors absorb the L^2 mass a piecewise-constant-in-y projection cannot
     represent (lambda in [1.0, 1.3], largest on the first window).
+
+    The solve needs A_l at every l, so the pass (_pair_blocks) builds the
+    pair matrices anyway; it keeps the k x k supports at the probe indices
+    (_probe_indices), which serve pair_matrix and its consumers at the probe
+    times with no further pass.
     """
-    n, T = grid_key
-    hp = hurst_prime(2, H)
-    c = c_H(hp)
-    d = d_H(2, H)
-    plan = _window_plan(grid_key, hp, c, nodes)
-    pts = plan.pts
-    pref = 2.0 * d * d * plan.h * plan.h
-    A = np.zeros((n, n))
-    lam2 = np.ones(n)
-    for l in range(n):
-        F, w = plan.factor_rows(l)
-        B = F.T @ (w[:, None] * F)
-        x = float((A[: l + 1, : l + 1] * B).sum())
-        y = float((B * B).sum())
-        tau = (pts[l + 1] ** (2.0 * H) - pts[l] ** (2.0 * H)) / pref
-        lam2[l] = (-x + np.sqrt(x * x + y * tau)) / y
-        A[: l + 1, : l + 1] += lam2[l] * B
-    lam2.flags.writeable = False
-    return lam2
+    return _calibration(grid_key, H, nodes)[0]
 
 
 def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
@@ -367,34 +433,37 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
 
 @lru_cache(maxsize=8)
 def _pair_matrix_cached(grid_key, H: float, k: int, nodes: int) -> np.ndarray:
-    n, T = grid_key
+    """The k x k support block of the pair matrix at grid index k.
+
+    Probe indices come from the calibration pass; any other k costs one
+    accumulation pass over windows l < k.
+    """
+    lam2, blocks = _calibration(grid_key, H, nodes)
+    if k in blocks:
+        return blocks[k]
     hp = hurst_prime(2, H)
-    c = c_H(hp)
-    plan = _window_plan(grid_key, hp, c, nodes)
-    lam2 = _window_scales(grid_key, H, nodes)
-    A = np.zeros((n, n))
-    for l in range(k):
-        F, w = plan.factor_rows(l)
-        A[: l + 1, : l + 1] += lam2[l] * (F.T @ (w[:, None] * F))
-    # The GEMM accumulation is symmetric only up to rounding; make it exact.
-    A = 0.5 * (A + A.T)
-    A.flags.writeable = False
-    return A
+    plan = _window_plan(grid_key, hp, c_H(hp), nodes)
+    return _pair_blocks(plan, (k,), lam2)[k]
 
 
 def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float, nodes: int = 8) -> np.ndarray:
-    """Pair-interaction matrix A of the rank-2 noise at time t.
+    """Pair-interaction matrix A of the rank-2 noise at time t, n x n.
 
     Entry (i, j) is the calibrated cell average of the chaos kernel
-    L_t(y1, y2) over cell_i x cell_j; symmetric with positive diagonal.
-    The Wick form d * (dW' A dW - dt * tr A) equals the simulated Z(t) for
-    the path driven by dW to roundoff, because the same window quadrature
-    and calibration build both.
+    L_t(y1, y2) over cell_i x cell_j; symmetric with positive diagonal, zero
+    outside the cells before t.  The Wick form d * (dW' A dW - dt * tr A)
+    equals the simulated Z(t) for the path driven by dW to roundoff, because
+    the same window quadrature and calibration build both.  The result is a
+    fresh read-only copy of the cached support block; the library's own
+    consumers use that block directly.
     """
     if spec.q != 2:
         raise DomainError("pair_matrix is defined for rank-2 noise only")
     k = grid.index_of(t)
-    return _pair_matrix_cached(grid.key(), spec.H, k, nodes)
+    A = np.zeros((grid.n, grid.n))
+    A[:k, :k] = _pair_matrix_cached(grid.key(), spec.H, k, nodes)
+    A.flags.writeable = False
+    return A
 
 
 def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float, t: float,
@@ -416,8 +485,9 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float, t: float,
         if ks == 0 or kt == 0:
             return 0.0
         return float(grid.dt * (M[ks - 1] @ M[kt - 1]))
-    lam_s = pair_matrix(grid, spec, s, nodes=nodes)
-    lam_t = pair_matrix(grid, spec, t, nodes=nodes)
+    k = min(ks, kt)
+    lam_s = _pair_matrix_cached(grid.key(), spec.H, ks, nodes)[:k, :k]
+    lam_t = _pair_matrix_cached(grid.key(), spec.H, kt, nodes)[:k, :k]
     return float(2.0 * spec.d**2 * grid.dt**2 * (lam_s * lam_t).sum())
 
 

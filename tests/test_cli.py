@@ -32,6 +32,10 @@ class TestValidate:
         diags = validate(cfg(eps_schedule=[0.25, 0.125, 1e-4]))
         assert any("eps" in d for d in diags)
 
+    def test_non_numeric_eps_schedule_is_a_diagnostic(self):
+        diags = validate(cfg(eps_schedule=["fine", "coarse"]))
+        assert any("bad eps schedule" in d for d in diags)
+
     def test_unknown_presets_flagged(self):
         diags = validate(cfg(kind="flow", drift="warp", u0="spline"))
         assert any("drift preset" in d for d in diags)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stochtransport import (
     DomainError,
@@ -283,3 +286,118 @@ def test_circulant_reproducible():
     assert np.array_equal(A, B)
     assert not np.array_equal(A, C)
     assert np.all(A[:, 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Pins of the cold rank-2 plan against direct in-test constructions.
+# ---------------------------------------------------------------------------
+
+_PIN_N = 64
+_PIN_HS = (0.6, 0.75, 0.9)
+
+
+def _direct_bulk_rows(grid, spec, l, nodes=8):
+    """Bulk cells 1..l-2 of window l by direct powers, one per (p, i, j)."""
+    h = grid.dt
+    hp = spec.hp
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    grading = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
+    du = np.concatenate([a * h + (b - a) * h / 2.0 * (xg + 1.0)
+                         for a, b in zip(grading[:-1], grading[1:])])
+    u = grid.points[l] + du
+    xb, wb = np.polynomial.legendre.leggauss(max(2, nodes // 2))
+    Y = grid.points[1 : l - 1, None] + (h / 2.0) * (xb + 1.0)
+    diff = u[:, None, None] - Y[None]
+    rows = ((diff ** (hp - 1.5)) * Y[None] ** (0.5 - hp)) @ (wb / 2.0)
+    return rows * (spec.c * u ** (hp - 0.5))[:, None]
+
+
+def _direct_pair_matrix(grid, spec, k, lam2, nodes=8):
+    """sum_{l<k} lam2_l F_l^T diag(w) F_l, accumulated window by window."""
+    from stochtransport.noise import _window_plan
+
+    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
+    A = np.zeros((grid.n, grid.n))
+    for l in range(k):
+        F, w = plan.factor_rows(l)
+        A[: l + 1, : l + 1] += lam2[l] * (F.T @ (w[:, None] * F))
+    return A
+
+
+@pytest.mark.parametrize("H", _PIN_HS)
+def test_factor_rows_bulk_cells_match_direct_powers(H):
+    from stochtransport.noise import _window_plan
+
+    grid = TimeGrid(T=1.0, n=_PIN_N)
+    spec = HermiteSpec.create(2, H)
+    plan = _window_plan(grid.key(), spec.hp, spec.c, 8)
+    for l in range(grid.n):
+        F, w = plan.factor_rows(l)
+        assert F.shape == (24, l + 1) and w.shape == (24,)
+        assert np.all(np.isfinite(F)) and np.all(F > 0.0)
+        if l >= 3:
+            ref = _direct_bulk_rows(grid, spec, l)
+            rel = np.abs(F[:, 1 : l - 1] - ref) / np.abs(ref)
+            assert rel.max() < 1e-13, (l, rel.max())
+
+
+@pytest.mark.parametrize("H", _PIN_HS)
+def test_window_scales_match_reference_recursion(H):
+    from stochtransport.noise import _window_plan, _window_scales
+
+    grid = TimeGrid(T=1.0, n=_PIN_N)
+    spec = HermiteSpec.create(2, H)
+    plan = _window_plan(grid.key(), spec.hp, spec.c, 8)
+    tau_scale = 2.0 * spec.d**2 * grid.dt**2
+    A = np.zeros((grid.n, grid.n))
+    ref = np.empty(grid.n)
+    for l in range(grid.n):
+        F, w = plan.factor_rows(l)
+        B = F.T @ (w[:, None] * F)
+        x = float((A[: l + 1, : l + 1] * B).sum())
+        y = float((B * B).sum())
+        tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
+        ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
+        A[: l + 1, : l + 1] += ref[l] * B
+    lam2 = _window_scales(grid.key(), spec.H, 8)
+    assert lam2.shape == (grid.n,) and not lam2.flags.writeable
+    assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
+
+
+@pytest.mark.parametrize("H", _PIN_HS)
+def test_pair_matrix_matches_direct_accumulation(H):
+    from stochtransport.noise import _window_scales
+
+    grid = TimeGrid(T=1.0, n=_PIN_N)
+    spec = HermiteSpec.create(2, H)
+    lam2 = _window_scales(grid.key(), spec.H, 8)
+    eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
+    for k in list(eighths) + [37]:
+        lam = pair_matrix(grid, spec, grid.points[k])
+        ref = _direct_pair_matrix(grid, spec, k, lam2)
+        ref = 0.5 * (ref + ref.T)
+        assert lam.shape == (grid.n, grid.n)
+        assert not lam.flags.writeable
+        assert np.array_equal(lam, lam.T)
+        assert np.all(lam[k:, :] == 0.0) and np.all(lam[:, k:] == 0.0)
+        assert np.max(np.abs(lam - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert lattice_variance(grid, spec, grid.points[k]) == pytest.approx(
+            grid.points[k] ** (2 * H), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 48), H=st.floats(0.55, 0.95), data=st.data())
+def test_wick_form_equals_simulated_values(n, H, data):
+    """d (dW' A_k dW - dt tr A_k) reproduces the window recursion for any
+    driver, grid size, Hurst index and grid time."""
+    from stochtransport.noise import _from_driver
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    k = data.draw(st.integers(1, n), label="k")
+    dW = np.sqrt(grid.dt) * data.draw(
+        arrays(np.float64, n, elements=st.floats(-4.0, 4.0)), label="dW")
+    z = _from_driver(grid, spec, dW[None, :])[0, k]
+    lam = pair_matrix(grid, spec, grid.points[k])
+    wick = spec.d * (dW @ lam @ dW - grid.dt * np.trace(lam))
+    assert abs(wick - z) <= 1e-12 * (1.0 + abs(z))
