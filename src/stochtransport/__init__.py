@@ -21,14 +21,11 @@ from .errors import (
 )
 from .flow import (
     DriftField,
-    FlowSolution,
     backward_ensemble,
     backward_flow,
     backward_trajectory,
     forward_ensemble,
     forward_flow,
-    forward_trajectory,
-    inverse_flow_field,
     picard_solve,
 )
 from .grid import TimeGrid
@@ -42,12 +39,10 @@ from .malliavin import (
     dY_profile,
     density_bound_check,
     density_report,
-    du_chain,
     dy_norm_ensemble,
     dz_fbm,
     dz_hermite,
     dz_norm_ensemble,
-    dz_path,
     dz_table,
     increment_derivative,
     mt_diagnostic,
@@ -73,23 +68,18 @@ from .transport import (
     InitialDatum,
     TestFunction,
     WeakFormReport,
-    sample_solution,
     solution_field,
-    solve_transport,
     weak_form_residual,
 )
 from .wiener import Perturbation, WienerLattice, generate, generate_increments
 
 __all__ = [
     "DriftField",
-    "FlowSolution",
     "backward_ensemble",
     "backward_flow",
     "backward_trajectory",
     "forward_ensemble",
     "forward_flow",
-    "forward_trajectory",
-    "inverse_flow_field",
     "picard_solve",
     "BoundCheckReport",
     "DensityReport",
@@ -99,12 +89,10 @@ __all__ = [
     "dY_profile",
     "density_bound_check",
     "density_report",
-    "du_chain",
     "dy_norm_ensemble",
     "dz_fbm",
     "dz_hermite",
     "dz_norm_ensemble",
-    "dz_path",
     "dz_table",
     "increment_derivative",
     "mt_diagnostic",
@@ -122,9 +110,7 @@ __all__ = [
     "InitialDatum",
     "TestFunction",
     "WeakFormReport",
-    "sample_solution",
     "solution_field",
-    "solve_transport",
     "weak_form_residual",
     "ConvergenceError",
     "DomainError",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, GridError, StochTransportError
-from .flow import backward_ensemble, forward_ensemble
+from .flow import backward_ensemble, backward_ensemble_trajectory, forward_ensemble
 from .grid import TimeGrid
 from .kernels import HermiteSpec
 from .malliavin import (
@@ -412,11 +412,15 @@ def _run_density(config, grid, spec, out, checks, files):
     t = config.t_end
     z = _simulate_blocks(grid, spec, config.seed, config.paths,
                          _thread_count(config))
-    y = backward_ensemble(b, grid, z, config.x0, 0.0, t)
+    # One flow solve serves the samples (row 0) and the derivative norms.
+    traj = backward_ensemble_trajectory(b, grid, z, config.x0, t)
+    y = traj[0].copy()
     samples = np.asarray(u0.u0(y), dtype=float)
     dW = generate_increments(grid, config.seed, range(config.paths)) \
         if spec.q == 2 else None
-    dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW)
+    dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW,
+                              y_path=traj)
+    del traj
     du_nsq = np.asarray(u0.u0_prime(y), dtype=float) ** 2 * dy_nsq
     rep = density_report(samples, du_nsq)
     _write_csv(out / "samples.csv", config,
@@ -426,10 +430,11 @@ def _run_density(config, grid, spec, out, checks, files):
     _write_csv(out / "density.csv", config, ["x", "kde"],
                list(zip(rep.x_grid, rep.density)))
     files.append("density.csv")
-    checks.append(_check("kde-mass", 0.99 <= rep.mass <= 1.01, rep.mass, 1.01,
-                         "KDE total mass must sit in [0.99, 1.01]"))
-    checks.append(_check("no-atoms", rep.max_cdf_jump <= 3.0 / np.sqrt(rep.count),
-                         rep.max_cdf_jump, 3.0 / np.sqrt(rep.count),
+    lo, hi = rep.MASS_RANGE
+    checks.append(_check("kde-mass", rep.mass_ok, rep.mass, hi,
+                         f"KDE total mass must sit in [{lo}, {hi}]"))
+    checks.append(_check("no-atoms", rep.max_cdf_jump <= rep.atom_bound,
+                         rep.max_cdf_jump, rep.atom_bound,
                          "largest empirical CDF jump"))
     checks.append(_check("du-norm-positive", rep.min_norm_sq > 0.0,
                          rep.min_norm_sq, 0.0,

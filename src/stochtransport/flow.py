@@ -21,8 +21,14 @@ quadrature.  Its fixed point satisfies the same per-step equations as the
 stepwise backward solver, so the two agree to iteration tolerance; tests and
 calling code rely on that.
 
-Zero-drift flows shortcut to pure translation by the noise increment, which
-keeps them exact to the bit and reproducible per seed.
+Every flow in the package -- one path or an ensemble, a scalar, a node
+array or a paths vector of states, forward or backward, end state or whole
+trajectory -- runs through one step kernel, `_march`.  Its fixed-point
+solve stops jointly: all components of the state iterate until the largest
+change is below tolerance, so the last bits of one state can depend on
+which other states share its array.  Zero-drift flows shortcut, in the
+same kernel, to pure translation by the noise increment, which keeps them
+exact to the bit and reproducible per seed.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResolutionError
+from .errors import ConvergenceError, DomainError
 from .grid import TimeGrid
 from .noise import NoisePath
 
@@ -88,7 +94,11 @@ def _check_times(grid: TimeGrid, s: float, t: float) -> tuple[int, int]:
 
 
 def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float):
-    """Solve x = rhs + (h/2) * b(t_new, x) by fixed-point iteration."""
+    """Solve x = rhs + (h/2) * b(t_new, x) by fixed-point iteration.
+
+    The stopping rule is joint: every component of the state iterates until
+    the largest change falls below the tolerance.
+    """
     x = np.asarray(x_guess, dtype=float)
     half = 0.5 * h
     for _ in range(_STEP_MAX_ITER):
@@ -98,87 +108,61 @@ def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float):
         if gap <= _STEP_TOL * (1.0 + np.max(np.abs(x))):
             return x
     raise ConvergenceError(
-        f"drift step did not contract (h*sup|b'| = {h * b.sup_norm_bprime:.3g}); "
-        "refine the grid")
+        f"drift step did not contract (h*sup|b'| = {abs(h) * b.sup_norm_bprime:.3g}); "
+        "refine the grid", residual=float(gap))
 
 
-def _forward_steps(b: DriftField, grid: TimeGrid, dz: np.ndarray, x0,
-                   ks: int, kt: int, record: bool):
-    """March x through steps ks..kt-1; dz[k] is the noise increment of step k."""
-    pts = grid.points
-    h = grid.dt
-    x = np.asarray(x0, dtype=float)
-    traj = [x] if record else None
-    for k in range(ks, kt):
-        f0 = np.asarray(b.b(pts[k], x), dtype=float)
-        rhs = x + 0.5 * h * f0 + dz[k]
-        x = _solve_step(b, pts[k + 1], rhs, x + h * f0 + dz[k], h)
+def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
+           sign: int, record: bool):
+    """Implicit trapezoid steps between grid indices ks <= kt.
+
+    z is time-first noise: z[k] is the value at grid index k, a scalar for
+    one path or a paths vector for an ensemble (the transpose of a
+    (paths, n+1) matrix).  x is a scalar, a node array or a paths vector.
+    sign = +1 starts x at ks and marches forward to kt; sign = -1 anchors x
+    at kt and marches back to ks.  With record, the states at every index
+    ks..kt come back in time order, stacked along axis 0; otherwise the end
+    state.
+    """
+    start, end = (ks, kt) if sign > 0 else (kt, ks)
+    x = np.zeros(np.shape(z[start])) + np.asarray(x, dtype=float)
+    if b.is_zero:
+        inc = (z[ks:kt + 1] if record else z[end]) - z[start]
         if record:
-            traj.append(x)
-    return np.array(traj) if record else x
-
-
-def _backward_steps(b: DriftField, grid: TimeGrid, dz: np.ndarray, x_anchor,
-                    ks: int, kt: int, record: bool):
-    """March y down from the anchor at index kt to index ks."""
+            inc = inc.reshape(inc.shape + (1,) * (x.ndim - inc.ndim + 1))
+        return x + inc
     pts = grid.points
-    h = grid.dt
-    y = np.asarray(x_anchor, dtype=float)
-    traj = [y] if record else None
-    for k in range(kt - 1, ks - 1, -1):
-        f1 = np.asarray(b.b(pts[k + 1], y), dtype=float)
-        rhs = y - 0.5 * h * f1 - dz[k]
-        y = _solve_step(b, pts[k], rhs, y - h * f1 - dz[k], -h)
-        if record:
-            traj.append(y)
+    h = sign * grid.dt
+    traj = np.empty((kt - ks + 1,) + x.shape) if record else None
     if record:
-        traj.reverse()
-        return np.array(traj)
-    return y
+        traj[start - ks] = x
+    for k in range(start, end, sign):
+        # dz is the increment along the march, so one formula serves both
+        # directions: backwards it is the exact negative of the forward one.
+        dz = z[k + sign] - z[k]
+        f = np.asarray(b.b(pts[k], x), dtype=float)
+        x = _solve_step(b, pts[k + sign], x + 0.5 * h * f + dz, x + h * f + dz, h)
+        if record:
+            traj[k + sign - ks] = x
+    return traj if record else x
 
 
 def forward_flow(b: DriftField, Z: NoisePath, x, s: float, t: float):
     """X_{s,t}(x): start at x at time s, integrate drift + noise up to t."""
     ks, kt = _check_times(Z.grid, s, t)
-    if ks == kt:
-        return np.asarray(x, dtype=float) + 0.0
-    dz = np.diff(Z.values)
-    if b.is_zero:
-        return np.asarray(x, dtype=float) + (Z.values[kt] - Z.values[ks])
-    return _forward_steps(b, Z.grid, dz, x, ks, kt, record=False)
+    return _march(b, Z.grid, Z.values, x, ks, kt, 1, record=False)
 
 
 def backward_flow(b: DriftField, Z: NoisePath, x, s: float, t: float):
     """Y_{s,t}(x): anchor at x at time t, integrate down to time s."""
     ks, kt = _check_times(Z.grid, s, t)
-    if ks == kt:
-        return np.asarray(x, dtype=float) + 0.0
-    dz = np.diff(Z.values)
-    if b.is_zero:
-        return np.asarray(x, dtype=float) - (Z.values[kt] - Z.values[ks])
-    return _backward_steps(b, Z.grid, dz, x, ks, kt, record=False)
-
-
-def forward_trajectory(b: DriftField, Z: NoisePath, x, s: float, t: float):
-    """X_{s,r}(x) for every grid time r in [s, t], stacked along axis 0."""
-    ks, kt = _check_times(Z.grid, s, t)
-    dz = np.diff(Z.values)
-    if b.is_zero:
-        base = np.asarray(x, dtype=float)
-        inc = Z.values[ks:kt + 1] - Z.values[ks]
-        return base[None, ...] + inc.reshape((-1,) + (1,) * base.ndim)
-    return _forward_steps(b, Z.grid, dz, x, ks, kt, record=True)
+    return _march(b, Z.grid, Z.values, x, ks, kt, -1, record=False)
 
 
 def backward_trajectory(b: DriftField, Z: NoisePath, x, t: float):
     """Y_{r,t}(x) for every grid time r in [0, t]; row r is the state at r."""
     ks, kt = _check_times(Z.grid, 0.0, t)
-    dz = np.diff(Z.values)
-    if b.is_zero:
-        base = np.asarray(x, dtype=float)
-        inc = Z.values[kt] - Z.values[ks:kt + 1]
-        return base[None, ...] - inc.reshape((-1,) + (1,) * base.ndim)
-    return _backward_steps(b, Z.grid, dz, x, ks, kt, record=True)
+    return _march(b, Z.grid, Z.values, x, ks, kt, -1, record=True)
 
 
 def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
@@ -220,144 +204,33 @@ def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
         if gap < tol:
             return float(R[ku]), it
     raise ConvergenceError(
-        f"no fixed point after {max_iter} iterations (last change {gap:.3e})")
-
-
-@dataclass(frozen=True)
-class FlowSolution:
-    """Flow values on a time x space lattice, anchored at one end.
-
-    Backward solutions cover grid times 0..anchor with the anchor as the
-    last row; forward solutions start at the anchor as row 0.  The anchor
-    row equals x_nodes exactly.  Rows must be strictly increasing across
-    nodes — a violated ordering means the step map folded over, i.e. the
-    grid is too coarse for this drift.
-    """
-
-    grid: TimeGrid
-    x_nodes: np.ndarray
-    values: np.ndarray
-    direction: str
-    anchor: float
-    noise: NoisePath
-
-    def __post_init__(self):
-        nodes = np.asarray(self.x_nodes, dtype=float)
-        if np.any(np.diff(nodes) <= 0):
-            raise DomainError("x_nodes must be strictly increasing")
-        if self.direction not in ("forward", "backward"):
-            raise DomainError(f"unknown direction {self.direction!r}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != nodes.size:
-            raise DomainError("values must be (times, nodes)")
-        ai = self.grid.index_of(self.anchor)
-        if self.direction == "backward":
-            if vals.shape[0] != ai + 1:
-                raise DomainError("backward solution must cover every time up to the anchor")
-            anchor_row = vals.shape[0] - 1
-        else:
-            if vals.shape[0] != self.grid.n - ai + 1:
-                raise DomainError("forward solution must cover every time from the anchor on")
-            anchor_row = 0
-        if not np.array_equal(vals[anchor_row], nodes):
-            raise DomainError("anchor row must equal x_nodes exactly")
-        if np.any(np.diff(vals, axis=1) <= 0):
-            raise ResolutionError(
-                "flow values are not strictly increasing across nodes; "
-                "the time step is too coarse for this drift")
-        object.__setattr__(self, "x_nodes", nodes)
-        object.__setattr__(self, "values", vals)
-
-    def time_of_row(self, j: int) -> float:
-        if self.direction == "backward":
-            return float(self.grid.points[j])
-        return float(self.grid.points[self.grid.index_of(self.anchor) + j])
-
-    def rows(self) -> list[tuple[float, float, float, float, str, int]]:
-        """(s, t, x, value, direction, path_id) tuples for serialization."""
-        out = []
-        pid = self.noise.source.path_id
-        for j in range(self.values.shape[0]):
-            tj = self.time_of_row(j)
-            for i, xi in enumerate(self.x_nodes):
-                if self.direction == "backward":
-                    out.append((tj, self.anchor, float(xi),
-                                float(self.values[j, i]), "backward", pid))
-                else:
-                    out.append((self.anchor, tj, float(xi),
-                                float(self.values[j, i]), "forward", pid))
-        return out
-
-
-def inverse_flow_field(b: DriftField, Z: NoisePath, t: float,
-                       x_nodes: np.ndarray) -> FlowSolution:
-    """Y_{r,t}(x) for all grid times r <= t and all nodes, order-checked."""
-    nodes = np.asarray(x_nodes, dtype=float)
-    if np.any(np.diff(nodes) <= 0):
-        raise DomainError("x_nodes must be sorted strictly increasing")
-    traj = backward_trajectory(b, Z, nodes, t)
-    return FlowSolution(grid=Z.grid, x_nodes=nodes, values=traj,
-                        direction="backward", anchor=float(t), noise=Z)
+        f"no fixed point after {max_iter} iterations (last change {gap:.3e})",
+        residual=float(gap))
 
 
 # ---------------------------------------------------------------------------
 # Ensemble variants: one spatial point, many noise paths at once.
 # ---------------------------------------------------------------------------
 
-def _ensemble_steps(b: DriftField, grid: TimeGrid, z_values: np.ndarray, x: float,
-                    ks: int, kt: int, direction: str, record: bool):
-    z_values = np.asarray(z_values, dtype=float)
-    if z_values.ndim != 2 or z_values.shape[1] != grid.n + 1:
+def _time_first(grid: TimeGrid, z_values: np.ndarray) -> np.ndarray:
+    z = np.asarray(z_values, dtype=float)
+    if z.ndim != 2 or z.shape[1] != grid.n + 1:
         raise DomainError("z_values must be (paths, n+1)")
-    dz = np.diff(z_values, axis=1)
-    paths = z_values.shape[0]
-    if direction == "forward":
-        if b.is_zero:
-            inc = z_values[:, ks:kt + 1] - z_values[:, ks:ks + 1]
-            out = x + inc.T
-            return out if record else out[-1]
-        state = np.zeros(paths) + np.asarray(x, dtype=float)
-        traj = [state] if record else None
-        pts, h = grid.points, grid.dt
-        for k in range(ks, kt):
-            f0 = np.asarray(b.b(pts[k], state), dtype=float)
-            rhs = state + 0.5 * h * f0 + dz[:, k]
-            state = _solve_step(b, pts[k + 1], rhs, state + h * f0 + dz[:, k], h)
-            if record:
-                traj.append(state)
-        return np.array(traj) if record else state
-    else:
-        if b.is_zero:
-            inc = z_values[:, kt:kt + 1] - z_values[:, ks:kt + 1]
-            out = x - inc.T
-            return out if record else out[0]
-        state = np.zeros(paths) + np.asarray(x, dtype=float)
-        traj = [state] if record else None
-        pts, h = grid.points, grid.dt
-        for k in range(kt - 1, ks - 1, -1):
-            f1 = np.asarray(b.b(pts[k + 1], state), dtype=float)
-            rhs = state - 0.5 * h * f1 - dz[:, k]
-            state = _solve_step(b, pts[k], rhs, state - h * f1 - dz[:, k], -h)
-            if record:
-                traj.append(state)
-        if record:
-            traj.reverse()
-            return np.array(traj)
-        return state
+    return z.T
 
 
 def forward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                      x: float, s: float, t: float) -> np.ndarray:
     """X_{s,t}(x) per path for a (paths, n+1) matrix of noise values."""
     ks, kt = _check_times(grid, s, t)
-    return _ensemble_steps(b, grid, z_values, x, ks, kt, "forward", record=False)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, 1, record=False)
 
 
 def backward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                       x: float, s: float, t: float) -> np.ndarray:
     """Y_{s,t}(x) per path."""
     ks, kt = _check_times(grid, s, t)
-    return _ensemble_steps(b, grid, z_values, x, ks, kt, "backward", record=False)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, record=False)
 
 
 def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
@@ -365,4 +238,4 @@ def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
                                  t: float) -> np.ndarray:
     """Y_{r,t}(x) for all grid r <= t, per path: shape (kt+1, paths)."""
     ks, kt = _check_times(grid, 0.0, t)
-    return _ensemble_steps(b, grid, z_values, x, ks, kt, "backward", record=True)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, record=True)

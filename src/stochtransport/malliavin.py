@@ -35,7 +35,7 @@ Monte Carlo sample for atoms and for vanishing derivative norms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.stats import gaussian_kde
@@ -68,14 +68,12 @@ __all__ = [
     "dz_fbm",
     "dz_hermite",
     "dz_table",
-    "dz_path",
     "dz_norm_ensemble",
     "dy_norm_ensemble",
     "increment_derivative",
     "dY_closed_form",
     "dY_integral_eq",
     "dY_profile",
-    "du_chain",
     "mt_diagnostic",
     "density_bound_check",
     "density_report",
@@ -206,14 +204,6 @@ def _dz_table_raw(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
     return G
 
 
-def dz_path(Z: NoisePath, t: float, nodes: int = 8) -> MalliavinPath:
-    """The alpha-profile of D Z_t as a MalliavinPath."""
-    k = Z.grid.index_of(t)
-    G = dz_table(Z, nodes=nodes)
-    return MalliavinPath(grid=Z.grid, values=G[k],
-                         target=f"Z({t:g}) rank {Z.spec.q}")
-
-
 def increment_derivative(Z: NoisePath, nodes: int = 8) -> Callable:
     """DZ(u, t, alpha) = D_alpha of the window term -(Z_t - Z_u), u <= t.
 
@@ -239,18 +229,47 @@ def increment_derivative(Z: NoisePath, nodes: int = 8) -> Callable:
     return DZ
 
 
-def _flow_rows(b: DriftField, Z: NoisePath, x: float, t: float,
-               y_path: np.ndarray | None, kt: int) -> np.ndarray:
-    """Values Y_{r,t}(x) on grid rows 0..kt, validated if supplied."""
-    if y_path is None:
-        return backward_trajectory(b, Z, x, t)
+def _checked_flow(y_path: np.ndarray, shape: tuple, x: float) -> np.ndarray:
+    """A precomputed inverse flow on grid rows 0..kt, validated.
+
+    shape is (kt+1,) for one path or (kt+1, paths); the anchor row kt must
+    equal x exactly.
+    """
     y = np.asarray(y_path, dtype=float)
-    if y.shape != (kt + 1,):
+    if y.shape != shape:
         raise DomainError(
-            f"precomputed flow has shape {y.shape}, expected ({kt + 1},)")
-    if y[kt] != x:
+            f"precomputed flow has shape {y.shape}, expected {shape}")
+    if np.any(y[-1] != x):
         raise DomainError("precomputed flow does not end at the anchor point")
     return y
+
+
+def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
+                        ks: int) -> np.ndarray:
+    """gam * exp(-int gam) along flow rows, with gam = b'(r, Y_{r,t}(x)).
+
+    rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., shape
+    (m+1,) for one path or (m+1, paths); the integral runs from t_ks by the
+    cumulative trapezoid rule.  This is the integrating factor of the
+    linear equation for D Y.
+    """
+    times = grid.points[ks:ks + rows.shape[0]]
+    times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
+    gam = np.broadcast_to(np.asarray(b.b_prime(times, rows), dtype=float),
+                          rows.shape)
+    B = np.zeros(rows.shape)
+    B[1:] = np.cumsum(0.5 * grid.dt * (gam[1:] + gam[:-1]), axis=0)
+    return gam * np.exp(-B)
+
+
+def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
+                  ks: int) -> np.ndarray:
+    """The integrating factor times the trapezoid weights of its rows."""
+    wtr = np.full(rows.shape[0], grid.dt)
+    wtr[0] *= 0.5
+    wtr[-1] *= 0.5
+    return _integrating_factor(b, grid, rows, ks) * \
+        wtr.reshape(wtr.shape + (1,) * (rows.ndim - 1))
 
 
 def _cn_duhamel_weights(gam: np.ndarray, dt: float) -> np.ndarray:
@@ -303,7 +322,8 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
     h_s = float(DZ(s, t, alpha))
     if ks == kt or b.is_zero:
         return h_s
-    y = _flow_rows(b, Z, x, t, y_path, kt)
+    y = backward_trajectory(b, Z, x, t) if y_path is None \
+        else _checked_flow(y_path, (kt + 1,), x)
     # reversed clock: j = 0..m maps to calendar time t - j*dt
     rev = grid.points[kt:ks - 1:-1] if ks > 0 else grid.points[kt::-1]
     yrev = y[kt:ks - 1:-1] if ks > 0 else y[kt::-1]
@@ -325,17 +345,9 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float, x: float,
     base = -(G[kt] - G[ks])
     if ks == kt or b.is_zero:
         return MalliavinPath(grid=grid, values=base, target=target)
-    y = _flow_rows(b, Z, x, t, y_path, kt)
-    times = grid.points[ks:kt + 1]
-    gam = np.asarray(b.b_prime(times, y[ks:kt + 1]), dtype=float)
-    if gam.ndim == 0:
-        gam = np.full(times.size, float(gam))
-    B = np.concatenate(([0.0], np.cumsum(0.5 * grid.dt * (gam[1:] + gam[:-1]))))
-    cvec = gam * np.exp(-B)
-    wtr = np.full(times.size, grid.dt)
-    wtr[0] *= 0.5
-    wtr[-1] *= 0.5
-    cw = cvec * wtr
+    y = backward_trajectory(b, Z, x, t) if y_path is None \
+        else _checked_flow(y_path, (kt + 1,), x)
+    cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
     values = base + G[kt] * cw.sum() - cw @ G[ks:kt + 1]
     return MalliavinPath(grid=grid, values=values, target=target)
 
@@ -367,15 +379,17 @@ def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
 
 def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                      z_values: np.ndarray, s: float, t: float, x: float,
-                     dW: np.ndarray | None = None,
-                     nodes: int = 8) -> np.ndarray:
+                     dW: np.ndarray | None = None, nodes: int = 8,
+                     y_path: np.ndarray | None = None) -> np.ndarray:
     """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
 
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
     derivative table across paths, so the whole ensemble reduces to a
     single GEMM; rank 2 needs the driving increments dW and makes one
     window pass for all paths (two small GEMMs per window, no per-path
-    table).
+    table).  y_path optionally supplies the precomputed inverse flow
+    backward_ensemble_trajectory(b, grid, z_values, x, t), shape
+    (index(t)+1, paths).
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 2 or z.shape[1] != grid.n + 1:
@@ -384,12 +398,18 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     ks, kt = _check_times(grid, s, t)
     if spec.q == 2 and dW is None:
         raise DomainError("rank-2 ensembles need the driving increments dW")
+
+    def flow_weights():  # (m+1, P)
+        y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt]) \
+            if y_path is None else _checked_flow(y_path, (kt + 1, P), x)
+        return _flow_weights(b, grid, y[ks:kt + 1], ks)
+
     if spec.q == 1:
         G = _dz_table_raw(grid, spec, np.empty((0,)), nodes)
         base = -(G[kt] - G[ks])
         if ks == kt or b.is_zero:
             return np.full(P, float(np.sum(base * base) * grid.dt))
-        cw = _ensemble_flow_weights(b, grid, z, ks, kt, x)  # (m+1, P)
+        cw = flow_weights()
         V = base[None, :] + cw.sum(axis=0)[:, None] * G[kt][None, :] \
             - cw.T @ G[ks:kt + 1]
         return np.sum(V * V, axis=1) * grid.dt
@@ -410,8 +430,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     if b.is_zero:
         coef = np.full((m, P), -1.0)
     else:
-        cw = _ensemble_flow_weights(b, grid, z, ks, kt, x)  # (m+1, P)
-        coef = np.cumsum(cw[:m], axis=0) - 1.0
+        coef = np.cumsum(flow_weights()[:m], axis=0) - 1.0
     plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
     lam2 = _window_scales(grid.key(), spec.H, nodes)
     V = np.zeros((P, kt))
@@ -421,25 +440,6 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         scale = 2.0 * spec.d * lam2[l] * coef[j]
         V[:, : l + 1] += (scale[:, None] * S * w) @ F
     return np.sum(V * V, axis=1) * grid.dt
-
-
-def _ensemble_flow_weights(b: DriftField, grid: TimeGrid, z: np.ndarray,
-                           ks: int, kt: int, x: float) -> np.ndarray:
-    """Trapezoid-weighted b' e^{-int b'} along the inverse flow, per path."""
-    traj = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt])
-    rows = traj[ks:kt + 1]  # (m+1, paths)
-    times = grid.points[ks:kt + 1]
-    gam = np.asarray(
-        [np.broadcast_to(np.asarray(b.b_prime(tj, rows[j]), dtype=float),
-                         rows[j].shape)
-         for j, tj in enumerate(times)])
-    B = np.zeros_like(gam)
-    B[1:] = np.cumsum(0.5 * grid.dt * (gam[1:] + gam[:-1]), axis=0)
-    cvec = gam * np.exp(-B)
-    wtr = np.full(times.size, grid.dt)
-    wtr[0] *= 0.5
-    wtr[-1] *= 0.5
-    return cvec * wtr[:, None]
 
 
 def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
@@ -481,13 +481,6 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
         raise NumericError(
             f"Volterra residual {residual:.3e} above tolerance {tol:.1e}")
     return MalliavinPath(grid=grid, values=D, target=target, axis="time")
-
-
-def du_chain(u0, Y_value: float, dY: MalliavinPath) -> MalliavinPath:
-    """Chain rule: D u = u0'(Y) * D Y, with the norm recomputed."""
-    slope = float(u0.u0_prime(Y_value))
-    return MalliavinPath(grid=dY.grid, values=slope * dY.values,
-                         target=f"u0'(Y)*[{dY.target}]", axis=dY.axis)
 
 
 def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None,
@@ -577,17 +570,8 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
         brackets = np.ones(z.shape[0])
     else:
         traj = backward_ensemble_trajectory(b, grid, z, x, t)  # (kt+1, paths)
-        rows = traj[ks:kt + 1]
-        times = grid.points[ks:kt + 1]
-        gam = np.asarray(
-            [np.broadcast_to(np.asarray(b.b_prime(tj, rows[j]), dtype=float),
-                             rows[j].shape)
-             for j, tj in enumerate(times)])
-        dt = grid.dt
-        B = np.zeros_like(gam)
-        B[1:] = np.cumsum(0.5 * dt * (gam[1:] + gam[:-1]), axis=0)
-        integrand = gam * np.exp(-B)
-        brackets = 1.0 + np.trapezoid(integrand, dx=dt, axis=0)
+        integrand = _integrating_factor(b, grid, traj[ks:kt + 1], ks)
+        brackets = 1.0 + np.trapezoid(integrand, dx=grid.dt, axis=0)
 
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK
@@ -607,7 +591,14 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
 
 @dataclass(frozen=True)
 class DensityReport:
-    """KDE summary plus the two density-criterion diagnostics."""
+    """KDE summary plus the two density-criterion diagnostics.
+
+    passed needs all three gates: KDE mass inside MASS_RANGE (mass lost off
+    the evaluation grid means the density table is not trustworthy), no
+    empirical-CDF jump above atom_bound, and every derivative norm positive.
+    """
+
+    MASS_RANGE: ClassVar[tuple[float, float]] = (0.99, 1.01)
 
     count: int
     bandwidth: float
@@ -617,14 +608,24 @@ class DensityReport:
     max_cdf_jump: float
     min_norm_sq: float
     norm_quantiles: dict
-    passed: bool
 
     def __post_init__(self):
-        if not 0.99 <= self.mass <= 1.01:
-            raise NumericError(
-                f"KDE mass {self.mass:.4f} outside [0.99, 1.01]; widen the grid")
         if self.min_norm_sq < 0:
             raise DomainError("derivative norms cannot be negative")
+
+    @property
+    def mass_ok(self) -> bool:
+        lo, hi = self.MASS_RANGE
+        return bool(lo <= self.mass <= hi)
+
+    @property
+    def atom_bound(self) -> float:
+        return 3.0 / np.sqrt(self.count)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.mass_ok and self.max_cdf_jump <= self.atom_bound
+                    and self.min_norm_sq > 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -641,9 +642,10 @@ def density_report(samples: np.ndarray, norms: np.ndarray,
     """Atom and degeneracy diagnostics for a Monte Carlo sample.
 
     samples are realizations of the target functional, norms the matching
-    per-path ||DF||^2 values.  Flags: the largest empirical-CDF jump must
-    not exceed 3/sqrt(N) (no atoms) and every norm must be positive
-    (derivative criterion).  bandwidth_rule is any scipy KDE bw_method.
+    per-path ||DF||^2 values.  Flags: the KDE must keep its mass on the
+    evaluation grid, the largest empirical-CDF jump must not exceed
+    3/sqrt(N) (no atoms) and every norm must be positive (derivative
+    criterion).  bandwidth_rule is any scipy KDE bw_method.
     """
     samples = np.asarray(samples, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -665,9 +667,7 @@ def density_report(samples: np.ndarray, norms: np.ndarray,
     qlv = [0.0, 0.01, 0.05, 0.25, 0.5]
     quants = {f"q{int(100 * p):02d}": float(v)
               for p, v in zip(qlv, np.quantile(norms, qlv))}
-    passed = max_jump <= 3.0 / np.sqrt(N) and min_norm > 0.0
     return DensityReport(
         count=N, bandwidth=bw, x_grid=x_grid, density=density, mass=mass,
         max_cdf_jump=max_jump, min_norm_sq=min_norm, norm_quantiles=quants,
-        passed=passed,
     )

@@ -118,18 +118,25 @@ def symmetric_integral_eps(Y, X, eps: float, t: float, grid: TimeGrid | None = N
     return float(np.sum(yv[idx] * quot) * g.dt)
 
 
+def _bracket(xv: np.ndarray, yv: np.ndarray, grid: TimeGrid, eps: float,
+             K: int) -> np.ndarray:
+    """(1/eps) sum_{i<K} (X_{i+k} - X_i)(Y_{i+k} - Y_i) dt over the last axis.
+
+    Values on grid points sit along the last axis; X and Y are frozen at
+    their last grid value beyond the horizon.
+    """
+    idx = np.arange(K)
+    hi = np.minimum(idx + _eps_steps(grid, eps), grid.n)
+    dx = xv[..., hi] - xv[..., idx]
+    dy = yv[..., hi] - yv[..., idx]
+    return np.sum(dx * dy, axis=-1) * grid.dt / eps
+
+
 def covariation_eps(X, Y, eps: float, t: float, grid: TimeGrid | None = None) -> float:
     """Bracket estimator (1/eps) int_0^t (X_{s+eps}-X_s)(Y_{s+eps}-Y_s) ds."""
     g = _resolve_grid(grid, X, Y)
-    xv = _as_values(X, g)
-    yv = _as_values(Y, g)
-    k = _eps_steps(g, eps)
-    K = g.index_of(t)
-    idx = np.arange(K)
-    hi = np.minimum(idx + k, g.n)
-    dx = xv[hi] - xv[idx]
-    dy = yv[hi] - yv[idx]
-    return float(np.sum(dx * dy) * g.dt / eps)
+    return float(_bracket(_as_values(X, g), _as_values(Y, g), g, eps,
+                          g.index_of(t)))
 
 
 @dataclass(frozen=True)
@@ -175,16 +182,11 @@ def qv_certificate(values: np.ndarray, grid: TimeGrid, H: float,
     if t is None:
         t = grid.T
     K = grid.index_of(t)
-    dt = grid.dt
 
     means = np.empty(len(schedule))
     stderrs = np.empty(len(schedule))
     for i, eps in enumerate(schedule.values):
-        k = _eps_steps(grid, eps)
-        idx = np.arange(K)
-        hi = np.minimum(idx + k, grid.n)
-        d = values[:, hi] - values[:, idx]
-        per_path = np.sum(d * d, axis=1) * dt / eps
+        per_path = _bracket(values, values, grid, eps, K)
         means[i] = per_path.mean()
         stderrs[i] = per_path.std(ddof=1) / np.sqrt(per_path.size)
 

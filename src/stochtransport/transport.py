@@ -1,8 +1,8 @@
 """Transport solutions by characteristics, and their weak-form verification.
 
 The solution of  du + b(t,x) dx u + dx u d°Z = 0,  u(0,·) = u0  is the
-composition u(t, x) = u0(Y_{0,t}(x)) with Y the inverse characteristic flow.
-`solve_transport` evaluates that composition pointwise.
+composition u(t, x) = u0(Y_{0,t}(x)) with Y the inverse characteristic flow;
+`u0.u0(backward_flow(b, Z, x, 0.0, t))` evaluates it pointwise.
 
 `solution_field` tabulates u(s, x) for every grid time s <= t on a spatial
 node set by evolving one forward mesh of characteristics and inverting it by
@@ -30,9 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .flow import DriftField, _forward_steps, backward_ensemble, backward_flow
-from .grid import TimeGrid
-from .noise import HermiteSpec, NoisePath, simulate_ensemble
+from .flow import DriftField, _march
+from .noise import NoisePath
 from .rv import symmetric_integral_eps
 
 _FD_STEP = 1e-5
@@ -122,23 +121,6 @@ class TestFunction:
                    name=f"bump({c},{r})")
 
 
-def solve_transport(u0: InitialDatum, b: DriftField, Z: NoisePath,
-                    t: float, x) -> float:
-    """u(t, x) = u0(Y_{0,t}(x)), evaluated by one backward solve."""
-    return u0.u0(backward_flow(b, Z, x, 0.0, t))
-
-
-def sample_solution(u0: InitialDatum, b: DriftField, spec: HermiteSpec,
-                    grid: TimeGrid, t: float, x: float, paths: int,
-                    seed: int) -> np.ndarray:
-    """i.i.d. samples of u(t, x), one per driving path id 0..paths-1."""
-    if paths < 1:
-        raise DomainError("need at least one path")
-    Z = simulate_ensemble(grid, spec, seed=seed, path_ids=range(paths))
-    y = backward_ensemble(b, grid, Z, x, 0.0, t)
-    return np.asarray(u0.u0(y), dtype=float)
-
-
 def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
                    x_nodes: np.ndarray, mesh_dx: float | None = None,
                    pad: float | None = None) -> np.ndarray:
@@ -159,12 +141,7 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
         pad = swing + b.sup_norm_b * t + 0.5
     y_mesh = np.arange(nodes[0] - pad, nodes[-1] + pad + mesh_dx, mesh_dx)
 
-    dz = np.diff(Z.values)
-    if b.is_zero:
-        shift = Z.values[: kt + 1] - Z.values[0]
-        traj = y_mesh[None, :] + shift[:, None]
-    else:
-        traj = _forward_steps(b, grid, dz, y_mesh, 0, kt, record=True)
+    traj = _march(b, grid, Z.values, y_mesh, 0, kt, 1, record=True)
 
     out = np.empty((kt + 1, nodes.size))
     for j in range(kt + 1):

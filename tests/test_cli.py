@@ -1,10 +1,12 @@
 """Tests for the experiment driver and command-line surface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from stochtransport import experiments
 from stochtransport.cli import _parse_params, main
 from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
@@ -151,6 +153,19 @@ class TestCliMain:
                    "lam=0.8", "--n", "128", "--paths", "100",
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_kde_mass_gate_fails_with_exit_one(self, tmp_path, capsys,
+                                               monkeypatch):
+        real = experiments.density_report
+        monkeypatch.setattr(
+            experiments, "density_report",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), mass=0.95))
+        rc = main(["density", "--n", "128", "--paths", "1000",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "[FAIL] kde-mass: value=0.95" in capsys.readouterr().out
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["kde-mass"]
 
     def test_usage_error_exits_two(self, tmp_path, capsys):
         rc = main(["qv", "--H", "0.4", "--paths", "120", "--out",

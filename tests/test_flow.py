@@ -2,28 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochtransport import (
     ConvergenceError,
     DomainError,
-    ResolutionError,
     TimeGrid,
+    drift_preset,
     generate,
     simulate_ensemble,
     simulate_fbm,
+    simulate_hermite,
     HermiteSpec,
 )
 from stochtransport.flow import (
     DriftField,
-    FlowSolution,
     backward_ensemble,
     backward_ensemble_trajectory,
     backward_flow,
     backward_trajectory,
     forward_ensemble,
     forward_flow,
-    forward_trajectory,
-    inverse_flow_field,
     picard_solve,
 )
 
@@ -133,14 +133,41 @@ def test_rejects_reversed_time_order():
         forward_flow(_zero(), z, 0.0, 0.75, 0.25)
 
 
+@settings(max_examples=100, deadline=None)
+@given(drift=st.sampled_from(["sine", "linear"]), slope=st.floats(-3.0, 3.0),
+       n=st.integers(8, 256), q=st.sampled_from([1, 2]), data=st.data())
+def test_forward_inverts_backward_property(drift, slope, n, q, data):
+    """X_{s,t}(Y_{s,t}(x)) = x to solver tolerance for any on-grid s < t.
+
+    sup|b'| (t - s) stays at most 3: the forward flow amplifies errors by up
+    to e^{sup|b'| (t - s)}, so steeper drifts lose the round trip to that
+    conditioning, not to the scheme.
+    """
+    b = drift_preset("sine", a=slope) if drift == "sine" \
+        else drift_preset("linear", lam=abs(slope))
+    grid = TimeGrid(T=1.0, n=n)
+    ks = data.draw(st.integers(0, n - 1), label="ks")
+    kt = data.draw(st.integers(ks + 1, n), label="kt")
+    x = data.draw(st.floats(-3.0, 3.0), label="x")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    z = simulate_hermite(generate(grid, seed=seed, path_id=0),
+                         HermiteSpec.create(q, 0.7))
+    s, t = grid.points[ks], grid.points[kt]
+    y = backward_flow(b, z, x, s, t)
+    assert abs(forward_flow(b, z, y, s, t) - x) <= 1e-11 * (1.0 + abs(x))
+
+
+def test_step_solver_reports_its_last_gap():
+    grid = TimeGrid(T=1.0, n=2)
+    z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7)
+    with pytest.raises(ConvergenceError) as err:
+        forward_flow(_sine(100.0), z, 0.3, 0.0, 1.0)  # h * sup|b'| = 50
+    assert 1e-13 < err.value.residual < np.inf
+
+
 def test_trajectories_cover_grid():
     z = _noise(n=256)
     b = _sine()
-    traj = forward_trajectory(b, z, 0.3, 0.0, 1.0)
-    assert traj.shape == (257,)
-    assert traj[0] == 0.3
-    assert traj[-1] == forward_flow(b, z, 0.3, 0.0, 1.0)
-
     back = backward_trajectory(b, z, 0.3, 1.0)
     assert back.shape == (257,)
     assert back[-1] == 0.3
@@ -149,8 +176,8 @@ def test_trajectories_cover_grid():
 
 def test_zero_drift_trajectory_is_translated_noise():
     z = _noise(n=128)
-    traj = forward_trajectory(_zero(), z, 0.5, 0.0, 1.0)
-    assert np.array_equal(traj, 0.5 + z.values - z.values[0])
+    traj = backward_trajectory(_zero(), z, 0.5, 1.0)
+    assert np.array_equal(traj, 0.5 - (z.values[-1] - z.values))
 
 
 def test_picard_zero_drift_immediate():
@@ -192,49 +219,24 @@ def test_picard_argument_and_convergence_errors():
     z = _noise(n=256)
     with pytest.raises(DomainError):
         picard_solve(_zero(), z, 0.0, 0.5, 0.75)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as err:
         picard_solve(_sine(), z, 0.0, 1.0, 1.0, tol=1e-14, max_iter=2)
+    assert 1e-14 <= err.value.residual < np.inf
 
 
-def test_inverse_flow_field_monotone_and_invertible():
+def test_backward_trajectory_over_nodes_is_monotone_and_invertible():
     grid = TimeGrid(T=1.0, n=1024)
     b = _sine()
     nodes = np.linspace(-2.0, 2.0, 32)
     for pid in range(5):
         z = simulate_fbm(generate(grid, seed=11, path_id=pid), 0.7)
-        sol = inverse_flow_field(b, z, 1.0, nodes)
-        assert np.all(np.diff(sol.values, axis=1) > 0)
-        assert np.array_equal(sol.values[-1], nodes)
-        back = sol.values[0]  # Y_{0,1}(nodes)
+        traj = backward_trajectory(b, z, nodes, 1.0)
+        assert traj.shape == (grid.n + 1, nodes.size)
+        assert np.all(np.diff(traj, axis=1) > 0)
+        assert np.array_equal(traj[-1], nodes)
+        back = traj[0]  # Y_{0,1}(nodes)
         forward_again = np.array([forward_flow(b, z, y, 0.0, 1.0) for y in back])
         assert np.max(np.abs(forward_again - nodes)) < 10 * grid.dt
-
-
-def test_flow_solution_rejects_order_violations():
-    grid = TimeGrid(T=1.0, n=4)
-    z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7)
-    nodes = np.array([0.0, 1.0])
-    good = np.tile(nodes, (5, 1))
-    FlowSolution(grid=grid, x_nodes=nodes, values=good, direction="backward",
-                 anchor=1.0, noise=z)
-    bad = good.copy()
-    bad[2] = [1.0, 0.0]
-    with pytest.raises(ResolutionError):
-        FlowSolution(grid=grid, x_nodes=nodes, values=bad, direction="backward",
-                     anchor=1.0, noise=z)
-    with pytest.raises(DomainError):
-        FlowSolution(grid=grid, x_nodes=nodes, values=good + 0.5,
-                     direction="backward", anchor=1.0, noise=z)
-
-
-def test_flow_solution_rows_shape():
-    grid = TimeGrid(T=1.0, n=8)
-    z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7)
-    sol = inverse_flow_field(_zero(), z, 1.0, np.array([-1.0, 0.0, 1.0]))
-    rows = sol.rows()
-    assert len(rows) == 9 * 3
-    s, t, x, val, direction, pid = rows[0]
-    assert direction == "backward" and t == 1.0 and pid == 0
 
 
 def test_ensemble_matches_pointwise_flows():

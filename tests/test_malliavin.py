@@ -1,5 +1,7 @@
 """Tests for first-variation derivatives and the density diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,12 +28,10 @@ from stochtransport.malliavin import (
     dY_profile,
     density_bound_check,
     density_report,
-    du_chain,
     dy_norm_ensemble,
     dz_fbm,
     dz_hermite,
     dz_norm_ensemble,
-    dz_path,
     dz_table,
     increment_derivative,
     mt_diagnostic,
@@ -178,13 +178,6 @@ class TestDzTable:
         for a in (3, 20, 60):
             assert G[k, a] == pytest.approx(dz_fbm(0.5, grid.midpoints[a], 0.7),
                                             rel=1e-8)
-
-    def test_dz_path_norm(self):
-        _, Z = rank2_path()
-        mp = dz_path(Z, 1.0)
-        assert mp.axis == "alpha"
-        assert mp.l2_norm_sq == pytest.approx(
-            float(np.sum(mp.values**2) * Z.grid.dt), abs=0)
 
 
 class TestCameronMartin:
@@ -344,37 +337,27 @@ class TestDyNormEnsemble:
             else:
                 assert got[p] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_precomputed_flow_is_used_and_validated(self, q):
+        grid = TimeGrid(T=1.0, n=64)
+        spec = HermiteSpec.create(q, 0.7)
+        seed, paths, s, t, x = 13, 6, 0.25, 0.75, 0.3
+        dW = generate_increments(grid, seed, range(paths)) if q == 2 else None
+        z = simulate_ensemble(grid, spec, seed, range(paths))
+        traj = backward_ensemble_trajectory(SINE, grid, z, x, t)
 
-class TestDuChain:
-    def test_identity_datum_passes_through(self):
-        from stochtransport.transport import InitialDatum
-        ident = InitialDatum(u0=lambda x: np.asarray(x, float),
-                             u0_prime=lambda x: np.ones_like(np.asarray(x, float)))
-        _, Z = rank2_path(n=64)
-        dY = dY_profile(SINE, Z, 0.0, 1.0, 0.3)
-        du = du_chain(ident, 0.77, dY)
-        assert np.array_equal(du.values, dY.values)
+        def norms(y_path):
+            return dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
+                                    y_path=y_path)
 
-    def test_affine_scales_norm_quadratically(self):
-        from stochtransport.transport import InitialDatum
-        aff = InitialDatum(u0=lambda x: -3.0 * np.asarray(x, float) + 1.0,
-                           u0_prime=lambda x: -3.0 * np.ones_like(np.asarray(x, float)))
-        _, Z = rank2_path(n=64)
-        dY = dY_profile(SINE, Z, 0.0, 1.0, 0.3)
-        du = du_chain(aff, 0.0, dY)
-        assert du.l2_norm_sq == pytest.approx(9.0 * dY.l2_norm_sq, rel=1e-12)
-
-    def test_slope_floor_transfers_to_norm(self):
-        from stochtransport.transport import InitialDatum
-        datum = InitialDatum(
-            u0=lambda x: 0.6 * x + 0.4 * np.tanh(x),
-            u0_prime=lambda x: 0.6 + 0.4 / np.cosh(x) ** 2,
-            lower_bound_sq_derivative=0.36,
-        )
-        _, Z = rank2_path(n=64)
-        dY = dY_profile(SINE, Z, 0.0, 1.0, 0.3)
-        du = du_chain(datum, 1.3, dY)
-        assert du.l2_norm_sq >= 0.36 * dY.l2_norm_sq
+        assert np.array_equal(norms(traj), norms(None))
+        moved = traj.copy()
+        moved[:-1] += 0.5
+        assert not np.allclose(norms(moved), norms(traj))
+        with pytest.raises(DomainError):
+            norms(traj[:, :3])  # not one column per path
+        with pytest.raises(DomainError):
+            norms(traj + 1.0)  # anchor row is not x
 
 
 class TestMtDiagnostic:
@@ -474,6 +457,14 @@ class TestDensityReport:
         rep = density_report(samples, np.ones(1500))
         assert rep.max_cdf_jump > 3.0 / np.sqrt(1500)
         assert not rep.passed
+
+    def test_mass_outside_range_fails(self):
+        rng = np.random.default_rng(8)
+        rep = density_report(rng.standard_normal(1200), np.ones(1200))
+        assert rep.mass_ok and rep.passed
+        lost = dataclasses.replace(rep, mass=0.95)
+        assert not lost.mass_ok and not lost.passed
+        assert lost.to_dict()["passed"] is False
 
     def test_vanishing_norm_fails(self):
         rng = np.random.default_rng(5)

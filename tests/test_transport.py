@@ -5,15 +5,13 @@ import pytest
 
 from stochtransport import TimeGrid, generate, simulate_fbm
 from stochtransport.errors import DomainError, NumericError
-from stochtransport.flow import DriftField, backward_flow
-from stochtransport.noise import HermiteSpec, simulate_hermite
+from stochtransport.flow import DriftField, backward_ensemble, backward_flow
+from stochtransport.noise import HermiteSpec, simulate_ensemble, simulate_hermite
 from stochtransport.transport import (
     InitialDatum,
     TestFunction,
     WeakFormReport,
-    sample_solution,
     solution_field,
-    solve_transport,
     weak_form_residual,
 )
 
@@ -46,10 +44,12 @@ def fbm_path(n=512, H=0.75, seed=7, path_id=0):
 
 
 class TestSolveTransport:
+    """u(t, x) = u0(Y_{0,t}(x)), the README quick-start composition."""
+
     def test_time_zero_is_initial_datum(self):
         z = fbm_path()
         for x in (-1.3, 0.0, 0.8):
-            assert solve_transport(TANH, SINE, z, 0.0, x) == TANH.u0(x)
+            assert TANH.u0(backward_flow(SINE, z, x, 0.0, 0.0)) == TANH.u0(x)
 
     def test_zero_drift_is_translation(self):
         """With b = 0 the solution is exactly u0(x - Z_t)."""
@@ -57,7 +57,7 @@ class TestSolveTransport:
         for t in (0.25, 0.5, 1.0):
             k = z.grid.index_of(t)
             for x in (-0.7, 0.4, 2.1):
-                got = solve_transport(TANH, ZERO, z, t, x)
+                got = TANH.u0(backward_flow(ZERO, z, x, 0.0, t))
                 assert got == TANH.u0(x - z.values[k])
 
     def test_constant_datum_is_preserved(self):
@@ -65,12 +65,13 @@ class TestSolveTransport:
                              u0_prime=lambda x: 0.0 * np.asarray(x, float))
         z = fbm_path(seed=3)
         for t in (0.5, 1.0):
-            assert solve_transport(const, SINE, z, t, 0.3) == pytest.approx(2.7, abs=1e-13)
+            u = const.u0(backward_flow(SINE, z, 0.3, 0.0, t))
+            assert u == pytest.approx(2.7, abs=1e-13)
 
     def test_range_is_preserved(self):
         # u0 maps into (0.5, 2.5); the composition cannot leave that band.
         z = fbm_path(seed=5)
-        vals = [solve_transport(TANH, SINE, z, t, x)
+        vals = [TANH.u0(backward_flow(SINE, z, x, 0.0, t))
                 for t in (0.25, 1.0) for x in np.linspace(-3, 3, 13)]
         assert min(vals) > 0.5 and max(vals) < 2.5
 
@@ -183,11 +184,15 @@ class TestWeakForm:
 
 
 class TestSampleSolution:
+    """Samples of u(t, x) from backward_ensemble, one per path id."""
+
     def test_reproducible(self):
         grid = TimeGrid(T=1.0, n=256)
         spec = HermiteSpec.create(1, 0.7)
-        a = sample_solution(TANH, SINE, spec, grid, 1.0, 0.3, 16, seed=42)
-        b = sample_solution(TANH, SINE, spec, grid, 1.0, 0.3, 16, seed=42)
+        a, b = (TANH.u0(backward_ensemble(
+                    SINE, grid, simulate_ensemble(grid, spec, 42, range(16)),
+                    0.3, 0.0, 1.0))
+                for _ in range(2))
         assert np.array_equal(a, b)
         assert a.shape == (16,)
 
@@ -198,14 +203,10 @@ class TestSampleSolution:
                              lower_bound_sq_derivative=1.0)
         grid = TimeGrid(T=1.0, n=256)
         spec = HermiteSpec.create(1, 0.7)
-        s = sample_solution(ident, ZERO, spec, grid, 1.0, 0.0, 500, seed=1)
+        z = simulate_ensemble(grid, spec, seed=1, path_ids=range(500))
+        s = ident.u0(backward_ensemble(ZERO, grid, z, 0.0, 0.0, 1.0))
         assert abs(np.mean(s)) < 3 * np.std(s) / np.sqrt(500)
         assert abs(np.var(s) - 1.0) < 0.2
-
-    def test_needs_at_least_one_path(self):
-        with pytest.raises(DomainError):
-            sample_solution(TANH, SINE, HermiteSpec.create(1, 0.7),
-                            TimeGrid(T=1.0, n=64), 1.0, 0.0, 0, seed=1)
 
 
 class TestDataValidation:
