@@ -48,6 +48,14 @@ __all__ = [
 SUPPORTED_ORDERS = (1, 2)
 
 
+def _check_rank(q: int) -> int:
+    q = int(q)
+    if q not in SUPPORTED_ORDERS:
+        raise UnsupportedOrderError(
+            f"rank {q} not supported (exact build covers {SUPPORTED_ORDERS})")
+    return q
+
+
 def _check_hurst(H: float) -> float:
     H = float(H)
     if not 0.5 < H < 1.0:
@@ -278,10 +286,7 @@ def d_H(q: int, H: float) -> float:
     unit square. Ranks above 2 are not supported.
     """
     H = _check_hurst(H)
-    q = int(q)
-    if q not in SUPPORTED_ORDERS:
-        raise UnsupportedOrderError(f"rank {q} not supported (exact build covers {SUPPORTED_ORDERS})")
-    return _d_H_cached(q, H)
+    return _d_H_cached(_check_rank(q), H)
 
 
 @lru_cache(maxsize=64)
@@ -297,7 +302,8 @@ class HermiteSpec:
 
     hp is the index of the one-dimensional kernel factors, c the kernel
     constant at hp, d the unit-variance normalization.  Use
-    HermiteSpec.create(q, H); the constructor itself trusts its inputs.
+    HermiteSpec.create(q, H); the constructor refuses an unsupported rank
+    and otherwise trusts its inputs.
     """
 
     q: int
@@ -306,14 +312,13 @@ class HermiteSpec:
     c: float
     d: float
 
+    def __post_init__(self):
+        _check_rank(self.q)
+
     @classmethod
     def create(cls, q: int, H: float) -> "HermiteSpec":
         H = _check_hurst(H)
-        q = int(q)
-        if q not in SUPPORTED_ORDERS:
-            raise UnsupportedOrderError(
-                f"rank {q} not supported (exact build covers {SUPPORTED_ORDERS})"
-            )
+        q = _check_rank(q)
         hp = hurst_prime(q, H)
         return cls(q=q, H=H, hp=hp, c=c_H(hp), d=d_H(q, H))
 

@@ -46,7 +46,6 @@ from .errors import (
     ResolutionError,
     SampleSizeError,
     StructuralViolationError,
-    UnsupportedOrderError,
 )
 from .flow import DriftField, _check_times, backward_ensemble_trajectory, backward_trajectory
 from .grid import TimeGrid
@@ -56,8 +55,9 @@ from .noise import (
     _fbm_weights,
     _pair_matrix_cached,
     _probe_indices,
-    _window_plan,
-    _window_scales,
+    _windows,
+    lattice_covariance,
+    lattice_variance,
 )
 from .wiener import WienerLattice
 
@@ -150,8 +150,8 @@ def dz_fbm(t: float, alpha: float, H: float) -> float:
     return kernel_KH(t, alpha, H)
 
 
-def dz_hermite(w: WienerLattice, t: float, alpha: float, spec: HermiteSpec,
-               nodes: int = 8) -> float:
+def dz_hermite(w: WienerLattice, t: float, alpha: float,
+               spec: HermiteSpec) -> float:
     """D_alpha Z_t for the lattice noise driven by w.
 
     rank 1: the kernel value (independent of the path).  rank 2: the
@@ -161,56 +161,47 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float, spec: HermiteSpec,
     """
     if spec.q == 1:
         return dz_fbm(t, alpha, spec.H)
-    if spec.q != 2:
-        raise UnsupportedOrderError(f"rank {spec.q} not supported")
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
     if alpha >= t:
         return 0.0
     k = w.grid.index_of(t)
     a = _step_of(w.grid, alpha)
-    lam = _pair_matrix_cached(w.grid.key(), spec.H, k, nodes)
+    lam = _pair_matrix_cached(w.grid.key(), spec.H, k)
     return float(2.0 * spec.d * (lam[a] @ w.increments[:k]))
 
 
-def dz_table(Z: NoisePath, nodes: int = 8) -> np.ndarray:
+def dz_table(Z: NoisePath) -> np.ndarray:
     """All lattice derivatives of one noise path: G[k, a] = D_alpha Z_{t_k}.
 
     Shape (n+1, n), row k supported on steps a < k.  rank 1 rows are the
     kernel weight rows; rank 2 rows are rebuilt by the same window
     quadrature as the simulator, accumulated incrementally so the whole
-    table costs one extra pass over the path, O(nodes * n^2).
+    table costs one extra pass over the path (noise._windows).
     """
-    return _dz_table_raw(Z.grid, Z.spec, Z.driver, nodes)
+    return _dz_table_raw(Z.grid, Z.spec, Z.driver)
 
 
-def _dz_table_raw(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
-                  nodes: int = 8) -> np.ndarray:
+def _dz_table_raw(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
     n = grid.n
     G = np.zeros((n + 1, n))
     if spec.q == 1:
         G[1:] = _fbm_weights(grid.key(), spec.H)
         return G
-    if spec.q != 2:
-        raise UnsupportedOrderError(f"rank {spec.q} not supported")
-
-    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
-    lam2 = _window_scales(grid.key(), spec.H, nodes)
     v = np.zeros(n)  # running A_{t_k} @ dW
-    for l in range(n):
-        F, w = plan.factor_rows(l)
-        v[: l + 1] += lam2[l] * (F.T @ (w * (F @ dW[: l + 1])))
+    for l, lam2_l, F, w, S in _windows(grid, spec, dW[None, :]):
+        v[: l + 1] += lam2_l * (F.T @ (w * S[0]))
         G[l + 1] = 2.0 * spec.d * v
     return G
 
 
-def increment_derivative(Z: NoisePath, nodes: int = 8) -> Callable:
+def increment_derivative(Z: NoisePath) -> Callable:
     """DZ(u, t, alpha) = D_alpha of the window term -(Z_t - Z_u), u <= t.
 
     u is calendar time and may be an array of lattice times; the result
     broadcasts.  Backed by the full lattice table, computed once.
     """
-    G = dz_table(Z, nodes=nodes)
+    G = dz_table(Z)
     grid = Z.grid
     dt = grid.dt
 
@@ -336,11 +327,11 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
 
 
 def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float, x: float,
-               nodes: int = 8, y_path: np.ndarray | None = None) -> MalliavinPath:
+               y_path: np.ndarray | None = None) -> MalliavinPath:
     """The whole alpha-profile of D Y_{s,t}(x) in one vectorized pass."""
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
-    G = dz_table(Z, nodes=nodes)
+    G = dz_table(Z)
     target = f"Y({s:g},{t:g})({x:g})"
     base = -(G[kt] - G[ks])
     if ks == kt or b.is_zero:
@@ -353,7 +344,7 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float, x: float,
 
 
 def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
-                     t: float, nodes: int = 8) -> np.ndarray:
+                     t: float) -> np.ndarray:
     """||D Z_t||^2_{L^2} per path for a (paths, n) matrix of increments.
 
     rank 1 is deterministic (one value broadcast); rank 2 is one GEMM
@@ -368,18 +359,16 @@ def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
         if k > 0:
             M[:] = _fbm_weights(grid.key(), spec.H)[k - 1]
         return np.full(dW.shape[0], float(np.sum(M * M) * grid.dt))
-    if spec.q != 2:
-        raise UnsupportedOrderError(f"rank {spec.q} not supported")
     if k == 0:
         return np.zeros(dW.shape[0])
-    lam = _pair_matrix_cached(grid.key(), spec.H, k, nodes)
+    lam = _pair_matrix_cached(grid.key(), spec.H, k)
     rows = 2.0 * spec.d * (dW[:, :k] @ lam)
     return np.sum(rows * rows, axis=1) * grid.dt
 
 
 def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                      z_values: np.ndarray, s: float, t: float, x: float,
-                     dW: np.ndarray | None = None, nodes: int = 8,
+                     dW: np.ndarray | None = None,
                      y_path: np.ndarray | None = None) -> np.ndarray:
     """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
 
@@ -405,7 +394,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         return _flow_weights(b, grid, y[ks:kt + 1], ks)
 
     if spec.q == 1:
-        G = _dz_table_raw(grid, spec, np.empty((0,)), nodes)
+        G = _dz_table_raw(grid, spec, np.empty((0,)))
         base = -(G[kt] - G[ks])
         if ks == kt or b.is_zero:
             return np.full(P, float(np.sum(base * base) * grid.dt))
@@ -413,8 +402,6 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         V = base[None, :] + cw.sum(axis=0)[:, None] * G[kt][None, :] \
             - cw.T @ G[ks:kt + 1]
         return np.sum(V * V, axis=1) * grid.dt
-    if spec.q != 2:
-        raise UnsupportedOrderError(f"rank {spec.q} not supported")
     dW = np.asarray(dW, dtype=float)
     if dW.shape != (P, grid.n):
         raise DomainError("dW must pair with z_values row by row")
@@ -431,13 +418,9 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         coef = np.full((m, P), -1.0)
     else:
         coef = np.cumsum(flow_weights()[:m], axis=0) - 1.0
-    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
-    lam2 = _window_scales(grid.key(), spec.H, nodes)
     V = np.zeros((P, kt))
-    for j, l in enumerate(range(ks, kt)):
-        F, w = plan.factor_rows(l)
-        S = dW[:, : l + 1] @ F.T
-        scale = 2.0 * spec.d * lam2[l] * coef[j]
+    for l, lam2_l, F, w, S in _windows(grid, spec, dW, ks, kt):
+        scale = 2.0 * spec.d * lam2_l * coef[l - ks]
         V[:, : l + 1] += (scale[:, None] * S * w) @ F
     return np.sum(V * V, axis=1) * grid.dt
 
@@ -483,38 +466,23 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     return MalliavinPath(grid=grid, values=D, target=target, axis="time")
 
 
-def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None,
-                  nodes: int = 8) -> float:
+def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None) -> float:
     """max over a probe (u, t) grid of E ||D(Z_t - Z_u)||^2.
 
-    Deterministic:  rank 1 uses kernel-row differences, rank 2 the exact
-    identity E ||D(Z_t - Z_u)||^2 = 4 d^2 dt^2 ||Lambda_t - Lambda_u||_F^2.
+    Deterministic, by the isometry E ||D F||^2 = q E F^2 of a rank-q chaos:
+    q (Var Z_u + Var Z_t - 2 Cov(Z_u, Z_t)) of the lattice noise.
     Diagnostic only; the probe grid defaults to 0 and the eighths of [0, T],
     whose pair matrices the rank-2 calibration pass has already recorded.
     """
     if times is None:
         times = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
-    k_probe = sorted({grid.index_of(t) for t in np.atleast_1d(times)})
+    probes = grid.points[sorted({grid.index_of(t) for t in np.atleast_1d(times)})]
+    var = [lattice_variance(grid, spec, t) for t in probes]
     worst = 0.0
-    if spec.q == 1:
-        M = np.zeros((grid.n + 1, grid.n))
-        M[1:] = _fbm_weights(grid.key(), spec.H)
-        for i, ku in enumerate(k_probe):
-            for kt in k_probe[i:]:
-                val = grid.dt * float(np.sum((M[kt] - M[ku]) ** 2))
-                worst = max(worst, val)
-        return worst
-    if spec.q != 2:
-        raise UnsupportedOrderError(f"rank {spec.q} not supported")
-    lams = {k: _pair_matrix_cached(grid.key(), spec.H, k, nodes)
-            for k in k_probe if k > 0}
-    lams[0] = np.zeros((0, 0))
-    for i, ku in enumerate(k_probe):
-        for kt in k_probe[i:]:
-            diff = lams[kt].copy()  # Lambda_u lives on the leading ku x ku block
-            diff[:ku, :ku] -= lams[ku]
-            val = 4.0 * spec.d**2 * grid.dt**2 * float(np.sum(diff * diff))
-            worst = max(worst, val)
+    for i, u in enumerate(probes):
+        for j in range(i, probes.size):
+            cov = lattice_covariance(grid, spec, u, probes[j])
+            worst = max(worst, spec.q * (var[i] + var[j] - 2.0 * cov))
     return worst
 
 

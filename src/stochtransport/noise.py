@@ -27,12 +27,14 @@ that Var Z(t_k) = t_k^(2H) holds exactly at every grid point.
 The pair sum is never formed entry by entry during simulation: the
 u-integral splits across grid windows [t_l, t_{l+1}], and on each window the
 chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, one small GEMM, with
-graded Gauss-Legendre u-panels and Gauss-Jacobi y-rules placing every kernel
-singularity inside a quadrature weight.  Cost is O(nodes * n^2) for a whole
-path, not per output time.  The factor rows themselves are cheap: a bulk
-cell depends on its window only through the lag l - i, so its kernel powers
-are tabulated once per grid and only the three edge cells of a window are
-evaluated afresh.
+graded Gauss-Legendre u-panels of fixed order (_NODES) and Gauss-Jacobi
+y-rules placing every kernel singularity inside a quadrature weight.  Cost
+is O(_NODES * n^2) for a whole path, not per output time.  The factor rows
+themselves are cheap: a bulk cell depends on its window only through the
+lag l - i, so its kernel powers are tabulated once per grid and only the
+three edge cells of a window are evaluated afresh.  _windows is the one
+loop over the calibrated windows: the simulator here and the derivative
+tables and norms in malliavin all walk it.
 
 pair_matrix accumulates the identical window quadrature into an explicit
 matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces simulated
@@ -103,10 +105,10 @@ class NoisePath:
 
 
 @lru_cache(maxsize=32)
-def _fbm_weights(grid_key, H: float, nodes: int = 24) -> np.ndarray:
+def _fbm_weights(grid_key, H: float) -> np.ndarray:
     n, T = grid_key
     grid = TimeGrid(T=T, n=n)
-    M = kernel_KH_matrix(grid.points[1:], grid.midpoints, H, nodes=nodes)
+    M = kernel_KH_matrix(grid.points[1:], grid.midpoints, H)
     M.flags.writeable = False
     return M
 
@@ -114,6 +116,9 @@ def _fbm_weights(grid_key, H: float, nodes: int = 24) -> np.ndarray:
 # Gauss-Legendre u-panels inside each window, graded toward the left edge
 # where the newest cell's kernel factor blows up.
 _U_GRADING = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
+
+# Gauss-Legendre order of each u-panel; the y-rules derive from it.
+_NODES = 8
 
 
 class _WindowPlan:
@@ -135,17 +140,17 @@ class _WindowPlan:
       - window 0: one exact Beta integral.
     """
 
-    def __init__(self, n: int, T: float, hp: float, c: float, nodes: int):
+    def __init__(self, n: int, T: float, hp: float, c: float):
         self.n, self.hp, self.c = n, hp, c
         h = T / n
         self.h = h
         pts = np.linspace(0.0, T, n + 1)
         self.pts = pts
-        m_y = max(2, nodes // 2)
-        m_edge = max(4, nodes - 2)
+        m_y = max(2, _NODES // 2)
+        m_edge = max(4, _NODES - 2)
 
         # u template: offsets and weights relative to the window start
-        xg, wg = np.polynomial.legendre.leggauss(nodes)
+        xg, wg = np.polynomial.legendre.leggauss(_NODES)
         du, wu = [], []
         for a, b in zip(_U_GRADING[:-1], _U_GRADING[1:]):
             lo, hi = a * h, b * h
@@ -241,9 +246,9 @@ class _WindowPlan:
 
 
 @lru_cache(maxsize=16)
-def _window_plan(grid_key, hp: float, c: float, nodes: int) -> _WindowPlan:
+def _window_plan(grid_key, hp: float, c: float) -> _WindowPlan:
     n, T = grid_key
-    return _WindowPlan(n, T, hp, c, nodes)
+    return _WindowPlan(n, T, hp, c)
 
 
 def _probe_indices(n: int) -> np.ndarray:
@@ -304,12 +309,12 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
 
 
 @lru_cache(maxsize=4)  # an entry holds about 3.2 n^2 doubles of blocks
-def _calibration(grid_key, H: float, nodes: int):
+def _calibration(grid_key, H: float):
     """(lam2, probe pair blocks) of one calibration pass; see _window_scales."""
     n, T = grid_key
     hp = hurst_prime(2, H)
     d = d_H(2, H)
-    plan = _window_plan(grid_key, hp, c_H(hp), nodes)
+    plan = _window_plan(grid_key, hp, c_H(hp))
     tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * d * d * plan.h * plan.h)
     lam2 = np.empty(n)
     blocks = _pair_blocks(plan, _probe_indices(n), lam2, tau)
@@ -318,7 +323,7 @@ def _calibration(grid_key, H: float, nodes: int):
 
 
 @lru_cache(maxsize=16)
-def _window_scales(grid_key, H: float, nodes: int) -> np.ndarray:
+def _window_scales(grid_key, H: float) -> np.ndarray:
     """Variance-calibration factors lambda_l^2, one per window (rank 2).
 
     With A_k = sum_{l<k} lambda_l^2 B_l (B_l the window-l Gram matrix of the
@@ -337,11 +342,27 @@ def _window_scales(grid_key, H: float, nodes: int) -> np.ndarray:
     (_probe_indices), which serve pair_matrix and its consumers at the probe
     times with no further pass.
     """
-    return _calibration(grid_key, H, nodes)[0]
+    return _calibration(grid_key, H)[0]
 
 
-def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
-                 nodes: int = 8) -> np.ndarray:
+def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int = 0,
+             hi: int | None = None):
+    """The rank-2 window loop over l in [lo, hi) (hi defaults to n).
+
+    Yields (l, lam2_l, F_l, w, S_l): the window's calibration factor, its
+    factor rows and u-weights (_WindowPlan.factor_rows), and the chaos
+    integrand S_l = dW[:, :l+1] @ F_l.T at its u-nodes for every row of the
+    (paths, n) driver dW.  The simulator and the derivative code all walk
+    this one loop, so they see the same quadrature to the bit.
+    """
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    lam2 = _window_scales(grid.key(), spec.H)
+    for l in range(lo, grid.n if hi is None else hi):
+        F, w = plan.factor_rows(l)
+        yield l, lam2[l], F, w, dW[:, : l + 1] @ F.T
+
+
+def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
     """Noise values from Brownian increment rows (paths, n) -> (paths, n+1)."""
     if dW.ndim != 2 or dW.shape[1] != grid.n:
         raise DomainError(f"driver shape {dW.shape} does not match grid with n={grid.n}")
@@ -353,23 +374,18 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
         return out
 
     # rank 2: window-by-window Wick-ordered square of the factor rows
-    d = spec.d
     h = grid.dt
-    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
-    lam2 = _window_scales(grid.key(), spec.H, nodes)
     contrib = np.empty((P, n))
-    for l in range(n):
-        F, w = plan.factor_rows(l)
-        S = dW[:, : l + 1] @ F.T
+    for l, lam2_l, F, w, S in _windows(grid, spec, dW):
         mean_sq = h * float((F * F).sum(axis=1) @ w)  # E of (S*S) @ w
-        contrib[:, l] = lam2[l] * ((S * S) @ w - mean_sq)
-    out[:, 1:] = d * np.cumsum(contrib, axis=1)
+        contrib[:, l] = lam2_l * ((S * S) @ w - mean_sq)
+    out[:, 1:] = spec.d * np.cumsum(contrib, axis=1)
     return out
 
 
-def simulate_hermite(w: WienerLattice, spec: HermiteSpec, nodes: int = 8) -> NoisePath:
+def simulate_hermite(w: WienerLattice, spec: HermiteSpec) -> NoisePath:
     """Rank-q noise driven by the given lattice; rank 1 equals simulate_fbm."""
-    values = _from_driver(w.grid, spec, w.increments[None, :], nodes=nodes)
+    values = _from_driver(w.grid, spec, w.increments[None, :])
     return NoisePath(grid=w.grid, spec=spec, values=values[0], source=w)
 
 
@@ -378,15 +394,15 @@ def simulate_fbm(w: WienerLattice, H: float) -> NoisePath:
     return simulate_hermite(w, HermiteSpec.create(1, H))
 
 
-def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int, path_ids,
-                      nodes: int = 8) -> np.ndarray:
+def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
+                      path_ids) -> np.ndarray:
     """Simulate many paths at once; returns (paths, n+1), first column zero.
 
     Row p is driven by the Brownian increments of path_ids[p], identical to
     what simulate_hermite would produce path by path.
     """
     dW = generate_increments(grid, seed, path_ids)
-    return _from_driver(grid, spec, dW, nodes=nodes)
+    return _from_driver(grid, spec, dW)
 
 
 def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.ndarray:
@@ -432,21 +448,21 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
 
 
 @lru_cache(maxsize=8)
-def _pair_matrix_cached(grid_key, H: float, k: int, nodes: int) -> np.ndarray:
+def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
     Probe indices come from the calibration pass; any other k costs one
     accumulation pass over windows l < k.
     """
-    lam2, blocks = _calibration(grid_key, H, nodes)
+    lam2, blocks = _calibration(grid_key, H)
     if k in blocks:
         return blocks[k]
     hp = hurst_prime(2, H)
-    plan = _window_plan(grid_key, hp, c_H(hp), nodes)
+    plan = _window_plan(grid_key, hp, c_H(hp))
     return _pair_blocks(plan, (k,), lam2)[k]
 
 
-def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float, nodes: int = 8) -> np.ndarray:
+def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
     """Pair-interaction matrix A of the rank-2 noise at time t, n x n.
 
     Entry (i, j) is the calibrated cell average of the chaos kernel
@@ -461,13 +477,13 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float, nodes: int = 8) -> 
         raise DomainError("pair_matrix is defined for rank-2 noise only")
     k = grid.index_of(t)
     A = np.zeros((grid.n, grid.n))
-    A[:k, :k] = _pair_matrix_cached(grid.key(), spec.H, k, nodes)
+    A[:k, :k] = _pair_matrix_cached(grid.key(), spec.H, k)
     A.flags.writeable = False
     return A
 
 
-def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float, t: float,
-                       nodes: int = 8) -> float:
+def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
+                       t: float) -> float:
     """Exact covariance E[Z(s) Z(t)] of the *lattice* noise, deterministically.
 
     Rank 1: dt * <K-row(s), K-row(t)>; rank 2: 2 d^2 dt^2 <A_s, A_t>, the
@@ -480,17 +496,17 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float, t: float,
     """
     ks = grid.index_of(s)
     kt = grid.index_of(t)
+    k = min(ks, kt)
+    if k == 0:
+        return 0.0
     if spec.q == 1:
         M = _fbm_weights(grid.key(), spec.H)
-        if ks == 0 or kt == 0:
-            return 0.0
         return float(grid.dt * (M[ks - 1] @ M[kt - 1]))
-    k = min(ks, kt)
-    lam_s = _pair_matrix_cached(grid.key(), spec.H, ks, nodes)[:k, :k]
-    lam_t = _pair_matrix_cached(grid.key(), spec.H, kt, nodes)[:k, :k]
+    lam_s = _pair_matrix_cached(grid.key(), spec.H, ks)[:k, :k]
+    lam_t = _pair_matrix_cached(grid.key(), spec.H, kt)[:k, :k]
     return float(2.0 * spec.d**2 * grid.dt**2 * (lam_s * lam_t).sum())
 
 
-def lattice_variance(grid: TimeGrid, spec: HermiteSpec, t: float, nodes: int = 8) -> float:
+def lattice_variance(grid: TimeGrid, spec: HermiteSpec, t: float) -> float:
     """Exact variance of the lattice noise at time t (see lattice_covariance)."""
-    return lattice_covariance(grid, spec, t, t, nodes=nodes)
+    return lattice_covariance(grid, spec, t, t)

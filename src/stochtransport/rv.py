@@ -29,6 +29,9 @@ from .errors import DomainError, ResolutionError, SampleSizeError
 from .grid import TimeGrid
 from .noise import NoisePath
 
+# Fewest eps values that qv_certificate fits its decay slope through.
+_MIN_SLOPE_POINTS = 3
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
@@ -177,8 +180,9 @@ def qv_certificate(values: np.ndarray, grid: TimeGrid, H: float,
         raise DomainError("values must be a (paths, n+1) matrix on grid points")
     if values.shape[0] < 100:
         raise SampleSizeError(f"need at least 100 paths, got {values.shape[0]}")
-    if len(schedule) < 3:
-        raise DomainError("slope fit needs at least 3 eps values")
+    if len(schedule) < _MIN_SLOPE_POINTS:
+        raise DomainError(
+            f"slope fit needs at least {_MIN_SLOPE_POINTS} eps values")
     if t is None:
         t = grid.T
     K = grid.index_of(t)

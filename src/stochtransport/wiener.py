@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .grid import TimeGrid
 
-__all__ = ["WienerLattice", "Perturbation", "generate", "generate_increments", "perturb"]
+__all__ = ["WienerLattice", "Perturbation", "generate", "generate_increments"]
 
 
 def _rng(seed: int, path_id: int) -> np.random.Generator:

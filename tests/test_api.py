@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import pytest
 
 import stochtransport
 
@@ -43,6 +46,18 @@ def test_exports_are_pinned():
     assert set(exported) == PUBLIC
     for name in exported:
         assert hasattr(stochtransport, name), name
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(stochtransport.__path__)
+    if m.name != "__main__"))  # importing __main__ runs the CLI
+def test_star_import(module):
+    """from stochtransport.<module> import * binds every name it lists."""
+    namespace = {}
+    exec(f"from stochtransport.{module} import *", namespace)
+    for name in getattr(importlib.import_module(f"stochtransport.{module}"),
+                        "__all__", ()):
+        assert name in namespace, f"{module}.{name}"
 
 
 def test_benchmark_traced_names_resolve():

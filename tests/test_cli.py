@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,18 @@ from stochtransport import experiments
 from stochtransport.cli import _parse_params, main
 from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command(kind, out):
+    """The README's example command for kind, writing into out."""
+    line = next(ln for ln in README.read_text().splitlines()
+                if ln.startswith(f"stochtransport {kind} "))
+    argv = line.split()[1:]
+    argv[argv.index("--out") + 1] = str(out)
+    return argv
 
 
 def cfg(**overrides):
@@ -188,6 +201,15 @@ class TestCliMain:
         rc = main(["validate", "--config", str(bad)])
         assert rc == 2
         assert "unsupported noise order" in capsys.readouterr().out
+
+    def test_readme_qv_example_passes(self, tmp_path):
+        assert main(readme_command("qv", tmp_path)) == 0
+
+    def test_validate_refuses_short_qv_schedule(self, capsys):
+        rc = main(["validate", "--kind", "qv", "--eps", "0.125",
+                   "--eps", "0.0625"])
+        assert rc == 2
+        assert "at least 3 eps values" in capsys.readouterr().out
 
     def test_flags_override_config_file(self, tmp_path):
         cfile = tmp_path / "c.json"

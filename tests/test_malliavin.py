@@ -135,10 +135,8 @@ class TestDzHermite:
         assert dz_hermite(w, 0.5, 0.75, HermiteSpec.create(2, 0.7)) == 0.0
 
     def test_unsupported_rank(self):
-        w, _ = rank2_path(n=64)
-        fake = HermiteSpec(q=3, H=0.7, hp=0.9, c=1.0, d=1.0)
         with pytest.raises(UnsupportedOrderError):
-            dz_hermite(w, 0.5, 0.25, fake)
+            HermiteSpec(q=3, H=0.7, hp=0.9, c=1.0, d=1.0)
 
     def test_matches_table(self):
         w, Z = rank2_path()

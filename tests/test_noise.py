@@ -58,7 +58,7 @@ def test_factor_rows_match_direct_kernel_quadrature():
 
     grid = TimeGrid(T=1.0, n=16)
     spec = HermiteSpec.create(2, 0.7)
-    plan = _window_plan(grid.key(), spec.hp, spec.c, 8)
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
     A = np.zeros((16, 16))
     for l in range(16):
         F, w = plan.factor_rows(l)
@@ -312,11 +312,11 @@ def _direct_bulk_rows(grid, spec, l, nodes=8):
     return rows * (spec.c * u ** (hp - 0.5))[:, None]
 
 
-def _direct_pair_matrix(grid, spec, k, lam2, nodes=8):
+def _direct_pair_matrix(grid, spec, k, lam2):
     """sum_{l<k} lam2_l F_l^T diag(w) F_l, accumulated window by window."""
     from stochtransport.noise import _window_plan
 
-    plan = _window_plan(grid.key(), spec.hp, spec.c, nodes)
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
     A = np.zeros((grid.n, grid.n))
     for l in range(k):
         F, w = plan.factor_rows(l)
@@ -330,7 +330,7 @@ def test_factor_rows_bulk_cells_match_direct_powers(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    plan = _window_plan(grid.key(), spec.hp, spec.c, 8)
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
     for l in range(grid.n):
         F, w = plan.factor_rows(l)
         assert F.shape == (24, l + 1) and w.shape == (24,)
@@ -347,7 +347,7 @@ def test_window_scales_match_reference_recursion(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    plan = _window_plan(grid.key(), spec.hp, spec.c, 8)
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
     tau_scale = 2.0 * spec.d**2 * grid.dt**2
     A = np.zeros((grid.n, grid.n))
     ref = np.empty(grid.n)
@@ -359,7 +359,7 @@ def test_window_scales_match_reference_recursion(H):
         tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
         ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
         A[: l + 1, : l + 1] += ref[l] * B
-    lam2 = _window_scales(grid.key(), spec.H, 8)
+    lam2 = _window_scales(grid.key(), spec.H)
     assert lam2.shape == (grid.n,) and not lam2.flags.writeable
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
@@ -370,7 +370,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    lam2 = _window_scales(grid.key(), spec.H, 8)
+    lam2 = _window_scales(grid.key(), spec.H)
     eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
     for k in list(eighths) + [37]:
         lam = pair_matrix(grid, spec, grid.points[k])
@@ -401,3 +401,20 @@ def test_wick_form_equals_simulated_values(n, H, data):
     lam = pair_matrix(grid, spec, grid.points[k])
     wick = spec.d * (dW @ lam @ dW - grid.dt * np.trace(lam))
     assert abs(wick - z) <= 1e-12 * (1.0 + abs(z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([1, 2]), data=st.data())
+def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
+    """Row p of simulate_ensemble is the path of path_ids[p] whatever else is
+    in the batch and in whatever order; only the roundoff of the batch-shaped
+    products may differ."""
+    grid = TimeGrid(T=1.0, n=48)
+    spec = HermiteSpec.create(q, 0.7)
+    full = simulate_ensemble(grid, spec, 11, range(24))
+    order = data.draw(st.permutations(range(24)), label="order")
+    ids = order[: data.draw(st.integers(1, 24), label="size")]
+    z = simulate_ensemble(grid, spec, 11, ids)
+    ref = full[ids]
+    assert z.shape == ref.shape
+    assert np.all(np.abs(z - ref) <= 1e-14 * (1.0 + np.abs(ref)))
