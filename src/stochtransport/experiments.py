@@ -3,12 +3,10 @@
 Each runner simulates a Monte Carlo ensemble, evaluates the checks that make
 sense for its experiment kind, and writes CSV artifacts plus a JSON manifest
 into the output directory.  Runs are deterministic: the same (config, seed)
-produces byte-identical CSV files on one machine at one thread count: paths
-are keyed by path_id and reductions happen in a fixed order.  Across thread
-counts the simulated values can move by roundoff: _simulate_blocks splits
-the paths into one block per thread, and the simulator's matrix products
-round differently for different block shapes (up to about 5e-16 relative),
-which can change the last printed digits of a CSV.
+produces byte-identical CSV files on one machine at any thread count.  Paths
+are keyed by path_id, the ensemble is simulated in one call, reductions
+happen in a fixed order, and the threads only split the density runner's
+per-path flow work, which is elementwise in the paths (flow._solve_step).
 """
 
 import hashlib
@@ -28,15 +26,14 @@ from .flow import backward_ensemble, backward_ensemble_trajectory, forward_ensem
 from .grid import TimeGrid
 from .kernels import SUPPORTED_ORDERS, HermiteSpec
 from .malliavin import (
+    _flow_weights,
     density_bound_check,
     density_report,
     dy_norm_ensemble,
     dz_norm_ensemble,
 )
 from .noise import (
-    _fbm_weights,
     _probe_indices,
-    _window_scales,
     lattice_covariance,
     lattice_variance,
     simulate_ensemble,
@@ -45,7 +42,7 @@ from .noise import (
 from .presets import drift_preset, u0_preset
 from .rv import _MIN_SLOPE_POINTS, EpsilonSchedule, _eps_steps, qv_certificate
 from .transport import TestFunction, weak_form_residual
-from .wiener import generate, generate_increments
+from .wiener import generate
 
 KINDS = (
     "noise-stats",
@@ -200,7 +197,7 @@ def _config_hash(config: ExperimentConfig) -> str:
 
     threads and out_dir are execution plumbing, so they stay out of the
     hash: the same experiment on another thread count has the same hash and
-    the same numbers up to roundoff (see the module docstring).
+    writes byte-identical CSVs (see the module docstring).
     """
     payload = {k: v for k, v in config.to_dict().items()
                if k not in ("threads", "out_dir")}
@@ -239,23 +236,40 @@ def _thread_count(config: ExperimentConfig) -> int:
 
 
 def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
-                     threads: int) -> np.ndarray:
-    """Threaded ensemble simulation with a deterministic path order."""
-    ids = np.arange(paths)
-    if threads <= 1 or paths < 4 * threads:
-        return simulate_ensemble(grid, spec, seed, ids)
-    # Build the cold plan once here; left to the pool, every thread would
-    # miss the cache at once and build the same plan.  The arguments match
-    # the calls inside noise so the lru key is shared.
-    if spec.q == 1:
-        _fbm_weights(grid.key(), spec.H)
-    else:
-        _window_scales(grid.key(), spec.H)
-    blocks = np.array_split(ids, threads)
+                     driver: bool = False):
+    """The noise of path ids 0..paths-1, and with driver also its increments.
+
+    One simulate_ensemble call on the BLAS threads.  A thread pool here
+    would slow the per-path Philox draws (interpreter lock), oversubscribe
+    BLAS, and make the products round with the thread-sized block shape.
+    """
+    return simulate_ensemble(grid, spec, seed, np.arange(paths), driver=driver)
+
+
+def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
+                 threads: int, weights: bool):
+    """Y_{0,t}(x) per path and, with weights, the flow weights of [0, t].
+
+    The thread pool maps over contiguous path slices, at least two, so no
+    array ever holds the whole (index(t)+1, paths) trajectory.  The work is
+    elementwise in the paths, so the result does not depend on the slicing.
+    """
+    paths = z.shape[0]
+    kt = grid.index_of(t)
+    y = np.empty(paths)
+    cw = np.empty((kt + 1, paths)) if weights else None
+    cuts = np.linspace(0, paths, min(paths, max(2, threads)) + 1).astype(int)
+    slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def solve(sl):
+        traj = backward_ensemble_trajectory(b, grid, z[sl], x, t)
+        y[sl] = traj[0]
+        if weights:
+            cw[:, sl] = _flow_weights(b, grid, traj, 0)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda blk: simulate_ensemble(grid, spec, seed, blk), blocks))
-    return np.vstack(parts)
+        list(pool.map(solve, slices))
+    return y, cw
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +277,7 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
 
 
 def _run_noise_stats(config, grid, spec, out, checks, files):
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
+    z = _simulate_blocks(grid, spec, config.seed, config.paths)
     probe_idx = _probe_indices(grid.n)
     times = grid.points[probe_idx]
     rows = []
@@ -313,8 +326,7 @@ def _run_noise_stats(config, grid, spec, out, checks, files):
 
 
 def _run_qv(config, grid, spec, out, checks, files):
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
+    z = _simulate_blocks(grid, spec, config.seed, config.paths)
     if config.eps_schedule is not None:
         schedule = EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))
     else:
@@ -330,18 +342,14 @@ def _run_qv(config, grid, spec, out, checks, files):
 
 def _run_flow(config, grid, spec, out, checks, files):
     b = drift_preset(config.drift, **config.drift_params)
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
-    nodes = np.linspace(-2.0, 2.0, 32)
+    z = _simulate_blocks(grid, spec, config.seed, config.paths)
+    nodes = np.linspace(-2.0, 2.0, 32)[:, None]
     s, t = config.s, config.t_end
-    rows = []
-    worst = 0.0
-    for x in nodes:
-        y = backward_ensemble(b, grid, z, float(x), s, t)
-        rt = forward_ensemble(b, grid, z, y, s, t)
-        err = np.abs(rt - x)
-        worst = max(worst, float(err.max()))
-        rows.append((x, float(err.max()), float(err.mean())))
+    # All nodes x paths in one march each way: the state is (32, paths).
+    y = backward_ensemble(b, grid, z, nodes, s, t)
+    err = np.abs(forward_ensemble(b, grid, z, y, s, t) - nodes)
+    worst = float(err.max())
+    rows = list(zip(nodes[:, 0], err.max(axis=1), err.mean(axis=1)))
     _write_csv(out / "flow.csv", config, ["x", "max_err", "mean_err"], rows)
     files.append("flow.csv")
     if b.is_zero:
@@ -379,9 +387,8 @@ def _run_weakform(config, grid, spec, out, checks, files):
 def _run_malliavin(config, grid, spec, out, checks, files):
     b = drift_preset(config.drift, **config.drift_params)
     s, t = config.s, config.t_end
-    dW = generate_increments(grid, config.seed, range(config.paths))
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
+    z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
+                             driver=True)
     dz_nsq = dz_norm_ensemble(grid, spec, dW, t)
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, s, t, config.x0,
                               dW=dW if spec.q == 2 else None)
@@ -412,17 +419,17 @@ def _run_density(config, grid, spec, out, checks, files):
     b = drift_preset(config.drift, **config.drift_params)
     u0 = u0_preset(config.u0, **config.u0_params)
     t = config.t_end
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
+    z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
+                             driver=True)
+    if spec.q == 1:
+        dW = None  # the rank-1 norms never read the driver
     # One flow solve serves the samples (row 0) and the derivative norms.
-    traj = backward_ensemble_trajectory(b, grid, z, config.x0, t)
-    y = traj[0].copy()
+    y, cw = _flow_slices(b, grid, z, config.x0, t, _thread_count(config),
+                         weights=not b.is_zero)
     samples = np.asarray(u0.u0(y), dtype=float)
-    dW = generate_increments(grid, config.seed, range(config.paths)) \
-        if spec.q == 2 else None
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW,
-                              y_path=traj)
-    del traj
+                              flow_weights=cw)
+    del cw
     du_nsq = np.asarray(u0.u0_prime(y), dtype=float) ** 2 * dy_nsq
     rep = density_report(samples, du_nsq)
     _write_csv(out / "samples.csv", config,
@@ -445,8 +452,7 @@ def _run_density(config, grid, spec, out, checks, files):
 
 def _run_bound_check(config, grid, spec, out, checks, files):
     b = drift_preset(config.drift, **config.drift_params)
-    z = _simulate_blocks(grid, spec, config.seed, config.paths,
-                         _thread_count(config))
+    z = _simulate_blocks(grid, spec, config.seed, config.paths)
     rep = density_bound_check(b, grid, z, config.s, config.t_end, config.x0,
                               strict=False)
     _write_csv(out / "brackets.csv", config, ["path_id", "bracket"],

@@ -24,15 +24,27 @@ calling code rely on that.
 Every flow in the package -- one path or an ensemble, a scalar, a node
 array or a paths vector of states, forward or backward, end state or whole
 trajectory -- runs through one step kernel, `_march`.  Its fixed-point
-solve stops jointly: all components of the state iterate until the largest
-change is below tolerance, so the last bits of one state can depend on
-which other states share its array.  Zero-drift flows shortcut, in the
-same kernel, to pure translation by the noise increment, which keeps them
-exact to the bit and reproducible per seed.
+solve runs a number of iterations fixed in advance: the step map contracts
+with kappa = |h|/2 sup|b'|, and the predictor starts within |h| sup|b| of
+the fixed point, so k = ceil(log(tol / (|h| sup|b|)) / log kappa)
+iterations reach the absolute tolerance whatever the state.  k depends only
+on the step size and the declared sup norms of the DriftField, and every
+operation of an iteration is elementwise, so each state's bits do not
+depend on which other states share its array: a path solved alone, in any
+sub-batch or in any order gives the same result.  One guard per step
+checks the last change against the bound the contraction promises and
+raises ConvergenceError when it fails, which catches sup norms declared
+wrong away from the validation sample; it never changes a value.  Steps
+with kappa >= 1, or too many iterations to reach the tolerance, fall back
+to iterating until the largest change over the state is below tolerance.
+Zero-drift flows shortcut, in the same kernel, to pure translation by the
+noise increment, which keeps them exact to the bit and reproducible per
+seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +58,7 @@ _FD_STEP = 1e-5
 _FD_TOL = 1e-6
 _STEP_TOL = 1e-13
 _STEP_MAX_ITER = 60
+_STEP_SLACK = 1e-14  # roundoff allowance of the step guard, relative to |x|
 
 _SAMPLE_T = np.array([0.0, 0.31, 0.64, 1.0])
 _SAMPLE_X = np.linspace(-3.0, 3.0, 13)
@@ -93,14 +106,55 @@ def _check_times(grid: TimeGrid, s: float, t: float) -> tuple[int, int]:
     return grid.index_of(s), grid.index_of(t)
 
 
-def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float):
+def _step_plan(b: DriftField, h: float) -> tuple[int, float] | None:
+    """A-priori iteration count of a step of size h, and its guard bound.
+
+    The step map x -> rhs + (h/2) b(t', x) contracts with
+    kappa = |h|/2 sup|b'|, and the predictor x + h f + dz lies within
+    e0 = |h| sup|b| of its fixed point, so k iterations leave an error of at
+    most kappa^k e0 <= _STEP_TOL, and the last change is at most
+    (1 + kappa) kappa^(k-1) e0, the guard bound.  None when kappa >= 1 or k
+    would exceed _STEP_MAX_ITER; such steps iterate to a joint tolerance.
+    """
+    kappa = 0.5 * abs(h) * b.sup_norm_bprime
+    e0 = abs(h) * b.sup_norm_b
+    if kappa >= 1.0:
+        return None
+    k = 1
+    if kappa > 0.0 and e0 > _STEP_TOL:
+        k = max(1, math.ceil(math.log(_STEP_TOL / e0) / math.log(kappa)))
+    if k > _STEP_MAX_ITER:
+        return None
+    return k, (1.0 + kappa) * kappa ** (k - 1) * e0
+
+
+def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
+                plan: tuple[int, float] | None):
     """Solve x = rhs + (h/2) * b(t_new, x) by fixed-point iteration.
 
-    The stopping rule is joint: every component of the state iterates until
+    With a plan (_step_plan), run exactly its k iterations: no test reads
+    the data, so each component's bits do not depend on the others.  The
+    guard compares the last change with the plan's bound (plus roundoff
+    slack) and raises ConvergenceError when the declared sup norms did not
+    hold along the step.  Without a plan, every component iterates until
     the largest change falls below the tolerance.
     """
-    x = np.asarray(x_guess, dtype=float)
     half = 0.5 * h
+    x = x_guess
+    if plan is not None:
+        k, bound = plan
+        for _ in range(k):
+            x_prev = x
+            x = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
+        gap = float(np.max(np.abs(x - x_prev)))
+        if gap > bound and \
+                gap > bound + _STEP_SLACK * (1.0 + float(np.max(np.abs(x)))):
+            raise ConvergenceError(
+                f"drift step changed by {gap:.3g} after {k} iterations, above "
+                f"the {bound:.3g} its declared sup norms allow; check "
+                "sup_norm_b and sup_norm_bprime", residual=gap)
+        return x
+    x = np.asarray(x, dtype=float)
     for _ in range(_STEP_MAX_ITER):
         x_next = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
         gap = np.max(np.abs(x_next - x))
@@ -133,6 +187,7 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
         return x + inc
     pts = grid.points
     h = sign * grid.dt
+    plan = _step_plan(b, h)
     traj = np.empty((kt - ks + 1,) + x.shape) if record else None
     if record:
         traj[start - ks] = x
@@ -141,7 +196,8 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
         # directions: backwards it is the exact negative of the forward one.
         dz = z[k + sign] - z[k]
         f = np.asarray(b.b(pts[k], x), dtype=float)
-        x = _solve_step(b, pts[k + sign], x + 0.5 * h * f + dz, x + h * f + dz, h)
+        x = _solve_step(b, pts[k + sign], x + 0.5 * h * f + dz,
+                        x + h * f + dz, h, plan)
         if record:
             traj[k + sign - ks] = x
     return traj if record else x

@@ -248,9 +248,17 @@ def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
     times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
     gam = np.broadcast_to(np.asarray(b.b_prime(times, rows), dtype=float),
                           rows.shape)
-    B = np.zeros(rows.shape)
-    B[1:] = np.cumsum(0.5 * grid.dt * (gam[1:] + gam[:-1]), axis=0)
-    return gam * np.exp(-B)
+    # in place, one (m+1, paths) array: exp(-B) with B the cumulative
+    # trapezoid integral of gam, then times gam
+    out = np.empty(rows.shape)
+    out[0] = 0.0
+    np.add(gam[1:], gam[:-1], out=out[1:])
+    out[1:] *= 0.5 * grid.dt
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= gam
+    return out
 
 
 def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
@@ -259,8 +267,9 @@ def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
     wtr = np.full(rows.shape[0], grid.dt)
     wtr[0] *= 0.5
     wtr[-1] *= 0.5
-    return _integrating_factor(b, grid, rows, ks) * \
-        wtr.reshape(wtr.shape + (1,) * (rows.ndim - 1))
+    out = _integrating_factor(b, grid, rows, ks)
+    out *= wtr.reshape(wtr.shape + (1,) * (rows.ndim - 1))
+    return out
 
 
 def _cn_duhamel_weights(gam: np.ndarray, dt: float) -> np.ndarray:
@@ -369,16 +378,18 @@ def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
 def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                      z_values: np.ndarray, s: float, t: float, x: float,
                      dW: np.ndarray | None = None,
-                     y_path: np.ndarray | None = None) -> np.ndarray:
+                     flow_weights: np.ndarray | None = None) -> np.ndarray:
     """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
 
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
     derivative table across paths, so the whole ensemble reduces to a
     single GEMM; rank 2 needs the driving increments dW and makes one
     window pass for all paths (two small GEMMs per window, no per-path
-    table).  y_path optionally supplies the precomputed inverse flow
-    backward_ensemble_trajectory(b, grid, z_values, x, t), shape
-    (index(t)+1, paths).
+    table).  flow_weights optionally supplies the per-path flow weights
+    _flow_weights(b, grid, Y[ks:kt+1], ks) of the inverse flow
+    Y = backward_ensemble_trajectory(b, grid, z_values, x, t), shape
+    (index(t) - index(s) + 1, paths); they are elementwise in the paths, so
+    a caller can build them slice by slice.
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 2 or z.shape[1] != grid.n + 1:
@@ -388,9 +399,14 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     if spec.q == 2 and dW is None:
         raise DomainError("rank-2 ensembles need the driving increments dW")
 
-    def flow_weights():  # (m+1, P)
-        y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt]) \
-            if y_path is None else _checked_flow(y_path, (kt + 1, P), x)
+    def weights():  # (m+1, P)
+        if flow_weights is not None:
+            cw = np.asarray(flow_weights, dtype=float)
+            if cw.shape != (kt - ks + 1, P):
+                raise DomainError(f"flow weights have shape {cw.shape}, "
+                                  f"expected {(kt - ks + 1, P)}")
+            return cw
+        y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt])
         return _flow_weights(b, grid, y[ks:kt + 1], ks)
 
     if spec.q == 1:
@@ -398,7 +414,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         base = -(G[kt] - G[ks])
         if ks == kt or b.is_zero:
             return np.full(P, float(np.sum(base * base) * grid.dt))
-        cw = flow_weights()
+        cw = weights()
         V = base[None, :] + cw.sum(axis=0)[:, None] * G[kt][None, :] \
             - cw.T @ G[ks:kt + 1]
         return np.sum(V * V, axis=1) * grid.dt
@@ -417,7 +433,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     if b.is_zero:
         coef = np.full((m, P), -1.0)
     else:
-        coef = np.cumsum(flow_weights()[:m], axis=0) - 1.0
+        coef = np.cumsum(weights()[:m], axis=0) - 1.0
     V = np.zeros((P, kt))
     for l, lam2_l, F, w, S in _windows(grid, spec, dW, ks, kt):
         scale = 2.0 * spec.d * lam2_l * coef[l - ks]

@@ -395,14 +395,17 @@ def simulate_fbm(w: WienerLattice, H: float) -> NoisePath:
 
 
 def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
-                      path_ids) -> np.ndarray:
+                      path_ids, driver: bool = False):
     """Simulate many paths at once; returns (paths, n+1), first column zero.
 
     Row p is driven by the Brownian increments of path_ids[p], identical to
-    what simulate_hermite would produce path by path.
+    what simulate_hermite would produce path by path.  With driver, the
+    (paths, n) increments come back too, as (values, dW), so a caller that
+    needs both draws them once.
     """
     dW = generate_increments(grid, seed, path_ids)
-    return _from_driver(grid, spec, dW)
+    values = _from_driver(grid, spec, dW)
+    return (values, dW) if driver else values
 
 
 def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.ndarray:

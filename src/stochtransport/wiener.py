@@ -74,10 +74,23 @@ def generate_increments(grid: TimeGrid, seed: int, path_ids) -> np.ndarray:
     """
     path_ids = np.asarray(path_ids, dtype=np.int64)
     out = np.empty((path_ids.size, grid.n))
-    root = np.sqrt(grid.dt)
+    if path_ids.size == 0:
+        return out
+    if np.any(path_ids < 0):
+        raise DomainError("seed and path_id must be non-negative integers")
+    # Re-keying one Philox generator with _rng's key words [pid, seed] and a
+    # zero counter gives the stream of _rng(seed, pid) at a tenth of the
+    # cost of building a new generator per path.
+    rng = _rng(seed, int(path_ids[0]))
+    bitgen = rng.bit_generator
+    state = bitgen.state
     for row, pid in enumerate(path_ids):
-        out[row] = _rng(seed, int(pid)).standard_normal(grid.n)
-    out *= root
+        state.update(state={"counter": np.zeros(4, dtype=np.uint64),
+                            "key": np.array([pid, seed], dtype=np.uint64)},
+                     buffer_pos=4, has_uint32=0, uinteger=0)
+        bitgen.state = state
+        rng.standard_normal(out=out[row])
+    out *= np.sqrt(grid.dt)
     return out
 
 

@@ -105,13 +105,33 @@ class TestRun:
         run(cfg(out_dir=str(b), threads=4))
         assert (a / "qv.csv").read_bytes() == (b / "qv.csv").read_bytes()
 
+    @staticmethod
+    def _csvs_by_threads(tmp_path, **base):
+        """{threads: {csv name: bytes}} for threads 1 to 4."""
+        out = {}
+        for threads in range(1, 5):
+            d = tmp_path / f"t{threads}"
+            m = run(cfg(**base, out_dir=str(d), threads=threads))
+            out[threads] = {f: (d / f).read_bytes() for f in m.files
+                            if f.endswith(".csv")}
+        return out
+
     def test_deterministic_rank2_malliavin(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        base = dict(kind="malliavin", q=2, n=32, paths=16, drift="sine")
-        run(cfg(**base, out_dir=str(a), threads=1))
-        run(cfg(**base, out_dir=str(b), threads=2))
-        assert (a / "malliavin.csv").read_bytes() == \
-            (b / "malliavin.csv").read_bytes()
+        # 60 paths at n = 64 is a size at which splitting the simulation
+        # by thread count moved the last digits of malliavin.csv.
+        got = self._csvs_by_threads(tmp_path, kind="malliavin", q=2, n=64,
+                                    paths=60, drift="sine")
+        assert got[1] and all(got[k] == got[1] for k in got)
+
+    @pytest.mark.parametrize("base", [
+        dict(kind="density", q=1, n=64, paths=1000, drift="sine"),
+        dict(kind="density", q=2, n=64, paths=1000, drift="sine"),
+        dict(kind="flow", q=1, n=64, paths=60, drift="sine"),
+        dict(kind="noise-stats", q=1, n=64, paths=200),
+    ], ids=["density-q1", "density-q2", "flow", "noise-stats"])
+    def test_csvs_do_not_depend_on_threads(self, tmp_path, base):
+        got = self._csvs_by_threads(tmp_path, **base)
+        assert got[1] and all(got[k] == got[1] for k in got)
 
     def test_seed_changes_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -165,6 +165,53 @@ def test_step_solver_reports_its_last_gap():
     assert 1e-13 < err.value.residual < np.inf
 
 
+def test_declared_norms_wrong_off_the_sample_trip_the_step_guard():
+    # b vanishes on the validation sample |x| <= 3 but reaches 8 at x = 6,
+    # where the declared norms promise a contraction it does not have.
+    def excess(x):
+        return np.maximum(np.asarray(x) - 4.0, 0.0)
+
+    bump = DriftField(b=lambda t, x: excess(x) ** 3,
+                      b_prime=lambda t, x: 3.0 * excess(x) ** 2,
+                      sup_norm_b=0.5, sup_norm_bprime=0.5, name="hidden bump")
+    z = _noise(n=64)
+    assert np.isfinite(forward_flow(bump, z, 0.0, 0.0, 1.0))  # stays where b = 0
+    with pytest.raises(ConvergenceError) as err:
+        forward_flow(bump, z, 6.0, 0.0, 1.0)
+    assert 0.0 < err.value.residual < np.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift=st.sampled_from(["sine", "linear"]), slope=st.floats(0.05, 3.0),
+       n=st.integers(8, 128), q=st.sampled_from([1, 2]), data=st.data())
+def test_ensemble_elements_do_not_depend_on_the_batch(drift, slope, n, q, data):
+    """Each path's flow is the same to the bit alone, in any sub-batch and
+    in any order: the step solver runs a fixed number of iterations."""
+    b = drift_preset("sine", a=slope) if drift == "sine" \
+        else drift_preset("linear", lam=slope)
+    grid = TimeGrid(T=1.0, n=n)
+    paths = 12
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    z = simulate_ensemble(grid, HermiteSpec.create(q, 0.7), seed, range(paths))
+    ks = data.draw(st.integers(0, n - 1), label="ks")
+    kt = data.draw(st.integers(ks + 1, n), label="kt")
+    s, t = grid.points[ks], grid.points[kt]
+    x = data.draw(st.floats(-3.0, 3.0), label="x")
+    ids = np.array(data.draw(st.permutations(range(paths)), label="order"))
+    sub = ids[:data.draw(st.integers(1, paths), label="size")]
+    flows = {
+        "backward": lambda zz: backward_ensemble(b, grid, zz, x, s, t),
+        "forward": lambda zz: forward_ensemble(b, grid, zz, x, s, t),
+        "trajectory":
+            lambda zz: backward_ensemble_trajectory(b, grid, zz, x, t).T,
+    }
+    for name, flow in flows.items():
+        full = flow(z)
+        assert np.array_equal(flow(z[sub]), full[sub]), name
+        for p in sub[:3]:
+            assert np.array_equal(flow(z[p:p + 1])[0], full[p]), (name, p)
+
+
 def test_trajectories_cover_grid():
     z = _noise(n=256)
     b = _sine()

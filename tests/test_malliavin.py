@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -23,6 +25,8 @@ from stochtransport.flow import (
 from stochtransport.kernels import HermiteSpec, kernel_KH
 from stochtransport.malliavin import (
     MalliavinPath,
+    _cn_duhamel_weights,
+    _flow_weights,
     dY_closed_form,
     dY_integral_eq,
     dY_profile,
@@ -340,22 +344,70 @@ class TestDyNormEnsemble:
         grid = TimeGrid(T=1.0, n=64)
         spec = HermiteSpec.create(q, 0.7)
         seed, paths, s, t, x = 13, 6, 0.25, 0.75, 0.3
+        ks, kt = grid.index_of(s), grid.index_of(t)
         dW = generate_increments(grid, seed, range(paths)) if q == 2 else None
         z = simulate_ensemble(grid, spec, seed, range(paths))
         traj = backward_ensemble_trajectory(SINE, grid, z, x, t)
 
-        def norms(y_path):
+        def norms(rows):
+            cw = None if rows is None else \
+                _flow_weights(SINE, grid, rows[ks:kt + 1], ks)
             return dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
-                                    y_path=y_path)
+                                    flow_weights=cw)
 
         assert np.array_equal(norms(traj), norms(None))
+        # built slice by slice, the weights give the same norms to the bit
+        halves = np.hstack([_flow_weights(SINE, grid, traj[ks:kt + 1, sl], ks)
+                            for sl in (slice(0, 2), slice(2, paths))])
+        assert np.array_equal(
+            dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
+                             flow_weights=halves), norms(None))
         moved = traj.copy()
         moved[:-1] += 0.5
         assert not np.allclose(norms(moved), norms(traj))
         with pytest.raises(DomainError):
             norms(traj[:, :3])  # not one column per path
-        with pytest.raises(DomainError):
-            norms(traj + 1.0)  # anchor row is not x
+        with pytest.raises(DomainError):  # rows of [0, t], not [s, t]
+            dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
+                             flow_weights=_flow_weights(SINE, grid, traj, 0))
+
+
+class TestCnDuhamelWeights:
+    """The closed-form Duhamel weights against the Volterra recursion."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 200), bound=st.floats(0.0, 0.99),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reproduce_forward_substitution(self, m, bound, seed):
+        rng = np.random.default_rng(seed)
+        dt = 1.0 / m
+        gam = rng.uniform(-bound, bound, m + 1) / dt  # dt |gam| < 1
+        h = rng.normal(size=m + 1)
+        # forward substitution of D_j = h_j - dt * trap(gam * D)_j
+        D = np.empty(m + 1)
+        D[0] = h[0]
+        running = 0.5 * gam[0] * D[0]
+        for j in range(1, m + 1):
+            D[j] = (h[j] - dt * running) / (1.0 + 0.5 * dt * gam[j])
+            running += gam[j] * D[j]
+        w = _cn_duhamel_weights(gam, dt)
+        # roundoff of the sum is relative to the size of its terms, which
+        # the Crank-Nicolson factors amplify where gam < 0
+        scale = abs(h[m]) + dt * float(np.abs(w) @ np.abs(h))
+        assert abs(h[m] - dt * (w @ h) - D[m]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("gamma, m", [(0.5, 1), (0.5, 64), (3.0, 256)])
+    def test_constant_rate_weights_are_positive_and_grow(self, gamma, m):
+        dt = 1.0 / m
+        w = _cn_duhamel_weights(np.full(m + 1, gamma), dt)
+        assert np.all(w > 0.0)
+        # interior weights gamma r^(m-1-i) / c^2 with c = 1 + dt gamma / 2
+        # and r = (1 - dt gamma / 2) / c < 1: increasing toward the anchor
+        c = 1.0 + 0.5 * dt * gamma
+        r = (1.0 - 0.5 * dt * gamma) / c
+        interior = gamma * r ** (m - 1 - np.arange(1, m)) / c**2
+        assert np.allclose(w[1:m], interior, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(w[1:m]) > 0.0)
 
 
 class TestMtDiagnostic:
