@@ -7,6 +7,10 @@ produces byte-identical CSV files on one machine at any thread count.  Paths
 are keyed by path_id, the ensemble is simulated in one call, reductions
 happen in a fixed order, and the threads only split the density runner's
 per-path flow work, which is elementwise in the paths (flow._solve_step).
+A rank-1 simulate_ensemble also runs one helper thread of its own, which
+builds the kernel matrix during the driver draw.  Neither that thread nor
+the fixed block sizes (_WEIGHT_CHUNK here, malliavin._PATH_BLOCK in the
+rank-1 norms) change any bit of an artifact.
 """
 
 import hashlib
@@ -55,6 +59,8 @@ KINDS = (
 )
 
 _MIN_PATHS = {"qv": 100, "density": 1000, "bound-check": 100}
+
+_WEIGHT_CHUNK = 512  # paths per flow-weight build in _flow_slices
 
 
 @dataclass
@@ -232,7 +238,12 @@ def _fmt(v) -> str:
 
 
 def _thread_count(config: ExperimentConfig) -> int:
-    return config.threads if config.threads > 0 else (os.cpu_count() or 1)
+    """config.threads, or with 0 the CPUs this process may run on."""
+    if config.threads > 0:
+        return config.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
@@ -251,8 +262,10 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     """Y_{0,t}(x) per path and, with weights, the flow weights of [0, t].
 
     The thread pool maps over contiguous path slices, at least two, so no
-    array ever holds the whole (index(t)+1, paths) trajectory.  The work is
-    elementwise in the paths, so the result does not depend on the slicing.
+    array ever holds the whole (index(t)+1, paths) trajectory, and a slice
+    builds its weights in chunks of _WEIGHT_CHUNK paths, so their
+    temporaries stay small.  The work is elementwise in the paths, so the
+    result does not depend on the slicing or the chunking.
     """
     paths = z.shape[0]
     kt = grid.index_of(t)
@@ -265,7 +278,9 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
         traj = backward_ensemble_trajectory(b, grid, z[sl], x, t)
         y[sl] = traj[0]
         if weights:
-            cw[:, sl] = _flow_weights(b, grid, traj, 0)
+            for lo in range(0, traj.shape[1], _WEIGHT_CHUNK):
+                cols = slice(lo, lo + _WEIGHT_CHUNK)
+                cw[:, sl][:, cols] = _flow_weights(b, grid, traj[:, cols], 0)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(solve, slices))

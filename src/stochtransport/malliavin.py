@@ -81,6 +81,7 @@ __all__ = [
 
 _UNIVERSAL_FLOOR = 1.0 - 0.5 * np.exp(-1.0)  # 1 + min of -x exp(-2x)
 _FLOOR_SLACK = 1e-6
+_PATH_BLOCK = 256  # paths per block of the rank-1 norm reduction
 
 
 @dataclass(frozen=True)
@@ -415,9 +416,20 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         if ks == kt or b.is_zero:
             return np.full(P, float(np.sum(base * base) * grid.dt))
         cw = weights()
-        V = base[None, :] + cw.sum(axis=0)[:, None] * G[kt][None, :] \
-            - cw.T @ G[ks:kt + 1]
-        return np.sum(V * V, axis=1) * grid.dt
+        sw = cw.sum(axis=0)
+        R = cw.T @ G[ks:kt + 1]
+        # V = base + sw G[kt] - R, squared and summed row by row in fixed
+        # blocks of paths: the same bits as the whole-ensemble formula with
+        # one (_PATH_BLOCK, n) temporary instead of four (paths, n) ones.
+        out = np.empty(P)
+        for lo in range(0, P, _PATH_BLOCK):
+            hi = min(lo + _PATH_BLOCK, P)
+            blk = sw[lo:hi, None] * G[kt]
+            blk += base
+            blk -= R[lo:hi]
+            blk *= blk
+            out[lo:hi] = np.sum(blk, axis=1)
+        return out * grid.dt
     dW = np.asarray(dW, dtype=float)
     if dW.shape != (P, grid.n):
         raise DomainError("dW must pair with z_values row by row")

@@ -44,6 +44,12 @@ anyway, in blocks of windows folded by one GEMM each, and records their
 supports at the probe times (the eighths of [0, T]), so the diagnostics
 that ask for pair matrices at those times cost no further pass.
 
+Rank 1 is one GEMM of the driver against the kernel matrix (_fbm_weights).
+simulate_ensemble builds that matrix on one helper thread while the calling
+thread draws the driver: the per-path draw holds the interpreter lock and
+the kernel's numpy work releases it.  The matrix is the same either way, so
+the overlap changes no bit.  Rank 2 builds its plan on the calling thread.
+
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
 variances themselves are calibrated), and these let tests separate it from
@@ -52,6 +58,7 @@ Monte Carlo error.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -403,7 +410,15 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
     (paths, n) increments come back too, as (values, dW), so a caller that
     needs both draws them once.
     """
-    dW = generate_increments(grid, seed, path_ids)
+    if spec.q == 1:
+        # the kernel matrix goes into its lru cache on a helper thread
+        # during the draw (see the module docstring)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            weights = pool.submit(_fbm_weights, grid.key(), spec.H)
+            dW = generate_increments(grid, seed, path_ids)
+            weights.result()
+    else:
+        dW = generate_increments(grid, seed, path_ids)
     values = _from_driver(grid, spec, dW)
     return (values, dW) if driver else values
 

@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochtransport import experiments
+from stochtransport import TimeGrid, experiments
 from stochtransport.cli import _parse_params, main
 from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
+from stochtransport.flow import backward_ensemble_trajectory
+from stochtransport.kernels import HermiteSpec
+from stochtransport.malliavin import _flow_weights
+from stochtransport.noise import simulate_ensemble
+from stochtransport.presets import drift_preset
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -132,6 +138,30 @@ class TestRun:
     def test_csvs_do_not_depend_on_threads(self, tmp_path, base):
         got = self._csvs_by_threads(tmp_path, **base)
         assert got[1] and all(got[k] == got[1] for k in got)
+
+    C = experiments._WEIGHT_CHUNK
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("paths", [3, 2 * C + 276, 4 * C + 9])
+    def test_flow_slices_match_one_whole_solve(self, paths, threads):
+        grid = TimeGrid(T=1.0, n=32)
+        b = drift_preset("sine")
+        z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 5,
+                              np.arange(paths))
+        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
+        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, threads,
+                                         weights=True)
+        assert np.array_equal(y, traj[0])
+        assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
+
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert experiments._thread_count(cfg(threads=0)) == 1
+        assert experiments._thread_count(cfg(threads=3)) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiments._thread_count(cfg(threads=0)) == 8
 
     def test_seed_changes_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

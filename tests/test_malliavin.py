@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from stochtransport import TimeGrid, generate, simulate_fbm
+from stochtransport import TimeGrid, generate, malliavin, simulate_fbm
 from stochtransport.errors import (
     DomainError,
     SampleSizeError,
@@ -314,7 +314,7 @@ class TestDyRoutes:
 
 
 class TestDyNormEnsemble:
-    """The rank-2 ensemble norm against the per-path table route."""
+    """The ensemble norms against the per-path routes and dense formulas."""
 
     @pytest.mark.parametrize("drift, s, t", [
         (SINE, 0.0, 1.0),
@@ -370,6 +370,27 @@ class TestDyNormEnsemble:
         with pytest.raises(DomainError):  # rows of [0, t], not [s, t]
             dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
                              flow_weights=_flow_weights(SINE, grid, traj, 0))
+
+    B = malliavin._PATH_BLOCK
+
+    @pytest.mark.parametrize("paths", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("drift", [SINE, ZERO], ids=["sine", "zero"])
+    @pytest.mark.parametrize("s", [0.0, 0.25])
+    def test_rank1_blocks_equal_the_dense_formula(self, paths, drift, s):
+        grid = TimeGrid(T=1.0, n=64)
+        spec = HermiteSpec.create(1, 0.7)
+        t, x = 0.75, 0.3
+        ks, kt = grid.index_of(s), grid.index_of(t)
+        z = simulate_ensemble(grid, spec, 13, range(paths))
+        traj = backward_ensemble_trajectory(drift, grid, z, x, t)
+        cw = _flow_weights(drift, grid, traj[ks:kt + 1], ks)
+        G = malliavin._dz_table_raw(grid, spec, np.empty((0,)))
+        V = -(G[kt] - G[ks]) + cw.sum(axis=0)[:, None] * G[kt] \
+            - cw.T @ G[ks:kt + 1]
+        want = np.sum(V * V, axis=1) * grid.dt
+        got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
+        assert got.shape == (paths,)
+        assert np.array_equal(got, want)
 
 
 class TestCnDuhamelWeights:

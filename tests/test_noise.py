@@ -1,5 +1,7 @@
 """Noise path construction: kernel schemes, pair matrices, circulant oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,28 @@ def test_ensemble_matches_per_path_simulation():
         w = generate(grid, seed=9, path_id=pid)
         z = simulate_hermite(w, spec)
         assert np.allclose(block[row], z.values, rtol=0, atol=1e-14)
+
+
+def test_rank_one_kernel_built_during_the_draw():
+    from stochtransport.noise import _fbm_weights
+    grid = TimeGrid(T=1.0, n=96)
+    spec = HermiteSpec.create(1, 0.65)
+    _fbm_weights.cache_clear()
+    cold, dW = simulate_ensemble(grid, spec, seed=4, path_ids=range(40),
+                                 driver=True)
+    assert _fbm_weights.cache_info().misses == 1
+    warm = simulate_ensemble(grid, spec, seed=4, path_ids=range(40))
+    assert _fbm_weights.cache_info().misses == 1
+    assert np.array_equal(cold, warm)
+    assert np.array_equal(cold[:, 1:], dW @ _fbm_weights(grid.key(), 0.65).T)
+
+
+def test_rank_one_kernel_error_surfaces_from_the_helper_thread():
+    before = threading.active_count()
+    spec = HermiteSpec(q=1, H=1.2, hp=1.2, c=1.0, d=1.0)  # H unchecked
+    with pytest.raises(DomainError, match="self-similarity index"):
+        simulate_ensemble(TimeGrid(T=1.0, n=16), spec, seed=1, path_ids=[0, 1])
+    assert threading.active_count() == before
 
 
 def test_noise_path_accessors():
