@@ -114,32 +114,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        kind = args.kind or ""
-        try:
-            config = _config_from_args(args, kind)
-        except (DomainError, ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        diags = validate(config)
-        if diags:
-            for d in diags:
-                print(f"invalid: {d}")
-            return 2
-        print("config OK")
-        return 0
-
+    checking = args.command == "validate"
     try:
-        config = _config_from_args(args, args.command)
+        config = _config_from_args(
+            args, (args.kind or "") if checking else args.command)
     except (DomainError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
+    # validate is the one gate: the validate subcommand reports on stdout,
+    # a refused run on stderr.
     diags = validate(config)
+    for d in diags:
+        print(f"invalid: {d}", file=sys.stdout if checking else sys.stderr)
     if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
         return 2
+    if checking:
+        print("config OK")
+        return 0
 
     try:
         manifest = run(config)

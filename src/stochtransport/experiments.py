@@ -21,15 +21,23 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .errors import DomainError, GridError, StochTransportError
-from .flow import backward_ensemble, backward_ensemble_trajectory, forward_ensemble
+from .flow import (
+    _step_plan,
+    backward_ensemble,
+    backward_ensemble_trajectory,
+    forward_ensemble,
+)
 from .grid import TimeGrid
 from .kernels import SUPPORTED_ORDERS, HermiteSpec
 from .malliavin import (
+    _MIN_BOUND_PATHS,
+    _MIN_DENSITY_SAMPLES,
     _flow_weights,
     density_bound_check,
     density_report,
@@ -44,7 +52,13 @@ from .noise import (
     simulate_hermite,
 )
 from .presets import drift_preset, u0_preset
-from .rv import _MIN_SLOPE_POINTS, EpsilonSchedule, _eps_steps, qv_certificate
+from .rv import (
+    _MIN_QV_PATHS,
+    _MIN_SLOPE_POINTS,
+    EpsilonSchedule,
+    _eps_steps,
+    qv_certificate,
+)
 from .transport import TestFunction, weak_form_residual
 from .wiener import generate
 
@@ -58,7 +72,9 @@ KINDS = (
     "bound-check",
 )
 
-_MIN_PATHS = {"qv": 100, "density": 1000, "bound-check": 100}
+_MIN_PATHS = {"qv": _MIN_QV_PATHS, "density": _MIN_DENSITY_SAMPLES,
+              "bound-check": _MIN_BOUND_PATHS}
+_FLOW_KINDS = set(KINDS) - {"noise-stats", "qv"}  # runs that march a flow
 
 _WEIGHT_CHUNK = 512  # paths per flow-weight build in _flow_slices
 
@@ -105,9 +121,28 @@ class ExperimentConfig:
         return self.T if self.t is None else self.t
 
 
+def _type_diags(config: ExperimentConfig) -> list[str]:
+    """One diagnostic per field whose value does not match its annotation.
+
+    An int field takes int, a float field int or float, and neither takes
+    bool (JSON true would otherwise run as 1).
+    """
+    diags = []
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        kinds = tuple((int, float) if k is float else k
+                      for k in get_args(hint) or (hint,))
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            diags.append(f"{name} must be {getattr(hint, '__name__', hint)}, "
+                         f"got {value!r}")
+    return diags
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Return human-readable diagnostics; empty means the config is runnable."""
-    diags = []
+    diags = _type_diags(config)
+    if diags:
+        return diags  # the checks below assume well-typed fields
     if config.kind not in KINDS:
         diags.append(f"unknown experiment kind {config.kind!r}; "
                      f"choose from {', '.join(KINDS)}")
@@ -116,8 +151,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                      f"covers q in {set(SUPPORTED_ORDERS)}")
     if not 0.5 < config.H < 1.0:
         diags.append(f"H must lie in (1/2, 1), got {config.H}")
-    if config.T <= 0:
-        diags.append(f"T must be positive, got {config.T}")
+    if not 0 < config.T < np.inf:  # nan fails too
+        diags.append(f"T must be positive and finite, got {config.T}")
     if config.n < 2:
         diags.append(f"n must be at least 2, got {config.n}")
     floor = _MIN_PATHS.get(config.kind, 1)
@@ -128,8 +163,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("seed must fit in an unsigned 64-bit integer")
     if config.threads < 0:
         diags.append("threads must be >= 0 (0 selects hardware parallelism)")
+    drift = None
     try:
-        drift_preset(config.drift, **config.drift_params)
+        drift = drift_preset(config.drift, **config.drift_params)
     except DomainError as exc:
         diags.append(str(exc))
     try:
@@ -138,12 +174,16 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(str(exc))
     if not np.isfinite(config.x0):
         diags.append("x0 must be finite")
-    if config.dx <= 0:
-        diags.append("dx must be positive")
+    if not 0 < config.dx < np.inf:
+        diags.append("dx must be positive and finite")
 
-    if config.T <= 0 or config.n < 2:
+    if not 0 < config.T < np.inf or config.n < 2:
         return diags  # grid-dependent checks below would be meaningless
     grid = TimeGrid(T=config.T, n=config.n)
+    if drift is not None and config.kind in _FLOW_KINDS \
+            and _step_plan(drift, grid.dt) is None:
+        diags.append(f"drift {config.drift!r} is too steep for n={config.n}: its "
+                     "flow steps have no a-priori iteration count; refine the grid")
     if config.eps_schedule is not None:
         try:
             sched = EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))

@@ -34,12 +34,12 @@ depend on which other states share its array: a path solved alone, in any
 sub-batch or in any order gives the same result.  One guard per step
 checks the last change against the bound the contraction promises and
 raises ConvergenceError when it fails, which catches sup norms declared
-wrong away from the validation sample; it never changes a value.  Steps
-with kappa >= 1, or too many iterations to reach the tolerance, fall back
-to iterating until the largest change over the state is below tolerance.
-Zero-drift flows shortcut, in the same kernel, to pure translation by the
-noise increment, which keeps them exact to the bit and reproducible per
-seed.
+wrong away from the validation sample; it never changes a value.  A grid
+whose steps have no such count -- kappa >= 1, or more than _STEP_MAX_ITER
+iterations to reach the tolerance -- is refused with ResolutionError
+before the first step.  Zero-drift flows shortcut, in the same kernel,
+to pure translation by the noise increment, which keeps them exact to the
+bit and reproducible per seed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ResolutionError
 from .grid import TimeGrid
 from .noise import NoisePath
 
@@ -114,7 +114,7 @@ def _step_plan(b: DriftField, h: float) -> tuple[int, float] | None:
     e0 = |h| sup|b| of its fixed point, so k iterations leave an error of at
     most kappa^k e0 <= _STEP_TOL, and the last change is at most
     (1 + kappa) kappa^(k-1) e0, the guard bound.  None when kappa >= 1 or k
-    would exceed _STEP_MAX_ITER; such steps iterate to a joint tolerance.
+    would exceed _STEP_MAX_ITER: the grid is too coarse for this drift.
     """
     kappa = 0.5 * abs(h) * b.sup_norm_bprime
     e0 = abs(h) * b.sup_norm_b
@@ -129,41 +129,28 @@ def _step_plan(b: DriftField, h: float) -> tuple[int, float] | None:
 
 
 def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
-                plan: tuple[int, float] | None):
-    """Solve x = rhs + (h/2) * b(t_new, x) by fixed-point iteration.
+                plan: tuple[int, float]):
+    """Solve x = rhs + (h/2) * b(t_new, x) by the plan's k iterations.
 
-    With a plan (_step_plan), run exactly its k iterations: no test reads
-    the data, so each component's bits do not depend on the others.  The
-    guard compares the last change with the plan's bound (plus roundoff
-    slack) and raises ConvergenceError when the declared sup norms did not
-    hold along the step.  Without a plan, every component iterates until
-    the largest change falls below the tolerance.
+    No stopping test reads the data, so each component's bits do not depend
+    on the others.  The guard compares the last change with the plan's bound
+    (plus roundoff slack) and raises ConvergenceError when the declared sup
+    norms did not hold along the step.
     """
     half = 0.5 * h
+    k, bound = plan
     x = x_guess
-    if plan is not None:
-        k, bound = plan
-        for _ in range(k):
-            x_prev = x
-            x = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
-        gap = float(np.max(np.abs(x - x_prev)))
-        if gap > bound and \
-                gap > bound + _STEP_SLACK * (1.0 + float(np.max(np.abs(x)))):
-            raise ConvergenceError(
-                f"drift step changed by {gap:.3g} after {k} iterations, above "
-                f"the {bound:.3g} its declared sup norms allow; check "
-                "sup_norm_b and sup_norm_bprime", residual=gap)
-        return x
-    x = np.asarray(x, dtype=float)
-    for _ in range(_STEP_MAX_ITER):
-        x_next = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
-        gap = np.max(np.abs(x_next - x))
-        x = x_next
-        if gap <= _STEP_TOL * (1.0 + np.max(np.abs(x))):
-            return x
-    raise ConvergenceError(
-        f"drift step did not contract (h*sup|b'| = {abs(h) * b.sup_norm_bprime:.3g}); "
-        "refine the grid", residual=float(gap))
+    for _ in range(k):
+        x_prev = x
+        x = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
+    gap = float(np.max(np.abs(x - x_prev)))
+    if gap > bound and \
+            gap > bound + _STEP_SLACK * (1.0 + float(np.max(np.abs(x)))):
+        raise ConvergenceError(
+            f"drift step changed by {gap:.3g} after {k} iterations, above "
+            f"the {bound:.3g} its declared sup norms allow; check "
+            "sup_norm_b and sup_norm_bprime", residual=gap)
+    return x
 
 
 def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
@@ -188,6 +175,11 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
     pts = grid.points
     h = sign * grid.dt
     plan = _step_plan(b, h)
+    if plan is None:
+        raise ResolutionError(
+            f"drift step does not contract within {_STEP_MAX_ITER} iterations "
+            f"(dt*sup|b'|/2 = {0.5 * grid.dt * b.sup_norm_bprime:.3g}); "
+            "refine the grid")
     traj = np.empty((kt - ks + 1,) + x.shape) if record else None
     if record:
         traj[start - ks] = x
@@ -222,14 +214,12 @@ def backward_trajectory(b: DriftField, Z: NoisePath, x, t: float):
 
 
 def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
-                 tol: float | None = None, max_iter: int = 64,
-                 warm_start: bool = False) -> tuple[float, int]:
+                 tol: float | None = None, max_iter: int = 64) -> tuple[float, int]:
     """Solve the time-reversed equation at reversed time u by Picard iteration.
 
     Iterates R(a) = x - int_0^u b(t-a, R(a)) da - (Z_t - Z_{t-u}) on the
     reversed lattice a = 0..u with trapezoidal quadrature, starting from
-    R == x (or from x plus the noise term if warm_start).  Returns
-    (R(u), iterations); the converged value does not depend on the start.
+    R == x.  Returns (R(u), iterations).
     """
     grid = Z.grid
     if u > t:
@@ -246,11 +236,10 @@ def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
     z_term = -(Z.values[kt] - Z.values[kt - np.arange(ku + 1)])
     h = grid.dt
 
-    R = x + z_term if warm_start else np.full(ku + 1, float(x))
+    R = np.full(ku + 1, float(x))
     for it in range(1, max_iter + 1):
-        drift = np.asarray(b.b(rev_times, R), dtype=float)
-        if np.isscalar(drift) or drift.ndim == 0:
-            drift = np.full(ku + 1, float(drift))
+        drift = np.broadcast_to(np.asarray(b.b(rev_times, R), dtype=float),
+                                R.shape)
         # cumulative trapezoid of -b(t-a, R(a)) over the reversed lattice
         integral = np.concatenate(
             ([0.0], np.cumsum(0.5 * h * (drift[1:] + drift[:-1]))))

@@ -40,12 +40,18 @@ __all__ = [
     "c_H",
     "kernel_KH",
     "kernel_KH_matrix",
-    "kernel_dKH",
     "kernel_L",
     "d_H",
 ]
 
 SUPPORTED_ORDERS = (1, 2)
+
+# Gauss rule sizes, one per integral.
+_KH_NODES = 48  # kernel_KH
+_KH_MATRIX_NODES = 24  # kernel_KH_matrix
+_L_NODES = 12  # each panel of _kernel_L_hp
+_PSI_NODES = 20  # each panel of _psi
+_NORM_NODES = 48  # the outer rule of _norm_L1_sq
 
 
 def _check_rank(q: int) -> int:
@@ -87,7 +93,7 @@ def _jacobi(n: int, alpha: float, beta: float):
     return x, w
 
 
-def kernel_KH(t: float, s: float, H: float, nodes: int = 48) -> float:
+def kernel_KH(t: float, s: float, H: float) -> float:
     """Volterra kernel K_H(t, s); zero when t <= s.
 
     The integrand (u-s)^(H-3/2) u^(H-1/2) is integrated with a Gauss–Jacobi
@@ -99,15 +105,15 @@ def kernel_KH(t: float, s: float, H: float, nodes: int = 48) -> float:
         raise DomainError(f"kernel argument s must be positive, got {s}")
     if t <= s:
         return 0.0
-    x, w = _jacobi(nodes, 0.0, H - 1.5)
+    x, w = _jacobi(_KH_NODES, 0.0, H - 1.5)
     half = (t - s) / 2.0
     u = s + half * (x + 1.0)
     integral = half ** (H - 0.5) * float(w @ u ** (H - 0.5))
     return c_H(H) * s ** (0.5 - H) * integral
 
 
-def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray, H: float,
-                     nodes: int = 24) -> np.ndarray:
+def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray,
+                     H: float) -> np.ndarray:
     """Matrix K_H(t_k, s_i) over all pairs, zeros where t_k <= s_i.
 
     Vectorized version of kernel_KH used to assemble the lattice
@@ -118,12 +124,12 @@ def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray, H: float,
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values <= 0):
         raise DomainError("kernel arguments s must be positive")
-    x, w = _jacobi(nodes, 0.0, H - 1.5)
+    x, w = _jacobi(_KH_MATRIX_NODES, 0.0, H - 1.5)
     out = np.zeros((t_values.size, s_values.size))
     c = c_H(H)
     spow = s_values ** (0.5 - H)
     # Chunk over t to keep the (t, s, nodes) intermediate at a modest size.
-    chunk = max(1, int(2e6) // max(1, s_values.size * nodes))
+    chunk = max(1, int(2e6) // max(1, s_values.size * _KH_MATRIX_NODES))
     for lo in range(0, t_values.size, chunk):
         hi = min(lo + chunk, t_values.size)
         tc = t_values[lo:hi, None]
@@ -134,16 +140,6 @@ def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray, H: float,
         integral = halfm ** (H - 0.5) * (u ** (H - 0.5) @ w)
         out[lo:hi] = np.where(mask, c * spow[None, :] * integral, 0.0)
     return out
-
-
-def kernel_dKH(t: float, s: float, H: float):
-    """Partial derivative of K_H in its first argument: dK_H(t, s), s < t."""
-    H = _check_hurst(H)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0) or np.any(s >= t):
-        raise DomainError("dK_H requires 0 < s < t")
-    val = c_H(H) * (s / t) ** (0.5 - H) * (t - s) ** (H - 1.5)
-    return float(val) if val.ndim == 0 else val
 
 
 def _dkh_profile(u: np.ndarray, y: float, Hp: float, c: float) -> np.ndarray:
@@ -163,7 +159,7 @@ def kernel_L(t: float, y, spec: "HermiteSpec") -> float:
     return _kernel_L_hp(t, y, spec.hp)
 
 
-def _kernel_L_hp(t: float, y: np.ndarray, hp: float, nodes: int = 12) -> float:
+def _kernel_L_hp(t: float, y: np.ndarray, hp: float) -> float:
     """kernel_L by the one-dimensional index H' alone (any argument count).
 
     The u-integral is singular at u = max(y) (Jacobi panel) and, when two
@@ -192,13 +188,13 @@ def _kernel_L_hp(t: float, y: np.ndarray, hp: float, nodes: int = 12) -> float:
     edge = min(t, m + min(gap, t - m))
 
     # Singular panel [m, edge]: Jacobi weight (u - m)^(H'-3/2).
-    xj, wj = _jacobi(nodes, 0.0, hp - 1.5)
+    xj, wj = _jacobi(_L_NODES, 0.0, hp - 1.5)
     half = (edge - m) / 2.0
     u = m + half * (xj + 1.0)
     total = half ** (hp - 0.5) * float(wj @ smooth_part(u))
 
     # Geometric Legendre panels [edge, t]; integrand now includes the factor.
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(_L_NODES)
     lo = edge
     width = edge - m
     while lo < t - 1e-15 * max(1.0, t):
@@ -211,7 +207,7 @@ def _kernel_L_hp(t: float, y: np.ndarray, hp: float, nodes: int = 12) -> float:
     return float(total)
 
 
-def _psi(r: float, hp: float, nodes: int = 20) -> float:
+def _psi(r: float, hp: float) -> float:
     """Cross moment psi(r) = int_0^1 dK(r, y) dK(1, y) dy for r > 1.
 
     The integrand c^2 r^(H'-1/2) y^(1-2H') (r-y)^(H'-3/2) (1-y)^(H'-3/2)
@@ -226,20 +222,20 @@ def _psi(r: float, hp: float, nodes: int = 20) -> float:
     g = min(r - 1.0, 0.5)
 
     # Left Jacobi panel [0, 1/2], weight y^(1-2H') at the lower endpoint.
-    xl, wl = _jacobi(nodes, 0.0, 1.0 - 2.0 * hp)
+    xl, wl = _jacobi(_PSI_NODES, 0.0, 1.0 - 2.0 * hp)
     y = 0.25 * (xl + 1.0)
     smooth = (r - y) ** (hp - 1.5) * (1.0 - y) ** (hp - 1.5)
     total = 0.25 ** (2.0 - 2.0 * hp) * float(wl @ smooth)
 
     # Right Jacobi panel [1-g, 1], weight (1-y)^(H'-3/2) at the upper end.
-    xr, wr = _jacobi(nodes, hp - 1.5, 0.0)
+    xr, wr = _jacobi(_PSI_NODES, hp - 1.5, 0.0)
     half = g / 2.0
     y = 1.0 - g + half * (xr + 1.0)
     smooth = y ** (1.0 - 2.0 * hp) * (r - y) ** (hp - 1.5)
     total += half ** (hp - 0.5) * float(wr @ smooth)
 
     # Geometric Legendre panels filling (1/2, 1-g), doubling away from y=1.
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(_PSI_NODES)
     hi = 1.0 - g
     width = g
     while hi > 0.5 + 1e-15:
@@ -253,7 +249,7 @@ def _psi(r: float, hp: float, nodes: int = 20) -> float:
     return pref * total
 
 
-def _norm_L1_sq(q: int, H: float, nodes: int = 48) -> float:
+def _norm_L1_sq(q: int, H: float) -> float:
     """Squared L2([0,1]^q) norm of the rank-q kernel L_1.
 
     Exact reductions do the heavy lifting: writing L as a u-integral of
@@ -269,7 +265,7 @@ def _norm_L1_sq(q: int, H: float, nodes: int = 48) -> float:
     """
     hp = hurst_prime(q, H)
     a = 2.0 * H - 2.0
-    xj, wj = _jacobi(nodes, a, 0.0)
+    xj, wj = _jacobi(_NORM_NODES, a, 0.0)
     x = 0.5 * (xj + 1.0)
     vals = np.empty_like(x)
     for i, xi in enumerate(x):
@@ -321,7 +317,3 @@ class HermiteSpec:
         q = _check_rank(q)
         hp = hurst_prime(q, H)
         return cls(q=q, H=H, hp=hp, c=c_H(hp), d=d_H(q, H))
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.q == 1

@@ -82,6 +82,9 @@ __all__ = [
 _UNIVERSAL_FLOOR = 1.0 - 0.5 * np.exp(-1.0)  # 1 + min of -x exp(-2x)
 _FLOOR_SLACK = 1e-6
 _PATH_BLOCK = 256  # paths per block of the rank-1 norm reduction
+_VOLTERRA_TOL = 1e-10  # residual guard of dY_integral_eq, relative to |h|
+_MIN_BOUND_PATHS = 100  # fewest paths density_bound_check accepts
+_MIN_DENSITY_SAMPLES = 1000  # fewest samples density_report accepts
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,6 @@ class MalliavinPath:
             raise DomainError(f"unknown axis {self.axis!r}")
         object.__setattr__(self, "l2_norm_sq", norm)
         v.flags.writeable = False
-
-    def rows(self) -> list[tuple[float, float]]:
-        """(location, value) pairs for CSV output."""
-        if self.axis == "alpha":
-            locs = self.grid.midpoints
-        else:
-            locs = self.grid.points[: self.values.size]
-        return [(float(a), float(v)) for a, v in zip(locs, self.values)]
 
 
 def _step_of(grid: TimeGrid, alpha: float) -> int:
@@ -221,21 +216,6 @@ def increment_derivative(Z: NoisePath) -> Callable:
     return DZ
 
 
-def _checked_flow(y_path: np.ndarray, shape: tuple, x: float) -> np.ndarray:
-    """A precomputed inverse flow on grid rows 0..kt, validated.
-
-    shape is (kt+1,) for one path or (kt+1, paths); the anchor row kt must
-    equal x exactly.
-    """
-    y = np.asarray(y_path, dtype=float)
-    if y.shape != shape:
-        raise DomainError(
-            f"precomputed flow has shape {y.shape}, expected {shape}")
-    if np.any(y[-1] != x):
-        raise DomainError("precomputed flow does not end at the anchor point")
-    return y
-
-
 def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
                         ks: int) -> np.ndarray:
     """gam * exp(-int gam) along flow rows, with gam = b'(r, Y_{r,t}(x)).
@@ -306,15 +286,13 @@ def _cn_duhamel_weights(gam: np.ndarray, dt: float) -> np.ndarray:
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
-                   t: float, alpha: float, x: float,
-                   y_path: np.ndarray | None = None) -> float:
+                   t: float, alpha: float, x: float) -> float:
     """D_alpha Y_{s,t}(x) by the explicit integrating-factor formula.
 
     Evaluates the Duhamel solution of the same trapezoid-discretized
     Volterra system that dY_integral_eq solves sequentially, so the two
     routes agree to roundoff on any grid.  DZ must follow the
-    increment_derivative convention; y_path optionally supplies the
-    precomputed inverse flow on grid rows 0..index(t).
+    increment_derivative convention.
     """
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
@@ -323,21 +301,19 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
     h_s = float(DZ(s, t, alpha))
     if ks == kt or b.is_zero:
         return h_s
-    y = backward_trajectory(b, Z, x, t) if y_path is None \
-        else _checked_flow(y_path, (kt + 1,), x)
+    y = backward_trajectory(b, Z, x, t)
     # reversed clock: j = 0..m maps to calendar time t - j*dt
     rev = grid.points[kt:ks - 1:-1] if ks > 0 else grid.points[kt::-1]
     yrev = y[kt:ks - 1:-1] if ks > 0 else y[kt::-1]
-    gam = np.asarray(b.b_prime(rev, yrev), dtype=float)
-    if gam.ndim == 0:
-        gam = np.full(rev.size, float(gam))
+    gam = np.broadcast_to(np.asarray(b.b_prime(rev, yrev), dtype=float),
+                          rev.shape)
     h = np.asarray(DZ(rev, t, alpha), dtype=float)
     w = _cn_duhamel_weights(gam, grid.dt)
     return float(h[-1] - grid.dt * (w @ h))
 
 
-def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float, x: float,
-               y_path: np.ndarray | None = None) -> MalliavinPath:
+def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
+               x: float) -> MalliavinPath:
     """The whole alpha-profile of D Y_{s,t}(x) in one vectorized pass."""
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
@@ -346,8 +322,7 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float, x: float,
     base = -(G[kt] - G[ks])
     if ks == kt or b.is_zero:
         return MalliavinPath(grid=grid, values=base, target=target)
-    y = backward_trajectory(b, Z, x, t) if y_path is None \
-        else _checked_flow(y_path, (kt + 1,), x)
+    y = backward_trajectory(b, Z, x, t)
     cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
     values = base + G[kt] * cw.sum() - cw @ G[ks:kt + 1]
     return MalliavinPath(grid=grid, values=values, target=target)
@@ -454,13 +429,13 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
 
 
 def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
-                   alpha: float, x: float, tol: float = 1e-10) -> MalliavinPath:
+                   alpha: float, x: float) -> MalliavinPath:
     """D_alpha of the time-reversed state, all reversed times u in [0, t].
 
     Solves the linear Volterra equation by forward substitution with
     trapezoidal quadrature; entry j is D_alpha Y_{t - u_j, t}(x).  The
-    solve is direct; tol bounds the a-posteriori residual of the discrete
-    system (a roundoff guard, not an iteration control).
+    solve is direct; _VOLTERRA_TOL bounds the a-posteriori residual of the
+    discrete system (a roundoff guard, not an iteration control).
     """
     grid = Z.grid
     kt = grid.index_of(t)
@@ -471,9 +446,8 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     if kt == 0 or b.is_zero:
         return MalliavinPath(grid=grid, values=h, target=target, axis="time")
     y = backward_trajectory(b, Z, x, t)
-    gam = np.asarray(b.b_prime(rev, y[::-1]), dtype=float)
-    if gam.ndim == 0:
-        gam = np.full(rev.size, float(gam))
+    gam = np.broadcast_to(np.asarray(b.b_prime(rev, y[::-1]), dtype=float),
+                          rev.shape)
     dt = grid.dt
     pivots = 1.0 + 0.5 * dt * gam
     if np.any(np.abs(pivots) < 0.5):
@@ -488,23 +462,21 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     gd = gam * D
     trap = np.concatenate(([0.0], np.cumsum(0.5 * dt * (gd[1:] + gd[:-1]))))
     residual = float(np.max(np.abs(D + trap - h)))
-    if residual > tol * (1.0 + float(np.max(np.abs(h)))):
-        raise NumericError(
-            f"Volterra residual {residual:.3e} above tolerance {tol:.1e}")
+    if residual > _VOLTERRA_TOL * (1.0 + float(np.max(np.abs(h)))):
+        raise NumericError(f"Volterra residual {residual:.3e} above "
+                           f"tolerance {_VOLTERRA_TOL:.1e}")
     return MalliavinPath(grid=grid, values=D, target=target, axis="time")
 
 
-def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec, times=None) -> float:
+def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
     """max over a probe (u, t) grid of E ||D(Z_t - Z_u)||^2.
 
     Deterministic, by the isometry E ||D F||^2 = q E F^2 of a rank-q chaos:
     q (Var Z_u + Var Z_t - 2 Cov(Z_u, Z_t)) of the lattice noise.
-    Diagnostic only; the probe grid defaults to 0 and the eighths of [0, T],
-    whose pair matrices the rank-2 calibration pass has already recorded.
+    Diagnostic only; the probe grid is 0 and the eighths of [0, T], whose
+    pair matrices the rank-2 calibration pass has already recorded.
     """
-    if times is None:
-        times = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
-    probes = grid.points[sorted({grid.index_of(t) for t in np.atleast_1d(times)})]
+    probes = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
     var = [lattice_variance(grid, spec, t) for t in probes]
     worst = 0.0
     for i, u in enumerate(probes):
@@ -531,17 +503,6 @@ class BoundCheckReport:
     def min_bracket(self) -> float:
         return float(np.min(self.brackets))
 
-    def to_dict(self) -> dict:
-        q = np.quantile(self.brackets, [0.0, 0.05, 0.5, 1.0])
-        return {
-            "s": self.s, "t": self.t, "x": self.x, "paths": self.paths,
-            "min_bracket": q[0], "q05_bracket": q[1],
-            "median_bracket": q[2], "max_bracket": q[3],
-            "floor_condition": self.floor_condition,
-            "floor_universal": self.floor_universal,
-            "passed": self.passed,
-        }
-
 
 def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                         s: float, t: float, x: float,
@@ -559,8 +520,9 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 2 or z.shape[1] != grid.n + 1:
         raise DomainError(f"ensemble shape {z.shape} does not match the grid")
-    if z.shape[0] < 100:
-        raise SampleSizeError(f"need at least 100 paths, got {z.shape[0]}")
+    if z.shape[0] < _MIN_BOUND_PATHS:
+        raise SampleSizeError(
+            f"need at least {_MIN_BOUND_PATHS} paths, got {z.shape[0]}")
     ks, kt = _check_times(grid, s, t)
     if ks == kt:
         brackets = np.ones(z.shape[0])
@@ -623,35 +585,25 @@ class DensityReport:
         return bool(self.mass_ok and self.max_cdf_jump <= self.atom_bound
                     and self.min_norm_sq > 0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count, "bandwidth": self.bandwidth,
-            "mass": self.mass, "max_cdf_jump": self.max_cdf_jump,
-            "min_norm_sq": self.min_norm_sq,
-            "norm_quantiles": dict(self.norm_quantiles),
-            "passed": self.passed,
-        }
 
-
-def density_report(samples: np.ndarray, norms: np.ndarray,
-                   bandwidth_rule="silverman") -> DensityReport:
+def density_report(samples: np.ndarray, norms: np.ndarray) -> DensityReport:
     """Atom and degeneracy diagnostics for a Monte Carlo sample.
 
     samples are realizations of the target functional, norms the matching
     per-path ||DF||^2 values.  Flags: the KDE must keep its mass on the
     evaluation grid, the largest empirical-CDF jump must not exceed
     3/sqrt(N) (no atoms) and every norm must be positive (derivative
-    criterion).  bandwidth_rule is any scipy KDE bw_method.
+    criterion).  The KDE bandwidth follows Silverman's rule.
     """
     samples = np.asarray(samples, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if samples.ndim != 1 or norms.shape != samples.shape:
         raise DomainError("samples and norms must be matching 1-d arrays")
     N = samples.size
-    if N < 1000:
-        raise SampleSizeError(f"need at least 1000 samples, got {N}")
+    if N < _MIN_DENSITY_SAMPLES:
+        raise SampleSizeError(f"need at least {_MIN_DENSITY_SAMPLES} samples, got {N}")
 
-    kde = gaussian_kde(samples, bw_method=bandwidth_rule)
+    kde = gaussian_kde(samples, bw_method="silverman")
     bw = float(np.sqrt(kde.covariance[0, 0]))
     x_grid = np.linspace(samples.min() - 5 * bw, samples.max() + 5 * bw, 801)
     density = kde(x_grid)

@@ -107,9 +107,6 @@ class NoisePath:
     def value_at(self, t: float) -> float:
         return float(self.values[self.grid.index_of(t)])
 
-    def increment(self, s: float, t: float) -> float:
-        return self.value_at(t) - self.value_at(s)
-
 
 @lru_cache(maxsize=32)
 def _fbm_weights(grid_key, H: float) -> np.ndarray:

@@ -140,7 +140,7 @@ def drift_preset(name: str, **params) -> DriftField:
             f"{sorted(DRIFT_PRESETS)}") from None
     try:
         return factory(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # also a value float() refuses
         raise DomainError(f"bad parameters for drift preset {name!r}: {exc}") from None
 
 
@@ -154,7 +154,7 @@ def u0_preset(name: str, **params) -> InitialDatum:
             f"{sorted(U0_PRESETS)}") from None
     try:
         return factory(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # also a value float() refuses
         raise DomainError(f"bad parameters for u0 preset {name!r}: {exc}") from None
 
 

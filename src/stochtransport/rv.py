@@ -7,8 +7,7 @@ Two estimators built from mollified increments of a path X on a TimeGrid:
 
 X is frozen outside the horizon (X_s := X_0 for s < 0 and X_s := X_T for
 s > T), which makes both estimators total functions of grid data at the cost
-of an O(eps) boundary layer; `interior_only` restricts the s-range to
-[eps, t - eps] so the layer can be reported separately.  All time integrals
+of an O(eps) boundary layer.  All time integrals
 are left-endpoint Riemann sums with step dt, and eps must be an integer
 multiple of dt so the difference quotients never interpolate.
 
@@ -31,6 +30,8 @@ from .noise import NoisePath
 
 # Fewest eps values that qv_certificate fits its decay slope through.
 _MIN_SLOPE_POINTS = 3
+# Fewest paths that qv_certificate averages the bracket over.
+_MIN_QV_PATHS = 100
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,12 @@ def _as_values(obj, grid: TimeGrid):
     return arr
 
 
-def symmetric_integral_eps(Y, X, eps: float, t: float, grid: TimeGrid | None = None,
-                           interior_only: bool = False) -> float:
+def symmetric_integral_eps(Y, X, eps: float, t: float,
+                           grid: TimeGrid | None = None) -> float:
     """Mollified integral int_0^t Y_s dX_s at regularization width eps.
 
     Y may be a NoisePath or an array on grid points (e.g. a deterministic
-    integrand); X supplies the increments.  With interior_only the s-range
-    shrinks to [eps, t - eps], removing the frozen-boundary layer.
+    integrand); X supplies the increments.
     """
     g = _resolve_grid(grid, X, Y)
     xv = _as_values(X, g)
@@ -111,10 +111,6 @@ def symmetric_integral_eps(Y, X, eps: float, t: float, grid: TimeGrid | None = N
     k = _eps_steps(g, eps)
     K = g.index_of(t)
     idx = np.arange(K)
-    if interior_only:
-        idx = idx[(idx >= k) & (idx < K - k)]
-        if idx.size == 0:
-            raise ResolutionError("interior range [eps, t-eps] is empty at this eps")
     hi = np.minimum(idx + k, g.n)
     lo = np.maximum(idx - k, 0)
     quot = (xv[hi] - xv[lo]) / (2.0 * eps)
@@ -155,13 +151,6 @@ class QVReport:
     t: float
     paths: int
 
-    def summary(self) -> dict:
-        return {
-            "slope": self.slope,
-            "target": self.target,
-            "pass": bool(self.passed),
-        }
-
     def rows(self) -> list[tuple[float, float, float]]:
         return [(float(e), float(m), float(s))
                 for e, m, s in zip(self.eps, self.means, self.stderrs)]
@@ -178,8 +167,9 @@ def qv_certificate(values: np.ndarray, grid: TimeGrid, H: float,
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != grid.n + 1:
         raise DomainError("values must be a (paths, n+1) matrix on grid points")
-    if values.shape[0] < 100:
-        raise SampleSizeError(f"need at least 100 paths, got {values.shape[0]}")
+    if values.shape[0] < _MIN_QV_PATHS:
+        raise SampleSizeError(
+            f"need at least {_MIN_QV_PATHS} paths, got {values.shape[0]}")
     if len(schedule) < _MIN_SLOPE_POINTS:
         raise DomainError(
             f"slope fit needs at least {_MIN_SLOPE_POINTS} eps values")

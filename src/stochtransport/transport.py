@@ -168,24 +168,13 @@ class WeakFormReport:
     residual: float
     relative_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t, "eps": self.eps, "dt": self.dt, "dx": self.dx,
-            "lhs": self.lhs, "terms": list(self.terms),
-            "residual": self.residual,
-            "relative_residual": self.relative_residual,
-        }
-
 
 def weak_form_residual(u0: InitialDatum, b: DriftField, Z: NoisePath,
                        phi: TestFunction, t: float, eps: float,
-                       x_quadrature: np.ndarray,
-                       u_field: np.ndarray | None = None) -> WeakFormReport:
+                       x_quadrature: np.ndarray) -> WeakFormReport:
     """Evaluate both sides of the weak identity at time t.
 
     x_quadrature must contain phi's support padded by at least one cell.
-    u_field optionally reuses a precomputed solution_field table (it is the
-    expensive part and does not depend on eps).
     """
     x = np.asarray(x_quadrature, dtype=float)
     if np.any(np.diff(x) <= 0):
@@ -197,10 +186,7 @@ def weak_form_residual(u0: InitialDatum, b: DriftField, Z: NoisePath,
 
     grid = Z.grid
     kt = grid.index_of(t)
-    if u_field is None:
-        u_field = solution_field(u0, b, Z, t, x)
-    if u_field.shape != (kt + 1, x.size):
-        raise DomainError("u_field has the wrong shape for this grid/node set")
+    u_field = solution_field(u0, b, Z, t, x)
 
     phi_x = np.asarray(phi.phi(x), dtype=float)
     dphi_x = np.asarray(phi.phi_prime(x), dtype=float)

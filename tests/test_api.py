@@ -1,7 +1,9 @@
 """The public surface: the exported names, and the names the benchmark traces."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,6 +40,117 @@ PUBLIC = {
     # presets
     "DRIFT_PRESETS", "U0_PRESETS", "drift_preset", "u0_preset",
 }
+
+
+# The parameters of every exported callable, in order; "name=" marks an
+# optional one and "name**" a keyword catch-all.  A new option has to be
+# added here on purpose.
+SIGNATURES = {
+    "DriftField": "b b_prime sup_norm_b sup_norm_bprime name=",
+    "backward_ensemble": "b grid z_values x s t",
+    "backward_flow": "b Z x s t",
+    "backward_trajectory": "b Z x t",
+    "forward_ensemble": "b grid z_values x s t",
+    "forward_flow": "b Z x s t",
+    "picard_solve": "b Z x t u tol= max_iter=",
+    "BoundCheckReport":
+        "s t x paths brackets floor_condition floor_universal passed",
+    "DensityReport": "count bandwidth x_grid density mass max_cdf_jump "
+                     "min_norm_sq norm_quantiles",
+    "MalliavinPath": "grid values target axis=",
+    "dY_closed_form": "b Z DZ s t alpha x",
+    "dY_integral_eq": "b Z DZ t alpha x",
+    "dY_profile": "b Z s t x",
+    "density_bound_check": "b grid z_values s t x strict=",
+    "density_report": "samples norms",
+    "dy_norm_ensemble": "b grid spec z_values s t x dW= flow_weights=",
+    "dz_fbm": "t alpha H",
+    "dz_hermite": "w t alpha spec",
+    "dz_norm_ensemble": "grid spec dW t",
+    "dz_table": "Z",
+    "increment_derivative": "Z",
+    "mt_diagnostic": "grid spec",
+    "lattice_covariance": "grid spec s t",
+    "lattice_variance": "grid spec t",
+    "drift_preset": "name params**",
+    "u0_preset": "name params**",
+    "EpsilonSchedule": "values",
+    "QVReport": "eps means stderrs slope target passed t paths",
+    "covariation_eps": "X Y eps t grid=",
+    "qv_certificate": "values grid H schedule t=",
+    "symmetric_integral_eps": "Y X eps t grid=",
+    "InitialDatum": "u0 u0_prime lower_bound_sq_derivative= name=",
+    "TestFunction": "phi phi_prime support name=",
+    "WeakFormReport": "t eps dt dx lhs terms residual relative_residual",
+    "solution_field": "u0 b Z t x_nodes mesh_dx= pad=",
+    "weak_form_residual": "u0 b Z phi t eps x_quadrature",
+    "TimeGrid": "T n",
+    "HermiteSpec": "q H hp c d",
+    "c_H": "H",
+    "d_H": "q H",
+    "hurst_prime": "q H",
+    "kernel_KH": "t s H",
+    "kernel_L": "t y spec",
+    "NoisePath": "grid spec values source",
+    "simulate_ensemble": "grid spec seed path_ids driver=",
+    "simulate_fbm": "w H",
+    "simulate_fbm_circulant": "grid H seed path_ids",
+    "simulate_hermite": "w spec",
+    "Perturbation": "a b delta",
+    "WienerLattice": "grid seed path_id increments",
+    "generate": "grid seed path_id=",
+    "generate_increments": "grid seed path_ids",
+}
+
+# Public attributes of the exported classes beyond their dataclass fields.
+CLASS_MEMBERS = {
+    "DriftField": {"is_zero"},
+    "BoundCheckReport": {"min_bracket"},
+    "DensityReport": {"MASS_RANGE", "atom_bound", "mass_ok", "passed"},
+    "MalliavinPath": set(),
+    "EpsilonSchedule": {"dyadic"},
+    "QVReport": {"rows"},
+    "InitialDatum": set(),
+    "TestFunction": {"bump"},
+    "WeakFormReport": set(),
+    "TimeGrid": {"dt", "index_of", "key", "midpoints"},
+    "HermiteSpec": {"create"},
+    "NoisePath": {"driver", "value_at"},
+    "Perturbation": {"perturb", "step_mask"},
+    "WienerLattice": {"values"},
+}
+
+
+def _exported():
+    """(name, object) of every exported callable but the exceptions."""
+    for name in stochtransport.__all__:
+        obj = getattr(stochtransport, name)
+        if callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, BaseException)):
+            yield name, obj
+
+
+def _signature(obj) -> str:
+    marks = {inspect.Parameter.VAR_KEYWORD: "**"}
+    return " ".join(
+        p.name + ("=" if p.default is not p.empty else marks.get(p.kind, ""))
+        for p in inspect.signature(obj).parameters.values())
+
+
+def test_signatures_are_pinned():
+    """Every exported callable takes exactly the parameters listed above."""
+    got = {name: _signature(obj) for name, obj in _exported()}
+    assert got == SIGNATURES
+
+
+def test_class_members_are_pinned():
+    got = {}
+    for name, cls in _exported():
+        if isinstance(cls, type):
+            fieldnames = {f.name for f in dataclasses.fields(cls)}
+            got[name] = {a for a in vars(cls)
+                         if not a.startswith("_") and a not in fieldnames}
+    assert got == CLASS_MEMBERS
 
 
 def test_exports_are_pinned():

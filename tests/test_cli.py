@@ -49,6 +49,13 @@ class TestValidate:
         assert "T must be positive" in text
         assert "paths" in text
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizon_and_step_flagged(self, bad):
+        assert any("T must be positive and finite" in d
+                   for d in validate(cfg(T=bad)))
+        assert any("dx must be positive and finite" in d
+                   for d in validate(cfg(dx=bad)))
+
     def test_eps_under_resolution_flagged(self):
         diags = validate(cfg(eps_schedule=[0.25, 0.125, 1e-4]))
         assert any("eps" in d for d in diags)
@@ -73,6 +80,19 @@ class TestValidate:
         diags = validate(cfg(kind="???", q=9, H=2.0, T=0.0, n=0, paths=-1,
                              seed=-2, threads=-1, drift="x", u0="y"))
         assert len(diags) >= 6
+
+    def test_non_numeric_preset_parameter_is_a_diagnostic(self):
+        diags = validate(cfg(kind="flow", drift="sine", drift_params={"a": "x"}))
+        assert any("bad parameters for drift preset" in d for d in diags)
+
+    def test_steep_drift_flagged_for_flow_kinds_only(self):
+        steep = dict(drift="sine", drift_params={"a": 5000.0}, n=16)
+        assert any("refine the grid" in d
+                   for d in validate(cfg(kind="flow", **steep)))
+        assert validate(cfg(kind="noise-stats", **steep)) == []
+
+    def test_int_accepted_for_float_fields(self):
+        assert validate(cfg(T=1, H=0.7, x0=0)) == []
 
     def test_unknown_config_field_rejected(self):
         with pytest.raises(DomainError):
@@ -251,6 +271,32 @@ class TestCliMain:
         rc = main(["validate", "--config", str(bad)])
         assert rc == 2
         assert "unsupported noise order" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "flow", "n": 10.5},
+        {"paths": "7"},
+        {"kind": "qv", "seed": 1.5},
+        {"kind": "qv", "threads": True},
+        {"kind": "qv", "H": "0.7"},
+        {"kind": "qv", "t": False},
+        {"kind": "flow", "drift_params": [5.0]},
+        {"kind": "qv", "eps_schedule": 0.125},
+    ])
+    def test_mistyped_config_value_exits_two(self, tmp_path, capsys, fields):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(fields))
+        assert main(["validate", "--config", str(path)]) == 2
+        name = next(k for k in fields if k != "kind")
+        assert f"{name} must be" in capsys.readouterr().out
+        assert main(["qv", "--config", str(path), "--out",
+                     str(tmp_path / "r")]) == 2
+
+    def test_drift_too_steep_for_the_grid_exits_two(self, tmp_path, capsys):
+        argv = ["--drift", "sine", "--drift-param", "a=5000", "--n", "16"]
+        assert main(["validate", "--kind", "flow"] + argv) == 2
+        assert "refine the grid" in capsys.readouterr().out
+        assert main(["flow"] + argv + ["--out", str(tmp_path)]) == 2
+        assert "refine the grid" in capsys.readouterr().err
 
     def test_readme_qv_example_passes(self, tmp_path):
         assert main(readme_command("qv", tmp_path)) == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stochtransport import (
     ConvergenceError,
     DomainError,
+    ResolutionError,
     TimeGrid,
     drift_preset,
     generate,
@@ -158,11 +159,16 @@ def test_forward_inverts_backward_property(drift, slope, n, q, data):
 
 
 def test_step_solver_reports_its_last_gap():
+    """A step with no a-priori iteration count is refused before it runs."""
     grid = TimeGrid(T=1.0, n=2)
     z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7)
-    with pytest.raises(ConvergenceError) as err:
-        forward_flow(_sine(100.0), z, 0.3, 0.0, 1.0)  # h * sup|b'| = 50
-    assert 1e-13 < err.value.residual < np.inf
+    # kappa = h/2 sup|b'| = 25 does not contract; kappa = 0.9 would need
+    # about 300 iterations, above _STEP_MAX_ITER.
+    for amp in (100.0, 3.6):
+        with pytest.raises(ResolutionError, match="refine the grid"):
+            forward_flow(_sine(amp), z, 0.3, 0.0, 1.0)
+        with pytest.raises(ResolutionError):
+            backward_ensemble(_sine(amp), grid, z.values[None, :], 0.3, 0.0, 1.0)
 
 
 def test_declared_norms_wrong_off_the_sample_trip_the_step_guard():
@@ -252,14 +258,6 @@ def test_picard_iteration_count_in_contraction_regime():
     _, iters = picard_solve(b, z, 0.4, 1.0, u, tol=tol)
     bound = int(np.ceil(np.log(tol) / np.log(b.sup_norm_bprime * u))) + 1
     assert iters <= bound
-
-
-def test_picard_start_independence():
-    z = _noise()
-    b = _sine()
-    cold, _ = picard_solve(b, z, 0.4, 1.0, 1.0, tol=1e-12)
-    warm, _ = picard_solve(b, z, 0.4, 1.0, 1.0, tol=1e-12, warm_start=True)
-    assert abs(cold - warm) < 5e-12
 
 
 def test_picard_argument_and_convergence_errors():

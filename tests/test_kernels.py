@@ -22,8 +22,8 @@ from stochtransport.kernels import (
     hurst_prime,
     kernel_KH,
     kernel_KH_matrix,
-    kernel_dKH,
     kernel_L,
+    _dkh_profile,
 )
 
 
@@ -91,14 +91,8 @@ def test_kernel_dKH_matches_finite_difference():
     t, s, H = 0.9, 0.3, 0.65
     h = 1e-6
     fd = (kernel_KH(t + h, s, H) - kernel_KH(t - h, s, H)) / (2 * h)
-    assert kernel_dKH(t, s, H) == pytest.approx(fd, rel=1e-6)
-
-
-def test_kernel_dKH_domain():
-    with pytest.raises(DomainError):
-        kernel_dKH(1.0, 1.0, 0.75)
-    with pytest.raises(DomainError):
-        kernel_dKH(1.0, -0.1, 0.75)
+    got = _dkh_profile(np.array([t]), s, H, c_H(H))[0]
+    assert got == pytest.approx(fd, rel=1e-6)
 
 
 def test_kernel_L_rank1_reduces_to_KH():
@@ -181,5 +175,3 @@ def test_hermite_spec():
     spec = HermiteSpec.create(2, 0.7)
     assert spec.hp == pytest.approx(0.85)
     assert spec.d == pytest.approx(d_H(2, 0.7))
-    assert not spec.is_gaussian
-    assert HermiteSpec.create(1, 0.7).is_gaussian

@@ -156,7 +156,6 @@ def test_noise_path_accessors():
     z = simulate_fbm(w, 0.75)
     assert z.values[0] == 0.0
     assert z.value_at(0.5) == z.values[4]
-    assert z.increment(0.25, 0.75) == z.values[6] - z.values[2]
     with pytest.raises(GridError):
         z.value_at(0.3)
 

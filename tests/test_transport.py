@@ -10,7 +10,6 @@ from stochtransport.noise import HermiteSpec, simulate_ensemble, simulate_hermit
 from stochtransport.transport import (
     InitialDatum,
     TestFunction,
-    WeakFormReport,
     solution_field,
     weak_form_residual,
 )
@@ -146,41 +145,11 @@ class TestWeakForm:
                                  0.0, 2**-5, x)
         assert rep.residual == 0.0
 
-    def test_field_reuse_is_equivalent(self):
-        z = fbm_path(seed=8, n=256)
-        dx = 2**-6
-        x = np.arange(-1.5 - 2 * dx, 1.5 + 3 * dx, dx)
-        phi = TestFunction.bump(0.0, 1.5)
-        field = solution_field(TANH, SINE, z, 1.0, x)
-        a = weak_form_residual(TANH, SINE, z, phi, 1.0, 2**-5, x, u_field=field)
-        b = weak_form_residual(TANH, SINE, z, phi, 1.0, 2**-5, x)
-        assert a.residual == b.residual and a.terms == b.terms
-
-    def test_report_serializes(self):
-        z = fbm_path(seed=8, n=256)
-        dx = 2**-6
-        x = np.arange(-1.5 - 2 * dx, 1.5 + 3 * dx, dx)
-        rep = weak_form_residual(TANH, SINE, z, TestFunction.bump(0.0, 1.5),
-                                 1.0, 2**-5, x)
-        assert isinstance(rep, WeakFormReport)
-        d = rep.to_dict()
-        assert set(d) == {"t", "eps", "dt", "dx", "lhs", "terms", "residual",
-                          "relative_residual"}
-        assert len(d["terms"]) == 4
-
     def test_quadrature_must_cover_support(self):
         z = fbm_path(seed=8, n=256)
         with pytest.raises(DomainError):
             weak_form_residual(TANH, SINE, z, TestFunction.bump(0.0, 1.5),
                                1.0, 2**-5, np.linspace(-1.0, 1.0, 129))
-
-    def test_wrong_field_shape_rejected(self):
-        z = fbm_path(seed=8, n=256)
-        dx = 2**-6
-        x = np.arange(-1.5 - 2 * dx, 1.5 + 3 * dx, dx)
-        with pytest.raises(DomainError):
-            weak_form_residual(TANH, SINE, z, TestFunction.bump(0.0, 1.5),
-                               1.0, 2**-5, x, u_field=np.zeros((3, x.size)))
 
 
 class TestSampleSolution:
