@@ -16,7 +16,6 @@ from .errors import (
     ResolutionError,
     SampleSizeError,
     StochTransportError,
-    StructuralViolationError,
     UnsupportedOrderError,
 )
 from .flow import (
@@ -119,7 +118,6 @@ __all__ = [
     "ResolutionError",
     "SampleSizeError",
     "StochTransportError",
-    "StructuralViolationError",
     "UnsupportedOrderError",
     "TimeGrid",
     "HermiteSpec",

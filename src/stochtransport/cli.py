@@ -19,12 +19,10 @@ from .errors import (
     NumericError,
     ResolutionError,
     StochTransportError,
-    StructuralViolationError,
 )
 from .experiments import KINDS, ExperimentConfig, run, validate
 
-_NUMERIC_ERRORS = (ConvergenceError, NumericError, ResolutionError,
-                   StructuralViolationError)
+_NUMERIC_ERRORS = (ConvergenceError, NumericError, ResolutionError)
 
 
 def _parse_params(pairs):

@@ -29,10 +29,6 @@ class ConvergenceError(StochTransportError, RuntimeError):
         self.residual = residual
 
 
-class StructuralViolationError(StochTransportError, RuntimeError):
-    """A quantity violated a structural guarantee it was asserted to satisfy."""
-
-
 class SampleSizeError(StochTransportError, ValueError):
     """Not enough Monte Carlo samples for the requested statistic."""
 

@@ -277,13 +277,16 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def _thread_count(config: ExperimentConfig) -> int:
-    """config.threads, or with 0 the CPUs this process may run on."""
-    if config.threads > 0:
-        return config.threads
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _thread_count(config: ExperimentConfig) -> int:
+    """config.threads, or with 0 the CPUs this process may run on."""
+    return config.threads if config.threads > 0 else _cpu_count()
 
 
 def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
@@ -305,7 +308,9 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     array ever holds the whole (index(t)+1, paths) trajectory, and a slice
     builds its weights in chunks of _WEIGHT_CHUNK paths, so their
     temporaries stay small.  The work is elementwise in the paths, so the
-    result does not depend on the slicing or the chunking.
+    result does not depend on the slicing or the chunking.  The slices
+    follow threads, but the pool gets no more workers than _cpu_count(), so
+    a large thread count starts no more OS threads than there are CPUs.
     """
     paths = z.shape[0]
     kt = grid.index_of(t)
@@ -322,7 +327,7 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
                 cols = slice(lo, lo + _WEIGHT_CHUNK)
                 cw[:, sl][:, cols] = _flow_weights(b, grid, traj[:, cols], 0)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
         list(pool.map(solve, slices))
     return y, cw
 
@@ -508,8 +513,7 @@ def _run_density(config, grid, spec, out, checks, files):
 def _run_bound_check(config, grid, spec, out, checks, files):
     b = drift_preset(config.drift, **config.drift_params)
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
-    rep = density_bound_check(b, grid, z, config.s, config.t_end, config.x0,
-                              strict=False)
+    rep = density_bound_check(b, grid, z, config.s, config.t_end, config.x0)
     _write_csv(out / "brackets.csv", config, ["path_id", "bracket"],
                [(pid, rep.brackets[pid]) for pid in range(config.paths)])
     files.append("brackets.csv")

@@ -59,6 +59,7 @@ _FD_TOL = 1e-6
 _STEP_TOL = 1e-13
 _STEP_MAX_ITER = 60
 _STEP_SLACK = 1e-14  # roundoff allowance of the step guard, relative to |x|
+_PICARD_MAX_ITER = 64  # global sweeps picard_solve makes before giving up
 
 _SAMPLE_T = np.array([0.0, 0.31, 0.64, 1.0])
 _SAMPLE_X = np.linspace(-3.0, 3.0, 13)
@@ -214,7 +215,7 @@ def backward_trajectory(b: DriftField, Z: NoisePath, x, t: float):
 
 
 def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
-                 tol: float | None = None, max_iter: int = 64) -> tuple[float, int]:
+                 tol: float | None = None) -> tuple[float, int]:
     """Solve the time-reversed equation at reversed time u by Picard iteration.
 
     Iterates R(a) = x - int_0^u b(t-a, R(a)) da - (Z_t - Z_{t-u}) on the
@@ -237,7 +238,7 @@ def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
     h = grid.dt
 
     R = np.full(ku + 1, float(x))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PICARD_MAX_ITER + 1):
         drift = np.broadcast_to(np.asarray(b.b(rev_times, R), dtype=float),
                                 R.shape)
         # cumulative trapezoid of -b(t-a, R(a)) over the reversed lattice
@@ -249,7 +250,8 @@ def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
         if gap < tol:
             return float(R[ku]), it
     raise ConvergenceError(
-        f"no fixed point after {max_iter} iterations (last change {gap:.3e})",
+        f"no fixed point after {_PICARD_MAX_ITER} iterations "
+        f"(last change {gap:.3e})",
         residual=float(gap))
 
 

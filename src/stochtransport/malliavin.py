@@ -40,13 +40,7 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy.stats import gaussian_kde
 
-from .errors import (
-    DomainError,
-    NumericError,
-    ResolutionError,
-    SampleSizeError,
-    StructuralViolationError,
-)
+from .errors import DomainError, NumericError, ResolutionError, SampleSizeError
 from .flow import DriftField, _check_times, backward_ensemble_trajectory, backward_trajectory
 from .grid import TimeGrid
 from .kernels import HermiteSpec, kernel_KH
@@ -99,7 +93,6 @@ class MalliavinPath:
 
     grid: TimeGrid
     values: np.ndarray
-    target: str
     axis: str = "alpha"
     l2_norm_sq: float = field(init=False, default=0.0)
 
@@ -150,19 +143,21 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
                spec: HermiteSpec) -> float:
     """D_alpha Z_t for the lattice noise driven by w.
 
-    rank 1: the kernel value (independent of the path).  rank 2: the
-    order-1 chaos sum 2 d (A_t @ dW)[a] over the step a containing alpha —
-    the simulator's trace correction is deterministic and drops out — so
-    difference quotients of simulated values close exactly.
+    The entry of dz_table for t and the step a containing alpha.  rank 1:
+    the kernel weight K_H(t, m_a) at the step midpoint (independent of the
+    path; dz_fbm is its continuum limit).  rank 2: the order-1 chaos sum
+    2 d (A_t @ dW)[a] — the simulator's trace correction is deterministic
+    and drops out — so difference quotients of simulated values close
+    exactly.
     """
-    if spec.q == 1:
-        return dz_fbm(t, alpha, spec.H)
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
     if alpha >= t:
         return 0.0
     k = w.grid.index_of(t)
     a = _step_of(w.grid, alpha)
+    if spec.q == 1:
+        return float(_fbm_weights(w.grid.key(), spec.H)[k - 1, a])
     lam = _pair_matrix_cached(w.grid.key(), spec.H, k)
     return float(2.0 * spec.d * (lam[a] @ w.increments[:k]))
 
@@ -318,14 +313,13 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
     G = dz_table(Z)
-    target = f"Y({s:g},{t:g})({x:g})"
     base = -(G[kt] - G[ks])
     if ks == kt or b.is_zero:
-        return MalliavinPath(grid=grid, values=base, target=target)
+        return MalliavinPath(grid=grid, values=base)
     y = backward_trajectory(b, Z, x, t)
     cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
     values = base + G[kt] * cw.sum() - cw @ G[ks:kt + 1]
-    return MalliavinPath(grid=grid, values=values, target=target)
+    return MalliavinPath(grid=grid, values=values)
 
 
 def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
@@ -439,12 +433,11 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     """
     grid = Z.grid
     kt = grid.index_of(t)
-    target = f"R({t:g},{x:g}) alpha={alpha:g}"
     # h_j = DZ over the window [t - u_j, t]
     rev = grid.points[kt::-1]  # calendar times t - u_j
     h = np.asarray(DZ(rev, t, alpha), dtype=float)
     if kt == 0 or b.is_zero:
-        return MalliavinPath(grid=grid, values=h, target=target, axis="time")
+        return MalliavinPath(grid=grid, values=h, axis="time")
     y = backward_trajectory(b, Z, x, t)
     gam = np.broadcast_to(np.asarray(b.b_prime(rev, y[::-1]), dtype=float),
                           rev.shape)
@@ -465,7 +458,7 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     if residual > _VOLTERRA_TOL * (1.0 + float(np.max(np.abs(h)))):
         raise NumericError(f"Volterra residual {residual:.3e} above "
                            f"tolerance {_VOLTERRA_TOL:.1e}")
-    return MalliavinPath(grid=grid, values=D, target=target, axis="time")
+    return MalliavinPath(grid=grid, values=D, axis="time")
 
 
 def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
@@ -490,10 +483,6 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
 class BoundCheckReport:
     """Per-path values of the exponential flow bracket and its floors."""
 
-    s: float
-    t: float
-    x: float
-    paths: int
     brackets: np.ndarray
     floor_condition: float
     floor_universal: float
@@ -505,17 +494,16 @@ class BoundCheckReport:
 
 
 def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
-                        s: float, t: float, x: float,
-                        strict: bool = True) -> BoundCheckReport:
+                        s: float, t: float, x: float) -> BoundCheckReport:
     """Evaluate the flow bracket 1 + int_s^t b' e^{-int_s^u b'} du per path.
 
     The bracket multiplies the noise derivative in dY and must stay
     positive for the density criterion; with f(m) = -m exp(-2m) it is
-    asserted to exceed both 1 + f(||b'||_inf (t-s)) - 1e-6 and the
+    checked to exceed both 1 + f(||b'||_inf (t-s)) - 1e-6 and the
     universal constant 1 - e^{-1}/2.  Those floors hold when the drift
-    slope integral along the flow stays above about -0.169; strict=True
-    raises StructuralViolationError on violation, strict=False only
-    reports (for drifts that genuinely sit below the floor).
+    slope integral along the flow stays above about -0.169; passed carries
+    the verdict, so drifts that genuinely sit below the floor are reported,
+    not refused.
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 2 or z.shape[1] != grid.n + 1:
@@ -534,17 +522,10 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK
     passed = bool(np.min(brackets) > max(floor_condition, _UNIVERSAL_FLOOR))
-    report = BoundCheckReport(
-        s=float(s), t=float(t), x=float(x), paths=z.shape[0],
+    return BoundCheckReport(
         brackets=brackets, floor_condition=float(floor_condition),
         floor_universal=float(_UNIVERSAL_FLOOR), passed=passed,
     )
-    if strict and not passed:
-        raise StructuralViolationError(
-            f"flow bracket fell to {report.min_bracket:.6f}, below its floor "
-            f"{max(floor_condition, _UNIVERSAL_FLOOR):.6f} "
-            "(drift slope too negative, or a solver inconsistency)")
-    return report
 
 
 @dataclass(frozen=True)
@@ -559,13 +540,11 @@ class DensityReport:
     MASS_RANGE: ClassVar[tuple[float, float]] = (0.99, 1.01)
 
     count: int
-    bandwidth: float
     x_grid: np.ndarray
     density: np.ndarray
     mass: float
     max_cdf_jump: float
     min_norm_sq: float
-    norm_quantiles: dict
 
     def __post_init__(self):
         if self.min_norm_sq < 0:
@@ -611,11 +590,7 @@ def density_report(samples: np.ndarray, norms: np.ndarray) -> DensityReport:
 
     _, counts = np.unique(samples, return_counts=True)
     max_jump = float(counts.max()) / N
-    min_norm = float(np.min(norms))
-    qlv = [0.0, 0.01, 0.05, 0.25, 0.5]
-    quants = {f"q{int(100 * p):02d}": float(v)
-              for p, v in zip(qlv, np.quantile(norms, qlv))}
     return DensityReport(
-        count=N, bandwidth=bw, x_grid=x_grid, density=density, mass=mass,
-        max_cdf_jump=max_jump, min_norm_sq=min_norm, norm_quantiles=quants,
+        count=N, x_grid=x_grid, density=density, mass=mass,
+        max_cdf_jump=max_jump, min_norm_sq=float(np.min(norms)),
     )

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError, SampleSizeError
 from .grid import TimeGrid
-from .noise import NoisePath
 
 # Fewest eps values that qv_certificate fits its decay slope through.
 _MIN_SLOPE_POINTS = 3
@@ -75,46 +74,29 @@ def _eps_steps(grid: TimeGrid, eps: float) -> int:
     return k
 
 
-def _resolve_grid(grid: TimeGrid | None, *objs) -> TimeGrid:
-    for obj in objs:
-        if isinstance(obj, NoisePath):
-            if grid is not None and obj.grid.key() != grid.key():
-                raise DomainError("explicit grid disagrees with the path's grid")
-            grid = obj.grid
-    if grid is None:
-        raise DomainError("plain arrays need an explicit grid")
-    return grid
-
-
-def _as_values(obj, grid: TimeGrid):
-    """Accept a NoisePath or a plain array of values on grid points."""
-    if isinstance(obj, NoisePath):
-        if obj.grid.key() != grid.key():
-            raise DomainError("paths live on different grids")
-        return obj.values
+def _as_values(obj, grid: TimeGrid) -> np.ndarray:
+    """A path's values on the grid points, shape-checked."""
     arr = np.asarray(obj, dtype=float)
     if arr.shape != (grid.n + 1,):
         raise DomainError(f"expected {grid.n + 1} values on grid points, got {arr.shape}")
     return arr
 
 
-def symmetric_integral_eps(Y, X, eps: float, t: float,
-                           grid: TimeGrid | None = None) -> float:
+def symmetric_integral_eps(Y, X, grid: TimeGrid, eps: float, t: float) -> float:
     """Mollified integral int_0^t Y_s dX_s at regularization width eps.
 
-    Y may be a NoisePath or an array on grid points (e.g. a deterministic
-    integrand); X supplies the increments.
+    Y and X are arrays of values on the grid points; X supplies the
+    increments.
     """
-    g = _resolve_grid(grid, X, Y)
-    xv = _as_values(X, g)
-    yv = _as_values(Y, g)
-    k = _eps_steps(g, eps)
-    K = g.index_of(t)
+    xv = _as_values(X, grid)
+    yv = _as_values(Y, grid)
+    k = _eps_steps(grid, eps)
+    K = grid.index_of(t)
     idx = np.arange(K)
-    hi = np.minimum(idx + k, g.n)
+    hi = np.minimum(idx + k, grid.n)
     lo = np.maximum(idx - k, 0)
     quot = (xv[hi] - xv[lo]) / (2.0 * eps)
-    return float(np.sum(yv[idx] * quot) * g.dt)
+    return float(np.sum(yv[idx] * quot) * grid.dt)
 
 
 def _bracket(xv: np.ndarray, yv: np.ndarray, grid: TimeGrid, eps: float,
@@ -131,11 +113,13 @@ def _bracket(xv: np.ndarray, yv: np.ndarray, grid: TimeGrid, eps: float,
     return np.sum(dx * dy, axis=-1) * grid.dt / eps
 
 
-def covariation_eps(X, Y, eps: float, t: float, grid: TimeGrid | None = None) -> float:
-    """Bracket estimator (1/eps) int_0^t (X_{s+eps}-X_s)(Y_{s+eps}-Y_s) ds."""
-    g = _resolve_grid(grid, X, Y)
-    return float(_bracket(_as_values(X, g), _as_values(Y, g), g, eps,
-                          g.index_of(t)))
+def covariation_eps(X, Y, grid: TimeGrid, eps: float, t: float) -> float:
+    """Bracket estimator (1/eps) int_0^t (X_{s+eps}-X_s)(Y_{s+eps}-Y_s) ds.
+
+    X and Y are arrays of values on the grid points.
+    """
+    return float(_bracket(_as_values(X, grid), _as_values(Y, grid), grid, eps,
+                          grid.index_of(t)))
 
 
 @dataclass(frozen=True)
@@ -148,8 +132,6 @@ class QVReport:
     slope: float
     target: float
     passed: bool
-    t: float
-    paths: int
 
     def rows(self) -> list[tuple[float, float, float]]:
         return [(float(e), float(m), float(s))
@@ -188,5 +170,4 @@ def qv_certificate(values: np.ndarray, grid: TimeGrid, H: float,
     target = 2.0 * H - 1.0
     passed = bool(abs(slope - target) <= 0.1 and means[-1] < means[0])
     return QVReport(eps=schedule.values.copy(), means=means, stderrs=stderrs,
-                    slope=slope, target=target, passed=passed,
-                    t=float(t), paths=values.shape[0])
+                    slope=slope, target=target, passed=passed)

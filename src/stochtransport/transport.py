@@ -18,8 +18,7 @@ far below the weak-form tolerances this feeds.
                 + int_0^t int u b' phi dx ds + int_0^t [int u phi' dx] d°Z_s
 
 with trapezoidal space/time quadrature and the mollified-increment estimator
-for the d°Z term, and reports the four right-hand terms, the left side, and
-their mismatch.
+for the d°Z term, and reports the left side and its mismatch with the right.
 """
 
 from __future__ import annotations
@@ -122,11 +121,12 @@ class TestFunction:
 
 
 def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
-                   x_nodes: np.ndarray, mesh_dx: float | None = None,
-                   pad: float | None = None) -> np.ndarray:
+                   x_nodes: np.ndarray) -> np.ndarray:
     """u(s, x) for every grid time s <= t and x in x_nodes.
 
-    Built from one forward characteristic mesh; returns shape
+    Built from one forward characteristic mesh, spaced like the closest
+    nodes and padded by max|Z| + sup|b| t + 0.5 on each side, which is more
+    than a characteristic can travel by time t; returns shape
     (grid index of t + 1, len(x_nodes)).
     """
     nodes = np.asarray(x_nodes, dtype=float)
@@ -134,11 +134,8 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
         raise DomainError("x_nodes must be strictly increasing")
     grid = Z.grid
     kt = grid.index_of(t)
-    if mesh_dx is None:
-        mesh_dx = float(np.min(np.diff(nodes))) if nodes.size > 1 else grid.dt
-    if pad is None:
-        swing = float(np.max(np.abs(Z.values[: kt + 1])))
-        pad = swing + b.sup_norm_b * t + 0.5
+    mesh_dx = float(np.min(np.diff(nodes))) if nodes.size > 1 else grid.dt
+    pad = float(np.max(np.abs(Z.values[: kt + 1]))) + b.sup_norm_b * t + 0.5
     y_mesh = np.arange(nodes[0] - pad, nodes[-1] + pad + mesh_dx, mesh_dx)
 
     traj = _march(b, grid, Z.values, y_mesh, 0, kt, 1, record=True)
@@ -147,8 +144,7 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
     for j in range(kt + 1):
         row = traj[j]
         if row[0] > nodes[0] or row[-1] < nodes[-1]:
-            raise NumericError("characteristic mesh does not cover the nodes; "
-                               "increase pad")
+            raise NumericError("characteristic mesh does not cover the nodes")
         if np.any(np.diff(row) <= 0):
             raise NumericError("forward mesh lost monotonicity; refine the grid")
         out[j] = u0.u0(np.interp(nodes, row, y_mesh))
@@ -157,14 +153,9 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
 
 @dataclass(frozen=True)
 class WeakFormReport:
-    """The four right-hand terms of the weak identity and their mismatch."""
+    """The left side of the weak identity and its mismatch with the right."""
 
-    t: float
-    eps: float
-    dt: float
-    dx: float
     lhs: float
-    terms: tuple[float, float, float, float]
     residual: float
     relative_residual: float
 
@@ -204,13 +195,12 @@ def weak_form_residual(u0: InitialDatum, b: DriftField, Z: NoisePath,
 
     g = np.zeros(grid.n + 1)
     g[: kt + 1] = np.trapezoid(u_field * dphi_x[None, :], x, axis=1)
-    term4 = symmetric_integral_eps(g, Z, eps, t)
+    term4 = symmetric_integral_eps(g, Z.values, grid, eps, t)
 
     rhs = term1 + term2 + term3 + term4
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), *(abs(v) for v in (term1, term2, term3, term4)))
     return WeakFormReport(
-        t=float(t), eps=float(eps), dt=grid.dt, dx=cell, lhs=lhs,
-        terms=(term1, term2, term3, term4), residual=residual,
+        lhs=lhs, residual=residual,
         relative_residual=residual / scale if scale > 0 else residual,
     )

@@ -298,14 +298,14 @@ def test_criterion_09_density_bound(criterion_log):
     ok = True
     for name, params in presets:
         b = drift_preset(name, **params)
-        rep = density_bound_check(b, GRID, z, 0.0, 1.0, 0.0, strict=False)
+        rep = density_bound_check(b, GRID, z, 0.0, 1.0, 0.0)
         frac = float(np.mean(rep.brackets > floor))
         ok = ok and frac == 1.0
         fractions.append(f"{name}: {frac:.1%} (min {rep.min_bracket:.4f})")
 
     # constant-b' oracle: b = -0.5 x has b' = -1/2, bracket = 2 - e^{1/2}
     bm = drift_preset("linear", lam=0.5)
-    rep = density_bound_check(bm, GRID, z, 0.0, 1.0, 0.0, strict=False)
+    rep = density_bound_check(bm, GRID, z, 0.0, 1.0, 0.0)
     oracle = 2.0 - np.exp(0.5)
     gap = float(np.max(np.abs(rep.brackets - oracle)))
     oracle_ok = gap <= 1e-6

@@ -18,7 +18,7 @@ PUBLIC = {
     # errors
     "ConvergenceError", "DomainError", "GridError", "NumericError",
     "ResolutionError", "SampleSizeError", "StochTransportError",
-    "StructuralViolationError", "UnsupportedOrderError",
+    "UnsupportedOrderError",
     # grid, Brownian driver, kernels, noise
     "TimeGrid", "Perturbation", "WienerLattice", "generate",
     "generate_increments", "HermiteSpec", "c_H", "d_H", "hurst_prime",
@@ -52,16 +52,14 @@ SIGNATURES = {
     "backward_trajectory": "b Z x t",
     "forward_ensemble": "b grid z_values x s t",
     "forward_flow": "b Z x s t",
-    "picard_solve": "b Z x t u tol= max_iter=",
-    "BoundCheckReport":
-        "s t x paths brackets floor_condition floor_universal passed",
-    "DensityReport": "count bandwidth x_grid density mass max_cdf_jump "
-                     "min_norm_sq norm_quantiles",
-    "MalliavinPath": "grid values target axis=",
+    "picard_solve": "b Z x t u tol=",
+    "BoundCheckReport": "brackets floor_condition floor_universal passed",
+    "DensityReport": "count x_grid density mass max_cdf_jump min_norm_sq",
+    "MalliavinPath": "grid values axis=",
     "dY_closed_form": "b Z DZ s t alpha x",
     "dY_integral_eq": "b Z DZ t alpha x",
     "dY_profile": "b Z s t x",
-    "density_bound_check": "b grid z_values s t x strict=",
+    "density_bound_check": "b grid z_values s t x",
     "density_report": "samples norms",
     "dy_norm_ensemble": "b grid spec z_values s t x dW= flow_weights=",
     "dz_fbm": "t alpha H",
@@ -75,14 +73,14 @@ SIGNATURES = {
     "drift_preset": "name params**",
     "u0_preset": "name params**",
     "EpsilonSchedule": "values",
-    "QVReport": "eps means stderrs slope target passed t paths",
-    "covariation_eps": "X Y eps t grid=",
+    "QVReport": "eps means stderrs slope target passed",
+    "covariation_eps": "X Y grid eps t",
     "qv_certificate": "values grid H schedule t=",
-    "symmetric_integral_eps": "Y X eps t grid=",
+    "symmetric_integral_eps": "Y X grid eps t",
     "InitialDatum": "u0 u0_prime lower_bound_sq_derivative= name=",
     "TestFunction": "phi phi_prime support name=",
-    "WeakFormReport": "t eps dt dx lhs terms residual relative_residual",
-    "solution_field": "u0 b Z t x_nodes mesh_dx= pad=",
+    "WeakFormReport": "lhs residual relative_residual",
+    "solution_field": "u0 b Z t x_nodes",
     "weak_form_residual": "u0 b Z phi t eps x_quadrature",
     "TimeGrid": "T n",
     "HermiteSpec": "q H hp c d",

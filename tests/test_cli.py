@@ -174,6 +174,29 @@ class TestRun:
         assert np.array_equal(y, traj[0])
         assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
 
+    def test_flow_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        asked = []
+
+        class Recording(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        grid = TimeGrid(T=1.0, n=32)
+        b = drift_preset("sine")
+        steps = np.random.default_rng(5).standard_normal((40, grid.n))
+        z = np.zeros((40, grid.n + 1))
+        z[:, 1:] = np.cumsum(steps, axis=1) * np.sqrt(grid.dt)
+        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
+        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, 1000,
+                                         weights=True)
+        assert asked == [1]
+        assert np.array_equal(y, traj[0])
+        assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
+
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
@@ -298,8 +321,11 @@ class TestCliMain:
         assert main(["flow"] + argv + ["--out", str(tmp_path)]) == 2
         assert "refine the grid" in capsys.readouterr().err
 
-    def test_readme_qv_example_passes(self, tmp_path):
-        assert main(readme_command("qv", tmp_path)) == 0
+    # transport-weakform is left out: its README run takes about 20 s.
+    @pytest.mark.parametrize("kind", ["noise-stats", "qv", "flow", "malliavin",
+                                      "density", "bound-check"])
+    def test_readme_example_passes(self, tmp_path, kind):
+        assert main(readme_command(kind, tmp_path)) == 0
 
     def test_validate_refuses_short_qv_schedule(self, capsys):
         rc = main(["validate", "--kind", "qv", "--eps", "0.125",

@@ -16,6 +16,7 @@ from stochtransport import (
     simulate_fbm,
     simulate_hermite,
     HermiteSpec,
+    flow,
 )
 from stochtransport.flow import (
     DriftField,
@@ -260,12 +261,13 @@ def test_picard_iteration_count_in_contraction_regime():
     assert iters <= bound
 
 
-def test_picard_argument_and_convergence_errors():
+def test_picard_argument_and_convergence_errors(monkeypatch):
     z = _noise(n=256)
     with pytest.raises(DomainError):
         picard_solve(_zero(), z, 0.0, 0.5, 0.75)
+    monkeypatch.setattr(flow, "_PICARD_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        picard_solve(_sine(), z, 0.0, 1.0, 1.0, tol=1e-14, max_iter=2)
+        picard_solve(_sine(), z, 0.0, 1.0, 1.0, tol=1e-14)
     assert 1e-14 <= err.value.residual < np.inf
 
 

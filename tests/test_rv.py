@@ -51,7 +51,7 @@ def test_constant_integrator_gives_zero():
     grid = TimeGrid(T=1.0, n=256)
     const = np.full(grid.n + 1, 2.5)
     y = np.sin(grid.points)
-    assert symmetric_integral_eps(y, const, 2**-4, 1.0, grid=grid) == 0.0
+    assert symmetric_integral_eps(y, const, grid, 2**-4, 1.0) == 0.0
 
 
 def test_smooth_integral_oracle():
@@ -61,7 +61,7 @@ def test_smooth_integral_oracle():
     s = grid.points
     errs = []
     for eps in (2**-4, 2**-5, 2**-6):
-        val = symmetric_integral_eps(s, s, eps, 1.0, grid=grid)
+        val = symmetric_integral_eps(s, s, grid, eps, 1.0)
         predicted = -eps / 4.0 - eps**2 / 6.0
         # allow the next-order eps^3 term plus the Riemann-sum step error
         assert abs((val - 0.5) - predicted) < 0.2 * eps**2 + 2 * grid.dt
@@ -74,7 +74,8 @@ def test_telescoping_recovers_terminal_value():
     grid = TimeGrid(T=1.0, n=1024)
     z = simulate_fbm(generate(grid, seed=2, path_id=5), 0.7)
     ones = np.ones(grid.n + 1)
-    vals = [symmetric_integral_eps(ones, z, eps, 1.0) for eps in (2**-5, 2**-6, 2**-7)]
+    vals = [symmetric_integral_eps(ones, z.values, grid, eps, 1.0)
+            for eps in (2**-5, 2**-6, 2**-7)]
     for v in vals:
         assert abs(v - z.values[-1]) < 0.05
 
@@ -82,14 +83,14 @@ def test_telescoping_recovers_terminal_value():
 def test_wiener_bracket_is_time():
     grid = TimeGrid(T=1.0, n=1024)
     W = _wiener_matrix(grid, seed=3, paths=300)
-    vals = [covariation_eps(W[i], W[i], 2**-5, 1.0, grid=grid) for i in range(300)]
+    vals = [covariation_eps(W[i], W[i], grid, 2**-5, 1.0) for i in range(300)]
     assert abs(np.mean(vals) - 1.0) < 0.05
 
 
 def test_smooth_path_bracket_vanishes_at_rate_eps():
     grid = TimeGrid(T=1.0, n=1024)
     x2 = grid.points**2
-    vals = [covariation_eps(x2, x2, eps, 1.0, grid=grid) for eps in (2**-3, 2**-4, 2**-5)]
+    vals = [covariation_eps(x2, x2, grid, eps, 1.0) for eps in (2**-3, 2**-4, 2**-5)]
     assert vals[0] > vals[1] > vals[2]
     # halving eps should roughly halve the bracket
     assert 1.7 < vals[0] / vals[1] < 2.3
@@ -103,15 +104,15 @@ def test_bracket_bilinearity_and_polarization():
     y = np.cumsum(rng.standard_normal(grid.n + 1)) * 0.03
     eps, t = 2**-4, 1.0
     a, b = 2.0, -3.0
-    lhs = covariation_eps(a * x, b * y, eps, t, grid=grid)
-    rhs = a * b * covariation_eps(x, y, eps, t, grid=grid)
+    lhs = covariation_eps(a * x, b * y, grid, eps, t)
+    rhs = a * b * covariation_eps(x, y, grid, eps, t)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     pol = 0.25 * (
-        covariation_eps(x + y, x + y, eps, t, grid=grid)
-        - covariation_eps(x - y, x - y, eps, t, grid=grid)
+        covariation_eps(x + y, x + y, grid, eps, t)
+        - covariation_eps(x - y, x - y, grid, eps, t)
     )
-    direct = covariation_eps(x, y, eps, t, grid=grid)
+    direct = covariation_eps(x, y, grid, eps, t)
     assert abs(pol - direct) < 1e-12
 
 
@@ -124,8 +125,8 @@ def test_symmetric_integral_stability_across_small_eps():
     d1, d2 = [], []
     for row in Z:
         y = np.sin(row)
-        a = symmetric_integral_eps(y, row, 2**-6, 1.0, grid=grid)
-        b = symmetric_integral_eps(y, row, 2**-7, 1.0, grid=grid)
+        a = symmetric_integral_eps(y, row, grid, 2**-6, 1.0)
+        b = symmetric_integral_eps(y, row, grid, 2**-7, 1.0)
         d1.append(a)
         d2.append(b)
     diff = np.array(d1) - np.array(d2)
@@ -135,16 +136,16 @@ def test_symmetric_integral_stability_across_small_eps():
 
 def test_eps_validation():
     grid = TimeGrid(T=1.0, n=64)
-    z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7)
+    z = simulate_fbm(generate(grid, seed=1, path_id=0), 0.7).values
     ones = np.ones(grid.n + 1)
     with pytest.raises(ResolutionError):
-        symmetric_integral_eps(ones, z, grid.dt, 1.0)  # below 2*dt
+        symmetric_integral_eps(ones, z, grid, grid.dt, 1.0)  # below 2*dt
     with pytest.raises(ResolutionError):
-        symmetric_integral_eps(ones, z, 0.1, 1.0)  # not a multiple of dt
+        symmetric_integral_eps(ones, z, grid, 0.1, 1.0)  # not a multiple of dt
     with pytest.raises(ResolutionError):
-        covariation_eps(z, z, grid.dt, 1.0)
+        covariation_eps(z, z, grid, grid.dt, 1.0)
     with pytest.raises(DomainError):
-        symmetric_integral_eps(ones, ones, 2 * grid.dt, 1.0)  # no grid anywhere
+        symmetric_integral_eps(ones[:-1], z, grid, 2 * grid.dt, 1.0)  # short
 
 
 def test_qv_certificate_fbm():
@@ -155,7 +156,6 @@ def test_qv_certificate_fbm():
     assert rep.passed
     assert abs(rep.slope - 0.5) <= 0.1
     assert np.all(np.diff(rep.means) < 0)
-    assert rep.paths == 300
 
 
 def test_qv_certificate_wiener_control_fails():
