@@ -9,8 +9,8 @@ happen in a fixed order, and the threads only split the density runner's
 per-path flow work, which is elementwise in the paths (flow._solve_step).
 A rank-1 simulate_ensemble also runs one helper thread of its own, which
 builds the kernel matrix during the driver draw.  Neither that thread nor
-the fixed block sizes (_WEIGHT_CHUNK here, malliavin._PATH_BLOCK in the
-rank-1 norms) change any bit of an artifact.
+the fixed block sizes (_WEIGHT_CHUNK here, noise._TRI_BLOCK in the rank-1
+noise and norms) change any bit of an artifact.
 """
 
 import hashlib
@@ -304,9 +304,11 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
                  threads: int, weights: bool):
     """Y_{0,t}(x) per path and, with weights, the flow weights of [0, t].
 
-    The thread pool maps over contiguous path slices, at least two, so no
-    array ever holds the whole (index(t)+1, paths) trajectory, and a slice
-    builds its weights in chunks of _WEIGHT_CHUNK paths, so their
+    The thread pool maps over contiguous path slices, at least two.  With
+    weights, a slice records its backward trajectory straight into its
+    columns of the (index(t)+1, paths) weight array, keeps row 0 (the
+    samples), and turns those columns into weights in place, _WEIGHT_CHUNK
+    paths at a time, so no trajectory array is allocated and the
     temporaries stay small.  The work is elementwise in the paths, so the
     result does not depend on the slicing or the chunking.  The slices
     follow threads, but the pool gets no more workers than _cpu_count(), so
@@ -320,12 +322,13 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def solve(sl):
-        traj = backward_ensemble_trajectory(b, grid, z[sl], x, t)
+        traj = backward_ensemble_trajectory(
+            b, grid, z[sl], x, t, out=cw[:, sl] if weights else None)
         y[sl] = traj[0]
         if weights:
             for lo in range(0, traj.shape[1], _WEIGHT_CHUNK):
-                cols = slice(lo, lo + _WEIGHT_CHUNK)
-                cw[:, sl][:, cols] = _flow_weights(b, grid, traj[:, cols], 0)
+                cols = traj[:, lo:lo + _WEIGHT_CHUNK]
+                _flow_weights(b, grid, cols, 0, out=cols)
 
     with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
         list(pool.map(solve, slices))

@@ -155,7 +155,7 @@ def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
 
 
 def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
-           sign: int, record: bool):
+           sign: int, record: bool, out: np.ndarray | None = None):
     """Implicit trapezoid steps between grid indices ks <= kt.
 
     z is time-first noise: z[k] is the value at grid index k, a scalar for
@@ -163,16 +163,25 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
     (paths, n+1) matrix).  x is a scalar, a node array or a paths vector.
     sign = +1 starts x at ks and marches forward to kt; sign = -1 anchors x
     at kt and marches back to ks.  With record, the states at every index
-    ks..kt come back in time order, stacked along axis 0; otherwise the end
-    state.
+    ks..kt come back in time order, stacked along axis 0, written into out
+    when it is given; otherwise the end state.
     """
     start, end = (ks, kt) if sign > 0 else (kt, ks)
     x = np.zeros(np.shape(z[start])) + np.asarray(x, dtype=float)
+    traj = None
+    if record:
+        shape = (kt - ks + 1,) + x.shape
+        if out is not None and out.shape != shape:
+            raise DomainError(f"out has shape {out.shape}, expected {shape}")
+        traj = np.empty(shape) if out is None else out
     if b.is_zero:
-        inc = (z[ks:kt + 1] if record else z[end]) - z[start]
-        if record:
-            inc = inc.reshape(inc.shape + (1,) * (x.ndim - inc.ndim + 1))
-        return x + inc
+        if not record:
+            return x + (z[end] - z[start])
+        zr = z[ks:kt + 1]
+        zr = zr.reshape(zr.shape + (1,) * (x.ndim - zr.ndim + 1))
+        np.subtract(zr, z[start], out=traj)
+        traj += x
+        return traj
     pts = grid.points
     h = sign * grid.dt
     plan = _step_plan(b, h)
@@ -181,7 +190,6 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
             f"drift step does not contract within {_STEP_MAX_ITER} iterations "
             f"(dt*sup|b'|/2 = {0.5 * grid.dt * b.sup_norm_bprime:.3g}); "
             "refine the grid")
-    traj = np.empty((kt - ks + 1,) + x.shape) if record else None
     if record:
         traj[start - ks] = x
     for k in range(start, end, sign):
@@ -281,8 +289,13 @@ def backward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
 
 
 def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
-                                 z_values: np.ndarray, x: float,
-                                 t: float) -> np.ndarray:
-    """Y_{r,t}(x) for all grid r <= t, per path: shape (kt+1, paths)."""
+                                 z_values: np.ndarray, x: float, t: float,
+                                 out: np.ndarray | None = None) -> np.ndarray:
+    """Y_{r,t}(x) for all grid r <= t, per path: shape (kt+1, paths).
+
+    With out, an array of that shape (a view is fine), the states are
+    written into it and out is returned; the values are the same to the bit.
+    """
     ks, kt = _check_times(grid, 0.0, t)
-    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, record=True)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1,
+                  record=True, out=out)

@@ -45,6 +45,7 @@ from .flow import DriftField, _check_times, backward_ensemble_trajectory, backwa
 from .grid import TimeGrid
 from .kernels import HermiteSpec, kernel_KH
 from .noise import (
+    _TRI_BLOCK,
     NoisePath,
     _fbm_weights,
     _pair_matrix_cached,
@@ -75,7 +76,6 @@ __all__ = [
 
 _UNIVERSAL_FLOOR = 1.0 - 0.5 * np.exp(-1.0)  # 1 + min of -x exp(-2x)
 _FLOOR_SLACK = 1e-6
-_PATH_BLOCK = 256  # paths per block of the rank-1 norm reduction
 _VOLTERRA_TOL = 1e-10  # residual guard of dY_integral_eq, relative to |h|
 _MIN_BOUND_PATHS = 100  # fewest paths density_bound_check accepts
 _MIN_DENSITY_SAMPLES = 1000  # fewest samples density_report accepts
@@ -212,13 +212,14 @@ def increment_derivative(Z: NoisePath) -> Callable:
 
 
 def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
-                        ks: int) -> np.ndarray:
+                        ks: int, out: np.ndarray | None = None) -> np.ndarray:
     """gam * exp(-int gam) along flow rows, with gam = b'(r, Y_{r,t}(x)).
 
     rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., shape
     (m+1,) for one path or (m+1, paths); the integral runs from t_ks by the
     cumulative trapezoid rule.  This is the integrating factor of the
-    linear equation for D Y.
+    linear equation for D Y.  It is written into out when given, which may
+    be rows itself: gam is taken before out is touched.
     """
     times = grid.points[ks:ks + rows.shape[0]]
     times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
@@ -226,7 +227,10 @@ def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
                           rows.shape)
     # in place, one (m+1, paths) array: exp(-B) with B the cumulative
     # trapezoid integral of gam, then times gam
-    out = np.empty(rows.shape)
+    if out is None:
+        out = np.empty(rows.shape)
+    elif np.may_share_memory(gam, out):  # b_prime handed back its input
+        gam = gam.copy()
     out[0] = 0.0
     np.add(gam[1:], gam[:-1], out=out[1:])
     out[1:] *= 0.5 * grid.dt
@@ -238,12 +242,16 @@ def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
 
 
 def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
-                  ks: int) -> np.ndarray:
-    """The integrating factor times the trapezoid weights of its rows."""
+                  ks: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The integrating factor times the trapezoid weights of its rows.
+
+    out as in _integrating_factor: out=rows turns the rows into their
+    weights in place.
+    """
     wtr = np.full(rows.shape[0], grid.dt)
     wtr[0] *= 0.5
     wtr[-1] *= 0.5
-    out = _integrating_factor(b, grid, rows, ks)
+    out = _integrating_factor(b, grid, rows, ks, out)
     out *= wtr.reshape(wtr.shape + (1,) * (rows.ndim - 1))
     return out
 
@@ -352,8 +360,9 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
 
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
-    derivative table across paths, so the whole ensemble reduces to a
-    single GEMM; rank 2 needs the driving increments dW and makes one
+    derivative table across paths, so the whole ensemble reduces to GEMMs
+    over the table's lower triangle, one per block of _TRI_BLOCK steps;
+    rank 2 needs the driving increments dW and makes one
     window pass for all paths (two small GEMMs per window, no per-path
     table).  flow_weights optionally supplies the per-path flow weights
     _flow_weights(b, grid, Y[ks:kt+1], ks) of the inverse flow
@@ -380,24 +389,33 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         return _flow_weights(b, grid, y[ks:kt + 1], ks)
 
     if spec.q == 1:
-        G = _dz_table_raw(grid, spec, np.empty((0,)))
-        base = -(G[kt] - G[ks])
+        # row k >= 1 of the table G is the kernel row M[k - 1]; row 0 is 0
+        M = _fbm_weights(grid.key(), spec.H)
+        g_t, g_s = (M[k - 1] if k else np.zeros(grid.n) for k in (kt, ks))
+        base = -(g_t - g_s)
         if ks == kt or b.is_zero:
             return np.full(P, float(np.sum(base * base) * grid.dt))
         cw = weights()
         sw = cw.sum(axis=0)
-        R = cw.T @ G[ks:kt + 1]
-        # V = base + sw G[kt] - R, squared and summed row by row in fixed
-        # blocks of paths: the same bits as the whole-ensemble formula with
-        # one (_PATH_BLOCK, n) temporary instead of four (paths, n) ones.
-        out = np.empty(P)
-        for lo in range(0, P, _PATH_BLOCK):
-            hi = min(lo + _PATH_BLOCK, P)
-            blk = sw[lo:hi, None] * G[kt]
-            blk += base
-            blk -= R[lo:hi]
-            blk *= blk
-            out[lo:hi] = np.sum(blk, axis=1)
+        # V = base + sw G[kt] - cw.T @ G[ks:kt+1], time-first in fixed
+        # blocks of _TRI_BLOCK steps a < kt (V vanishes past kt - 1); table
+        # row k vanishes on steps a >= k, so a block's product starts at the
+        # first row that reaches it.  Each block is squared and summed into
+        # the per-path total, so no (paths, n) array is formed: two
+        # (_TRI_BLOCK, paths) buffers serve every block.
+        out = np.zeros(P)
+        prod = np.empty((_TRI_BLOCK, P))
+        blk = np.empty((_TRI_BLOCK, P))
+        for lo in range(0, kt, _TRI_BLOCK):
+            hi = min(lo + _TRI_BLOCK, kt)
+            r0 = max(0, lo + 1 - ks)
+            rows, v = prod[:hi - lo], blk[:hi - lo]
+            np.matmul(M[ks + r0 - 1:kt, lo:hi].T, cw[r0:], out=rows)
+            np.multiply(g_t[lo:hi, None], sw, out=v)
+            v += base[lo:hi, None]
+            v -= rows
+            v *= v
+            out += v.sum(axis=0)
         return out * grid.dt
     dW = np.asarray(dW, dtype=float)
     if dW.shape != (P, grid.n):

@@ -44,11 +44,18 @@ anyway, in blocks of windows folded by one GEMM each, and records their
 supports at the probe times (the eighths of [0, T]), so the diagnostics
 that ask for pair matrices at those times cost no further pass.
 
-Rank 1 is one GEMM of the driver against the kernel matrix (_fbm_weights).
-simulate_ensemble builds that matrix on one helper thread while the calling
-thread draws the driver: the per-path draw holds the interpreter lock and
-the kernel's numpy work releases it.  The matrix is the same either way, so
-the overlap changes no bit.  Rank 2 builds its plan on the calling thread.
+Rank 1 multiplies the driver by the kernel matrix (_fbm_weights), whose
+row k vanishes past step k.  The product runs in blocks of _TRI_BLOCK time
+steps, each one GEMM over the block's nonzero prefix (about half the flops
+of the dense product), written straight into a time-first (n+1, paths)
+array.  The values come back as its transpose, a Fortran-ordered
+(paths, n+1) view, so a flow reads each time row contiguously; rank 2
+returns a C-ordered array.  The block width is a constant, so the blocks
+do not depend on the thread count.  simulate_ensemble builds the kernel
+matrix on one helper thread while the calling thread draws the driver:
+the per-path draw holds the interpreter lock and the kernel's numpy work
+releases it.  The matrix is the same either way, so the overlap changes no
+bit.  Rank 2 builds its plan on the calling thread.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -106,6 +113,12 @@ class NoisePath:
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.grid.index_of(t)])
+
+
+# Time steps per block of the rank-1 triangular products (here and in
+# malliavin.dy_norm_ensemble).  A constant, so no bit depends on the thread
+# count.
+_TRI_BLOCK = 128
 
 
 @lru_cache(maxsize=32)
@@ -367,17 +380,27 @@ def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int = 0,
 
 
 def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
-    """Noise values from Brownian increment rows (paths, n) -> (paths, n+1)."""
+    """Noise values from Brownian increment rows (paths, n) -> (paths, n+1).
+
+    Rank 1 returns the transpose of a time-first array (see the module
+    docstring), rank 2 a C-ordered array.
+    """
     if dW.ndim != 2 or dW.shape[1] != grid.n:
         raise DomainError(f"driver shape {dW.shape} does not match grid with n={grid.n}")
     P, n = dW.shape
-    out = np.zeros((P, n + 1))
     if spec.q == 1:
+        # time-first, block by block over the kernel's nonzero prefix:
+        # rows [lo, hi) of M vanish past column hi - 1
         M = _fbm_weights(grid.key(), spec.H)
-        out[:, 1:] = dW @ M.T
-        return out
+        zt = np.empty((n + 1, P))
+        zt[0] = 0.0
+        for lo in range(0, n, _TRI_BLOCK):
+            hi = min(lo + _TRI_BLOCK, n)
+            np.matmul(M[lo:hi, :hi], dW[:, :hi].T, out=zt[1 + lo:1 + hi])
+        return zt.T
 
     # rank 2: window-by-window Wick-ordered square of the factor rows
+    out = np.zeros((P, n + 1))
     h = grid.dt
     contrib = np.empty((P, n))
     for l, lam2_l, F, w, S in _windows(grid, spec, dW):
@@ -402,8 +425,11 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
                       path_ids, driver: bool = False):
     """Simulate many paths at once; returns (paths, n+1), first column zero.
 
-    Row p is driven by the Brownian increments of path_ids[p], identical to
-    what simulate_hermite would produce path by path.  With driver, the
+    Row p is driven by the Brownian increments of path_ids[p], the same as
+    what simulate_hermite would produce path by path up to roundoff.  The
+    memory order depends on the rank: rank 1 values are stored time-first
+    (a Fortran-ordered array, so a column -- one time across all paths -- is
+    contiguous), rank 2 values path-first (C order).  With driver, the
     (paths, n) increments come back too, as (values, dW), so a caller that
     needs both draws them once.
     """

@@ -19,11 +19,21 @@ from .grid import TimeGrid
 __all__ = ["WienerLattice", "Perturbation", "generate", "generate_increments"]
 
 
+_KEY_WORD = 2**64  # seed and path_id each fill one 64-bit key word
+
+
+def _check_key(seed: int, path_id: int) -> None:
+    # a value past one word would spill into the other and collide with
+    # another (seed, path_id) pair's stream
+    if not (0 <= seed < _KEY_WORD and 0 <= path_id < _KEY_WORD):
+        raise DomainError("seed and path_id must be integers in [0, 2^64)")
+
+
 def _rng(seed: int, path_id: int) -> np.random.Generator:
-    if seed < 0 or path_id < 0:
-        raise DomainError("seed and path_id must be non-negative integers")
+    seed, path_id = int(seed), int(path_id)
+    _check_key(seed, path_id)
     # Philox takes a 128-bit key; splice the pair into disjoint 64-bit words.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(path_id)))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | path_id))
 
 
 @dataclass(frozen=True)
@@ -72,19 +82,18 @@ def generate_increments(grid: TimeGrid, seed: int, path_ids) -> np.ndarray:
     Row p depends only on (seed, path_ids[p]), never on the other rows, so any
     subset of paths can be regenerated in isolation.
     """
-    path_ids = np.asarray(path_ids, dtype=np.int64)
-    out = np.empty((path_ids.size, grid.n))
-    if path_ids.size == 0:
+    path_ids = [int(pid) for pid in path_ids]
+    out = np.empty((len(path_ids), grid.n))
+    if not path_ids:
         return out
-    if np.any(path_ids < 0):
-        raise DomainError("seed and path_id must be non-negative integers")
     # Re-keying one Philox generator with _rng's key words [pid, seed] and a
     # zero counter gives the stream of _rng(seed, pid) at a tenth of the
     # cost of building a new generator per path.
-    rng = _rng(seed, int(path_ids[0]))
+    rng = _rng(seed, path_ids[0])
     bitgen = rng.bit_generator
     state = bitgen.state
     for row, pid in enumerate(path_ids):
+        _check_key(seed, pid)
         state.update(state={"counter": np.zeros(4, dtype=np.uint64),
                             "key": np.array([pid, seed], dtype=np.uint64)},
                      buffer_pos=4, has_uint32=0, uinteger=0)

@@ -141,6 +141,21 @@ def test_signatures_are_pinned():
     assert got == SIGNATURES
 
 
+# Callables outside __all__ whose keywords other modules pass by name.
+MODULE_SIGNATURES = {
+    "flow.backward_ensemble_trajectory": "b grid z_values x t out=",
+}
+
+
+def test_module_signatures_are_pinned():
+    got = {}
+    for path in MODULE_SIGNATURES:
+        module, name = path.split(".")
+        obj = getattr(importlib.import_module(f"stochtransport.{module}"), name)
+        got[path] = _signature(obj)
+    assert got == MODULE_SIGNATURES
+
+
 def test_class_members_are_pinned():
     got = {}
     for name, cls in _exported():

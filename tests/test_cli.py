@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,22 @@ class TestRun:
         assert m.passed
         checks = {c["name"]: c["value"] for c in m.checks}
         assert checks["du-norm-positive"] > 0.0
+
+    def test_rank1_density_peak_memory(self, tmp_path):
+        """The traced peak of a rank-1 density run, counted in (n+1) x paths
+        arrays of doubles: the noise and either the driver or the flow
+        weights take two, and the kernel matrix, the product blocks and the
+        weight chunks must fit in the third."""
+        n, paths = 1024, 4000
+        config = cfg(kind="density", q=1, n=n, paths=paths, drift="sine",
+                     u0="tanh-floor", threads=2, out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            assert run(config).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * (n + 1) * paths * 8
 
 
 class TestCliMain:

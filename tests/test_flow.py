@@ -219,6 +219,21 @@ def test_ensemble_elements_do_not_depend_on_the_batch(drift, slope, n, q, data):
             assert np.array_equal(flow(z[p:p + 1])[0], full[p]), (name, p)
 
 
+@pytest.mark.parametrize("drift", [_sine(), _zero()], ids=["sine", "zero"])
+def test_ensemble_trajectory_fills_out(drift):
+    grid = TimeGrid(T=1.0, n=128)
+    z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 3, range(7))
+    fresh = backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75)
+    # a strided view, as the density runner passes its weight columns
+    buf = np.full((fresh.shape[0], 2 * z.shape[0]), np.nan)[:, ::2]
+    got = backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, fresh)
+    with pytest.raises(DomainError):
+        backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75,
+                                     out=np.empty((fresh.shape[0], 3)))
+
+
 def test_trajectories_cover_grid():
     z = _noise(n=256)
     b = _sine()

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
-from stochtransport import DomainError, UnsupportedOrderError
+from stochtransport import DomainError, TimeGrid, UnsupportedOrderError
 from stochtransport.kernels import (
     HermiteSpec,
     c_H,
@@ -23,8 +23,11 @@ from stochtransport.kernels import (
     kernel_KH,
     kernel_KH_matrix,
     kernel_L,
+    _KH_MATRIX_NODES,
     _dkh_profile,
+    _jacobi,
 )
+from stochtransport.noise import _fbm_weights
 
 
 def test_c_H_frozen_values():
@@ -85,6 +88,51 @@ def test_kernel_KH_matrix_agrees_with_scalar():
         for j, sj in enumerate(s):
             assert mat[i, j] == pytest.approx(kernel_KH(float(ti), float(sj), H), abs=1e-10)
     assert mat[0, 2] == 0.0  # t=0.2 <= s=0.45
+
+
+@pytest.mark.parametrize("shuffle_t, shuffle_s",
+                         [(True, False), (False, True), (True, True)])
+def test_kernel_KH_matrix_on_shuffled_arguments(shuffle_t, shuffle_s):
+    """Shuffled t or s, on enough columns that the rows go in many chunks:
+    every entry against the sorted build, sampled entries against the
+    scalar kernel.  The matrix's 24-node rule loses accuracy for s near 0
+    (2e-3 relative at s = 0.0005), so the scalar comparison keeps s >= 0.05.
+    """
+    H, n = 0.7, 1000
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, n + 1)[1:]
+    s = (np.arange(n) + 0.5) / n
+    sorted_mat = kernel_KH_matrix(t, s, H)
+    pt = rng.permutation(n) if shuffle_t else np.arange(n)
+    ps = rng.permutation(n) if shuffle_s else np.arange(n)
+    t, s = t[pt], s[ps]
+    mat = kernel_KH_matrix(t, s, H)
+    assert np.array_equal(mat == 0, t[:, None] <= s[None, :])
+    np.testing.assert_allclose(mat, sorted_mat[pt][:, ps], rtol=1e-15, atol=0.0)
+    for i, j in rng.integers(0, n, size=(300, 2)):
+        if s[j] >= 0.05:
+            assert mat[i, j] == pytest.approx(kernel_KH(t[i], s[j], H),
+                                              rel=1e-10, abs=1e-12)
+
+
+def test_fbm_weights_match_a_full_square_build():
+    """The triangular build against the kernel evaluated on every pair and
+    masked afterwards, at n = 1024, where the two round differently."""
+    H, n = 0.7, 1024
+    grid = TimeGrid(T=1.0, n=n)
+    t, s = grid.points[1:], grid.midpoints
+    x, w = _jacobi(_KH_MATRIX_NODES, 0.0, H - 1.5)
+    full = np.empty((n, n))
+    for lo in range(0, n, 64):
+        half = (t[lo:lo + 64, None] - s[None, :]) / 2.0
+        halfm = np.where(half > 0, half, 1.0)
+        u = s[None, :, None] + halfm[:, :, None] * (x + 1.0)
+        integral = halfm ** (H - 0.5) * (u ** (H - 0.5) @ w)
+        full[lo:lo + 64] = np.where(half > 0,
+                                    c_H(H) * s ** (0.5 - H) * integral, 0.0)
+    M = _fbm_weights(grid.key(), H)
+    assert np.array_equal(M == 0, full == 0)
+    np.testing.assert_allclose(M, full, rtol=1e-15, atol=0.0)
 
 
 def test_kernel_dKH_matches_finite_difference():

@@ -36,6 +36,7 @@ from stochtransport.malliavin import (
     mt_diagnostic,
 )
 from stochtransport.noise import (
+    _TRI_BLOCK,
     lattice_variance,
     pair_matrix,
     simulate_ensemble,
@@ -352,13 +353,13 @@ class TestDyNormEnsemble:
             dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
                              flow_weights=_flow_weights(SINE, grid, traj, 0))
 
-    B = malliavin._PATH_BLOCK
-
-    @pytest.mark.parametrize("paths", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("paths", [1, 255, 256, 257, 515])
     @pytest.mark.parametrize("drift", [SINE, ZERO], ids=["sine", "zero"])
     @pytest.mark.parametrize("s", [0.0, 0.25])
     def test_rank1_blocks_equal_the_dense_formula(self, paths, drift, s):
-        grid = TimeGrid(T=1.0, n=64)
+        # n = 320: two full blocks of 128 steps and a ragged one; the
+        # blocked products round differently from the dense ones
+        grid = TimeGrid(T=1.0, n=2 * _TRI_BLOCK + 64)
         spec = HermiteSpec.create(1, 0.7)
         t, x = 0.75, 0.3
         ks, kt = grid.index_of(s), grid.index_of(t)
@@ -371,7 +372,7 @@ class TestDyNormEnsemble:
         want = np.sum(V * V, axis=1) * grid.dt
         got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
         assert got.shape == (paths,)
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestCnDuhamelWeights:

@@ -142,6 +142,21 @@ def test_rank_one_kernel_built_during_the_draw():
     assert np.array_equal(cold[:, 1:], dW @ _fbm_weights(grid.key(), 0.65).T)
 
 
+@pytest.mark.parametrize("paths", [1, 300])
+def test_rank_one_blocks_match_the_dense_product(paths):
+    """The blocked triangular product against dW @ M.T, over two full
+    blocks and a ragged one; the values are stored time-first."""
+    from stochtransport.noise import _TRI_BLOCK, _fbm_weights
+    grid = TimeGrid(T=1.0, n=2 * _TRI_BLOCK + 64)
+    spec = HermiteSpec.create(1, 0.7)
+    z, dW = simulate_ensemble(grid, spec, seed=5, path_ids=range(paths),
+                              driver=True)
+    dense = dW @ _fbm_weights(grid.key(), 0.7).T
+    assert z.shape == (paths, grid.n + 1) and z.flags.f_contiguous
+    assert np.all(z[:, 0] == 0.0)
+    assert np.all(np.abs(z[:, 1:] - dense) <= 1e-14 * (1.0 + np.abs(dense)))
+
+
 def test_rank_one_kernel_error_surfaces_from_the_helper_thread():
     before = threading.active_count()
     spec = HermiteSpec(q=1, H=1.2, hp=1.2, c=1.0, d=1.0)  # H unchecked

@@ -47,6 +47,22 @@ def test_negative_ids_rejected():
         generate(g, seed=0, path_id=-2)
 
 
+def test_ids_past_one_key_word_are_refused():
+    """seed and path_id fill one 64-bit Philox key word each; a larger value
+    would spill into the other word and repeat another pair's stream."""
+    g = TimeGrid(T=1.0, n=8)
+    for seed, pid in ((0, 2**64), (2**64, 0)):
+        with pytest.raises(DomainError):
+            generate(g, seed=seed, path_id=pid)
+        with pytest.raises(DomainError):
+            generate_increments(g, seed, [0, pid])
+    # ids up to the top of the word are valid in both entry points
+    top = 2**64 - 1
+    mat = generate_increments(g, 1, [top, 2**63])
+    np.testing.assert_array_equal(mat[0], generate(g, 1, top).increments)
+    np.testing.assert_array_equal(mat[1], generate(g, 1, 2**63).increments)
+
+
 def test_perturbation_mask_covers_interior_steps():
     g = TimeGrid(T=1.0, n=10)
     p = Perturbation(a=0.2, b=0.5, delta=1.0)
