@@ -119,9 +119,8 @@ def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray,
     Vectorized version of kernel_KH used to assemble the lattice
     representation of the rank-1 noise; one Jacobi rule shared by all pairs.
     The rows go in chunks, and a chunk evaluates only the columns whose s
-    lies below its largest t.  With s sorted ascending, as on a lattice,
-    those are a prefix, so a lower-triangular kernel costs about half the
-    square; unsorted s falls back to every column of the chunk.
+    lies below its largest t, so on a lattice, where the kernel is
+    lower-triangular, the matrix costs about half the square.
     """
     H = _check_hurst(H)
     t_values = np.asarray(t_values, dtype=float)
@@ -132,16 +131,13 @@ def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray,
     out = np.zeros((t_values.size, s_values.size))
     c = c_H(H)
     spow = s_values ** (0.5 - H)
-    s_sorted = bool(np.all(s_values[1:] >= s_values[:-1]))
     # Chunk over t to keep the (t, s, nodes) intermediate at a modest size.
     chunk = max(1, int(2e6) // max(1, s_values.size * _KH_MATRIX_NODES))
     for lo in range(0, t_values.size, chunk):
         hi = min(lo + chunk, t_values.size)
         tc = t_values[lo:hi, None]
-        cols = s_values.size
-        if s_sorted:
-            cols = int(np.searchsorted(s_values, tc.max(), side="left"))
-        sc = s_values[:cols]
+        sel = s_values < tc.max()
+        sc = s_values[sel]
         half = (tc - sc[None, :]) / 2.0
         mask = half > 0
         halfm = np.where(mask, half, 1.0)
@@ -151,7 +147,7 @@ def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray,
         np.power(u, H - 0.5, out=u)
         integral = halfm ** (H - 0.5) * (u @ w)
         del u  # before the next chunk allocates its own
-        out[lo:hi, :cols] = np.where(mask, c * spow[None, :cols] * integral, 0.0)
+        out[lo:hi, sel] = np.where(mask, c * spow[None, sel] * integral, 0.0)
     return out
 
 
