@@ -17,19 +17,24 @@ The inverse flow Y_{s,t}(x) satisfies a linear equation in the derivative:
     D_alpha Y_{s,t} = -int_s^t b'(u, Y_{u,t}) D_alpha Y_{u,t} du + DZ(s),
     DZ(u) := -(D_alpha Z_t - D_alpha Z_u),
 
-solved here two independent ways that tests cross-check: forward
-substitution on the time-reversed Volterra form (dY_integral_eq), and the
-integrating-factor closed form (dY_closed_form, dY_profile)
+solved here two independent ways that tests cross-check.  The closed form
+is one discrete formula: the trapezoid rule turns the equation into a
+lower-triangular system whose exact solution is a Crank-Nicolson
+integrating factor, the discrete counterpart of
+exp(-int_s^r b'(v, Y_{v,t}) dv).  Its weights cw (_flow_weights) give
 
-    D_alpha Y_{s,t} = DZ(s)
-        + int_s^t b'(r, Y_{r,t}) (D_alpha Z_t - D_alpha Z_r)
-                   exp(-int_s^r b'(v, Y_{v,t}) dv) dr.
+    D_alpha Y_{s,t} = DZ(s) - sum_r cw[r] DZ(t_r),   t_r = s, ..., t,
+
+for one alpha (dY_closed_form) or every alpha at once (dY_profile,
+dy_norm_ensemble), so the profile equals the closed form to roundoff.  The
+oracle is forward substitution on the time-reversed Volterra form
+(dY_integral_eq), which solves the same system step by step.
 
 Density diagnostics follow the standard criterion: a functional whose
 derivative has positive L^2([0,T]) norm on almost every path has an
-absolutely continuous law.  density_bound_check evaluates the exponential
-bracket that lower-bounds dY along the flow, and density_report inspects a
-Monte Carlo sample for atoms and for vanishing derivative norms.
+absolutely continuous law.  density_bound_check evaluates the flow bracket
+1 + sum(cw) that multiplies the noise derivative in dY, and density_report
+inspects a Monte Carlo sample for atoms and for vanishing derivative norms.
 """
 
 from __future__ import annotations
@@ -152,9 +157,9 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
     """
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
+    k = w.grid.index_of(t)
     if alpha >= t:
         return 0.0
-    k = w.grid.index_of(t)
     a = _step_of(w.grid, alpha)
     if spec.q == 1:
         return float(_fbm_weights(w.grid.key(), spec.H)[k - 1, a])
@@ -211,108 +216,82 @@ def increment_derivative(Z: NoisePath) -> Callable:
     return DZ
 
 
-def _integrating_factor(b: DriftField, grid: TimeGrid, rows: np.ndarray,
-                        ks: int, out: np.ndarray | None = None) -> np.ndarray:
-    """gam * exp(-int gam) along flow rows, with gam = b'(r, Y_{r,t}(x)).
+def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """Crank-Nicolson flow weights in calendar order, written into out.
 
-    rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., shape
-    (m+1,) for one path or (m+1, paths); the integral runs from t_ks by the
-    cumulative trapezoid rule.  This is the integrating factor of the
-    linear equation for D Y.  It is written into out when given, which may
-    be rows itself: gam is taken before out is touched.
+    gam holds the slopes b'(r, Y_{r,t}) at rows r = 0..m (time t_ks + r dt;
+    shape (m+1,) or (m+1, paths)) and is overwritten.  With c, d = 1 +- dt
+    gam / 2 and the discrete integrating factor
+    P[r] = (1/c_0) prod_{k=1..r} d_k / c_k, the weights are
+
+        cw[r] = dt/2 gam[r] (P[r] [r < m] + P[r-1] [r >= 1]),
+
+    and h[0] - cw @ h solves the trapezoid Volterra system of
+    dY_integral_eq exactly; P is undefined where some c <= 0.  Needs m >= 1
+    and an out that does not overlap gam.
     """
-    times = grid.points[ks:ks + rows.shape[0]]
-    times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
-    gam = np.broadcast_to(np.asarray(b.b_prime(times, rows), dtype=float),
-                          rows.shape)
-    # in place, one (m+1, paths) array: exp(-B) with B the cumulative
-    # trapezoid integral of gam, then times gam
-    if out is None:
-        out = np.empty(rows.shape)
-    elif np.may_share_memory(gam, out):  # b_prime handed back its input
-        gam = gam.copy()
-    out[0] = 0.0
-    np.add(gam[1:], gam[:-1], out=out[1:])
-    out[1:] *= 0.5 * grid.dt
-    np.cumsum(out[1:], axis=0, out=out[1:])
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out *= gam
+    m = gam.shape[0] - 1
+    a = gam
+    a *= 0.5 * dt  # c, d = 1 +- a
+    if np.min(a) <= -1.0:
+        raise ResolutionError("dt * b' <= -2 leaves the discrete integrating "
+                              "factor undefined; refine the grid")
+    half_am = 0.5 * a[m]
+    np.add(a, 1.0, out=out)
+    f = a
+    f /= out  # f = a / c, so 1 / c = 1 - f and d / c = 1 - 2 f
+    # row r >= 1 takes 2 P[r-1]: 2 / c_0, then the ratios d_k / c_k, k < r
+    np.multiply(f[:-1], -2.0, out=out[1:])
+    out[2:] += 1.0
+    out[1] += 2.0
+    np.cumprod(out[1:], axis=0, out=out[1:])
+    out[m] *= half_am
+    # inside, P[r] + P[r-1] = 2 P[r-1] / c_r
+    out[1:m] *= f[1:m]
+    out[0] = f[0]
     return out
 
 
 def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
                   ks: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The integrating factor times the trapezoid weights of its rows.
+    """The flow weights cw of _cn_weights along flow rows.
 
-    out as in _integrating_factor: out=rows turns the rows into their
-    weights in place.
+    rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., t_kt,
+    shape (m+1,) for one path or (m+1, paths); with h[r] = DZ(t_ks+r) the
+    derivative is D_alpha Y_{s,t}(x) = h[0] - cw @ h, and the flow bracket
+    is 1 + sum(cw).  The weights are written into out when given, which
+    may be rows itself: the slopes are taken before out is touched.
     """
-    wtr = np.full(rows.shape[0], grid.dt)
-    wtr[0] *= 0.5
-    wtr[-1] *= 0.5
-    out = _integrating_factor(b, grid, rows, ks, out)
-    out *= wtr.reshape(wtr.shape + (1,) * (rows.ndim - 1))
-    return out
-
-
-def _cn_duhamel_weights(gam: np.ndarray, dt: float) -> np.ndarray:
-    """Row vector w with S_m = w @ h for the trapezoid Volterra system.
-
-    The system D_j = h_j - dt * trap(gam * D)_j has cumulative sums obeying
-    S_j (1 + dt g_j / 2) = S_{j-1} (1 - dt g_{j-1} / 2)
-                           + (g_{j-1} h_{j-1} + g_j h_j) / 2,
-    whose explicit solution is a sum of the forcings propagated by
-    Crank-Nicolson factors (the discrete integrating factor).  Returned are
-    the coefficients of h_0..h_m in S_m, so D_m = h_m - dt * (w @ h)
-    reproduces forward substitution to roundoff while converging to the
-    continuum formula with exponential weights.
-    """
-    m = gam.size - 1
-    c = 1.0 + 0.5 * dt * gam
-    d = 1.0 - 0.5 * dt * gam
-    if np.any(np.abs(c) < 0.5):
-        raise ResolutionError("dt * |b'| too large for the discrete "
-                              "integrating factor; refine the grid")
-    # prop[i] = prod_{k=i}^{m} 1/c_k * prod_{k=i}^{m-1} d_k, the factor
-    # carrying forcing f_i into S_m
-    inv_c_rev = np.cumprod(1.0 / c[::-1])[::-1]          # prod_{k=i}^{m} 1/c_k
-    d_rev = np.ones(m + 1)
-    if m >= 1:
-        d_rev[:m] = np.cumprod(d[m - 1::-1])[::-1]       # prod_{k=i}^{m-1} d_k
-    prop = inv_c_rev * d_rev                             # index i = 1..m used
-    # f_i = (g_{i-1} h_{i-1} + g_i h_i) / 2 spreads onto h_{i-1} and h_i
-    w = np.zeros(m + 1)
-    w[1:] += 0.5 * gam[1:] * prop[1:]
-    w[:-1] += 0.5 * gam[:-1] * prop[1:]
-    return w
+    times = grid.points[ks:ks + rows.shape[0]]
+    times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
+    gam = np.asarray(b.b_prime(times, rows), dtype=float)
+    if gam.shape != rows.shape or not gam.flags.writeable \
+            or np.may_share_memory(gam, rows):  # _cn_weights overwrites it
+        gam = np.array(np.broadcast_to(gam, rows.shape))
+    return _cn_weights(gam, grid.dt,
+                       np.empty(rows.shape) if out is None else out)
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
                    t: float, alpha: float, x: float) -> float:
-    """D_alpha Y_{s,t}(x) by the explicit integrating-factor formula.
+    """D_alpha Y_{s,t}(x) = h[0] - cw @ h with h = DZ(t_ks..t_kt).
 
-    Evaluates the Duhamel solution of the same trapezoid-discretized
-    Volterra system that dY_integral_eq solves sequentially, so the two
-    routes agree to roundoff on any grid.  DZ must follow the
-    increment_derivative convention.
+    cw are the flow weights (_flow_weights), the Crank-Nicolson solution
+    of the trapezoid-discretized Volterra system that dY_integral_eq solves
+    sequentially, so the two routes agree to roundoff on any grid, and
+    dY_profile, which reads the same weights, equals this to roundoff.  DZ
+    must follow the increment_derivative convention.
     """
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
     if alpha >= t:
         return 0.0
-    h_s = float(DZ(s, t, alpha))
     if ks == kt or b.is_zero:
-        return h_s
+        return float(DZ(s, t, alpha))
     y = backward_trajectory(b, Z, x, t)
-    # reversed clock: j = 0..m maps to calendar time t - j*dt
-    rev = grid.points[kt:ks - 1:-1] if ks > 0 else grid.points[kt::-1]
-    yrev = y[kt:ks - 1:-1] if ks > 0 else y[kt::-1]
-    gam = np.broadcast_to(np.asarray(b.b_prime(rev, yrev), dtype=float),
-                          rev.shape)
-    h = np.asarray(DZ(rev, t, alpha), dtype=float)
-    w = _cn_duhamel_weights(gam, grid.dt)
-    return float(h[-1] - grid.dt * (w @ h))
+    cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
+    h = np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float)
+    return float(h[0] - cw @ h)
 
 
 def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
@@ -499,7 +478,7 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    """Per-path values of the exponential flow bracket and its floors."""
+    """Per-path values of the flow bracket and its floors."""
 
     brackets: np.ndarray
     floor_condition: float
@@ -513,10 +492,13 @@ class BoundCheckReport:
 
 def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                         s: float, t: float, x: float) -> BoundCheckReport:
-    """Evaluate the flow bracket 1 + int_s^t b' e^{-int_s^u b'} du per path.
+    """Evaluate the flow bracket 1 + sum(cw) per path, cw the flow weights.
 
-    The bracket multiplies the noise derivative in dY and must stay
-    positive for the density criterion; with f(m) = -m exp(-2m) it is
+    The bracket, the discrete form of 1 + int_s^t b' e^{-int_s^u b'} du,
+    multiplies the noise derivative in dY and must stay positive for the
+    density criterion; for a constant b' = g it is exactly 2 - rho^k over
+    the k steps of [s, t], rho = (1 - dt g/2) / (1 + dt g/2).  With
+    f(m) = -m exp(-2m) it is
     checked to exceed both 1 + f(||b'||_inf (t-s)) - 1e-6 and the
     universal constant 1 - e^{-1}/2.  Those floors hold when the drift
     slope integral along the flow stays above about -0.169; passed carries
@@ -534,8 +516,8 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
         brackets = np.ones(z.shape[0])
     else:
         traj = backward_ensemble_trajectory(b, grid, z, x, t)  # (kt+1, paths)
-        integrand = _integrating_factor(b, grid, traj[ks:kt + 1], ks)
-        brackets = 1.0 + np.trapezoid(integrand, dx=grid.dt, axis=0)
+        rows = traj[ks:kt + 1]
+        brackets = 1.0 + _flow_weights(b, grid, rows, ks, out=rows).sum(axis=0)
 
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK

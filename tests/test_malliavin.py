@@ -1,6 +1,7 @@
 """Tests for first-variation derivatives and the density diagnostics."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from stochtransport import TimeGrid, generate, malliavin, simulate_fbm
-from stochtransport.errors import DomainError, SampleSizeError, UnsupportedOrderError
+from stochtransport.errors import (
+    DomainError,
+    GridError,
+    ResolutionError,
+    SampleSizeError,
+    UnsupportedOrderError,
+)
 from stochtransport.flow import (
     DriftField,
     backward_ensemble,
@@ -20,7 +27,7 @@ from stochtransport.flow import (
 from stochtransport.kernels import HermiteSpec, kernel_KH
 from stochtransport.malliavin import (
     MalliavinPath,
-    _cn_duhamel_weights,
+    _cn_weights,
     _flow_weights,
     dY_closed_form,
     dY_integral_eq,
@@ -42,6 +49,7 @@ from stochtransport.noise import (
     simulate_ensemble,
     simulate_hermite,
 )
+from stochtransport.presets import drift_preset
 from stochtransport.wiener import Perturbation, WienerLattice, generate_increments
 
 SINE = DriftField(
@@ -124,6 +132,13 @@ class TestDzHermite:
     def test_zero_beyond_t(self):
         w, _ = rank2_path(n=64)
         assert dz_hermite(w, 0.5, 0.75, HermiteSpec.create(2, 0.7)) == 0.0
+
+    @pytest.mark.parametrize("t", [1.7, 0.5 + 1e-3], ids=["past-T", "off-lattice"])
+    def test_time_off_the_grid_is_refused(self, t):
+        """t is checked before the alpha >= t shortcut can answer 0."""
+        w, _ = rank2_path(n=64)
+        with pytest.raises(GridError):
+            dz_hermite(w, t, t + 0.1, HermiteSpec.create(2, 0.7))
 
     def test_unsupported_rank(self):
         with pytest.raises(UnsupportedOrderError):
@@ -279,15 +294,20 @@ class TestDyRoutes:
             ie = dY_integral_eq(SINE, Z, DZ, t, alpha, x)
             assert abs(cf - ie.values[kt - ks]) < 5e-9 * (1.0 + abs(cf))
 
-    def test_profile_matches_closed_form_to_quadrature(self):
-        grid = TimeGrid(T=1.0, n=512)
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("s", [0.0, 0.25])
+    def test_profile_equals_closed_form(self, q, s):
+        """One set of flow weights behind both: agreement to roundoff."""
+        grid = TimeGrid(T=1.0, n=128)
         w = generate(grid, seed=5, path_id=0)
-        Z = simulate_hermite(w, HermiteSpec.create(2, 0.7))
+        Z = simulate_hermite(w, HermiteSpec.create(q, 0.7))
         DZ = increment_derivative(Z)
-        prof = dY_profile(SINE, Z, 0.25, 1.0, 0.3)
-        for a in (64, 200, 400):
-            cf = dY_closed_form(SINE, Z, DZ, 0.25, 1.0, grid.midpoints[a], 0.3)
-            assert abs(prof.values[a] - cf) < 1e-4
+        t = 1.0
+        prof = dY_profile(SINE, Z, s, t, 0.3)
+        for a in range(grid.index_of(t)):
+            cf = dY_closed_form(SINE, Z, DZ, s, t, grid.midpoints[a], 0.3)
+            v = prof.values[a]
+            assert abs(v - cf) <= 1e-12 * (1.0 + abs(v)), a
 
     def test_time_order_enforced(self):
         _, Z = rank2_path()
@@ -376,7 +396,7 @@ class TestDyNormEnsemble:
 
 
 class TestCnDuhamelWeights:
-    """The closed-form Duhamel weights against the Volterra recursion."""
+    """The calendar-order Crank-Nicolson weights against the Volterra recursion."""
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 200), bound=st.floats(0.0, 0.99),
@@ -386,31 +406,42 @@ class TestCnDuhamelWeights:
         dt = 1.0 / m
         gam = rng.uniform(-bound, bound, m + 1) / dt  # dt |gam| < 1
         h = rng.normal(size=m + 1)
-        # forward substitution of D_j = h_j - dt * trap(gam * D)_j
+        # forward substitution of D_j = h_j - dt * trap(gam * D)_j on the
+        # reversed clock j = m - r, from t (r = m) back to s (r = 0)
+        g, f = gam[::-1], h[::-1]
         D = np.empty(m + 1)
-        D[0] = h[0]
-        running = 0.5 * gam[0] * D[0]
+        D[0] = f[0]
+        running = 0.5 * g[0] * D[0]
         for j in range(1, m + 1):
-            D[j] = (h[j] - dt * running) / (1.0 + 0.5 * dt * gam[j])
-            running += gam[j] * D[j]
-        w = _cn_duhamel_weights(gam, dt)
+            D[j] = (f[j] - dt * running) / (1.0 + 0.5 * dt * g[j])
+            running += g[j] * D[j]
+        cw = _cn_weights(gam.copy(), dt, np.empty(m + 1))
         # roundoff of the sum is relative to the size of its terms, which
         # the Crank-Nicolson factors amplify where gam < 0
-        scale = abs(h[m]) + dt * float(np.abs(w) @ np.abs(h))
-        assert abs(h[m] - dt * (w @ h) - D[m]) <= 1e-12 * scale
+        scale = abs(h[0]) + float(np.abs(cw) @ np.abs(h))
+        assert abs(h[0] - cw @ h - D[m]) <= 1e-12 * scale
 
     @pytest.mark.parametrize("gamma, m", [(0.5, 1), (0.5, 64), (3.0, 256)])
     def test_constant_rate_weights_are_positive_and_grow(self, gamma, m):
         dt = 1.0 / m
-        w = _cn_duhamel_weights(np.full(m + 1, gamma), dt)
-        assert np.all(w > 0.0)
-        # interior weights gamma r^(m-1-i) / c^2 with c = 1 + dt gamma / 2
-        # and r = (1 - dt gamma / 2) / c < 1: increasing toward the anchor
+        cw = _cn_weights(np.full(m + 1, gamma), dt, np.empty(m + 1))
+        assert np.all(cw > 0.0)
+        # interior weights dt gamma r^(i-1) / c^2 with c = 1 + dt gamma / 2
+        # and r = (1 - dt gamma / 2) / c < 1: increasing toward the anchor s
         c = 1.0 + 0.5 * dt * gamma
         r = (1.0 - 0.5 * dt * gamma) / c
-        interior = gamma * r ** (m - 1 - np.arange(1, m)) / c**2
-        assert np.allclose(w[1:m], interior, rtol=1e-12, atol=0.0)
-        assert np.all(np.diff(w[1:m]) > 0.0)
+        interior = dt * gamma * r ** (np.arange(1, m) - 1) / c**2
+        assert np.allclose(cw[1:m], interior, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(cw[1:m]) < 0.0)
+
+    def test_refused_only_where_the_factor_is_undefined(self):
+        dt = 0.01
+        gam = np.full((9, 2), 1.0)
+        gam[4, 1] = -1.9 / dt  # 1 + dt gam / 2 = 0.05 > 0: defined
+        assert np.all(np.isfinite(_cn_weights(gam.copy(), dt, np.empty((9, 2)))))
+        gam[4, 1] = -2.0 / dt  # 1 + dt gam / 2 = 0
+        with pytest.raises(ResolutionError):
+            _cn_weights(gam, dt, np.empty((9, 2)))
 
 
 class TestMtDiagnostic:
@@ -450,6 +481,19 @@ class TestBoundCheck:
         oracle = 2.0 - np.exp(-m)
         assert np.max(np.abs(rep.brackets - oracle)) < 1e-6
         assert rep.passed == (m > 0)
+
+    @pytest.mark.parametrize("lam", [0.15, 0.5])
+    def test_linear_drift_bracket_is_the_discrete_factor(self, lam):
+        """b' = -lam: the bracket telescopes to 2 - ((1 + h)/(1 - h))^m,
+        h = dt lam / 2, evaluated here in exact rational arithmetic."""
+        grid = TimeGrid(T=1.0, n=256)
+        z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), seed=9,
+                              path_ids=range(110))
+        rep = density_bound_check(drift_preset("linear", lam=lam), grid, z,
+                                  0.0, 1.0, 0.3)
+        h = Fraction(grid.dt * lam / 2)
+        oracle = float(2 - ((1 + h) / (1 - h)) ** grid.n)
+        assert np.max(np.abs(rep.brackets - oracle)) <= 1e-14
 
     def test_sine_drift_clears_floor(self):
         grid = TimeGrid(T=1.0, n=256)
