@@ -72,8 +72,10 @@ KINDS = (
     "bound-check",
 )
 
+# noise-stats and malliavin need two paths for a ddof=1 standard error.
 _MIN_PATHS = {"qv": _MIN_QV_PATHS, "density": _MIN_DENSITY_SAMPLES,
-              "bound-check": _MIN_BOUND_PATHS}
+              "bound-check": _MIN_BOUND_PATHS, "noise-stats": 2,
+              "malliavin": 2}
 _FLOW_KINDS = set(KINDS) - {"noise-stats", "qv"}  # runs that march a flow
 
 _WEIGHT_CHUNK = 512  # paths per flow-weight build in _flow_slices
@@ -184,9 +186,9 @@ def validate(config: ExperimentConfig) -> list[str]:
             and _step_plan(drift, grid.dt) is None:
         diags.append(f"drift {config.drift!r} is too steep for n={config.n}: its "
                      "flow steps have no a-priori iteration count; refine the grid")
-    if config.eps_schedule is not None:
+    if config.eps_schedule is not None or config.kind == "qv":
         try:
-            sched = EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))
+            sched = _eps_schedule(config, grid)
             for e in sched.values:
                 _eps_steps(grid, float(e))
             if config.kind == "qv" and len(sched) < _MIN_SLOPE_POINTS:
@@ -388,13 +390,17 @@ def _run_noise_stats(config, grid, spec, out, checks, files):
                          "max |z| over the probe-time covariance grid"))
 
 
+def _eps_schedule(config: ExperimentConfig, grid: TimeGrid) -> EpsilonSchedule:
+    """The configured eps schedule, else the qv default T 2^-k, k = 3..7."""
+    if config.eps_schedule is not None:
+        return EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))
+    return EpsilonSchedule.dyadic(grid, 3, 7)
+
+
 def _run_qv(config, grid, spec, out, checks, files):
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
-    if config.eps_schedule is not None:
-        schedule = EpsilonSchedule(np.asarray(config.eps_schedule, dtype=float))
-    else:
-        schedule = EpsilonSchedule.dyadic(grid, 3, 7)
-    rep = qv_certificate(z, grid, config.H, schedule, t=config.t_end)
+    rep = qv_certificate(z, grid, config.H, _eps_schedule(config, grid),
+                         t=config.t_end)
     _write_csv(out / "qv.csv", config, ["eps", "mean_bracket", "stderr"],
                rep.rows())
     files.append("qv.csv")

@@ -5,7 +5,7 @@ built from a Brownian motion through the Volterra kernel
 
     K_H(t, s) = c_H * s^(1/2-H) * int_s^t (u-s)^(H-3/2) * u^(H-1/2) du,  t > s,
 
-its s-derivative
+its derivative in t
 
     dK_H(t, s) = c_H * (s/t)^(1/2-H) * (t-s)^(H-3/2),
 
@@ -14,23 +14,37 @@ and, for rank q, the symmetric q-point kernel
     L_t(y_1..y_q) = 1{max y <= t} * int_{max y}^t prod_j dK_{H'}(u, y_j) du,
 
 where H' = 1 + (H-1)/q so that q fold self-similarity composes back to H.
-All integrands have algebraic endpoint singularities with exponents in
-(-1, -1/2); Gauss–Jacobi rules absorb them into the quadrature weight, so a
-few dozen nodes give near machine-precision values.
 
-The normalization constant d(H) that gives the rank-q process unit variance
-at t = 1 is computed here by numerical quadrature of ||L_1||^2 over the unit
-square (rank 2) or of ||K_1||^2 (rank 1); no literature constant is baked in.
+K_H and the normalization are evaluated in closed form:
+
+* With a = H - 1/2, the substitution u = s + (t-s) v turns the integral of
+  K_H into Euler's integral of the Gauss hypergeometric function, so
+  K_H(t, s) = (c_H / a) * (t-s)^a * 2F1(-a, a; 1+a; 1 - t/s)
+  (Decreusefond & Ustunel 1999).
+* c_H makes int_0^min(u,v) K_H(u, y) K_H(v, y) dy the fBm covariance, so
+  int_0^min(u,v) dK_{H'}(u, y) dK_{H'}(v, y) dy = H'(2H'-1) |u-v|^(2H'-2).
+  Squaring L_1 and applying Fubini leaves q-th powers of that cross moment,
+  and q(2H'-2) = 2H-2 gives
+  ||L_1||^2 = (H'(2H'-1))^q * int_[0,1]^2 |u-v|^(2H-2) du dv
+            = (H'(2H'-1))^q / (H(2H-1)).
+  The constant d(H) = (q! ||L_1||^2)^(-1/2) gives the rank-q process unit
+  variance at t = 1 (Tudor 2013); for rank 1 it is 1.
+
+L_t stays a quadrature: Gauss–Jacobi rules absorb its algebraic endpoint
+singularity, with exponent in (-1, -1/2), into the weight.  It is the
+independent oracle of the rank-2 pair matrices in the tests and, for rank 1,
+an independent route to K_H.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import roots_jacobi
+from scipy.special import hyp2f1, roots_jacobi
 
 from .errors import DomainError, UnsupportedOrderError
 
@@ -46,12 +60,12 @@ __all__ = [
 
 SUPPORTED_ORDERS = (1, 2)
 
-# Gauss rule sizes, one per integral.
-_KH_NODES = 48  # kernel_KH
-_KH_MATRIX_NODES = 24  # kernel_KH_matrix
-_L_NODES = 12  # each panel of _kernel_L_hp
-_PSI_NODES = 20  # each panel of _psi
-_NORM_NODES = 48  # the outer rule of _norm_L1_sq
+# Gauss rule size of each panel of _kernel_L_hp.
+_L_NODES = 12
+
+# Rows per block of kernel_KH_matrix: one row at a time takes the GIL about
+# 15 times a row and slows the driver draw that the rank-1 build overlaps.
+_KH_ROW_BLOCK = 64
 
 
 def _check_rank(q: int) -> int:
@@ -93,61 +107,46 @@ def _jacobi(n: int, alpha: float, beta: float):
     return x, w
 
 
-def kernel_KH(t: float, s: float, H: float) -> float:
-    """Volterra kernel K_H(t, s); zero when t <= s.
+def _kh(t, s, H: float):
+    """K_H(t, s) for s > 0, elementwise, by its closed form (no checks).
 
-    The integrand (u-s)^(H-3/2) u^(H-1/2) is integrated with a Gauss–Jacobi
-    rule whose weight carries the (u-s)^(H-3/2) factor exactly, leaving the
-    analytic factor u^(H-1/2) to the polynomial part.
+    Zero where t <= s: (t-s)^a is clipped to 0 there, and 1 - t/s to at
+    most 1, where the hypergeometric factor is still finite.
     """
+    a = H - 0.5
+    z = np.minimum(1.0 - t / s, 1.0)
+    return c_H(H) / a * np.maximum(t - s, 0.0) ** a * hyp2f1(-a, a, 1.0 + a, z)
+
+
+def kernel_KH(t: float, s: float, H: float) -> float:
+    """Volterra kernel K_H(t, s); zero when t <= s."""
     H = _check_hurst(H)
     if s <= 0:
         raise DomainError(f"kernel argument s must be positive, got {s}")
     if t <= s:
         return 0.0
-    x, w = _jacobi(_KH_NODES, 0.0, H - 1.5)
-    half = (t - s) / 2.0
-    u = s + half * (x + 1.0)
-    integral = half ** (H - 0.5) * float(w @ u ** (H - 0.5))
-    return c_H(H) * s ** (0.5 - H) * integral
+    return float(_kh(t, s, H))
 
 
 def kernel_KH_matrix(t_values: np.ndarray, s_values: np.ndarray,
                      H: float) -> np.ndarray:
     """Matrix K_H(t_k, s_i) over all pairs, zeros where t_k <= s_i.
 
-    Vectorized version of kernel_KH used to assemble the lattice
-    representation of the rank-1 noise; one Jacobi rule shared by all pairs.
-    The rows go in chunks, and a chunk evaluates only the columns whose s
-    lies below its largest t, so on a lattice, where the kernel is
-    lower-triangular, the matrix costs about half the square.
+    Builds the lattice representation of the rank-1 noise.  The rows go in
+    blocks, and a block evaluates the closed form of kernel_KH only on the
+    columns whose s lies below its largest t, so on a lattice, where the
+    kernel is lower-triangular, the matrix costs about half the square.
     """
     H = _check_hurst(H)
     t_values = np.asarray(t_values, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values <= 0):
         raise DomainError("kernel arguments s must be positive")
-    x, w = _jacobi(_KH_MATRIX_NODES, 0.0, H - 1.5)
     out = np.zeros((t_values.size, s_values.size))
-    c = c_H(H)
-    spow = s_values ** (0.5 - H)
-    # Chunk over t to keep the (t, s, nodes) intermediate at a modest size.
-    chunk = max(1, int(2e6) // max(1, s_values.size * _KH_MATRIX_NODES))
-    for lo in range(0, t_values.size, chunk):
-        hi = min(lo + chunk, t_values.size)
-        tc = t_values[lo:hi, None]
+    for lo in range(0, t_values.size, _KH_ROW_BLOCK):
+        tc = t_values[lo:lo + _KH_ROW_BLOCK, None]
         sel = s_values < tc.max()
-        sc = s_values[sel]
-        half = (tc - sc[None, :]) / 2.0
-        mask = half > 0
-        halfm = np.where(mask, half, 1.0)
-        # one (rows, cols, nodes) array, powered in place
-        u = halfm[:, :, None] * (x + 1.0)
-        u += sc[None, :, None]
-        np.power(u, H - 0.5, out=u)
-        integral = halfm ** (H - 0.5) * (u @ w)
-        del u  # before the next chunk allocates its own
-        out[lo:hi, sel] = np.where(mask, c * spow[None, sel] * integral, 0.0)
+        out[lo:lo + _KH_ROW_BLOCK, sel] = _kh(tc, s_values[sel], H)
     return out
 
 
@@ -216,89 +215,16 @@ def _kernel_L_hp(t: float, y: np.ndarray, hp: float) -> float:
     return float(total)
 
 
-def _psi(r: float, hp: float) -> float:
-    """Cross moment psi(r) = int_0^1 dK(r, y) dK(1, y) dy for r > 1.
-
-    The integrand c^2 r^(H'-1/2) y^(1-2H') (r-y)^(H'-3/2) (1-y)^(H'-3/2)
-    is singular at y = 0 and y = 1 and develops a boundary layer of width
-    r - 1 at the right end as r -> 1.  Panels: a Jacobi panel on [0, 1/2]
-    carrying the y^(1-2H') weight, geometric panels shrinking toward y = 1,
-    and a final Jacobi panel of width min(r-1, 1/2) at y = 1 carrying the
-    (1-y)^(H'-3/2) weight, on which (r - y) varies by at most a factor 2.
-    """
-    c2 = c_H(hp) ** 2
-    pref = c2 * r ** (hp - 0.5)
-    g = min(r - 1.0, 0.5)
-
-    # Left Jacobi panel [0, 1/2], weight y^(1-2H') at the lower endpoint.
-    xl, wl = _jacobi(_PSI_NODES, 0.0, 1.0 - 2.0 * hp)
-    y = 0.25 * (xl + 1.0)
-    smooth = (r - y) ** (hp - 1.5) * (1.0 - y) ** (hp - 1.5)
-    total = 0.25 ** (2.0 - 2.0 * hp) * float(wl @ smooth)
-
-    # Right Jacobi panel [1-g, 1], weight (1-y)^(H'-3/2) at the upper end.
-    xr, wr = _jacobi(_PSI_NODES, hp - 1.5, 0.0)
-    half = g / 2.0
-    y = 1.0 - g + half * (xr + 1.0)
-    smooth = y ** (1.0 - 2.0 * hp) * (r - y) ** (hp - 1.5)
-    total += half ** (hp - 0.5) * float(wr @ smooth)
-
-    # Geometric Legendre panels filling (1/2, 1-g), doubling away from y=1.
-    xg, wg = np.polynomial.legendre.leggauss(_PSI_NODES)
-    hi = 1.0 - g
-    width = g
-    while hi > 0.5 + 1e-15:
-        lo = max(0.5, hi - width)
-        half = (hi - lo) / 2.0
-        y = lo + half * (xg + 1.0)
-        vals = y ** (1.0 - 2.0 * hp) * (r - y) ** (hp - 1.5) * (1.0 - y) ** (hp - 1.5)
-        total += half * float(wg @ vals)
-        width = 2.0 * (hi - lo)
-        hi = lo
-    return pref * total
-
-
-def _norm_L1_sq(q: int, H: float) -> float:
-    """Squared L2([0,1]^q) norm of the rank-q kernel L_1.
-
-    Exact reductions do the heavy lifting: writing L as a u-integral of
-    dK-products and applying Fubini turns the q-cube integral of L^2 into a
-    double integral of psi(u/v)^q-type cross moments, and the kernel scaling
-    dK(lam t, lam s) = lam^(H'-3/2) dK(t, s) collapses the pair (u, v) to
-    the single ratio r = u/v.  What remains, for every rank, is
-
-        ||L_1||^2 = (1/H) * int_0^1 x^(2H-2) psi(1/x)^q dx,
-
-    whose integrand behaves like (1-x)^(2H-2) at x = 1 and is regular at
-    x = 0; a Jacobi rule with that weight finishes the job.
-    """
-    hp = hurst_prime(q, H)
-    a = 2.0 * H - 2.0
-    xj, wj = _jacobi(_NORM_NODES, a, 0.0)
-    x = 0.5 * (xj + 1.0)
-    vals = np.empty_like(x)
-    for i, xi in enumerate(x):
-        vals[i] = (xi / (1.0 - xi)) ** a * _psi(1.0 / xi, hp) ** q
-    J = 0.5 ** (a + 1.0) * float(wj @ vals)
-    return J / H
-
-
 def d_H(q: int, H: float) -> float:
     """Variance normalization: Var of the rank-q process at t = 1 becomes 1.
 
-    Computed as (q! * ||L_1||^2)^(-1/2) with the kernel norm evaluated by
-    quadrature of the defining integral — rank 1 over [0, 1], rank 2 over the
-    unit square. Ranks above 2 are not supported.
+    d(H)^2 = H(2H-1) / (q! (H'(2H'-1))^q), the reciprocal of q! ||L_1||^2
+    (see the module docstring).  Ranks above 2 are not supported.
     """
     H = _check_hurst(H)
-    return _d_H_cached(_check_rank(q), H)
-
-
-@lru_cache(maxsize=64)
-def _d_H_cached(q: int, H: float) -> float:
-    norm = _norm_L1_sq(q, H)
-    factorial = 1.0 if q == 1 else 2.0
-    return float(1.0 / np.sqrt(factorial * norm))
+    hp = hurst_prime(_check_rank(q), H)
+    return math.sqrt(H * (2.0 * H - 1.0)
+                     / (math.factorial(q) * (hp * (2.0 * hp - 1.0)) ** q))
 
 
 @dataclass(frozen=True)

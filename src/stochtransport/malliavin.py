@@ -244,7 +244,9 @@ def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
     np.multiply(f[:-1], -2.0, out=out[1:])
     out[2:] += 1.0
     out[1] += 2.0
-    np.cumprod(out[1:], axis=0, out=out[1:])
+    # running product row by row: cumprod(axis=0) walks column by column
+    for r in range(2, m + 1):
+        out[r] *= out[r - 1]
     out[m] *= half_am
     # inside, P[r] + P[r-1] = 2 P[r-1] / c_r
     out[1:m] *= f[1:m]

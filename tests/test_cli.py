@@ -350,6 +350,24 @@ class TestCliMain:
         assert rc == 2
         assert "at least 3 eps values" in capsys.readouterr().out
 
+    def test_default_qv_schedule_too_fine_for_the_grid_exits_two(
+            self, tmp_path, capsys):
+        """The default schedule ends at T/128, one step at n = 128."""
+        argv = ["--n", "128", "--paths", "100"]
+        assert main(["validate", "--kind", "qv"] + argv) == 2
+        assert "must be at least 2*dt" in capsys.readouterr().out
+        assert main(["qv"] + argv + ["--out", str(tmp_path)]) == 2
+        assert "must be at least 2*dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["noise-stats"],
+                                      ["malliavin", "--q", "2"]])
+    def test_one_path_has_no_standard_error_and_exits_two(
+            self, tmp_path, capsys, argv):
+        rc = main(argv + ["--n", "64", "--paths", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "needs at least 2 paths" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_flags_override_config_file(self, tmp_path):
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(

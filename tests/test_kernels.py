@@ -23,9 +23,8 @@ from stochtransport.kernels import (
     kernel_KH,
     kernel_KH_matrix,
     kernel_L,
-    _KH_MATRIX_NODES,
     _dkh_profile,
-    _jacobi,
+    _kh,
 )
 from stochtransport.noise import _fbm_weights
 
@@ -90,14 +89,18 @@ def test_kernel_KH_matrix_agrees_with_scalar():
     assert mat[0, 2] == 0.0  # t=0.2 <= s=0.45
 
 
+def test_kernel_KH_matrix_rows_at_nonpositive_t_are_zero():
+    """A row with t <= 0 shares its block with later rows but stays zero."""
+    mat = kernel_KH_matrix(np.array([-0.5, 0.0, 0.5]), np.array([0.1, 0.7]), 0.7)
+    assert np.array_equal(mat[:2], np.zeros((2, 2)))
+    assert mat[2, 0] == pytest.approx(kernel_KH(0.5, 0.1, 0.7), rel=1e-15)
+
+
 @pytest.mark.parametrize("shuffle_t, shuffle_s",
                          [(True, False), (False, True), (True, True)])
 def test_kernel_KH_matrix_on_shuffled_arguments(shuffle_t, shuffle_s):
-    """Shuffled t or s, on enough columns that the rows go in many chunks:
-    every entry against the sorted build, sampled entries against the
-    scalar kernel.  The matrix's 24-node rule loses accuracy for s near 0
-    (2e-3 relative at s = 0.0005), so the scalar comparison keeps s >= 0.05.
-    """
+    """Shuffled t or s: every entry against the sorted build, sampled
+    entries against the scalar kernel."""
     H, n = 0.7, 1000
     rng = np.random.default_rng(5)
     t = np.linspace(0.0, 1.0, n + 1)[1:]
@@ -110,29 +113,56 @@ def test_kernel_KH_matrix_on_shuffled_arguments(shuffle_t, shuffle_s):
     assert np.array_equal(mat == 0, t[:, None] <= s[None, :])
     np.testing.assert_allclose(mat, sorted_mat[pt][:, ps], rtol=1e-15, atol=0.0)
     for i, j in rng.integers(0, n, size=(300, 2)):
-        if s[j] >= 0.05:
-            assert mat[i, j] == pytest.approx(kernel_KH(t[i], s[j], H),
-                                              rel=1e-10, abs=1e-12)
+        assert mat[i, j] == pytest.approx(kernel_KH(t[i], s[j], H),
+                                          rel=1e-10, abs=1e-12)
 
 
 def test_fbm_weights_match_a_full_square_build():
-    """The triangular build against the kernel evaluated on every pair and
-    masked afterwards, at n = 1024, where the two round differently."""
+    """The blocked triangular build against the closed form evaluated on
+    every pair at once and masked afterwards, at n = 1024."""
     H, n = 0.7, 1024
     grid = TimeGrid(T=1.0, n=n)
-    t, s = grid.points[1:], grid.midpoints
-    x, w = _jacobi(_KH_MATRIX_NODES, 0.0, H - 1.5)
-    full = np.empty((n, n))
-    for lo in range(0, n, 64):
-        half = (t[lo:lo + 64, None] - s[None, :]) / 2.0
-        halfm = np.where(half > 0, half, 1.0)
-        u = s[None, :, None] + halfm[:, :, None] * (x + 1.0)
-        integral = halfm ** (H - 0.5) * (u ** (H - 0.5) @ w)
-        full[lo:lo + 64] = np.where(half > 0,
-                                    c_H(H) * s ** (0.5 - H) * integral, 0.0)
+    t, s = grid.points[1:, None], grid.midpoints[None, :]
+    below = s < t
+    full = np.where(below, _kh(t, s, H), 0.0)
     M = _fbm_weights(grid.key(), H)
-    assert np.array_equal(M == 0, full == 0)
-    np.testing.assert_allclose(M, full, rtol=1e-15, atol=0.0)
+    assert np.array_equal(M == 0, ~below)
+    assert np.array_equal(M, full)
+
+
+@pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
+def test_fbm_weights_match_adaptive_quadrature(H):
+    """Lattice kernel entries against quad with the algebraic weight
+    (u-s)^(H-3/2) of the defining integral, at n = 1024.  Columns 0, 1 and
+    10 come first: there s = dt/2, 3dt/2, 21dt/2 lies closest to u = 0,
+    where the factor u^(H-1/2) is not smooth."""
+    n = 1024
+    grid = TimeGrid(T=1.0, n=n)
+    t, s = grid.points[1:], grid.midpoints
+    M = _fbm_weights(grid.key(), H)
+    rng = np.random.default_rng(13)
+    pairs = [(n - 1, 0), (n - 1, 1), (n - 1, 10), (0, 0), (1, 0), (10, 1)]
+    pairs += [tuple(sorted(p, reverse=True)) for p in rng.integers(0, n, (24, 2))]
+    for k, i in pairs:  # k >= i, so t[k] > s[i]
+        val, _ = quad(lambda u: u ** (H - 0.5), s[i], t[k], weight="alg",
+                      wvar=(H - 1.5, 0.0), epsabs=0.0, epsrel=1e-13)
+        assert M[k, i] == pytest.approx(c_H(H) * s[i] ** (0.5 - H) * val,
+                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("hp", [0.75, 0.85, 0.95])
+@pytest.mark.parametrize("r", [1.01, 1.3, 2.0, 5.0])
+def test_kernel_derivative_cross_moment(hp, r):
+    """int_0^1 dK(r, y) dK(1, y) dy = H'(2H'-1) (r-1)^(2H'-2) for r > 1, the
+    identity behind the closed form of d_H, by quad over _dkh_profile.  The
+    panel edge 2 - r isolates the layer of width r - 1 at y = 1."""
+    c = c_H(hp)
+    edge = max(0.5, 2.0 - r)
+    val = sum(quad(lambda y: np.prod(_dkh_profile(np.array([r, 1.0]), y, hp, c)),
+                   lo, hi, limit=200)[0]
+              for lo, hi in ((0.0, 0.5), (0.5, edge), (edge, 1.0)) if hi > lo)
+    assert val == pytest.approx(hp * (2.0 * hp - 1.0) * (r - 1.0) ** (2.0 * hp - 2.0),
+                                rel=1e-8)  # 3.6e-10 seen
 
 
 def test_kernel_dKH_matches_finite_difference():
