@@ -7,15 +7,18 @@ produces byte-identical CSV files on one machine at any thread count.  Paths
 are keyed by path_id, the ensemble is simulated in one call, reductions
 happen in a fixed order, and the threads only split the density runner's
 per-path flow work, which is elementwise in the paths (flow._solve_step).
-A rank-1 simulate_ensemble also runs one helper thread of its own, which
-builds the kernel matrix during the driver draw.  Neither that thread nor
-the fixed block sizes (_WEIGHT_CHUNK here, noise._TRI_BLOCK in the rank-1
-noise and norms) change any bit of an artifact.
+A rank-1 simulate_ensemble also runs two helper threads of its own, which
+build the kernel matrix and draw the driver blocks.  Neither those threads
+nor the fixed block sizes (_WEIGHT_CHUNK here, noise._PATH_BLOCK and
+noise._TRI_BLOCK in the rank-1 noise and norms) change any bit of an
+artifact.
 """
 
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -72,9 +75,11 @@ KINDS = (
     "bound-check",
 )
 
-# noise-stats and malliavin need two paths for a ddof=1 standard error.
+# malliavin needs two paths for a ddof=1 standard error; noise-stats
+# three, the fewest at which its variance and covariance standard errors
+# are almost surely positive (two paths have equal |deviations|).
 _MIN_PATHS = {"qv": _MIN_QV_PATHS, "density": _MIN_DENSITY_SAMPLES,
-              "bound-check": _MIN_BOUND_PATHS, "noise-stats": 2,
+              "bound-check": _MIN_BOUND_PATHS, "noise-stats": 3,
               "malliavin": 2}
 _FLOW_KINDS = set(KINDS) - {"noise-stats", "qv"}  # runs that march a flow
 
@@ -216,7 +221,11 @@ def validate(config: ExperimentConfig) -> list[str]:
 
 @dataclass
 class RunManifest:
-    """Record of one run: config echo, checks performed, files written."""
+    """Record of one run: config echo, checks performed, files written.
+
+    peak_rss_mb is the peak resident set size of the running process
+    (getrusage), so it covers whatever else that process did before.
+    """
 
     kind: str
     config: dict
@@ -224,6 +233,7 @@ class RunManifest:
     version: str
     started_utc: str
     wall_clock_s: float
+    peak_rss_mb: float
     checks: list
     files: list
     passed: bool
@@ -286,6 +296,12 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
+
+
 def _thread_count(config: ExperimentConfig) -> int:
     """config.threads, or with 0 the CPUs this process may run on."""
     return config.threads if config.threads > 0 else _cpu_count()
@@ -295,23 +311,29 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
                      driver: bool = False):
     """The noise of path ids 0..paths-1, and with driver also its increments.
 
-    One simulate_ensemble call on the BLAS threads.  A thread pool here
-    would slow the per-path Philox draws (interpreter lock), oversubscribe
-    BLAS, and make the products round with the thread-sized block shape.
+    One simulate_ensemble call, which brings its own helper threads for
+    the rank-1 draw.  Splitting the ensemble over a thread pool here would
+    oversubscribe BLAS and make the products round with the thread-sized
+    block shape.
     """
     return simulate_ensemble(grid, spec, seed, np.arange(paths), driver=driver)
 
 
 def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
-                 threads: int, weights: bool):
+                 threads: int, weights: bool, in_place: bool = False):
     """Y_{0,t}(x) per path and, with weights, the flow weights of [0, t].
 
-    The thread pool maps over contiguous path slices, at least two.  With
-    weights, a slice records its backward trajectory straight into its
-    columns of the (index(t)+1, paths) weight array, keeps row 0 (the
-    samples), and turns those columns into weights in place, _WEIGHT_CHUNK
-    paths at a time, so no trajectory array is allocated and the
-    temporaries stay small.  The work is elementwise in the paths, so the
+    The thread pool maps over contiguous path slices, at least two.
+    Without weights a slice marches to the end state only
+    (backward_ensemble), and the second result is None.  With weights, a
+    slice records its backward trajectory straight into its columns of the
+    (index(t)+1, paths) weight array, keeps row 0 (the samples), and turns
+    those columns into weights in place, _WEIGHT_CHUNK paths at a time, so
+    no trajectory array is allocated and the temporaries stay small.  With
+    in_place that weight array is z.T[:index(t)+1], the noise rows each
+    slice has just consumed (see flow._march), so z is overwritten and no
+    second (n+1, paths) array is allocated; a time-first (rank-1) z keeps
+    those rows contiguous.  The work is elementwise in the paths, so the
     result does not depend on the slicing or the chunking.  The slices
     follow threads, but the pool gets no more workers than _cpu_count(), so
     a large thread count starts no more OS threads than there are CPUs.
@@ -319,18 +341,22 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     paths = z.shape[0]
     kt = grid.index_of(t)
     y = np.empty(paths)
-    cw = np.empty((kt + 1, paths)) if weights else None
+    cw = None
+    if weights:
+        cw = z.T[:kt + 1] if in_place else np.empty((kt + 1, paths))
     cuts = np.linspace(0, paths, min(paths, max(2, threads)) + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def solve(sl):
-        traj = backward_ensemble_trajectory(
-            b, grid, z[sl], x, t, out=cw[:, sl] if weights else None)
+        if not weights:
+            y[sl] = backward_ensemble(b, grid, z[sl], x, 0.0, t)
+            return
+        traj = backward_ensemble_trajectory(b, grid, z[sl], x, t,
+                                            out=cw[:, sl])
         y[sl] = traj[0]
-        if weights:
-            for lo in range(0, traj.shape[1], _WEIGHT_CHUNK):
-                cols = traj[:, lo:lo + _WEIGHT_CHUNK]
-                _flow_weights(b, grid, cols, 0, out=cols)
+        for lo in range(0, traj.shape[1], _WEIGHT_CHUNK):
+            cols = traj[:, lo:lo + _WEIGHT_CHUNK]
+            _flow_weights(b, grid, cols, 0, out=cols)
 
     with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
         list(pool.map(solve, slices))
@@ -351,8 +377,10 @@ def _run_noise_stats(config, grid, spec, out, checks, files):
         x = z[:, k]
         mean, var = float(np.mean(x)), float(np.var(x, ddof=1))
         se_mean = float(np.std(x, ddof=1)) / np.sqrt(x.size)
-        m4 = float(np.mean((x - mean) ** 4))
-        se_var = np.sqrt(max(m4 - var**2, 1e-300) / x.size)
+        # population moments on both sides: m4 >= m2^2 (power means)
+        dev = x - mean
+        m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
+        se_var = np.sqrt((m4 - m2**2) / x.size)
         lat = lattice_variance(grid, spec, float(t))
         z_mean = mean / se_mean
         z_var = (var - lat) / se_var
@@ -485,20 +513,30 @@ def _run_malliavin(config, grid, spec, out, checks, files):
 
 
 def _run_density(config, grid, spec, out, checks, files):
+    """Samples of u(t, x0), their KDE, and ||Du(t, x0)||^2 per path.
+
+    One flow solve serves the samples (row 0) and the derivative norms.
+    Rank 1 holds one (n+1, paths) array: the rank-1 norms never read the
+    driver, and the flow weights are recorded over the time-first noise
+    rows they consume (_flow_slices in_place), which the rank-1 norm reads
+    only for its shape.  Rank 2 keeps its driver for the norm and a
+    separate weight array, because its noise is stored path-first.
+    """
     b = drift_preset(config.drift, **config.drift_params)
     u0 = u0_preset(config.u0, **config.u0_params)
     t = config.t_end
-    z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
-                             driver=True)
+    dW = None
     if spec.q == 1:
-        dW = None  # the rank-1 norms never read the driver
-    # One flow solve serves the samples (row 0) and the derivative norms.
+        z = _simulate_blocks(grid, spec, config.seed, config.paths)
+    else:
+        z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
+                                 driver=True)
     y, cw = _flow_slices(b, grid, z, config.x0, t, _thread_count(config),
-                         weights=not b.is_zero)
+                         weights=not b.is_zero, in_place=spec.q == 1)
     samples = np.asarray(u0.u0(y), dtype=float)
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW,
                               flow_weights=cw)
-    del cw
+    del z, dW, cw
     du_nsq = np.asarray(u0.u0_prime(y), dtype=float) ** 2 * dy_nsq
     rep = density_report(samples, du_nsq)
     _write_csv(out / "samples.csv", config,
@@ -564,6 +602,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         version=__version__,
         started_utc=started,
         wall_clock_s=time.perf_counter() - t0,
+        peak_rss_mb=_peak_rss_mb(),
         checks=checks,
         files=files + ["manifest.json"],
         passed=all(c["passed"] for c in checks),

@@ -164,10 +164,14 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
     sign = +1 starts x at ks and marches forward to kt; sign = -1 anchors x
     at kt and marches back to ks.  With record, the states at every index
     ks..kt come back in time order, stacked along axis 0, written into out
-    when it is given; otherwise the end state.
+    when it is given; otherwise the end state.  Each noise row is read into
+    a one-row carry before the state at its index is written, so out may
+    be z's own rows ks..kt: the march then consumes the noise it records
+    over, with the same bits as into a fresh out.
     """
     start, end = (ks, kt) if sign > 0 else (kt, ks)
     x = np.zeros(np.shape(z[start])) + np.asarray(x, dtype=float)
+    carry = np.array(z[start], dtype=float)  # z[k] at step k
     traj = None
     if record:
         shape = (kt - ks + 1,) + x.shape
@@ -176,10 +180,10 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
         traj = np.empty(shape) if out is None else out
     if b.is_zero:
         if not record:
-            return x + (z[end] - z[start])
+            return x + (z[end] - carry)
         zr = z[ks:kt + 1]
         zr = zr.reshape(zr.shape + (1,) * (x.ndim - zr.ndim + 1))
-        np.subtract(zr, z[start], out=traj)
+        np.subtract(zr, carry, out=traj)
         traj += x
         return traj
     pts = grid.points
@@ -195,7 +199,8 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
     for k in range(start, end, sign):
         # dz is the increment along the march, so one formula serves both
         # directions: backwards it is the exact negative of the forward one.
-        dz = z[k + sign] - z[k]
+        dz = z[k + sign] - carry
+        np.copyto(carry, z[k + sign])
         f = np.asarray(b.b(pts[k], x), dtype=float)
         x = _solve_step(b, pts[k + sign], x + 0.5 * h * f + dz,
                         x + h * f + dz, h, plan)
@@ -295,6 +300,8 @@ def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
 
     With out, an array of that shape (a view is fine), the states are
     written into it and out is returned; the values are the same to the bit.
+    out may alias z_values.T[:kt+1], the noise rows the march reads: the
+    trajectory then replaces them (see _march).
     """
     ks, kt = _check_times(grid, 0.0, t)
     return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1,

@@ -45,17 +45,28 @@ supports at the probe times (the eighths of [0, T]), so the diagnostics
 that ask for pair matrices at those times cost no further pass.
 
 Rank 1 multiplies the driver by the kernel matrix (_fbm_weights), whose
-row k vanishes past step k.  The product runs in blocks of _TRI_BLOCK time
-steps, each one GEMM over the block's nonzero prefix (about half the flops
-of the dense product), written straight into a time-first (n+1, paths)
-array.  The values come back as its transpose, a Fortran-ordered
-(paths, n+1) view, so a flow reads each time row contiguously; rank 2
-returns a C-ordered array.  The block width is a constant, so the blocks
-do not depend on the thread count.  simulate_ensemble builds the kernel
-matrix on one helper thread while the calling thread draws the driver:
-the per-path draw holds the interpreter lock and the kernel's numpy work
-releases it.  The matrix is the same either way, so the overlap changes no
-bit.  Rank 2 builds its plan on the calling thread.
+row k vanishes past step k, in one time-first (n+1, paths) array: the
+driver is written into rows 1..n, row i+1 holding the increment of step i
+for every path, and the product overwrites it in place (_fbm_in_place).
+It runs in blocks of _TRI_BLOCK time steps, last block first, each one
+GEMM over the block's nonzero prefix (about half the flops of the dense
+product): a block reads only driver rows that no block before it has
+overwritten.  The values come back as the array's transpose, a
+Fortran-ordered (paths, n+1) view, so a flow reads each time row
+contiguously; rank 2 returns a C-ordered array.  simulate_ensemble draws
+the rank-1 driver in blocks of _PATH_BLOCK paths and transposes each
+straight into its columns, so the ensemble holds one (n+1, paths) array
+and two driver blocks, and a whole (paths, n) driver only when the caller
+asks for it.  Two helper threads share the work: one first builds the
+kernel matrix, and both draw blocks.  The per-path draw releases the
+interpreter lock while it fills a row with normals, and so does the
+kernel's numpy work, so the threads run side by side.  The products start
+once the draw is done, so the BLAS threads are busy from the first
+product to the last and do not spin between blocks while a path block is
+drawn.  The product covers every path at once and every path's driver
+comes from its own stream, so no bit depends on _PATH_BLOCK, on which
+thread drew a block, or on the thread count.  Rank 2 builds its plan on
+the calling thread.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -119,6 +130,11 @@ class NoisePath:
 # malliavin.dy_norm_ensemble).  A constant, so no bit depends on the thread
 # count.
 _TRI_BLOCK = 128
+
+# Paths per driver block of a rank-1 simulate_ensemble.  Transposing a
+# block into the time-first array walks one cache line per path at a time,
+# and 256 of them fit a first-level cache.
+_PATH_BLOCK = 256
 
 
 @lru_cache(maxsize=32)
@@ -379,6 +395,24 @@ def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int = 0,
         yield l, lam2[l], F, w, dW[:, : l + 1] @ F.T
 
 
+def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
+    """Turn a time-first rank-1 driver into its noise, in place.
+
+    zt is (n+1, paths) with the increment of step i in row i+1; on return
+    row k holds Z(t_k) = sum_{i<k} M[k-1, i] dW_i and row 0 is zero.  Time
+    blocks run last to first, so a block reads driver rows [1, hi] that no
+    block has yet overwritten; its own rows [lo+1, hi] are among them, so
+    it goes through one (_TRI_BLOCK, paths) buffer.
+    """
+    n = zt.shape[0] - 1
+    buf = np.empty((min(_TRI_BLOCK, n), zt.shape[1]))
+    for lo in reversed(range(0, n, _TRI_BLOCK)):
+        hi = min(lo + _TRI_BLOCK, n)
+        np.matmul(M[lo:hi, :hi], zt[1:hi + 1], out=buf[:hi - lo])
+        zt[1 + lo:1 + hi] = buf[:hi - lo]
+    zt[0] = 0.0
+
+
 def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
     """Noise values from Brownian increment rows (paths, n) -> (paths, n+1).
 
@@ -389,14 +423,9 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
         raise DomainError(f"driver shape {dW.shape} does not match grid with n={grid.n}")
     P, n = dW.shape
     if spec.q == 1:
-        # time-first, block by block over the kernel's nonzero prefix:
-        # rows [lo, hi) of M vanish past column hi - 1
-        M = _fbm_weights(grid.key(), spec.H)
         zt = np.empty((n + 1, P))
-        zt[0] = 0.0
-        for lo in range(0, n, _TRI_BLOCK):
-            hi = min(lo + _TRI_BLOCK, n)
-            np.matmul(M[lo:hi, :hi], dW[:, :hi].T, out=zt[1 + lo:1 + hi])
+        zt[1:] = dW.T
+        _fbm_in_place(_fbm_weights(grid.key(), spec.H), zt)
         return zt.T
 
     # rank 2: window-by-window Wick-ordered square of the factor rows
@@ -429,21 +458,36 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
     what simulate_hermite would produce path by path up to roundoff.  The
     memory order depends on the rank: rank 1 values are stored time-first
     (a Fortran-ordered array, so a column -- one time across all paths -- is
-    contiguous), rank 2 values path-first (C order).  With driver, the
-    (paths, n) increments come back too, as (values, dW), so a caller that
-    needs both draws them once.
+    contiguous), rank 2 values path-first (C order).  Rank 1 draws the
+    driver in blocks of _PATH_BLOCK paths straight into the time-first
+    array, which the kernel product then overwrites in place (see the
+    module docstring).  With driver, the (paths, n) increments come back
+    too, as (values, dW), so a caller that needs both draws them once; only
+    then is a whole driver array kept.
     """
-    if spec.q == 1:
-        # the kernel matrix goes into its lru cache on a helper thread
-        # during the draw (see the module docstring)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            weights = pool.submit(_fbm_weights, grid.key(), spec.H)
-            dW = generate_increments(grid, seed, path_ids)
-            weights.result()
-    else:
+    if spec.q != 1:
         dW = generate_increments(grid, seed, path_ids)
-    values = _from_driver(grid, spec, dW)
-    return (values, dW) if driver else values
+        values = _from_driver(grid, spec, dW)
+        return (values, dW) if driver else values
+    path_ids = list(path_ids)
+    zt = np.empty((grid.n + 1, len(path_ids)))
+    dW = np.empty((len(path_ids), grid.n)) if driver else None
+
+    def draw(cols):
+        block = generate_increments(grid, seed, path_ids[cols])
+        zt[1:, cols] = block.T
+        if driver:
+            dW[cols] = block
+
+    blocks = [slice(lo, lo + _PATH_BLOCK)
+              for lo in range(0, len(path_ids), _PATH_BLOCK)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        # the kernel matrix goes into its lru cache during the draw
+        weights = pool.submit(_fbm_weights, grid.key(), spec.H)
+        list(pool.map(draw, blocks))
+        M = weights.result()
+    _fbm_in_place(M, zt)
+    return (zt.T, dW) if driver else zt.T
 
 
 def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.ndarray:

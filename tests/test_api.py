@@ -156,6 +156,14 @@ def test_module_signatures_are_pinned():
     assert got == MODULE_SIGNATURES
 
 
+def test_run_manifest_fields_are_pinned():
+    """The fields of every manifest.json the command line writes."""
+    from stochtransport.experiments import RunManifest
+    assert [f.name for f in dataclasses.fields(RunManifest)] == [
+        "kind", "config", "config_hash", "version", "started_utc",
+        "wall_clock_s", "peak_rss_mb", "checks", "files", "passed"]
+
+
 def test_class_members_are_pinned():
     got = {}
     for name, cls in _exported():

@@ -234,6 +234,21 @@ def test_ensemble_trajectory_fills_out(drift):
                                      out=np.empty((fresh.shape[0], 3)))
 
 
+@pytest.mark.parametrize("t", [0.75, 1.0])
+@pytest.mark.parametrize("drift", [_sine(), _zero()], ids=["sine", "zero"])
+def test_ensemble_trajectory_recorded_over_its_own_noise(drift, t):
+    """out = z.T[:kt+1], the rows the march reads, as the density runner
+    passes it: the same bits as into a fresh out."""
+    grid = TimeGrid(T=1.0, n=128)
+    z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 3, range(7))
+    fresh = backward_ensemble_trajectory(drift, grid, z, 0.3, t)
+    kt = grid.index_of(t)
+    got = backward_ensemble_trajectory(drift, grid, z, 0.3, t,
+                                       out=z.T[:kt + 1])
+    assert np.shares_memory(got, z)
+    assert np.array_equal(got, fresh)
+
+
 def test_trajectories_cover_grid():
     z = _noise(n=256)
     b = _sine()

@@ -1,5 +1,6 @@
 """Noise path construction: kernel schemes, pair matrices, circulant oracle."""
 
+import sys
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from stochtransport import (
     TimeGrid,
     WienerLattice,
     generate,
+    generate_increments,
     simulate_ensemble,
     simulate_fbm,
     simulate_fbm_circulant,
@@ -156,6 +158,31 @@ def test_rank_one_blocks_match_the_dense_product(paths):
     assert z.shape == (paths, grid.n + 1) and z.flags.f_contiguous
     assert np.all(z[:, 0] == 0.0)
     assert np.all(np.abs(z[:, 1:] - dense) <= 1e-14 * (1.0 + np.abs(dense)))
+
+
+@pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 1), (2, 3)],
+                         ids=["1", "block-1", "block+1", "2block+3"])
+def test_rank_one_path_blocks_match_per_path_simulation(blocks):
+    """The driver drawn in path blocks is the driver of generate_increments
+    to the bit, and every path's noise is its per-path simulation up to the
+    product's roundoff, around the block edges.  The helper threads that
+    draw the blocks switch as often as the interpreter allows."""
+    from stochtransport.noise import _PATH_BLOCK
+    paths = blocks[0] * _PATH_BLOCK + blocks[1]
+    grid = TimeGrid(T=1.0, n=24)
+    spec = HermiteSpec.create(1, 0.7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        z, dW = simulate_ensemble(grid, spec, seed=6, path_ids=range(paths),
+                                  driver=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert z.shape == (paths, grid.n + 1) and z.flags.f_contiguous
+    assert np.array_equal(dW, generate_increments(grid, 6, range(paths)))
+    for p in range(paths):
+        ref = simulate_hermite(generate(grid, seed=6, path_id=p), spec).values
+        assert np.all(np.abs(z[p] - ref) <= 1e-14 * (1.0 + np.abs(ref))), p
 
 
 def test_rank_one_kernel_error_surfaces_from_the_helper_thread():
