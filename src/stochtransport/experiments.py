@@ -9,9 +9,9 @@ happen in a fixed order, and the threads only split the density runner's
 per-path flow work, which is elementwise in the paths (flow._solve_step).
 A rank-1 simulate_ensemble also runs two helper threads of its own, which
 build the kernel matrix and draw the driver blocks.  Neither those threads
-nor the fixed block sizes (_WEIGHT_CHUNK here, noise._PATH_BLOCK and
-noise._TRI_BLOCK in the rank-1 noise and norms) change any bit of an
-artifact.
+nor the fixed block sizes (malliavin._WEIGHT_CHUNK in the flow weights,
+noise._PATH_BLOCK and noise._TRI_BLOCK in the rank-1 noise and norms)
+change any bit of an artifact.
 """
 
 import hashlib
@@ -30,18 +30,13 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, GridError, StochTransportError
-from .flow import (
-    _step_plan,
-    backward_ensemble,
-    backward_ensemble_trajectory,
-    forward_ensemble,
-)
+from .flow import _step_plan, backward_ensemble, forward_ensemble
 from .grid import TimeGrid
 from .kernels import SUPPORTED_ORDERS, HermiteSpec
 from .malliavin import (
     _MIN_BOUND_PATHS,
     _MIN_DENSITY_SAMPLES,
-    _flow_weights,
+    _ensemble_weights,
     density_bound_check,
     density_report,
     dy_norm_ensemble,
@@ -82,8 +77,9 @@ _MIN_PATHS = {"qv": _MIN_QV_PATHS, "density": _MIN_DENSITY_SAMPLES,
               "bound-check": _MIN_BOUND_PATHS, "noise-stats": 3,
               "malliavin": 2}
 _FLOW_KINDS = set(KINDS) - {"noise-stats", "qv"}  # runs that march a flow
-
-_WEIGHT_CHUNK = 512  # paths per flow-weight build in _flow_slices
+# Kinds that read the window start s (noise-stats reads no window time);
+# validate refuses an ignored value, which would still change the hash.
+_READS_S = {"flow", "malliavin", "bound-check"}
 
 
 @dataclass
@@ -206,6 +202,12 @@ def validate(config: ExperimentConfig) -> list[str]:
             _eps_steps(grid, config.mollifier_eps)
         except (StochTransportError, TypeError, ValueError) as exc:
             diags.append(f"mollifier width: {exc}")
+    if config.kind not in _READS_S and config.s != 0.0:
+        diags.append(f"kind {config.kind!r} does not read s; got s={config.s}")
+    if config.kind == "noise-stats":
+        if config.t is not None:
+            diags.append(f"kind 'noise-stats' does not read t; got t={config.t}")
+        return diags
     t_end = config.t_end
     if not 0.0 <= config.s < t_end <= config.T:
         diags.append(f"need 0 <= s < t <= T, got s={config.s}, t={t_end}, "
@@ -320,43 +322,30 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
 
 
 def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
-                 threads: int, weights: bool, in_place: bool = False):
-    """Y_{0,t}(x) per path and, with weights, the flow weights of [0, t].
+                 threads: int):
+    """Y_{0,t}(x) per path and, for a nonzero drift, the flow weights of [0, t].
 
-    The thread pool maps over contiguous path slices, at least two.
-    Without weights a slice marches to the end state only
-    (backward_ensemble), and the second result is None.  With weights, a
-    slice records its backward trajectory straight into its columns of the
-    (index(t)+1, paths) weight array, keeps row 0 (the samples), and turns
-    those columns into weights in place, _WEIGHT_CHUNK paths at a time, so
-    no trajectory array is allocated and the temporaries stay small.  With
-    in_place that weight array is z.T[:index(t)+1], the noise rows each
-    slice has just consumed (see flow._march), so z is overwritten and no
-    second (n+1, paths) array is allocated; a time-first (rank-1) z keeps
-    those rows contiguous.  The work is elementwise in the paths, so the
-    result does not depend on the slicing or the chunking.  The slices
-    follow threads, but the pool gets no more workers than _cpu_count(), so
-    a large thread count starts no more OS threads than there are CPUs.
+    The thread pool maps over contiguous path slices, at least two.  With
+    zero drift a slice marches to the end state only, and the weights are
+    None.  Otherwise each slice records its weights (_ensemble_weights)
+    over z.T[:index(t)+1], the noise rows it has just consumed (see
+    flow._march): z becomes the weights, and no second (n+1, paths) array
+    is allocated.  The work is elementwise in the paths, so the result does
+    not depend on the slicing.  The pool gets no more workers than
+    _cpu_count(), so a large thread count starts no more OS threads.
     """
     paths = z.shape[0]
     kt = grid.index_of(t)
     y = np.empty(paths)
-    cw = None
-    if weights:
-        cw = z.T[:kt + 1] if in_place else np.empty((kt + 1, paths))
+    cw = None if b.is_zero else z.T[:kt + 1]
     cuts = np.linspace(0, paths, min(paths, max(2, threads)) + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def solve(sl):
-        if not weights:
+        if cw is None:
             y[sl] = backward_ensemble(b, grid, z[sl], x, 0.0, t)
-            return
-        traj = backward_ensemble_trajectory(b, grid, z[sl], x, t,
-                                            out=cw[:, sl])
-        y[sl] = traj[0]
-        for lo in range(0, traj.shape[1], _WEIGHT_CHUNK):
-            cols = traj[:, lo:lo + _WEIGHT_CHUNK]
-            _flow_weights(b, grid, cols, 0, out=cols)
+        else:
+            y[sl] = _ensemble_weights(b, grid, z[sl], x, 0, kt, out=cw[:, sl])[0]
 
     with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
         list(pool.map(solve, slices))
@@ -487,8 +476,7 @@ def _run_malliavin(config, grid, spec, out, checks, files):
     z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
                              driver=True)
     dz_nsq = dz_norm_ensemble(grid, spec, dW, t)
-    dy_nsq = dy_norm_ensemble(b, grid, spec, z, s, t, config.x0,
-                              dW=dW if spec.q == 2 else None)
+    dy_nsq = dy_norm_ensemble(b, grid, spec, z, s, t, config.x0, dW=dW)
     rows = [(pid, dz_nsq[pid], dy_nsq[pid]) for pid in range(config.paths)]
     _write_csv(out / "malliavin.csv", config,
                ["path_id", "dz_norm_sq", "dy_norm_sq"], rows)
@@ -516,11 +504,9 @@ def _run_density(config, grid, spec, out, checks, files):
     """Samples of u(t, x0), their KDE, and ||Du(t, x0)||^2 per path.
 
     One flow solve serves the samples (row 0) and the derivative norms.
-    Rank 1 holds one (n+1, paths) array: the rank-1 norms never read the
-    driver, and the flow weights are recorded over the time-first noise
-    rows they consume (_flow_slices in_place), which the rank-1 norm reads
-    only for its shape.  Rank 2 keeps its driver for the norm and a
-    separate weight array, because its noise is stored path-first.
+    The noise array becomes the flow weights (_flow_slices).  Rank 1 holds
+    that one (n+1, paths) array; rank 2 also holds the (paths, n) driver,
+    which its norm's window pass reads.
     """
     b = drift_preset(config.drift, **config.drift_params)
     u0 = u0_preset(config.u0, **config.u0_params)
@@ -531,8 +517,7 @@ def _run_density(config, grid, spec, out, checks, files):
     else:
         z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
                                  driver=True)
-    y, cw = _flow_slices(b, grid, z, config.x0, t, _thread_count(config),
-                         weights=not b.is_zero, in_place=spec.q == 1)
+    y, cw = _flow_slices(b, grid, z, config.x0, t, _thread_count(config))
     samples = np.asarray(u0.u0(y), dtype=float)
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW,
                               flow_weights=cw)

@@ -46,7 +46,13 @@ import numpy as np
 from scipy.stats import gaussian_kde
 
 from .errors import DomainError, NumericError, ResolutionError, SampleSizeError
-from .flow import DriftField, _check_times, backward_ensemble_trajectory, backward_trajectory
+from .flow import (
+    DriftField,
+    _check_times,
+    _time_first,
+    backward_ensemble_trajectory,
+    backward_trajectory,
+)
 from .grid import TimeGrid
 from .kernels import HermiteSpec, kernel_KH
 from .noise import (
@@ -84,6 +90,7 @@ _FLOOR_SLACK = 1e-6
 _VOLTERRA_TOL = 1e-10  # residual guard of dY_integral_eq, relative to |h|
 _MIN_BOUND_PATHS = 100  # fewest paths density_bound_check accepts
 _MIN_DENSITY_SAMPLES = 1000  # fewest samples density_report accepts
+_WEIGHT_CHUNK = 512  # paths per _flow_weights call in _ensemble_weights
 
 
 @dataclass(frozen=True)
@@ -274,6 +281,25 @@ def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
                        np.empty(rows.shape) if out is None else out)
 
 
+def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
+                      ks: int, kt: int, out: np.ndarray | None = None):
+    """(Y_{s,t}(x), cw) per path of a (paths, n+1) noise ensemble z.
+
+    Records the backward trajectory (kt+1, paths) into out when given (it
+    may be z.T[:kt+1], see backward_ensemble_trajectory), copies row ks,
+    and turns rows ks..kt into the flow weights cw of _flow_weights in
+    place, _WEIGHT_CHUNK paths at a time, so the slopes stay small.  The
+    weights are elementwise in the paths: no chunking or slicing moves a bit.
+    """
+    traj = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], out=out)
+    cw = traj[ks:]
+    y = cw[0].copy()
+    for lo in range(0, cw.shape[1], _WEIGHT_CHUNK):
+        cols = cw[:, lo:lo + _WEIGHT_CHUNK]
+        _flow_weights(b, grid, cols, ks, out=cols)
+    return y, cw
+
+
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
                    t: float, alpha: float, x: float) -> float:
     """D_alpha Y_{s,t}(x) = h[0] - cw @ h with h = DZ(t_ks..t_kt).
@@ -346,37 +372,35 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     rank 2 needs the driving increments dW and makes one
     window pass for all paths (two small GEMMs per window, no per-path
     table).  flow_weights optionally supplies the per-path flow weights
-    _flow_weights(b, grid, Y[ks:kt+1], ks) of the inverse flow
-    Y = backward_ensemble_trajectory(b, grid, z_values, x, t), shape
-    (index(t) - index(s) + 1, paths); they are elementwise in the paths, so
-    a caller can build them slice by slice.
+    cw of _ensemble_weights(b, grid, z_values, x, index(s), index(t)),
+    shape (index(t) - index(s) + 1, paths); they are elementwise in the
+    paths, so a caller can build them slice by slice.
     """
-    z = np.asarray(z_values, dtype=float)
-    if z.ndim != 2 or z.shape[1] != grid.n + 1:
-        raise DomainError(f"ensemble shape {z.shape} does not match the grid")
-    P = z.shape[0]
+    P = _time_first(grid, z_values).shape[1]
     ks, kt = _check_times(grid, s, t)
-    if spec.q == 2 and dW is None:
-        raise DomainError("rank-2 ensembles need the driving increments dW")
-
-    def weights():  # (m+1, P)
-        if flow_weights is not None:
+    if spec.q == 2:
+        if dW is None:
+            raise DomainError("rank-2 ensembles need the driving increments dW")
+        dW = np.asarray(dW, dtype=float)
+        if dW.shape != (P, grid.n):
+            raise DomainError("dW must pair with z_values row by row")
+    cw = None  # the (m+1, P) flow weights; a zero drift needs none
+    if not b.is_zero and ks < kt:
+        if flow_weights is None:
+            cw = _ensemble_weights(b, grid, z_values, x, ks, kt)[1]
+        else:
             cw = np.asarray(flow_weights, dtype=float)
             if cw.shape != (kt - ks + 1, P):
                 raise DomainError(f"flow weights have shape {cw.shape}, "
                                   f"expected {(kt - ks + 1, P)}")
-            return cw
-        y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt])
-        return _flow_weights(b, grid, y[ks:kt + 1], ks)
 
     if spec.q == 1:
         # row k >= 1 of the table G is the kernel row M[k - 1]; row 0 is 0
         M = _fbm_weights(grid.key(), spec.H)
         g_t, g_s = (M[k - 1] if k else np.zeros(grid.n) for k in (kt, ks))
         base = -(g_t - g_s)
-        if ks == kt or b.is_zero:
+        if cw is None:
             return np.full(P, float(np.sum(base * base) * grid.dt))
-        cw = weights()
         sw = cw.sum(axis=0)
         # V = base + sw G[kt] - cw.T @ G[ks:kt+1], time-first in fixed
         # blocks of _TRI_BLOCK steps a < kt (V vanishes past kt - 1); table
@@ -398,9 +422,6 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
             v *= v
             out += v.sum(axis=0)
         return out * grid.dt
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (P, grid.n):
-        raise DomainError("dW must pair with z_values row by row")
     if ks == kt:
         return np.zeros(P)
     # The profile V = -(G[kt] - G[ks]) + sum(cw) G[kt] - cw @ G[ks:kt+1] is
@@ -408,15 +429,13 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     # G[k] = 2d sum_{l<k} T_l with T_l = lam2_l F_l^T (w * F_l dW), so
     # V = 2d sum_l coef_l T_l with coef_l the sum of the row weights beyond
     # l.  Those weights sum to zero, so windows l < ks drop out, and for
-    # ks <= l < kt coef_l = -1 + sum_{j <= l-ks} cw[j].
-    m = kt - ks
-    if b.is_zero:
-        coef = np.full((m, P), -1.0)
-    else:
-        coef = np.cumsum(weights()[:m], axis=0) - 1.0
+    # ks <= l < kt coef_l = run - 1, run the running sum of cw[:l-ks+1].
+    run = np.zeros(P)
     V = np.zeros((P, kt))
     for l, lam2_l, F, w, S in _windows(grid, spec, dW, ks, kt):
-        scale = 2.0 * spec.d * lam2_l * coef[l - ks]
+        if cw is not None:
+            run += cw[l - ks]
+        scale = 2.0 * spec.d * lam2_l * (run - 1.0)
         V[:, : l + 1] += (scale[:, None] * S * w) @ F
     return np.sum(V * V, axis=1) * grid.dt
 
@@ -507,19 +526,14 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
     the verdict, so drifts that genuinely sit below the floor are reported,
     not refused.
     """
-    z = np.asarray(z_values, dtype=float)
-    if z.ndim != 2 or z.shape[1] != grid.n + 1:
-        raise DomainError(f"ensemble shape {z.shape} does not match the grid")
-    if z.shape[0] < _MIN_BOUND_PATHS:
-        raise SampleSizeError(
-            f"need at least {_MIN_BOUND_PATHS} paths, got {z.shape[0]}")
+    P = _time_first(grid, z_values).shape[1]
+    if P < _MIN_BOUND_PATHS:
+        raise SampleSizeError(f"need at least {_MIN_BOUND_PATHS} paths, got {P}")
     ks, kt = _check_times(grid, s, t)
     if ks == kt:
-        brackets = np.ones(z.shape[0])
+        brackets = np.ones(P)
     else:
-        traj = backward_ensemble_trajectory(b, grid, z, x, t)  # (kt+1, paths)
-        rows = traj[ks:kt + 1]
-        brackets = 1.0 + _flow_weights(b, grid, rows, ks, out=rows).sum(axis=0)
+        brackets = 1.0 + _ensemble_weights(b, grid, z_values, x, ks, kt)[1].sum(axis=0)
 
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK

@@ -44,16 +44,18 @@ anyway, in blocks of windows folded by one GEMM each, and records their
 supports at the probe times (the eighths of [0, T]), so the diagnostics
 that ask for pair matrices at those times cost no further pass.
 
-Rank 1 multiplies the driver by the kernel matrix (_fbm_weights), whose
-row k vanishes past step k, in one time-first (n+1, paths) array: the
-driver is written into rows 1..n, row i+1 holding the increment of step i
-for every path, and the product overwrites it in place (_fbm_in_place).
-It runs in blocks of _TRI_BLOCK time steps, last block first, each one
-GEMM over the block's nonzero prefix (about half the flops of the dense
+Both ranks store an ensemble time-first: the values fill one (n+1, paths)
+array, row k holding Z(t_k) for every path, and come back as its
+transpose, a Fortran-ordered (paths, n+1) view, so a flow reads each time
+row contiguously.  Rank 2 writes window l's Wick-ordered term into row
+l+1 and sums the rows in place.  Rank 1 multiplies the driver by the
+kernel matrix (_fbm_weights), whose row k vanishes past step k: the driver
+is written into rows 1..n, row i+1 holding the increment of step i for
+every path, and the product overwrites it in place (_fbm_in_place).  It
+runs in blocks of _TRI_BLOCK time steps, last block first, each one GEMM
+over the block's nonzero prefix (about half the flops of the dense
 product): a block reads only driver rows that no block before it has
-overwritten.  The values come back as the array's transpose, a
-Fortran-ordered (paths, n+1) view, so a flow reads each time row
-contiguously; rank 2 returns a C-ordered array.  simulate_ensemble draws
+overwritten.  simulate_ensemble draws
 the rank-1 driver in blocks of _PATH_BLOCK paths and transposes each
 straight into its columns, so the ensemble holds one (n+1, paths) array
 and two driver blocks, and a whole (paths, n) driver only when the caller
@@ -414,29 +416,26 @@ def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
 
 
 def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
-    """Noise values from Brownian increment rows (paths, n) -> (paths, n+1).
-
-    Rank 1 returns the transpose of a time-first array (see the module
-    docstring), rank 2 a C-ordered array.
-    """
+    """Noise values from Brownian increment rows (paths, n) -> (paths, n+1),
+    the transpose of a time-first array (see the module docstring)."""
     if dW.ndim != 2 or dW.shape[1] != grid.n:
         raise DomainError(f"driver shape {dW.shape} does not match grid with n={grid.n}")
     P, n = dW.shape
+    zt = np.empty((n + 1, P))
     if spec.q == 1:
-        zt = np.empty((n + 1, P))
         zt[1:] = dW.T
         _fbm_in_place(_fbm_weights(grid.key(), spec.H), zt)
         return zt.T
 
     # rank 2: window-by-window Wick-ordered square of the factor rows
-    out = np.zeros((P, n + 1))
     h = grid.dt
-    contrib = np.empty((P, n))
+    zt[0] = 0.0
     for l, lam2_l, F, w, S in _windows(grid, spec, dW):
         mean_sq = h * float((F * F).sum(axis=1) @ w)  # E of (S*S) @ w
-        contrib[:, l] = lam2_l * ((S * S) @ w - mean_sq)
-    out[:, 1:] = spec.d * np.cumsum(contrib, axis=1)
-    return out
+        zt[l + 1] = lam2_l * ((S * S) @ w - mean_sq)
+    np.cumsum(zt[1:], axis=0, out=zt[1:])
+    zt[1:] *= spec.d
+    return zt.T
 
 
 def simulate_hermite(w: WienerLattice, spec: HermiteSpec) -> NoisePath:
@@ -456,14 +455,13 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
 
     Row p is driven by the Brownian increments of path_ids[p], the same as
     what simulate_hermite would produce path by path up to roundoff.  The
-    memory order depends on the rank: rank 1 values are stored time-first
-    (a Fortran-ordered array, so a column -- one time across all paths -- is
-    contiguous), rank 2 values path-first (C order).  Rank 1 draws the
-    driver in blocks of _PATH_BLOCK paths straight into the time-first
-    array, which the kernel product then overwrites in place (see the
-    module docstring).  With driver, the (paths, n) increments come back
-    too, as (values, dW), so a caller that needs both draws them once; only
-    then is a whole driver array kept.
+    values are stored time-first (a Fortran-ordered array, so a column --
+    one time across all paths -- is contiguous).  Rank 1 draws the driver
+    in blocks of _PATH_BLOCK paths straight into that array, which the
+    kernel product then overwrites in place (see the module docstring);
+    rank 2 draws the whole (paths, n) driver for its window loop.  With
+    driver, the (paths, n) increments come back too, as (values, dW), so a
+    caller that needs both draws them once.
     """
     if spec.q != 1:
         dW = generate_increments(grid, seed, path_ids)

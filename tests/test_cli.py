@@ -15,7 +15,7 @@ from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
 from stochtransport.flow import backward_ensemble_trajectory
 from stochtransport.kernels import HermiteSpec
-from stochtransport.malliavin import _flow_weights
+from stochtransport.malliavin import _WEIGHT_CHUNK, _flow_weights
 from stochtransport.noise import simulate_ensemble
 from stochtransport.presets import drift_preset
 
@@ -160,18 +160,22 @@ class TestRun:
         got = self._csvs_by_threads(tmp_path, **base)
         assert got[1] and all(got[k] == got[1] for k in got)
 
-    C = experiments._WEIGHT_CHUNK
+    C = _WEIGHT_CHUNK
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    @pytest.mark.parametrize("paths", [3, 2 * C + 276, 4 * C + 9])
-    def test_flow_slices_match_one_whole_solve(self, paths, threads):
+    @pytest.mark.parametrize("paths, q", [
+        pytest.param(p, q, id=str(p) if q == 1 else f"{p}-q2")
+        for p in (3, 2 * C + 276, 4 * C + 9) for q in (1, 2)])
+    def test_flow_slices_match_one_whole_solve(self, paths, q, threads):
+        """The weights recorded over the noise rows, slice by slice and
+        chunk by chunk, against one fresh trajectory of the whole ensemble,
+        for both ranks."""
         grid = TimeGrid(T=1.0, n=32)
         b = drift_preset("sine")
-        z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 5,
+        z = simulate_ensemble(grid, HermiteSpec.create(q, 0.7), 5,
                               np.arange(paths))
         traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
-        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, threads,
-                                         weights=True)
+        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, threads)
         assert np.array_equal(y, traj[0])
         assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
 
@@ -192,8 +196,7 @@ class TestRun:
         z = np.zeros((40, grid.n + 1))
         z[:, 1:] = np.cumsum(steps, axis=1) * np.sqrt(grid.dt)
         traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
-        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, 1000,
-                                         weights=True)
+        y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, 1000)
         assert asked == [1]
         assert np.array_equal(y, traj[0])
         assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
@@ -247,11 +250,11 @@ class TestRun:
         assert checks["du-norm-positive"] > 0.0
 
     @staticmethod
-    def _density_peak(tmp_path, drift):
-        """The traced peak of a rank-1 density run at n = 1024 and 4,000
+    def _density_peak(tmp_path, drift, q=1, n=1024):
+        """The traced peak of a rank-q density run at n steps and 4,000
         paths, in (n+1) x paths arrays of doubles."""
-        n, paths = 1024, 4000
-        config = cfg(kind="density", q=1, n=n, paths=paths, drift=drift,
+        paths = 4000
+        config = cfg(kind="density", q=q, n=n, paths=paths, drift=drift,
                      u0="tanh-floor", threads=2, out_dir=str(tmp_path))
         tracemalloc.start()
         try:
@@ -272,6 +275,14 @@ class TestRun:
         """Zero drift needs no flow weights and marches to the end state
         only: 1.39 measured with the kernel matrix, 1.13 without."""
         assert self._density_peak(tmp_path, "zero") <= 1.5
+
+    @pytest.mark.parametrize("drift", ["sine", "zero"])
+    def test_rank2_density_peak_memory(self, tmp_path, drift):
+        """The noise array, which becomes the flow weights, the (paths, n)
+        driver, and in the norm's window pass the (paths, index(t))
+        accumulator with one per-window temporary: 4.44 measured with the
+        window plan built in the run, for either drift."""
+        assert self._density_peak(tmp_path, drift, q=2, n=256) <= 4.6
 
 
 class TestCliMain:
@@ -379,6 +390,35 @@ class TestCliMain:
         floor = experiments._MIN_PATHS[argv[0]]
         assert f"needs at least {floor} paths" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["density", "--s", "0.5"], "s"),
+        (["qv", "--s", "0.25"], "s"),
+        (["transport-weakform", "--s", "0.25"], "s"),
+        (["noise-stats", "--s", "0.5"], "s"),
+        (["noise-stats", "--t", "0.25"], "t"),
+    ], ids=["density-s", "qv-s", "weakform-s", "noise-stats-s",
+            "noise-stats-t"])
+    def test_window_time_the_kind_never_reads_exits_two(
+            self, tmp_path, capsys, argv, field):
+        """A window time that the runner ignores would still change the
+        config hash, so it is refused and named."""
+        rc = main(argv + ["--n", "64", "--paths", "1000",
+                          "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"does not read {field}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_noise_stats_window_times_are_named_not_ordered(self, capsys):
+        assert main(["validate", "--kind", "noise-stats", "--s", "0.5",
+                     "--t", "0.25"]) == 2
+        out = capsys.readouterr().out
+        assert "does not read s" in out and "does not read t" in out
+        assert "0 <= s < t" not in out
+
+    def test_malliavin_reads_its_window_start(self, tmp_path):
+        assert main(["malliavin", "--s", "0.25", "--n", "64", "--paths", "10",
+                     "--out", str(tmp_path)]) == 0
 
     def test_two_noise_stats_paths_exit_two(self, tmp_path, capsys):
         """Two paths have equal |deviations| from their mean, so the

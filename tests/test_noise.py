@@ -482,5 +482,5 @@ def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
     ids = order[: data.draw(st.integers(1, 24), label="size")]
     z = simulate_ensemble(grid, spec, 11, ids)
     ref = full[ids]
-    assert z.shape == ref.shape
+    assert z.shape == ref.shape and z.flags.f_contiguous
     assert np.all(np.abs(z - ref) <= 1e-14 * (1.0 + np.abs(ref)))
