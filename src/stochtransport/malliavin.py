@@ -56,6 +56,8 @@ from .flow import (
 from .grid import TimeGrid
 from .kernels import HermiteSpec, kernel_KH
 from .noise import (
+    _FOLD,
+    _PATH_BLOCK,
     _TRI_BLOCK,
     NoisePath,
     _fbm_weights,
@@ -179,22 +181,25 @@ def dz_table(Z: NoisePath) -> np.ndarray:
 
     Shape (n+1, n), row k supported on steps a < k.  rank 1 rows are the
     kernel weight rows; rank 2 rows are rebuilt by the same window
-    quadrature as the simulator, accumulated incrementally so the whole
-    table costs one extra pass over the path (noise._windows).
+    quadrature as the simulator: window l's term of A_{t_k} @ dW goes into
+    row l+1, a block of windows at a time (noise._windows), and the rows are
+    summed in place, so the whole table costs one extra pass over the path.
     """
     return _dz_table_raw(Z.grid, Z.spec, Z.driver)
 
 
 def _dz_table_raw(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
+    """dz_table from the (n,) driver alone."""
     n = grid.n
     G = np.zeros((n + 1, n))
     if spec.q == 1:
         G[1:] = _fbm_weights(grid.key(), spec.H)
         return G
-    v = np.zeros(n)  # running A_{t_k} @ dW
-    for l, lam2_l, F, w, S in _windows(grid, spec, dW[None, :]):
-        v[: l + 1] += lam2_l * (F.T @ (w * S[0]))
-        G[l + 1] = 2.0 * spec.d * v
+    for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
+        X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[:, None]
+        G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
+    np.cumsum(G, axis=0, out=G)
+    G *= 2.0 * spec.d
     return G
 
 
@@ -369,9 +374,9 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
     derivative table across paths, so the whole ensemble reduces to GEMMs
     over the table's lower triangle, one per block of _TRI_BLOCK steps;
-    rank 2 needs the driving increments dW and makes one
-    window pass for all paths (two small GEMMs per window, no per-path
-    table).  flow_weights optionally supplies the per-path flow weights
+    rank 2 needs the driving increments dW and makes one window pass for
+    all paths (two GEMMs per block of windows and _PATH_BLOCK paths, no
+    per-path table).  flow_weights optionally supplies the per-path flow weights
     cw of _ensemble_weights(b, grid, z_values, x, index(s), index(t)),
     shape (index(t) - index(s) + 1, paths); they are elementwise in the
     paths, so a caller can build them slice by slice.
@@ -425,19 +430,26 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     if ks == kt:
         return np.zeros(P)
     # The profile V = -(G[kt] - G[ks]) + sum(cw) G[kt] - cw @ G[ks:kt+1] is
-    # linear in the table rows, and row k of the table is
-    # G[k] = 2d sum_{l<k} T_l with T_l = lam2_l F_l^T (w * F_l dW), so
-    # V = 2d sum_l coef_l T_l with coef_l the sum of the row weights beyond
-    # l.  Those weights sum to zero, so windows l < ks drop out, and for
-    # ks <= l < kt coef_l = run - 1, run the running sum of cw[:l-ks+1].
-    run = np.zeros(P)
-    V = np.zeros((P, kt))
-    for l, lam2_l, F, w, S in _windows(grid, spec, dW, ks, kt):
-        if cw is not None:
-            run += cw[l - ks]
-        scale = 2.0 * spec.d * lam2_l * (run - 1.0)
-        V[:, : l + 1] += (scale[:, None] * S * w) @ F
-    return np.sum(V * V, axis=1) * grid.dt
+    # linear in the table rows G[k] = 2d sum_{l<k} T_l, T_l =
+    # lam2_l F_l^T (w * F_l dW), so V = 2d sum_l coef_l T_l with coef_l the
+    # sum of the row weights beyond l: zero for l < ks (the weights sum to
+    # zero) and run - 1 for ks <= l < kt, run the running sum of cw[:l-ks+1].
+    # Each block of windows and _PATH_BLOCK paths adds X @ Fs to V through
+    # one fixed buffer.
+    run, scale = np.zeros(P), np.empty((_FOLD, P))
+    V, buf = np.zeros((P, kt)), np.empty((min(_PATH_BLOCK, P), kt))
+    for l0, l1, lam2, Fs, w in _windows(grid, spec, ks, kt):
+        for a in range(l1 - l0):
+            if cw is not None:
+                run += cw[l0 + a - ks]
+            np.multiply(2.0 * spec.d * lam2[a], run - 1.0, out=scale[a])
+        for c in range(0, P, _PATH_BLOCK):
+            X = (dW[c:c + _PATH_BLOCK, :l1] @ Fs.T).reshape(-1, l1 - l0, w.size)
+            X *= scale[:l1 - l0, c:c + _PATH_BLOCK].T[:, :, None]
+            X *= w
+            V[c:c + _PATH_BLOCK, :l1] += np.matmul(
+                X.reshape(len(X), -1), Fs, out=buf[:len(X), :l1])
+    return np.einsum("ij,ij->i", V, V) * grid.dt
 
 
 def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,

@@ -26,49 +26,42 @@ that Var Z(t_k) = t_k^(2H) holds exactly at every grid point.
 
 The pair sum is never formed entry by entry during simulation: the
 u-integral splits across grid windows [t_l, t_{l+1}], and on each window the
-chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, one small GEMM, with
-graded Gauss-Legendre u-panels of fixed order (_NODES) and Gauss-Jacobi
-y-rules placing every kernel singularity inside a quadrature weight.  Cost
-is O(_NODES * n^2) for a whole path, not per output time.  The factor rows
-themselves are cheap: a bulk cell depends on its window only through the
-lag l - i, so its kernel powers are tabulated once per grid and only the
-three edge cells of a window are evaluated afresh.  _windows is the one
-loop over the calibrated windows: the simulator here and the derivative
-tables and norms in malliavin all walk it.
-
-pair_matrix accumulates the identical window quadrature into an explicit
-matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces simulated
-values to floating-point roundoff — downstream first-variation code relies
-on that exact agreement.  The calibration pass accumulates those matrices
-anyway, in blocks of windows folded by one GEMM each, and records their
-supports at the probe times (the eighths of [0, T]), so the diagnostics
-that ask for pair matrices at those times cost no further pass.
+chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, with graded
+Gauss-Legendre u-panels of fixed order (_NODES) and Gauss-Jacobi y-rules
+placing every kernel singularity inside a quadrature weight.  Cost is
+O(_NODES * n^2) for a whole path, not per output time.  One block engine
+serves every rank-2 consumer.  _WindowPlan tabulates once per grid the bulk
+kernel powers by lag, every window's u-powers and its three edge cells, so
+factor_block stacks the factor rows of up to _FOLD windows with one einsum
+per window and no edge rule.  _windows walks the calibrated windows in those
+blocks, and a consumer applies a block to _PATH_BLOCK driver rows at a time,
+one GEMM S = dW[:, :l1] @ Fs.T per block: the simulator here and the
+derivative tables and norms in malliavin.  pair_matrix accumulates the
+identical quadrature into an explicit matrix, so the Wick form
+d * (dW' A dW - dt * tr A) reproduces simulated values to roundoff, which
+downstream first-variation code relies on.  The calibration pass builds
+those matrices anyway, one GEMM per block, and records their supports at the
+probe times (the eighths of [0, T]), so the diagnostics that ask for pair
+matrices at those times cost no further pass.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
 transpose, a Fortran-ordered (paths, n+1) view, so a flow reads each time
-row contiguously.  Rank 2 writes window l's Wick-ordered term into row
-l+1 and sums the rows in place.  Rank 1 multiplies the driver by the
-kernel matrix (_fbm_weights), whose row k vanishes past step k: the driver
-is written into rows 1..n, row i+1 holding the increment of step i for
-every path, and the product overwrites it in place (_fbm_in_place).  It
-runs in blocks of _TRI_BLOCK time steps, last block first, each one GEMM
-over the block's nonzero prefix (about half the flops of the dense
-product): a block reads only driver rows that no block before it has
-overwritten.  simulate_ensemble draws
-the rank-1 driver in blocks of _PATH_BLOCK paths and transposes each
-straight into its columns, so the ensemble holds one (n+1, paths) array
-and two driver blocks, and a whole (paths, n) driver only when the caller
-asks for it.  Two helper threads share the work: one first builds the
-kernel matrix, and both draw blocks.  The per-path draw releases the
-interpreter lock while it fills a row with normals, and so does the
-kernel's numpy work, so the threads run side by side.  The products start
-once the draw is done, so the BLAS threads are busy from the first
-product to the last and do not spin between blocks while a path block is
-drawn.  The product covers every path at once and every path's driver
-comes from its own stream, so no bit depends on _PATH_BLOCK, on which
-thread drew a block, or on the thread count.  Rank 2 builds its plan on
-the calling thread.
+row contiguously.  Rank 2 writes window l's Wick-ordered term into row l+1
+and sums the rows in place.  Rank 1 multiplies the driver by the kernel
+matrix (_fbm_weights), whose row k vanishes past step k: the driver is
+written into rows 1..n, row i+1 holding the increment of step i, and
+_fbm_in_place overwrites it with the product in blocks of _TRI_BLOCK time
+steps, last block first, each one GEMM over the block's nonzero prefix.
+simulate_ensemble draws the rank-1 driver in blocks of _PATH_BLOCK paths
+straight into that array, so it holds a whole (paths, n) driver only when
+the caller asks for one.  Two helper threads share the work: one first
+builds the kernel matrix, and both draw blocks (the draw and numpy release
+the interpreter lock); the products start once the draw is done, so the
+BLAS threads do not spin between blocks.  Every path's driver comes from
+its own stream and the product covers every path at once, so no bit depends
+on _PATH_BLOCK, on which thread drew a block, or on the thread count.
+Rank 2 builds its plan on the calling thread.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -83,11 +76,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as _beta_fn
 
 from .errors import DomainError, NumericError
 from .grid import TimeGrid
-from .kernels import HermiteSpec, _jacobi, c_H, d_H, hurst_prime, kernel_KH_matrix
+from .kernels import HermiteSpec, _jacobi, kernel_KH_matrix
 from .wiener import WienerLattice, _rng, generate_increments
 
 __all__ = [
@@ -133,9 +127,10 @@ class NoisePath:
 # count.
 _TRI_BLOCK = 128
 
-# Paths per driver block of a rank-1 simulate_ensemble.  Transposing a
-# block into the time-first array walks one cache line per path at a time,
-# and 256 of them fit a first-level cache.
+# Paths per driver block of a rank-1 simulate_ensemble, and per chunk of the
+# rank-2 window products.  Transposing a block into the time-first array
+# walks one cache line per path at a time, and 256 of them fit a
+# first-level cache.
 _PATH_BLOCK = 256
 
 
@@ -156,14 +151,23 @@ _U_GRADING = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
 _NODES = 8
 
 
-class _WindowPlan:
-    """Per-grid quadrature templates for cell-averaged kernel factor rows.
+def _panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Nodes and weights of the rule (x, w) on [-1, 1] mapped onto each panel
+    [edges[i], edges[i+1]], concatenated."""
+    a, b = edges[:-1, None], edges[1:, None]
+    half = (b - a) / 2.0
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
 
-    factor_rows(l) returns (F, w): F[p, i] is the average of dK(u_p, y) over
-    cell i (i <= l) at the window-l u-nodes u_p, and w the matching
-    u-weights, so F.T @ diag(w) @ F is window l's contribution to the pair
-    matrix and F @ dW[:l+1] evaluates the chaos integrand at the u-nodes.
-    The y-integrals are exact up to the stated rules:
+
+class _WindowPlan:
+    """Per-grid quadrature tables for cell-averaged kernel factor rows.
+
+    factor_rows(l), the one-window slice of factor_block, returns (F, w):
+    F[p, i] is the average of dK(u_p, y) over cell i (i <= l) at the
+    window-l u-nodes u_p, and w the matching u-weights, so F.T @ diag(w) @ F
+    is window l's contribution to the pair matrix and F @ dW[:l+1] evaluates
+    the chaos integrand at the u-nodes.  The y-integrals are exact up to the
+    stated rules, the edge rules evaluated for every window at construction:
 
       - bulk cells: fixed Gauss-Legendre nodes, shared by every window, so
         their kernel powers are tabulated once by lag (D, C);
@@ -176,114 +180,104 @@ class _WindowPlan:
     """
 
     def __init__(self, n: int, T: float, hp: float, c: float):
-        self.n, self.hp, self.c = n, hp, c
-        h = T / n
-        self.h = h
-        pts = np.linspace(0.0, T, n + 1)
-        self.pts = pts
-        m_y = max(2, _NODES // 2)
-        m_edge = max(4, _NODES - 2)
+        self.h = h = T / n
+        self.pts = pts = np.linspace(0.0, T, n + 1)
+        m_y, m_edge = max(2, _NODES // 2), max(4, _NODES - 2)
 
         # u template: offsets and weights relative to the window start
-        xg, wg = np.polynomial.legendre.leggauss(_NODES)
-        du, wu = [], []
-        for a, b in zip(_U_GRADING[:-1], _U_GRADING[1:]):
-            lo, hi = a * h, b * h
-            half = (hi - lo) / 2.0
-            du.append(lo + half * (xg + 1.0))
-            wu.append(half * wg)
-        self.du = np.concatenate(du)
-        self.wu = np.concatenate(wu)
-        self.M = self.du.size
+        du, self.wu = _panels(np.array(_U_GRADING) * h, *leggauss(_NODES))
+        self.M = M = du.size
 
-        # bulk cells see window l only through the lag k = l - i >= 2:
-        # D[j, p, k - 2] = (k h + du_p - yoff_j)^(hp - 3/2) for y-node j at
-        # t_i + yoff_j, and C[i, j] = y^(1/2 - hp) times the averaging weight
-        xb, wb = np.polynomial.legendre.leggauss(m_y)
+        # bulk cells see window l only through the lag k = l - i >= 2: D[j, p,
+        # n-1-k] = (k h + du_p - yoff_j)^(hp - 3/2) at y-node j (window l reads
+        # a contiguous tail), C[j, i] = y^(1/2 - hp) times the averaging weight
+        xb, wb = leggauss(m_y)
         yoff = (h / 2.0) * (xb + 1.0)
-        lag = np.arange(2, n) * h
-        self.D = (lag + self.du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
-        self.C = (pts[:-1, None] + yoff) ** (0.5 - hp) * (wb / 2.0)
+        lag = np.arange(n - 1, 1, -1) * h
+        self.D = (lag + du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
+        self.C = (pts[:-1] + yoff[:, None]) ** (0.5 - hp) * (wb[:, None] / 2.0)
 
         # origin cell: weight y^(1/2-hp) at the left endpoint of [0, h]
         x0, w0 = _jacobi(m_edge, 0.0, 0.5 - hp)
-        self.y0 = (h / 2.0) * (x0 + 1.0)
-        self.w0 = (h / 2.0) ** (1.5 - hp) * w0 / h  # carries the 1/h average
+        y0 = (h / 2.0) * (x0 + 1.0)
+        w0 = (h / 2.0) ** (1.5 - hp) * w0 / h  # carries the 1/h average
 
         # self cell: weight v^(hp-3/2) at v = 0; v in [0, eps], eps = du
         xs, ws = _jacobi(m_edge, 0.0, hp - 1.5)
-        self.vs = self.du[:, None] * (xs + 1.0) / 2.0
-        self.ws = (self.du[:, None] / 2.0) ** (hp - 0.5) * ws / h
+        vs = du[:, None] * (xs + 1.0) / 2.0
+        ws = (du[:, None] / 2.0) ** (hp - 0.5) * ws / h
 
-        # near cell: v = u - y in [eps, eps + width]; width h covers a full
-        # previous cell (l >= 2), width h/2 the upper half of cell 0 (l = 1,
-        # whose lower half goes through the origin rule instead)
-        xn, wn = np.polynomial.legendre.leggauss(m_edge)
+        # near cell: v = u - y in [eps, eps + width] on panels doubling away
+        # from eps; v nodes (padded with 1.0 under zero weight) and
+        # v^(hp - 3/2) times the weights.  Width h covers a full previous
+        # cell (l >= 2), width h/2 the upper half of cell 0 (l = 1, whose
+        # lower half goes through the origin rule instead).
+        gauss_edge = leggauss(m_edge)
 
         def near_template(width):
-            Vn, Wn = [], []
-            for p in range(self.M):
-                eps = self.du[p]
-                edges = [eps]
-                while edges[-1] < eps + width:
-                    edges.append(min(eps + width, 2.0 * edges[-1]))
-                v_nodes, v_w = [], []
-                for a, b in zip(edges[:-1], edges[1:]):
-                    half = (b - a) / 2.0
-                    v_nodes.append(a + half * (xn + 1.0))
-                    v_w.append(half * wn)
-                Vn.append(np.concatenate(v_nodes))
-                Wn.append(np.concatenate(v_w) / h)
-            L = max(v.size for v in Vn)
-            V = np.ones((self.M, L))  # pad with 1.0; zero weight kills the value
-            W = np.zeros((self.M, L))
-            for p in range(self.M):
-                V[p, : Vn[p].size] = Vn[p]
-                W[p, : Wn[p].size] = Wn[p]
+            rows = []
+            for eps in du:
+                e = [eps]
+                while e[-1] < eps + width:
+                    e.append(min(eps + width, 2.0 * e[-1]))
+                rows.append(_panels(np.array(e), *gauss_edge))
+            L = max(v.size for v, _ in rows)
+            V, W = np.ones((M, L)), np.zeros((M, L))
+            for p, (v, wv) in enumerate(rows):
+                V[p, :v.size], W[p, :v.size] = v, wv / h
             return V, V ** (hp - 1.5) * W
 
-        # v nodes and v^(hp - 3/2) times weights, full and half width
-        self.Vn, self.Kn = near_template(h)
-        self.Vn_half, self.Kn_half = near_template(h / 2.0)
+        Vn, Kn = near_template(h)
+        Vn_half, Kn_half = near_template(h / 2.0)
 
-        self.Beta0 = _beta_fn(1.5 - hp, hp - 0.5)
+        # Every window's u-powers c u^(hp - 1/2) and its edge columns
+        # edges[l] = (cell 0, cell l-1, cell l), u-powers included.  An edge
+        # rule, sum_j y_j^p wy_j per u-node, is pow-bound, so the rules run
+        # once per grid, vectorized over windows in chunks of 64: a
+        # (64, M, 72) transient at most.
+        u = (pts[:-1, None] + du)[:, :, None]  # (n, M, 1)
+        self.upow = up = c * u[:, :, 0] ** (hp - 0.5)
+        self.edges = edges = np.empty((n, 3, M))
+
+        def rule(y, wy, p, up):
+            return (y ** p * wy).sum(axis=-1) * up
+
+        for lo in range(1, n, 64):
+            ul, c64 = u[lo:lo + 64], slice(lo, lo + 64)
+            edges[c64, 0] = rule(ul - y0, w0, hp - 1.5, up[c64])
+            edges[c64, 1] = rule(np.where(Kn > 0, ul - Vn, 1.0), Kn, 0.5 - hp, up[c64])
+            edges[c64, 2] = rule(ul - vs, ws, 0.5 - hp, up[c64])
+        # window 1 (n >= 2 on any grid) replaces its cells 0 and l-1 = 0: its
+        # near cell is the upper half of cell 0, the origin rule the lower
+        edges[1, :2] = (
+            rule(np.where(Kn_half > 0, u[1] - Vn_half, 1.0), Kn_half, 0.5 - hp, up[1])
+            + rule(u[1] - y0 / 2.0, w0 / 2.0 ** (1.5 - hp), hp - 1.5, up[1]))
+        # window 0: one exact Beta integral over its only cell
+        edges[0] = (c * _beta_fn(1.5 - hp, hp - 0.5) / h) * u[0, :, 0] ** (hp - 0.5)
+
+    def factor_block(self, l0: int, l1: int):
+        """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
+        Fs hold window l's factor rows, l0 <= l < l1, exactly zero past
+        column l; the u-powers go in with one multiply per block."""
+        m = l1 - l0
+        Fs = np.zeros((m, self.M, l1))
+        # bulk cells 1 .. l-2: lags l-1 .. 2 of the tables
+        for l in range(max(l0, 3), l1):
+            Fs[l - l0, :, 1:l - 1] = np.einsum(
+                "jpk,jk->pk", self.D[:, :, 2 - l:], self.C[:, 1:l - 1])
+        Fs *= self.upow[l0:l1, :, None]
+        l = np.arange(l0, l1)[:, None]
+        Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[l0:l1]
+        return Fs.reshape(m * self.M, l1), self.wu
 
     def factor_rows(self, l: int):
         """(F, w) for window l: F[p, i] = cell-i average of dK(u_p, .)."""
-        hp, c, h = self.hp, self.c, self.h
-        u = self.pts[l] + self.du
-        w = self.wu
-        upow = c * u ** (hp - 0.5)
-        F = np.zeros((self.M, l + 1))
-        if l == 0:
-            F[:, 0] = (c * self.Beta0 / h) * u ** (hp - 0.5)
-            return F, w
-        # self cell l: v-Jacobi
-        ys = u[:, None] - self.vs
-        F[:, l] = ((ys ** (0.5 - hp)) * self.ws).sum(axis=1) * upow
-        # near cell l-1 (for l = 1 only its upper half)
-        Vn, Kn = (self.Vn, self.Kn) if l >= 2 else (self.Vn_half, self.Kn_half)
-        yn = np.where(Kn > 0, u[:, None] - Vn, 1.0)
-        F[:, l - 1] += (yn ** (0.5 - hp) * Kn).sum(axis=1) * upow
-        if l == 1:
-            # remainder of cell 0: y in (0, h/2], origin rule rescaled
-            y = self.y0 / 2.0
-            wj = self.w0 / 2.0 ** (1.5 - hp)
-            F[:, 0] += ((u[:, None] - y) ** (hp - 1.5) * wj).sum(axis=1) * upow
-            return F, w
-        # origin cell 0
-        F[:, 0] = (((u[:, None] - self.y0) ** (hp - 1.5)) * self.w0).sum(axis=1) * upow
-        # bulk cells 1 .. l-2: lags l-1 .. 2 of the tables
-        if l >= 3:
-            bulk = np.einsum("jpk,kj->pk", self.D[:, :, l - 3 :: -1], self.C[1 : l - 1])
-            F[:, 1 : l - 1] = bulk * upow[:, None]
-        return F, w
+        return self.factor_block(l, l + 1)
 
 
 @lru_cache(maxsize=16)
 def _window_plan(grid_key, hp: float, c: float) -> _WindowPlan:
-    n, T = grid_key
-    return _WindowPlan(n, T, hp, c)
+    return _WindowPlan(*grid_key, hp, c)
 
 
 def _probe_indices(n: int) -> np.ndarray:
@@ -293,7 +287,8 @@ def _probe_indices(n: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
-# Windows per blocked rank update of the pair matrix.
+# Windows per block of the rank-2 window engine (_windows, _pair_blocks):
+# one GEMM applies a block's stacked factor rows.
 _FOLD = 16
 
 
@@ -325,14 +320,11 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
         if l1 is None:
             return blocks
         m = l1 - l0
-        Psi = np.zeros((m * M, l1))
-        for a in range(m):
-            F, w = plan.factor_rows(l0 + a)
-            Psi[a * M : (a + 1) * M, : F.shape[1]] = np.sqrt(w)[:, None] * F
+        Psi, w = plan.factor_block(l0, l1)
+        Psi *= np.sqrt(np.tile(w, m))[:, None]
         if tau is not None:
             P0 = Psi[:, :l0]
-            x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0)
-            x0 = x0.reshape(m, M).sum(axis=1)
+            x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0).reshape(m, M).sum(axis=1)
             Q = Psi @ Psi.T
             R = (Q * Q).reshape(m, M, m, M).sum(axis=(1, 3))
             for a in range(m):
@@ -346,13 +338,11 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
 @lru_cache(maxsize=4)  # an entry holds about 3.2 n^2 doubles of blocks
 def _calibration(grid_key, H: float):
     """(lam2, probe pair blocks) of one calibration pass; see _window_scales."""
-    n, T = grid_key
-    hp = hurst_prime(2, H)
-    d = d_H(2, H)
-    plan = _window_plan(grid_key, hp, c_H(hp))
-    tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * d * d * plan.h * plan.h)
-    lam2 = np.empty(n)
-    blocks = _pair_blocks(plan, _probe_indices(n), lam2, tau)
+    spec = HermiteSpec.create(2, H)
+    plan = _window_plan(grid_key, spec.hp, spec.c)
+    tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * spec.d * spec.d * plan.h * plan.h)
+    lam2 = np.empty(grid_key[0])
+    blocks = _pair_blocks(plan, _probe_indices(lam2.size), lam2, tau)
     lam2.flags.writeable = False
     return lam2, blocks
 
@@ -370,31 +360,26 @@ def _window_scales(grid_key, H: float) -> np.ndarray:
     the positive root always exists; each window keeps one deterministic,
     adapted scale and path simulation stays a single incremental pass.  The
     factors absorb the L^2 mass a piecewise-constant-in-y projection cannot
-    represent (lambda in [1.0, 1.3], largest on the first window).
-
-    The solve needs A_l at every l, so the pass (_pair_blocks) builds the
-    pair matrices anyway; it keeps the k x k supports at the probe indices
-    (_probe_indices), which serve pair_matrix and its consumers at the probe
-    times with no further pass.
+    represent (lambda in [1.0, 1.3], largest on the first window).  The
+    solving pass (_pair_blocks) also records the probe pair matrices.
     """
     return _calibration(grid_key, H)[0]
 
 
-def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int = 0,
-             hi: int | None = None):
-    """The rank-2 window loop over l in [lo, hi) (hi defaults to n).
+def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
+    """The rank-2 window loop over l in [lo, hi).
 
-    Yields (l, lam2_l, F_l, w, S_l): the window's calibration factor, its
-    factor rows and u-weights (_WindowPlan.factor_rows), and the chaos
-    integrand S_l = dW[:, :l+1] @ F_l.T at its u-nodes for every row of the
-    (paths, n) driver dW.  The simulator and the derivative code all walk
-    this one loop, so they see the same quadrature to the bit.
+    Yields (l0, l1, lam2[l0:l1], Fs, w) per block [l0, l1) of up to _FOLD
+    windows: their calibration factors, their stacked factor rows
+    (_WindowPlan.factor_block) and the u-weights.  A consumer forms the
+    chaos integrand S = dW[c, :l1] @ Fs.T, column a M + p holding window
+    l0 + a at u-node p, for a chunk c of _PATH_BLOCK driver rows at a time.
     """
     plan = _window_plan(grid.key(), spec.hp, spec.c)
     lam2 = _window_scales(grid.key(), spec.H)
-    for l in range(lo, grid.n if hi is None else hi):
-        F, w = plan.factor_rows(l)
-        yield l, lam2[l], F, w, dW[:, : l + 1] @ F.T
+    for l0 in range(lo, hi, _FOLD):
+        l1 = min(l0 + _FOLD, hi)
+        yield (l0, l1, lam2[l0:l1], *plan.factor_block(l0, l1))
 
 
 def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
@@ -427,12 +412,15 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
         _fbm_in_place(_fbm_weights(grid.key(), spec.H), zt)
         return zt.T
 
-    # rank 2: window-by-window Wick-ordered square of the factor rows
-    h = grid.dt
+    # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
     zt[0] = 0.0
-    for l, lam2_l, F, w, S in _windows(grid, spec, dW):
-        mean_sq = h * float((F * F).sum(axis=1) @ w)  # E of (S*S) @ w
-        zt[l + 1] = lam2_l * ((S * S) @ w - mean_sq)
+    for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
+        mean_sq = grid.dt * (np.einsum("ij,ij->i", Fs, Fs).reshape(-1, w.size) @ w)
+        for c in range(0, P, _PATH_BLOCK):
+            S = dW[c:c + _PATH_BLOCK, :l1] @ Fs.T
+            S *= S
+            zt[l0 + 1:l1 + 1, c:c + _PATH_BLOCK] = lam2[:, None] * (
+                (S.reshape(-1, w.size) @ w).reshape(-1, l1 - l0).T - mean_sq[:, None])
     np.cumsum(zt[1:], axis=0, out=zt[1:])
     zt[1:] *= spec.d
     return zt.T
@@ -540,9 +528,8 @@ def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
     lam2, blocks = _calibration(grid_key, H)
     if k in blocks:
         return blocks[k]
-    hp = hurst_prime(2, H)
-    plan = _window_plan(grid_key, hp, c_H(hp))
-    return _pair_blocks(plan, (k,), lam2)[k]
+    spec = HermiteSpec.create(2, H)
+    return _pair_blocks(_window_plan(grid_key, spec.hp, spec.c), (k,), lam2)[k]
 
 
 def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:

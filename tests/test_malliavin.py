@@ -324,6 +324,9 @@ class TestDyNormEnsemble:
         (SINE, 0.25, 0.75),
         (ZERO, 0.25, 0.75),
         (SINE, 0.5, 0.5),
+        # window range [19, 57): not a multiple of the window block
+        (SINE, 0.296875, 0.890625),
+        (ZERO, 0.296875, 0.890625),
     ])
     def test_rank2_matches_profile_route(self, drift, s, t):
         grid = TimeGrid(T=1.0, n=64)

@@ -484,3 +484,52 @@ def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
     ref = full[ids]
     assert z.shape == ref.shape and z.flags.f_contiguous
     assert np.all(np.abs(z - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 70), data=st.data())
+def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
+    """_windows visits every window of [lo, hi) once, in blocks of at most
+    _FOLD, and each stacked row is plan.factor_rows(l) to the bit, exactly
+    zero past column l."""
+    from stochtransport.noise import _FOLD, _window_plan, _window_scales, _windows
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.7)
+    hi = data.draw(st.integers(1, n), label="hi")
+    lo = data.draw(st.integers(0, hi - 1), label="lo")
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    lam2 = _window_scales(grid.key(), spec.H)
+    seen = []
+    for l0, l1, lam2_blk, Fs, w in _windows(grid, spec, lo, hi):
+        assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
+        assert np.array_equal(lam2_blk, lam2[l0:l1])
+        for a, l in enumerate(range(l0, l1)):
+            F, wl = plan.factor_rows(l)
+            rows = Fs[a * w.size:(a + 1) * w.size]
+            assert np.array_equal(rows[:, :l + 1], F) and np.array_equal(w, wl)
+            assert not rows[:, l + 1:].any()
+        seen.extend(range(l0, l1))
+    assert seen == list(range(lo, hi))
+
+
+@pytest.mark.parametrize("n", [37, 48])
+def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
+    """The blocked simulator against the per-window recursion
+    Z(t_{l+1}) - Z(t_l) = d lam2_l ((S_l * S_l) @ w - dt (F_l * F_l) @ w)
+    with S_l = dW[:, :l+1] @ F_l.T, over more than one path chunk."""
+    from stochtransport.noise import _PATH_BLOCK, _from_driver, _window_plan, _window_scales
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.7)
+    dW = generate_increments(grid, 5, range(_PATH_BLOCK + 5))
+    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    lam2 = _window_scales(grid.key(), spec.H)
+    ref = np.zeros((dW.shape[0], n + 1))
+    for l in range(n):
+        F, w = plan.factor_rows(l)
+        S = dW[:, :l + 1] @ F.T
+        term = (S * S) @ w - grid.dt * ((F * F).sum(axis=1) @ w)
+        ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
+    z = _from_driver(grid, spec, dW)
+    assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
