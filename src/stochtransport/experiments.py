@@ -9,10 +9,10 @@ happen in a fixed order, and the threads only split the density runner's
 per-path flow work, which is elementwise in the paths (flow._solve_step).
 A rank-1 simulate_ensemble also runs two helper threads of its own, which
 build the kernel matrix and draw the driver blocks.  Neither those threads
-nor the fixed block sizes (malliavin._WEIGHT_CHUNK in the flow weights,
-noise._PATH_BLOCK and noise._TRI_BLOCK in the rank-1 noise and norms,
-noise._FOLD and noise._PATH_BLOCK in the rank-2 window products) change any
-bit of an artifact.
+nor the block sizes (noise._DRAW_BLOCK in the rank-1 draw, noise._TRI_BLOCK
+and noise._TRI_CHUNK in the rank-1 noise and norms, noise._FOLD and
+noise._PATH_BLOCK in the rank-2 window products, malliavin._CN_BLOCK in the
+flow weights) change any bit of an artifact.
 """
 
 import hashlib

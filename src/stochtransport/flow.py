@@ -130,21 +130,21 @@ def _step_plan(b: DriftField, h: float) -> tuple[int, float] | None:
 
 
 def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
-                plan: tuple[int, float]):
+                plan: tuple[int, float], out: np.ndarray | None = None):
     """Solve x = rhs + (h/2) * b(t_new, x) by the plan's k iterations.
 
     No stopping test reads the data, so each component's bits do not depend
-    on the others.  The guard compares the last change with the plan's bound
-    (plus roundoff slack) and raises ConvergenceError when the declared sup
-    norms did not hold along the step.
+    on the others; the last iterate goes into out when given.  The guard
+    compares the last change with the plan's bound (plus roundoff slack) and
+    raises ConvergenceError when the declared sup norms did not hold.
     """
     half = 0.5 * h
     k, bound = plan
     x = x_guess
-    for _ in range(k):
-        x_prev = x
-        x = rhs + half * np.asarray(b.b(t_new, x), dtype=float)
-    gap = float(np.max(np.abs(x - x_prev)))
+    for i in range(k):
+        x_prev, drift = x, half * np.asarray(b.b(t_new, x), dtype=float)
+        x = rhs + drift if out is None or i < k - 1 else np.add(rhs, drift, out=out)
+    gap = float(np.abs(x - x_prev).max())
     if gap > bound and \
             gap > bound + _STEP_SLACK * (1.0 + float(np.max(np.abs(x)))):
         raise ConvergenceError(
@@ -196,16 +196,20 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
             "refine the grid")
     if record:
         traj[start - ks] = x
+    # rg[0] = x + h/2 f + dz is the trapezoid right side, rg[1] the predictor;
+    # a state is recorded by solving it into traj[i, ...], a view even for one path
+    steps = np.array([0.5 * h, h]).reshape((2,) + (1,) * x.ndim)
+    dz, rg = np.empty_like(x), np.empty((2,) + x.shape)
     for k in range(start, end, sign):
         # dz is the increment along the march, so one formula serves both
         # directions: backwards it is the exact negative of the forward one.
-        dz = z[k + sign] - carry
+        np.subtract(z[k + sign], carry, out=dz)
         np.copyto(carry, z[k + sign])
-        f = np.asarray(b.b(pts[k], x), dtype=float)
-        x = _solve_step(b, pts[k + sign], x + 0.5 * h * f + dz,
-                        x + h * f + dz, h, plan)
-        if record:
-            traj[k + sign - ks] = x
+        np.multiply(steps, np.asarray(b.b(pts[k], x), dtype=float), out=rg)
+        rg += x
+        rg += dz
+        x = _solve_step(b, pts[k + sign], rg[0], rg[1], h, plan,
+                        out=traj[k + sign - ks, ...] if record else None)
     return traj if record else x
 
 

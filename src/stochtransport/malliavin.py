@@ -59,6 +59,7 @@ from .noise import (
     _FOLD,
     _PATH_BLOCK,
     _TRI_BLOCK,
+    _TRI_CHUNK,
     NoisePath,
     _fbm_weights,
     _pair_matrix_cached,
@@ -92,7 +93,7 @@ _FLOOR_SLACK = 1e-6
 _VOLTERRA_TOL = 1e-10  # residual guard of dY_integral_eq, relative to |h|
 _MIN_BOUND_PATHS = 100  # fewest paths density_bound_check accepts
 _MIN_DENSITY_SAMPLES = 1000  # fewest samples density_report accepts
-_WEIGHT_CHUNK = 512  # paths per _flow_weights call in _ensemble_weights
+_CN_BLOCK = 4096  # slope values per block of rows in _cn_weights
 
 
 @dataclass(frozen=True)
@@ -228,41 +229,34 @@ def increment_derivative(Z: NoisePath) -> Callable:
     return DZ
 
 
-def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+def _cn_weights(gam, dt: float, out: np.ndarray) -> np.ndarray:
     """Crank-Nicolson flow weights in calendar order, written into out.
 
-    gam holds the slopes b'(r, Y_{r,t}) at rows r = 0..m (time t_ks + r dt;
-    shape (m+1,) or (m+1, paths)) and is overwritten.  With c, d = 1 +- dt
-    gam / 2 and the discrete integrating factor
-    P[r] = (1/c_0) prod_{k=1..r} d_k / c_k, the weights are
-
-        cw[r] = dt/2 gam[r] (P[r] [r < m] + P[r-1] [r >= 1]),
-
-    and h[0] - cw @ h solves the trapezoid Volterra system of
-    dY_integral_eq exactly; P is undefined where some c <= 0.  Needs m >= 1
-    and an out that does not overlap gam.
+    gam gives the slopes b'(r, Y_{r,t}) of rows r = 0..m (time t_ks + r dt):
+    an (m+1,) or (m+1, paths) array, or a function of (lo, hi) returning
+    rows lo..hi-1.  With c, d = 1 +- a, a = dt gam / 2, and the discrete
+    integrating factor P[r] = (1/c_0) prod_{k=1..r} d_k / c_k, the weights
+    cw[r] = a[r] (P[r] [r < m] + P[r-1] [r >= 1]) make h[0] - cw @ h solve
+    the trapezoid Volterra system of dY_integral_eq exactly; P is undefined
+    where some c <= 0.  A forward recursion over blocks of
+    max(1, _CN_BLOCK // paths) rows keeps run = 2 P[r-1] and f = a / c (so
+    d / c = 1 - 2 f, and inside a (P[r] + P[r-1]) = run f[r]); it reads a
+    block's slopes before it writes their weights, so out may hold the
+    states the slopes come from.  Needs m >= 1.
     """
-    m = gam.shape[0] - 1
-    a = gam
-    a *= 0.5 * dt  # c, d = 1 +- a
-    if np.min(a) <= -1.0:
-        raise ResolutionError("dt * b' <= -2 leaves the discrete integrating "
-                              "factor undefined; refine the grid")
-    half_am = 0.5 * a[m]
-    np.add(a, 1.0, out=out)
-    f = a
-    f /= out  # f = a / c, so 1 / c = 1 - f and d / c = 1 - 2 f
-    # row r >= 1 takes 2 P[r-1]: 2 / c_0, then the ratios d_k / c_k, k < r
-    np.multiply(f[:-1], -2.0, out=out[1:])
-    out[2:] += 1.0
-    out[1] += 2.0
-    # running product row by row: cumprod(axis=0) walks column by column
-    for r in range(2, m + 1):
-        out[r] *= out[r - 1]
-    out[m] *= half_am
-    # inside, P[r] + P[r-1] = 2 P[r-1] / c_r
-    out[1:m] *= f[1:m]
-    out[0] = f[0]
+    slopes = gam if callable(gam) else lambda lo, hi: gam[lo:hi]
+    m, half_dt, run = out.shape[0] - 1, 0.5 * dt, 1.0
+    step = max(1, _CN_BLOCK // out[0].size)
+    for lo in range(0, m + 1, step):
+        a = np.multiply(slopes(lo, min(lo + step, m + 1)), half_dt)
+        if a.min() <= -1.0:
+            raise ResolutionError("dt * b' <= -2 leaves the discrete "
+                                  "integrating factor undefined; refine the grid")
+        f = a / (a + 1.0)
+        d = 1.0 - 2.0 * f
+        for r in range(lo, lo + len(f)):
+            out[r] = run * (f[r - lo] if r < m else 0.5 * a[r - lo])
+            run = run * d[r - lo] if r else 2.0 - 2.0 * f[0]
     return out
 
 
@@ -273,16 +267,14 @@ def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
     rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., t_kt,
     shape (m+1,) for one path or (m+1, paths); with h[r] = DZ(t_ks+r) the
     derivative is D_alpha Y_{s,t}(x) = h[0] - cw @ h, and the flow bracket
-    is 1 + sum(cw).  The weights are written into out when given, which
-    may be rows itself: the slopes are taken before out is touched.
+    is 1 + sum(cw).  The slopes are taken a block of rows at a time, each
+    just before its weights replace it, so out may be rows itself.
     """
-    times = grid.points[ks:ks + rows.shape[0]]
-    times = times.reshape(times.shape + (1,) * (rows.ndim - 1))
-    gam = np.asarray(b.b_prime(times, rows), dtype=float)
-    if gam.shape != rows.shape or not gam.flags.writeable \
-            or np.may_share_memory(gam, rows):  # _cn_weights overwrites it
-        gam = np.array(np.broadcast_to(gam, rows.shape))
-    return _cn_weights(gam, grid.dt,
+    times = grid.points[ks:ks + rows.shape[0]].reshape((-1,) + (1,) * (rows.ndim - 1))
+
+    def slopes(lo, hi):
+        return np.broadcast_to(b.b_prime(times[lo:hi], rows[lo:hi]), rows[lo:hi].shape)
+    return _cn_weights(slopes, grid.dt,
                        np.empty(rows.shape) if out is None else out)
 
 
@@ -293,16 +285,12 @@ def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
     Records the backward trajectory (kt+1, paths) into out when given (it
     may be z.T[:kt+1], see backward_ensemble_trajectory), copies row ks,
     and turns rows ks..kt into the flow weights cw of _flow_weights in
-    place, _WEIGHT_CHUNK paths at a time, so the slopes stay small.  The
-    weights are elementwise in the paths: no chunking or slicing moves a bit.
+    place, one block of rows at a time (_cn_weights).  The weights are
+    elementwise in the paths: no slicing moves a bit.
     """
     traj = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], out=out)
     cw = traj[ks:]
-    y = cw[0].copy()
-    for lo in range(0, cw.shape[1], _WEIGHT_CHUNK):
-        cols = cw[:, lo:lo + _WEIGHT_CHUNK]
-        _flow_weights(b, grid, cols, ks, out=cols)
-    return y, cw
+    return cw[0].copy(), _flow_weights(b, grid, cw, ks, out=cw)
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
@@ -373,10 +361,11 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
 
     z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
     derivative table across paths, so the whole ensemble reduces to GEMMs
-    over the table's lower triangle, one per block of _TRI_BLOCK steps;
-    rank 2 needs the driving increments dW and makes one window pass for
-    all paths (two GEMMs per block of windows and _PATH_BLOCK paths, no
-    per-path table).  flow_weights optionally supplies the per-path flow weights
+    over the table's lower triangle, one per block of _TRI_BLOCK steps and
+    chunk of _TRI_CHUNK paths, as the rank-1 simulator makes them; rank 2
+    needs the driving increments dW and makes one window pass for all paths
+    (two GEMMs per block of windows and _PATH_BLOCK paths, no per-path
+    table).  flow_weights optionally supplies the per-path flow weights
     cw of _ensemble_weights(b, grid, z_values, x, index(s), index(t)),
     shape (index(t) - index(s) + 1, paths); they are elementwise in the
     paths, so a caller can build them slice by slice.
@@ -407,25 +396,26 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         if cw is None:
             return np.full(P, float(np.sum(base * base) * grid.dt))
         sw = cw.sum(axis=0)
-        # V = base + sw G[kt] - cw.T @ G[ks:kt+1], time-first in fixed
-        # blocks of _TRI_BLOCK steps a < kt (V vanishes past kt - 1); table
-        # row k vanishes on steps a >= k, so a block's product starts at the
-        # first row that reaches it.  Each block is squared and summed into
-        # the per-path total, so no (paths, n) array is formed: two
-        # (_TRI_BLOCK, paths) buffers serve every block.
+        # V = base + sw G[kt] - cw.T @ G[ks:kt+1], time-first per chunk of
+        # _TRI_CHUNK paths in blocks of _TRI_BLOCK steps a < kt (V vanishes
+        # past kt - 1); table row k vanishes on steps a >= k, so a block's
+        # product starts at the first row that reaches it.  Each block is
+        # squared and summed into the per-path total, so no (paths, n) array
+        # is formed: two (_TRI_BLOCK, _TRI_CHUNK) buffers serve every block.
         out = np.zeros(P)
-        prod = np.empty((_TRI_BLOCK, P))
-        blk = np.empty((_TRI_BLOCK, P))
-        for lo in range(0, kt, _TRI_BLOCK):
-            hi = min(lo + _TRI_BLOCK, kt)
-            r0 = max(0, lo + 1 - ks)
-            rows, v = prod[:hi - lo], blk[:hi - lo]
-            np.matmul(M[ks + r0 - 1:kt, lo:hi].T, cw[r0:], out=rows)
-            np.multiply(g_t[lo:hi, None], sw, out=v)
-            v += base[lo:hi, None]
-            v -= rows
-            v *= v
-            out += v.sum(axis=0)
+        prod, blk = np.empty((2, _TRI_BLOCK, min(_TRI_CHUNK, P)))
+        for c in range(0, P, _TRI_CHUNK):
+            cols, w = slice(c, c + _TRI_CHUNK), min(_TRI_CHUNK, P - c)
+            for lo in range(0, kt, _TRI_BLOCK):
+                hi = min(lo + _TRI_BLOCK, kt)
+                r0 = max(0, lo + 1 - ks)
+                rows, v = prod[:hi - lo, :w], blk[:hi - lo, :w]
+                np.matmul(M[ks + r0 - 1:kt, lo:hi].T, cw[r0:, cols], out=rows)
+                np.multiply(g_t[lo:hi, None], sw[cols], out=v)
+                v += base[lo:hi, None]
+                v -= rows
+                v *= v
+                out[cols] += v.sum(axis=0)
         return out * grid.dt
     if ks == kt:
         return np.zeros(P)

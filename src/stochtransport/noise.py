@@ -51,17 +51,19 @@ row contiguously.  Rank 2 writes window l's Wick-ordered term into row l+1
 and sums the rows in place.  Rank 1 multiplies the driver by the kernel
 matrix (_fbm_weights), whose row k vanishes past step k: the driver is
 written into rows 1..n, row i+1 holding the increment of step i, and
-_fbm_in_place overwrites it with the product in blocks of _TRI_BLOCK time
-steps, last block first, each one GEMM over the block's nonzero prefix.
-simulate_ensemble draws the rank-1 driver in blocks of _PATH_BLOCK paths
-straight into that array, so it holds a whole (paths, n) driver only when
-the caller asks for one.  Two helper threads share the work: one first
-builds the kernel matrix, and both draw blocks (the draw and numpy release
-the interpreter lock); the products start once the draw is done, so the
-BLAS threads do not spin between blocks.  Every path's driver comes from
-its own stream and the product covers every path at once, so no bit depends
-on _PATH_BLOCK, on which thread drew a block, or on the thread count.
-Rank 2 builds its plan on the calling thread.
+_fbm_in_place overwrites it with the product, for each chunk of
+_TRI_CHUNK paths in blocks of _TRI_BLOCK time steps, last block first, each
+one GEMM over the block's nonzero prefix.  simulate_ensemble draws the
+rank-1 driver in blocks of _DRAW_BLOCK paths straight into that array, so it
+holds a whole (paths, n) driver only when the caller asks for one.  Two
+helper threads share the work: one first builds the kernel matrix, and both
+draw blocks (the draw and numpy release the interpreter lock); the products
+start once the draw is done, so the BLAS threads do not spin between blocks.
+Every path's driver comes from its own stream, so no bit depends on
+_DRAW_BLOCK, on which thread drew a block, or on the thread count.  The BLAS
+rounds by matrix shape; each chunk is its own GEMMs, so a path in a complete
+chunk has the same bits whatever paths follow it.  Rank 2 builds its plan
+on the calling thread.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -122,16 +124,17 @@ class NoisePath:
         return float(self.values[self.grid.index_of(t)])
 
 
-# Time steps per block of the rank-1 triangular products (here and in
-# malliavin.dy_norm_ensemble).  A constant, so no bit depends on the thread
-# count.
-_TRI_BLOCK = 128
+# Time steps per block, and paths per chunk, of the rank-1 triangular
+# products (here and in malliavin.dy_norm_ensemble).  Constants, so no bit
+# depends on the thread count.
+_TRI_BLOCK, _TRI_CHUNK = 128, 1024
 
-# Paths per driver block of a rank-1 simulate_ensemble, and per chunk of the
-# rank-2 window products.  Transposing a block into the time-first array
-# walks one cache line per path at a time, and 256 of them fit a
-# first-level cache.
+# Paths per chunk of the rank-2 window products.
 _PATH_BLOCK = 256
+
+# Paths per driver block of a rank-1 simulate_ensemble.  Small, because the
+# two blocks in flight at the end of the draw sit on top of the full array.
+_DRAW_BLOCK = 64
 
 
 @lru_cache(maxsize=32)
@@ -386,17 +389,18 @@ def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
     """Turn a time-first rank-1 driver into its noise, in place.
 
     zt is (n+1, paths) with the increment of step i in row i+1; on return
-    row k holds Z(t_k) = sum_{i<k} M[k-1, i] dW_i and row 0 is zero.  Time
-    blocks run last to first, so a block reads driver rows [1, hi] that no
-    block has yet overwritten; its own rows [lo+1, hi] are among them, so
-    it goes through one (_TRI_BLOCK, paths) buffer.
+    row k holds Z(t_k) = sum_{i<k} M[k-1, i] dW_i and row 0 is zero.  In
+    each chunk of paths the time blocks run last to first, so a block reads
+    driver rows [1, hi] that no block has yet overwritten; its own rows
+    [lo+1, hi] are among them, so it goes through one fixed buffer.
     """
-    n = zt.shape[0] - 1
-    buf = np.empty((min(_TRI_BLOCK, n), zt.shape[1]))
-    for lo in reversed(range(0, n, _TRI_BLOCK)):
-        hi = min(lo + _TRI_BLOCK, n)
-        np.matmul(M[lo:hi, :hi], zt[1:hi + 1], out=buf[:hi - lo])
-        zt[1 + lo:1 + hi] = buf[:hi - lo]
+    n, P = zt.shape[0] - 1, zt.shape[1]
+    buf = np.empty((min(_TRI_BLOCK, n), min(_TRI_CHUNK, P)))
+    for c in range(0, P, _TRI_CHUNK):
+        z, out = zt[:, c:c + _TRI_CHUNK], buf[:, :P - c]
+        for lo in reversed(range(0, n, _TRI_BLOCK)):
+            hi = min(lo + _TRI_BLOCK, n)
+            z[1 + lo:1 + hi] = np.matmul(M[lo:hi, :hi], z[1:hi + 1], out=out[:hi - lo])
     zt[0] = 0.0
 
 
@@ -445,7 +449,7 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
     what simulate_hermite would produce path by path up to roundoff.  The
     values are stored time-first (a Fortran-ordered array, so a column --
     one time across all paths -- is contiguous).  Rank 1 draws the driver
-    in blocks of _PATH_BLOCK paths straight into that array, which the
+    in blocks of _DRAW_BLOCK paths straight into that array, which the
     kernel product then overwrites in place (see the module docstring);
     rank 2 draws the whole (paths, n) driver for its window loop.  With
     driver, the (paths, n) increments come back too, as (values, dW), so a
@@ -465,8 +469,8 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
         if driver:
             dW[cols] = block
 
-    blocks = [slice(lo, lo + _PATH_BLOCK)
-              for lo in range(0, len(path_ids), _PATH_BLOCK)]
+    blocks = [slice(lo, lo + _DRAW_BLOCK)
+              for lo in range(0, len(path_ids), _DRAW_BLOCK)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         # the kernel matrix goes into its lru cache during the draw
         weights = pool.submit(_fbm_weights, grid.key(), spec.H)

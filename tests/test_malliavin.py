@@ -2,10 +2,11 @@
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
@@ -44,6 +45,7 @@ from stochtransport.malliavin import (
 )
 from stochtransport.noise import (
     _TRI_BLOCK,
+    _TRI_CHUNK,
     lattice_variance,
     pair_matrix,
     simulate_ensemble,
@@ -376,12 +378,13 @@ class TestDyNormEnsemble:
             dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
                              flow_weights=_flow_weights(SINE, grid, traj, 0))
 
-    @pytest.mark.parametrize("paths", [1, 255, 256, 257, 515])
+    @pytest.mark.parametrize("paths", [1, 255, 256, 257, 515, 1031])
     @pytest.mark.parametrize("drift", [SINE, ZERO], ids=["sine", "zero"])
     @pytest.mark.parametrize("s", [0.0, 0.25])
     def test_rank1_blocks_equal_the_dense_formula(self, paths, drift, s):
-        # n = 320: two full blocks of 128 steps and a ragged one; the
-        # blocked products round differently from the dense ones
+        # n = 320: two full blocks of 128 steps and a ragged one, and 1031
+        # paths a full chunk and 7 more; the blocked products round
+        # differently from the dense ones
         grid = TimeGrid(T=1.0, n=2 * _TRI_BLOCK + 64)
         spec = HermiteSpec.create(1, 0.7)
         t, x = 0.75, 0.3
@@ -396,6 +399,32 @@ class TestDyNormEnsemble:
         got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
         assert got.shape == (paths,)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(chunks=st.integers(1, 2), tails=st.lists(
+        st.builds(lambda j, r: 8 * j + r,
+                  st.integers(0, _TRI_CHUNK // 8 - 1), st.sampled_from([0, 1, 7])),
+        min_size=2, max_size=2, unique=True))
+    @example(chunks=1, tails=[0, 7])  # nothing, or fewer than 8 paths, follow
+    @example(chunks=1, tails=[1, 1023])  # 1025 and 2047 paths
+    def test_rank1_complete_chunks_do_not_depend_on_what_follows(self, chunks,
+                                                                  tails):
+        """The paths of complete _TRI_CHUNK chunks get the same bits from
+        simulate_ensemble and dy_norm_ensemble whichever partial chunk
+        follows them: none, fewer than 8 paths, or a count = 1 or 7 mod 8.
+        Chunked runs are compared with each other, never with one product
+        over all paths, whose rounding depends on the BLAS."""
+        grid = TimeGrid(T=1.0, n=_TRI_BLOCK + 32)  # a full block and a ragged one
+        spec = HermiteSpec.create(1, 0.7)
+        head = chunks * _TRI_CHUNK
+        runs = []
+        for tail in tails:
+            z = simulate_ensemble(grid, spec, 21, range(head + tail))
+            norms = dy_norm_ensemble(SINE, grid, spec, z, 0.25, 1.0, 0.3)
+            runs.append((z[:head].copy(), norms[:head]))
+        (z0, n0), (z1, n1) = runs
+        assert np.array_equal(z0, z1)
+        assert np.array_equal(n0, n1)
 
 
 class TestCnDuhamelWeights:
@@ -436,6 +465,19 @@ class TestCnDuhamelWeights:
         interior = dt * gamma * r ** (np.arange(1, m) - 1) / c**2
         assert np.allclose(cw[1:m], interior, rtol=1e-12, atol=0.0)
         assert np.all(np.diff(cw[1:m]) < 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 40), paths=st.integers(1, 6),
+           block=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_row_blocks_do_not_move_a_bit(self, m, paths, block, seed):
+        """The recursion gives the same bits for any number of rows per
+        block, from an array of slopes or from a function of the rows."""
+        dt = 1.0 / m
+        gam = np.random.default_rng(seed).uniform(-1.9, 1.9, (m + 1, paths)) / dt
+        want = _cn_weights(gam, dt, np.empty_like(gam))
+        with mock.patch.object(malliavin, "_CN_BLOCK", block):
+            got = _cn_weights(lambda lo, hi: gam[lo:hi], dt, np.empty_like(gam))
+        assert np.array_equal(got, want)
 
     def test_refused_only_where_the_factor_is_undefined(self):
         dt = 0.01

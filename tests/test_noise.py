@@ -145,10 +145,11 @@ def test_rank_one_kernel_built_during_the_draw():
     assert np.array_equal(cold[:, 1:], (_fbm_weights(grid.key(), 0.65) @ dW.T).T)
 
 
-@pytest.mark.parametrize("paths", [1, 300])
+@pytest.mark.parametrize("paths", [1, 300, 1031])
 def test_rank_one_blocks_match_the_dense_product(paths):
     """The blocked triangular product against dW @ M.T, over two full
-    blocks and a ragged one; the values are stored time-first."""
+    blocks and a ragged one, and over a full chunk of paths and 7 more
+    (1031); the values are stored time-first."""
     from stochtransport.noise import _TRI_BLOCK, _fbm_weights
     grid = TimeGrid(T=1.0, n=2 * _TRI_BLOCK + 64)
     spec = HermiteSpec.create(1, 0.7)
@@ -167,8 +168,8 @@ def test_rank_one_path_blocks_match_per_path_simulation(blocks):
     to the bit, and every path's noise is its per-path simulation up to the
     product's roundoff, around the block edges.  The helper threads that
     draw the blocks switch as often as the interpreter allows."""
-    from stochtransport.noise import _PATH_BLOCK
-    paths = blocks[0] * _PATH_BLOCK + blocks[1]
+    from stochtransport.noise import _DRAW_BLOCK
+    paths = blocks[0] * _DRAW_BLOCK + blocks[1]
     grid = TimeGrid(T=1.0, n=24)
     spec = HermiteSpec.create(1, 0.7)
     interval = sys.getswitchinterval()
