@@ -544,17 +544,27 @@ def _run_density(config, grid, spec, out, checks, files):
 
 
 def _run_bound_check(config, grid, spec, out, checks, files):
+    """Per-path brackets with their discrete int_s^t b'(Y_{u,t}) du, and the
+    bracket-floor gate, whose detail also gives the floor 2 - rho_g^k that
+    the drift's declared sup|b'| = g alone guarantees over the k steps."""
     b = drift_preset(config.drift, **config.drift_params)
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     rep = density_bound_check(b, grid, z, config.s, config.t_end, config.x0)
-    _write_csv(out / "brackets.csv", config, ["path_id", "bracket"],
-               [(pid, rep.brackets[pid]) for pid in range(config.paths)])
+    slope = 0.0 - np.log(2.0 - rep.brackets)  # 0.0 - keeps -0 out of the CSV
+    _write_csv(out / "brackets.csv", config,
+               ["path_id", "bracket", "slope_integral"],
+               [(pid, rep.brackets[pid], slope[pid]) for pid in range(config.paths)])
     files.append("brackets.csv")
     floor = max(rep.floor_condition, rep.floor_universal)
+    g = 0.5 * grid.dt * b.sup_norm_bprime
+    k = grid.index_of(config.t_end) - grid.index_of(config.s)
+    below = int(np.sum(~(rep.brackets > floor)))
     checks.append(_check("bracket-floor", rep.passed, rep.min_bracket, floor,
                          f"min integrating-factor bracket over {config.paths} "
-                         f"paths; floors: condition={rep.floor_condition:.6g}, "
-                         f"universal={rep.floor_universal:.6g}"))
+                         f"paths, {below} at or below the floor; floors: "
+                         f"condition={rep.floor_condition:.6g}, "
+                         f"universal={rep.floor_universal:.6g}, declared "
+                         f"sup|b'| ensures {2.0 - ((1.0 + g) / (1.0 - g)) ** k:.6g}"))
 
 
 _RUNNERS = {

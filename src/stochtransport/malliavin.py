@@ -19,11 +19,11 @@ The inverse flow Y_{s,t}(x) satisfies a linear equation in the derivative:
 
 solved here two independent ways that tests cross-check.  The closed form
 is one discrete formula: the trapezoid rule turns the equation into a
-lower-triangular system whose exact solution is a Crank-Nicolson
-integrating factor, the discrete counterpart of
-exp(-int_s^r b'(v, Y_{v,t}) dv).  Its weights cw (_flow_weights) give
+lower-triangular system whose exact solution carries a Crank-Nicolson
+integrating factor, the discrete exp(-int_s^r b'(v, Y_{v,t}) dv).  Summed
+by parts, it is one signed weight vector omega (_cn_weights), sum 0:
 
-    D_alpha Y_{s,t} = DZ(s) - sum_r cw[r] DZ(t_r),   t_r = s, ..., t,
+    D_alpha Y_{s,t} = sum_r omega[r] D_alpha Z_{t_r},   t_r = s, ..., t,
 
 for one alpha (dY_closed_form) or every alpha at once (dY_profile,
 dy_norm_ensemble), so the profile equals the closed form to roundoff.  The
@@ -32,8 +32,9 @@ oracle is forward substitution on the time-reversed Volterra form
 
 Density diagnostics follow the standard criterion: a functional whose
 derivative has positive L^2([0,T]) norm on almost every path has an
-absolutely continuous law.  density_bound_check evaluates the flow bracket
-1 + sum(cw) that multiplies the noise derivative in dY, and density_report
+absolutely continuous law.  density_bound_check reads the flow bracket,
+the discrete 2 - exp(-int_s^t b'(Y_{u,t}) du) that multiplies the noise
+derivative in dY, off the last weight omega[m], and density_report
 inspects a Monte Carlo sample for atoms and for vanishing derivative norms.
 """
 
@@ -230,45 +231,53 @@ def increment_derivative(Z: NoisePath) -> Callable:
 
 
 def _cn_weights(gam, dt: float, out: np.ndarray) -> np.ndarray:
-    """Crank-Nicolson flow weights in calendar order, written into out.
+    """Signed Crank-Nicolson flow weights omega in calendar order, into out.
 
-    gam gives the slopes b'(r, Y_{r,t}) of rows r = 0..m (time t_ks + r dt):
-    an (m+1,) or (m+1, paths) array, or a function of (lo, hi) returning
-    rows lo..hi-1.  With c, d = 1 +- a, a = dt gam / 2, and the discrete
-    integrating factor P[r] = (1/c_0) prod_{k=1..r} d_k / c_k, the weights
-    cw[r] = a[r] (P[r] [r < m] + P[r-1] [r >= 1]) make h[0] - cw @ h solve
-    the trapezoid Volterra system of dY_integral_eq exactly; P is undefined
+    gam gives the slopes b'(r, Y_{r,t}) of rows r = 0..m-1 (time
+    t_ks + r dt): m+1 rows of shape () or (paths,), or a function of (lo, hi)
+    returning rows lo..hi-1; the anchor row m is never read.  With c, d =
+    1 +- a, a = dt gam / 2, and the discrete integrating factor
+    P[r] = (1/c_0) prod_{k=1..r} d_k / c_k,
+
+        omega[0] = P[0],   omega[m] = -P[m-1],
+        omega[r] = -a[r] (P[r] + P[r-1]) = P[r] - P[r-1]   (0 < r < m),
+
+    so omega sums to zero, its running sum is P, omega @ G[ks:kt+1] solves
+    the trapezoid Volterra system of dY_integral_eq exactly, and the flow
+    bracket is 2 - d_m P[m-1] = 2 + (1 - a[m]) omega[m].  P is undefined
     where some c <= 0.  A forward recursion over blocks of
-    max(1, _CN_BLOCK // paths) rows keeps run = 2 P[r-1] and f = a / c (so
-    d / c = 1 - 2 f, and inside a (P[r] + P[r-1]) = run f[r]); it reads a
+    max(1, _CN_BLOCK // paths) rows forms omega[r] = -2 P[r-1] f[r],
+    f = a / c (differences of P would lose digits), and P[r] as the running
+    sum of omega, so no rounded d / c is raised to a power.  It reads a
     block's slopes before it writes their weights, so out may hold the
     states the slopes come from.  Needs m >= 1.
     """
     slopes = gam if callable(gam) else lambda lo, hi: gam[lo:hi]
-    m, half_dt, run = out.shape[0] - 1, 0.5 * dt, 1.0
+    m, half_dt, p = out.shape[0] - 1, 0.5 * dt, 0.0
     step = max(1, _CN_BLOCK // out[0].size)
-    for lo in range(0, m + 1, step):
-        a = np.multiply(slopes(lo, min(lo + step, m + 1)), half_dt)
+    for lo in range(0, m, step):
+        a = np.multiply(slopes(lo, min(lo + step, m)), half_dt)
         if a.min() <= -1.0:
             raise ResolutionError("dt * b' <= -2 leaves the discrete "
                                   "integrating factor undefined; refine the grid")
         f = a / (a + 1.0)
-        d = 1.0 - 2.0 * f
+        g = -2.0 * f
         for r in range(lo, lo + len(f)):
-            out[r] = run * (f[r - lo] if r < m else 0.5 * a[r - lo])
-            run = run * d[r - lo] if r else 2.0 - 2.0 * f[0]
+            out[r] = p * g[r - lo] if r else 1.0 - f[0]
+            p = p + out[r]
+    out[m] = -p
     return out
 
 
 def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
                   ks: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The flow weights cw of _cn_weights along flow rows.
+    """The flow weights omega of _cn_weights along flow rows.
 
     rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., t_kt,
-    shape (m+1,) for one path or (m+1, paths); with h[r] = DZ(t_ks+r) the
-    derivative is D_alpha Y_{s,t}(x) = h[0] - cw @ h, and the flow bracket
-    is 1 + sum(cw).  The slopes are taken a block of rows at a time, each
-    just before its weights replace it, so out may be rows itself.
+    shape (m+1,) for one path or (m+1, paths); D_alpha Y_{s,t}(x) =
+    omega @ G[ks:kt+1], G the dz_table.  The slopes are taken a block of
+    rows at a time, each just before its weights replace it, so out may be
+    rows itself.
     """
     times = grid.points[ks:ks + rows.shape[0]].reshape((-1,) + (1,) * (rows.ndim - 1))
 
@@ -280,28 +289,28 @@ def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
 
 def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
                       ks: int, kt: int, out: np.ndarray | None = None):
-    """(Y_{s,t}(x), cw) per path of a (paths, n+1) noise ensemble z.
+    """(Y_{s,t}(x), omega) per path of a (paths, n+1) noise ensemble z.
 
     Records the backward trajectory (kt+1, paths) into out when given (it
     may be z.T[:kt+1], see backward_ensemble_trajectory), copies row ks,
-    and turns rows ks..kt into the flow weights cw of _flow_weights in
+    and turns rows ks..kt into the flow weights omega of _flow_weights in
     place, one block of rows at a time (_cn_weights).  The weights are
     elementwise in the paths: no slicing moves a bit.
     """
     traj = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], out=out)
-    cw = traj[ks:]
-    return cw[0].copy(), _flow_weights(b, grid, cw, ks, out=cw)
+    w = traj[ks:]
+    return w[0].copy(), _flow_weights(b, grid, w, ks, out=w)
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
                    t: float, alpha: float, x: float) -> float:
-    """D_alpha Y_{s,t}(x) = h[0] - cw @ h with h = DZ(t_ks..t_kt).
+    """D_alpha Y_{s,t}(x) = omega @ h with h = DZ(t_ks..t_kt).
 
-    cw are the flow weights (_flow_weights), the Crank-Nicolson solution
-    of the trapezoid-discretized Volterra system that dY_integral_eq solves
-    sequentially, so the two routes agree to roundoff on any grid, and
-    dY_profile, which reads the same weights, equals this to roundoff.  DZ
-    must follow the increment_derivative convention.
+    omega are the flow weights (_flow_weights); they sum to zero, so for
+    the increment_derivative convention h = G - G[kt] (h[m] = 0 by
+    adaptedness) omega @ h = omega @ G[ks:kt+1], which dY_profile reads
+    too.  They solve the trapezoid Volterra system that dY_integral_eq
+    solves sequentially, so all three routes agree to roundoff.
     """
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
@@ -310,9 +319,8 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
     if ks == kt or b.is_zero:
         return float(DZ(s, t, alpha))
     y = backward_trajectory(b, Z, x, t)
-    cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
-    h = np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float)
-    return float(h[0] - cw @ h)
+    w = _flow_weights(b, grid, y[ks:kt + 1], ks)
+    return float(w @ np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float))
 
 
 def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
@@ -321,13 +329,11 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
     G = dz_table(Z)
-    base = -(G[kt] - G[ks])
     if ks == kt or b.is_zero:
-        return MalliavinPath(grid=grid, values=base)
+        return MalliavinPath(grid=grid, values=-(G[kt] - G[ks]))
     y = backward_trajectory(b, Z, x, t)
-    cw = _flow_weights(b, grid, y[ks:kt + 1], ks)
-    values = base + G[kt] * cw.sum() - cw @ G[ks:kt + 1]
-    return MalliavinPath(grid=grid, values=values)
+    w = _flow_weights(b, grid, y[ks:kt + 1], ks)
+    return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
 
 def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
@@ -359,16 +365,16 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                      flow_weights: np.ndarray | None = None) -> np.ndarray:
     """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
 
-    z_values is the (paths, n+1) noise ensemble.  rank 1 shares one
-    derivative table across paths, so the whole ensemble reduces to GEMMs
-    over the table's lower triangle, one per block of _TRI_BLOCK steps and
-    chunk of _TRI_CHUNK paths, as the rank-1 simulator makes them; rank 2
-    needs the driving increments dW and makes one window pass for all paths
-    (two GEMMs per block of windows and _PATH_BLOCK paths, no per-path
-    table).  flow_weights optionally supplies the per-path flow weights
-    cw of _ensemble_weights(b, grid, z_values, x, index(s), index(t)),
-    shape (index(t) - index(s) + 1, paths); they are elementwise in the
-    paths, so a caller can build them slice by slice.
+    The profile is V = omega.T @ G[ks:kt+1] (_cn_weights; omega = e_0 - e_m
+    for a zero drift), z_values the (paths, n+1) noise ensemble.  rank 1
+    shares one table G across paths: one GEMM over its lower triangle per
+    block of _TRI_BLOCK steps and chunk of _TRI_CHUNK paths, as the rank-1
+    simulator makes them; rank 2 needs the driving increments dW and makes
+    one window pass for all paths (two GEMMs per block of windows and
+    _PATH_BLOCK paths, no per-path table).  flow_weights optionally supplies
+    the omega of _ensemble_weights(b, grid, z_values, x, index(s),
+    index(t)), shape (index(t) - index(s) + 1, paths); they are elementwise
+    in the paths, so a caller can build them slice by slice.
     """
     P = _time_first(grid, z_values).shape[1]
     ks, kt = _check_times(grid, s, t)
@@ -378,65 +384,57 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         dW = np.asarray(dW, dtype=float)
         if dW.shape != (P, grid.n):
             raise DomainError("dW must pair with z_values row by row")
-    cw = None  # the (m+1, P) flow weights; a zero drift needs none
+    w = None  # the (m+1, P) flow weights; a zero drift needs none
     if not b.is_zero and ks < kt:
         if flow_weights is None:
-            cw = _ensemble_weights(b, grid, z_values, x, ks, kt)[1]
+            w = _ensemble_weights(b, grid, z_values, x, ks, kt)[1]
         else:
-            cw = np.asarray(flow_weights, dtype=float)
-            if cw.shape != (kt - ks + 1, P):
-                raise DomainError(f"flow weights have shape {cw.shape}, "
+            w = np.asarray(flow_weights, dtype=float)
+            if w.shape != (kt - ks + 1, P):
+                raise DomainError(f"flow weights have shape {w.shape}, "
                                   f"expected {(kt - ks + 1, P)}")
 
     if spec.q == 1:
         # row k >= 1 of the table G is the kernel row M[k - 1]; row 0 is 0
         M = _fbm_weights(grid.key(), spec.H)
-        g_t, g_s = (M[k - 1] if k else np.zeros(grid.n) for k in (kt, ks))
-        base = -(g_t - g_s)
-        if cw is None:
-            return np.full(P, float(np.sum(base * base) * grid.dt))
-        sw = cw.sum(axis=0)
-        # V = base + sw G[kt] - cw.T @ G[ks:kt+1], time-first per chunk of
-        # _TRI_CHUNK paths in blocks of _TRI_BLOCK steps a < kt (V vanishes
-        # past kt - 1); table row k vanishes on steps a >= k, so a block's
-        # product starts at the first row that reaches it.  Each block is
-        # squared and summed into the per-path total, so no (paths, n) array
-        # is formed: two (_TRI_BLOCK, _TRI_CHUNK) buffers serve every block.
+        if w is None:
+            g_t, g_s = (M[k - 1] if k else np.zeros(grid.n) for k in (kt, ks))
+            return np.full(P, float(np.sum((g_s - g_t) ** 2) * grid.dt))
+        # V = w.T @ G[ks:kt+1] per chunk of paths and block of steps a < kt
+        # (V vanishes past kt - 1), from the first table row that reaches
+        # the block (row k vanishes on steps a >= k); each block is squared
+        # in one (_TRI_BLOCK, _TRI_CHUNK) buffer and summed per path.
         out = np.zeros(P)
-        prod, blk = np.empty((2, _TRI_BLOCK, min(_TRI_CHUNK, P)))
+        prod = np.empty((_TRI_BLOCK, min(_TRI_CHUNK, P)))
         for c in range(0, P, _TRI_CHUNK):
-            cols, w = slice(c, c + _TRI_CHUNK), min(_TRI_CHUNK, P - c)
+            cols, nc = slice(c, c + _TRI_CHUNK), min(_TRI_CHUNK, P - c)
             for lo in range(0, kt, _TRI_BLOCK):
                 hi = min(lo + _TRI_BLOCK, kt)
                 r0 = max(0, lo + 1 - ks)
-                rows, v = prod[:hi - lo, :w], blk[:hi - lo, :w]
-                np.matmul(M[ks + r0 - 1:kt, lo:hi].T, cw[r0:, cols], out=rows)
-                np.multiply(g_t[lo:hi, None], sw[cols], out=v)
-                v += base[lo:hi, None]
-                v -= rows
+                v = np.matmul(M[ks + r0 - 1:kt, lo:hi].T, w[r0:, cols],
+                              out=prod[:hi - lo, :nc])
                 v *= v
                 out[cols] += v.sum(axis=0)
         return out * grid.dt
     if ks == kt:
         return np.zeros(P)
-    # The profile V = -(G[kt] - G[ks]) + sum(cw) G[kt] - cw @ G[ks:kt+1] is
-    # linear in the table rows G[k] = 2d sum_{l<k} T_l, T_l =
-    # lam2_l F_l^T (w * F_l dW), so V = 2d sum_l coef_l T_l with coef_l the
-    # sum of the row weights beyond l: zero for l < ks (the weights sum to
-    # zero) and run - 1 for ks <= l < kt, run the running sum of cw[:l-ks+1].
-    # Each block of windows and _PATH_BLOCK paths adds X @ Fs to V through
-    # one fixed buffer.
-    run, scale = np.zeros(P), np.empty((_FOLD, P))
+    # V = sum_r w[r] G[ks+r] with G[k] = 2d sum_{l<k} T_l, T_l =
+    # lam2_l F_l^T (wu * F_l dW), so V = 2d sum_l coef_l T_l, coef_l the sum
+    # of the weights beyond l: zero for l < ks (they sum to zero) and -run
+    # for ks <= l < kt, run the running sum of w, which is the integrating
+    # factor at row l - ks (1 for a zero drift).  Each block of windows and _PATH_BLOCK paths adds X @ Fs
+    # to V through one fixed buffer.
+    run, scale = np.full(P, 1.0 if w is None else 0.0), np.empty((_FOLD, P))
     V, buf = np.zeros((P, kt)), np.empty((min(_PATH_BLOCK, P), kt))
-    for l0, l1, lam2, Fs, w in _windows(grid, spec, ks, kt):
+    for l0, l1, lam2, Fs, wu in _windows(grid, spec, ks, kt):
         for a in range(l1 - l0):
-            if cw is not None:
-                run += cw[l0 + a - ks]
-            np.multiply(2.0 * spec.d * lam2[a], run - 1.0, out=scale[a])
+            if w is not None:
+                run += w[l0 + a - ks]
+            np.multiply(-2.0 * spec.d * lam2[a], run, out=scale[a])
         for c in range(0, P, _PATH_BLOCK):
-            X = (dW[c:c + _PATH_BLOCK, :l1] @ Fs.T).reshape(-1, l1 - l0, w.size)
+            X = (dW[c:c + _PATH_BLOCK, :l1] @ Fs.T).reshape(-1, l1 - l0, wu.size)
             X *= scale[:l1 - l0, c:c + _PATH_BLOCK].T[:, :, None]
-            X *= w
+            X *= wu
             V[c:c + _PATH_BLOCK, :l1] += np.matmul(
                 X.reshape(len(X), -1), Fs, out=buf[:len(X), :l1])
     return np.einsum("ij,ij->i", V, V) * grid.dt
@@ -515,27 +513,27 @@ class BoundCheckReport:
 
 def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                         s: float, t: float, x: float) -> BoundCheckReport:
-    """Evaluate the flow bracket 1 + sum(cw) per path, cw the flow weights.
+    """The flow bracket 2 + (1 - a_m) omega[m] per path, a_m = dt b'(t, x)/2.
 
-    The bracket, the discrete form of 1 + int_s^t b' e^{-int_s^u b'} du,
+    The bracket, 2 - d_m P[m-1] (_cn_weights), is the discrete form of
+    1 + int_s^t b' e^{-int_s^u b'} du = 2 - exp(-int_s^t b'(Y_{u,t}) du); it
     multiplies the noise derivative in dY and must stay positive for the
-    density criterion; for a constant b' = g it is exactly 2 - rho^k over
+    density criterion.  For a constant b' = g it is exactly 2 - rho^k over
     the k steps of [s, t], rho = (1 - dt g/2) / (1 + dt g/2).  With
-    f(m) = -m exp(-2m) it is
-    checked to exceed both 1 + f(||b'||_inf (t-s)) - 1e-6 and the
-    universal constant 1 - e^{-1}/2.  Those floors hold when the drift
-    slope integral along the flow stays above about -0.169; passed carries
-    the verdict, so drifts that genuinely sit below the floor are reported,
-    not refused.
+    f(m) = -m exp(-2m) it is checked to exceed both
+    1 + f(||b'||_inf (t-s)) - 1e-6 and the universal constant 1 - e^{-1}/2,
+    floors that hold when int_s^t b'(Y) >= -0.169; passed carries the
+    verdict, so drifts that genuinely sit below the floor are reported.
     """
     P = _time_first(grid, z_values).shape[1]
     if P < _MIN_BOUND_PATHS:
         raise SampleSizeError(f"need at least {_MIN_BOUND_PATHS} paths, got {P}")
     ks, kt = _check_times(grid, s, t)
-    if ks == kt:
-        brackets = np.ones(P)
-    else:
-        brackets = 1.0 + _ensemble_weights(b, grid, z_values, x, ks, kt)[1].sum(axis=0)
+    brackets = np.ones(P)
+    if ks < kt:
+        a_m = 0.5 * grid.dt * float(b.b_prime(grid.points[kt], x))
+        w_m = _ensemble_weights(b, grid, z_values, x, ks, kt)[1][-1]
+        brackets = 2.0 + (1.0 - a_m) * w_m
 
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK

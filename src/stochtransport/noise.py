@@ -165,7 +165,7 @@ def _panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
 class _WindowPlan:
     """Per-grid quadrature tables for cell-averaged kernel factor rows.
 
-    factor_rows(l), the one-window slice of factor_block, returns (F, w):
+    factor_block(l, l + 1), the one-window block, returns (F, w):
     F[p, i] is the average of dK(u_p, y) over cell i (i <= l) at the
     window-l u-nodes u_p, and w the matching u-weights, so F.T @ diag(w) @ F
     is window l's contribution to the pair matrix and F @ dW[:l+1] evaluates
@@ -272,10 +272,6 @@ class _WindowPlan:
         l = np.arange(l0, l1)[:, None]
         Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[l0:l1]
         return Fs.reshape(m * self.M, l1), self.wu
-
-    def factor_rows(self, l: int):
-        """(F, w) for window l: F[p, i] = cell-i average of dK(u_p, .)."""
-        return self.factor_block(l, l + 1)
 
 
 @lru_cache(maxsize=16)

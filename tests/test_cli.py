@@ -301,6 +301,27 @@ class TestCliMain:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_readme_rank2_bound_check_fails_below_the_slope_assumption(
+            self, tmp_path):
+        """The README's rank-2 bound-check exits 1 (min bracket 0.710032 at
+        the default seed, one path at or below the 0.816 floor), and every
+        such path has a slope integral below -0.1689: it breaks the
+        assumption int_s^t b'(Y) >= -ln(1 + e^-1/2) that the floor rests
+        on, which the detail reports next to the declared-norm floor."""
+        assert main(["bound-check", "--q", "2", "--drift", "sine", "--n", "256",
+                     "--paths", "200", "--out", str(tmp_path)]) == 1
+        lines = [ln for ln in (tmp_path / "brackets.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "path_id,bracket,slope_integral"
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        bracket, slope = rows[:, 1], rows[:, 2]
+        low = ~(bracket > 1.0 - 0.5 * np.exp(-1.0))
+        assert low.any() and np.all(slope[low] < -0.1689)
+        assert bracket.min() == pytest.approx(0.710032, abs=1e-6)
+        check = json.loads((tmp_path / "manifest.json").read_text())["checks"][0]
+        assert f"{int(low.sum())} at or below the floor" in check["detail"]
+        assert "declared sup|b'| ensures 0.351278" in check["detail"]
+
     def test_kde_mass_gate_fails_with_exit_one(self, tmp_path, capsys,
                                                monkeypatch):
         real = experiments.density_report

@@ -391,10 +391,9 @@ class TestDyNormEnsemble:
         ks, kt = grid.index_of(s), grid.index_of(t)
         z = simulate_ensemble(grid, spec, 13, range(paths))
         traj = backward_ensemble_trajectory(drift, grid, z, x, t)
-        cw = _flow_weights(drift, grid, traj[ks:kt + 1], ks)
+        w = _flow_weights(drift, grid, traj[ks:kt + 1], ks)
         G = malliavin._dz_table_raw(grid, spec, np.empty((0,)))
-        V = -(G[kt] - G[ks]) + cw.sum(axis=0)[:, None] * G[kt] \
-            - cw.T @ G[ks:kt + 1]
+        V = w.T @ G[ks:kt + 1]
         want = np.sum(V * V, axis=1) * grid.dt
         got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
         assert got.shape == (paths,)
@@ -427,8 +426,21 @@ class TestDyNormEnsemble:
         assert np.array_equal(n0, n1)
 
 
+def _cw_reference(a):
+    """The unsigned weights cw[r] = a[r] (P[r] [r < m] + P[r-1] [r >= 1])
+    of the form D = h[0] - cw @ h, a = dt gam / 2, by the recursion of
+    that form: run = 2 P[r-1], f = a / (1 + a), d / c = 1 - 2 f."""
+    m, run = a.size - 1, 1.0
+    cw = np.empty(m + 1)
+    for r in range(m + 1):
+        f = a[r] / (a[r] + 1.0)
+        cw[r] = run * (f if r < m else 0.5 * a[r])
+        run = run * (1.0 - 2.0 * f) if r else 2.0 - 2.0 * f
+    return cw
+
+
 class TestCnDuhamelWeights:
-    """The calendar-order Crank-Nicolson weights against the Volterra recursion."""
+    """The signed calendar-order weights against the Volterra recursion."""
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 200), bound=st.floats(0.0, 0.99),
@@ -438,6 +450,10 @@ class TestCnDuhamelWeights:
         dt = 1.0 / m
         gam = rng.uniform(-bound, bound, m + 1) / dt  # dt |gam| < 1
         h = rng.normal(size=m + 1)
+        # h[m] = DZ(t) = 0: the window increment of every caller vanishes
+        # at its anchor t (adaptedness), the D[0] = h[0] = 0 of
+        # dY_integral_eq; the signed weights assume it and never read gam[m]
+        h[m] = 0.0
         # forward substitution of D_j = h_j - dt * trap(gam * D)_j on the
         # reversed clock j = m - r, from t (r = m) back to s (r = 0)
         g, f = gam[::-1], h[::-1]
@@ -447,24 +463,46 @@ class TestCnDuhamelWeights:
         for j in range(1, m + 1):
             D[j] = (f[j] - dt * running) / (1.0 + 0.5 * dt * g[j])
             running += g[j] * D[j]
-        cw = _cn_weights(gam.copy(), dt, np.empty(m + 1))
+        w = _cn_weights(gam.copy(), dt, np.empty(m + 1))
         # roundoff of the sum is relative to the size of its terms, which
         # the Crank-Nicolson factors amplify where gam < 0
-        scale = abs(h[0]) + float(np.abs(cw) @ np.abs(h))
-        assert abs(h[0] - cw @ h - D[m]) <= 1e-12 * scale
+        scale = abs(h[0]) + float(np.abs(w) @ np.abs(h))
+        assert abs(w @ h - D[m]) <= 1e-12 * scale
 
     @pytest.mark.parametrize("gamma, m", [(0.5, 1), (0.5, 64), (3.0, 256)])
     def test_constant_rate_weights_are_positive_and_grow(self, gamma, m):
+        """The end weights are P[0] > 0 and -P[m-1] < 0; the interior
+        weights are negative, and their sizes grow toward the anchor s."""
         dt = 1.0 / m
-        cw = _cn_weights(np.full(m + 1, gamma), dt, np.empty(m + 1))
-        assert np.all(cw > 0.0)
-        # interior weights dt gamma r^(i-1) / c^2 with c = 1 + dt gamma / 2
-        # and r = (1 - dt gamma / 2) / c < 1: increasing toward the anchor s
+        w = _cn_weights(np.full(m + 1, gamma), dt, np.empty(m + 1))
+        # interior weights -dt gamma r^(i-1) / c^2 with c = 1 + dt gamma / 2
+        # and r = (1 - dt gamma / 2) / c < 1
         c = 1.0 + 0.5 * dt * gamma
         r = (1.0 - 0.5 * dt * gamma) / c
         interior = dt * gamma * r ** (np.arange(1, m) - 1) / c**2
-        assert np.allclose(cw[1:m], interior, rtol=1e-12, atol=0.0)
-        assert np.all(np.diff(cw[1:m]) < 0.0)
+        assert w[0] == pytest.approx(1.0 / c, rel=1e-12)
+        assert w[m] == pytest.approx(-r ** (m - 1) / c, rel=1e-12)
+        assert np.all(w[1:m] < 0.0)
+        assert np.allclose(-w[1:m], interior, rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(w[1:m]) > 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 1024), frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=1, frac=1.0, seed=0)
+    @example(m=1024, frac=1.0, seed=1)
+    def test_bracket_is_the_last_weight(self, m, frac, seed):
+        """2 + (1 - a[m]) omega[m] equals the bracket 1 + sum(cw) of the
+        unsigned weights, and the signed weights sum to zero, for
+        |a| = |dt gam / 2| <= min(0.5, 8 / m), where the factor is finite."""
+        dt = 1.0 / m
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, m + 1) \
+            * frac * min(0.5, 8.0 / m)
+        w = _cn_weights(2.0 * a / dt, dt, np.empty(m + 1))
+        cw = _cw_reference(a)
+        bracket = 2.0 + (1.0 - a[m]) * w[m]
+        assert abs(bracket - (1.0 + cw.sum())) <= 1e-13 * (1.0 + np.abs(cw).sum())
+        assert abs(w.sum()) <= 1e-13 * np.abs(w).sum()
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 40), paths=st.integers(1, 6),

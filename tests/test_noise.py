@@ -65,7 +65,7 @@ def test_factor_rows_match_direct_kernel_quadrature():
     plan = _window_plan(grid.key(), spec.hp, spec.c)
     A = np.zeros((16, 16))
     for l in range(16):
-        F, w = plan.factor_rows(l)
+        F, w = plan.factor_block(l, l + 1)
         A[: l + 1, : l + 1] += F.T @ (w[:, None] * F)
     xg, wg = np.polynomial.legendre.leggauss(6)
     h = grid.dt
@@ -386,7 +386,7 @@ def _direct_pair_matrix(grid, spec, k, lam2):
     plan = _window_plan(grid.key(), spec.hp, spec.c)
     A = np.zeros((grid.n, grid.n))
     for l in range(k):
-        F, w = plan.factor_rows(l)
+        F, w = plan.factor_block(l, l + 1)
         A[: l + 1, : l + 1] += lam2[l] * (F.T @ (w[:, None] * F))
     return A
 
@@ -399,7 +399,7 @@ def test_factor_rows_bulk_cells_match_direct_powers(H):
     spec = HermiteSpec.create(2, H)
     plan = _window_plan(grid.key(), spec.hp, spec.c)
     for l in range(grid.n):
-        F, w = plan.factor_rows(l)
+        F, w = plan.factor_block(l, l + 1)
         assert F.shape == (24, l + 1) and w.shape == (24,)
         assert np.all(np.isfinite(F)) and np.all(F > 0.0)
         if l >= 3:
@@ -419,7 +419,7 @@ def test_window_scales_match_reference_recursion(H):
     A = np.zeros((grid.n, grid.n))
     ref = np.empty(grid.n)
     for l in range(grid.n):
-        F, w = plan.factor_rows(l)
+        F, w = plan.factor_block(l, l + 1)
         B = F.T @ (w[:, None] * F)
         x = float((A[: l + 1, : l + 1] * B).sum())
         y = float((B * B).sum())
@@ -491,8 +491,8 @@ def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
 @given(n=st.integers(4, 70), data=st.data())
 def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
     """_windows visits every window of [lo, hi) once, in blocks of at most
-    _FOLD, and each stacked row is plan.factor_rows(l) to the bit, exactly
-    zero past column l."""
+    _FOLD, and each stacked row is plan.factor_block(l, l + 1) to the bit,
+    exactly zero past column l."""
     from stochtransport.noise import _FOLD, _window_plan, _window_scales, _windows
 
     grid = TimeGrid(T=1.0, n=n)
@@ -506,7 +506,7 @@ def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
         assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
         assert np.array_equal(lam2_blk, lam2[l0:l1])
         for a, l in enumerate(range(l0, l1)):
-            F, wl = plan.factor_rows(l)
+            F, wl = plan.factor_block(l, l + 1)
             rows = Fs[a * w.size:(a + 1) * w.size]
             assert np.array_equal(rows[:, :l + 1], F) and np.array_equal(w, wl)
             assert not rows[:, l + 1:].any()
@@ -528,7 +528,7 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     lam2 = _window_scales(grid.key(), spec.H)
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
-        F, w = plan.factor_rows(l)
+        F, w = plan.factor_block(l, l + 1)
         S = dW[:, :l + 1] @ F.T
         term = (S * S) @ w - grid.dt * ((F * F).sum(axis=1) @ w)
         ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
