@@ -485,7 +485,8 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
     Deterministic, by the isometry E ||D F||^2 = q E F^2 of a rank-q chaos:
     q (Var Z_u + Var Z_t - 2 Cov(Z_u, Z_t)) of the lattice noise.
     Diagnostic only; the probe grid is 0 and the eighths of [0, T], whose
-    pair matrices the rank-2 calibration pass has already recorded.
+    rank-2 pair matrices come from the calibration (at T) and one recording
+    pass (the others).
     """
     probes = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
     var = [lattice_variance(grid, spec, t) for t in probes]

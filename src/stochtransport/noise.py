@@ -40,9 +40,10 @@ derivative tables and norms in malliavin.  pair_matrix accumulates the
 identical quadrature into an explicit matrix, so the Wick form
 d * (dW' A dW - dt * tr A) reproduces simulated values to roundoff, which
 downstream first-variation code relies on.  The calibration pass builds
-those matrices anyway, one GEMM per block, and records their supports at the
-probe times (the eighths of [0, T]), so the diagnostics that ask for pair
-matrices at those times cost no further pass.
+that matrix anyway, in slabs of rows, and keeps only its last, A_n, the one
+a run at t = T reads.  The pair matrices at the other probe times (the
+eighths of [0, T]) come from one recording pass with the same blocks, paid
+only by the diagnostics that read them (noise-stats, mt_diagnostic).
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -281,8 +282,8 @@ def _window_plan(grid_key, hp: float, c: float) -> _WindowPlan:
 
 def _probe_indices(n: int) -> np.ndarray:
     """Grid indices of the eighths of [0, T], 0 excluded: the probe times of
-    the noise-stats and malliavin diagnostics, whose pair matrices the
-    calibration pass records."""
+    the noise-stats and malliavin diagnostics.  The last is n, whose pair
+    matrix the calibration keeps; _probe_blocks records the others."""
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
@@ -297,10 +298,14 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
 
     A_k = sum_{l<k} lam2_l B_l with B_l = Psi_l^T Psi_l and Psi_l = sqrt(w) F_l
     is supported on [:k, :k]; only that block is returned, symmetrized and
-    read-only.  Windows are folded into A in blocks of up to _FOLD, each one
-    GEMM over the stacked rows Psi, and every probe closes a block.  With
-    tau given the pass also calibrates (see _window_scales), solving lam2_l
-    in place before window l counts: x = <A_l, B_l> is
+    read-only.  Windows are folded into A in blocks of up to _FOLD, and
+    every probe closes a block.  A block of m windows stacks m M rows Psi
+    and adds to A one GEMM per slab of s = _FOLD M rows of A, so no
+    transient is larger than a full block's Psi.  The last probe's block is
+    A itself, symmetrized in place by the same slabs; every earlier probe
+    costs a symmetrized copy.  With tau given the pass also calibrates (see
+    _window_scales), solving lam2_l in place before window l counts, and
+    returns the last probe's block only: x = <A_l, B_l> is
     tr(Psi_l A_l0 Psi_l^T) for the part folded at the block start l0 plus
     lam2_j ||Psi_l Psi_j^T||^2 for each window j of the block before l, and
     y = ||B_l||^2 = ||Psi_l Psi_l^T||^2.
@@ -310,14 +315,23 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
     edges = sorted(probes | set(range(0, kmax, _FOLD)))
     A = np.zeros((kmax, kmax))
     M = plan.M
+    s = _FOLD * M
     blocks = {}
     for l0, l1 in zip(edges, edges[1:] + [None]):
-        if l0 in probes:
+        if l1 is None:
+            # A <- (A + A^T) / 2 by row slabs: slab r reads only entries at
+            # or past r in both indices, which no earlier slab has written
+            for r in range(0, kmax, s):
+                sym = A[r:r + s, r:] + A[r:, r:r + s].T
+                sym *= 0.5
+                A[r:r + s, r:], A[r:, r:r + s] = sym, sym.T
+            A.flags.writeable = False
+            blocks[l0] = A
+            return blocks
+        if l0 in probes and tau is None:
             blk = 0.5 * (A[:l0, :l0] + A[:l0, :l0].T)
             blk.flags.writeable = False
             blocks[l0] = blk
-        if l1 is None:
-            return blocks
         m = l1 - l0
         Psi, w = plan.factor_block(l0, l1)
         Psi *= np.sqrt(np.tile(w, m))[:, None]
@@ -325,25 +339,45 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
             P0 = Psi[:, :l0]
             x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0).reshape(m, M).sum(axis=1)
             Q = Psi @ Psi.T
-            R = (Q * Q).reshape(m, M, m, M).sum(axis=(1, 3))
+            Q *= Q
+            R = Q.reshape(m, M, m, M).sum(axis=(1, 3))
+            del Q  # not held through the fold below
             for a in range(m):
                 l = l0 + a
                 x = x0[a] + R[a, :a] @ lam2[l0:l]
                 y = R[a, a]
                 lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
-        A[:l1, :l1] += (np.repeat(lam2[l0:l1], M)[:, None] * Psi).T @ Psi
+        scale = np.repeat(lam2[l0:l1], M)[:, None]
+        for r in range(0, l1, s):
+            A[r:min(r + s, l1), :l1] += (scale * Psi[:, r:r + s]).T @ Psi
 
 
-@lru_cache(maxsize=4)  # an entry holds about 3.2 n^2 doubles of blocks
+@lru_cache(maxsize=4)  # an entry holds n^2 doubles: A_n
 def _calibration(grid_key, H: float):
-    """(lam2, probe pair blocks) of one calibration pass; see _window_scales."""
+    """(lam2, A_n) of one calibration pass; see _window_scales.
+
+    A_n, the pair matrix at k = n, is the pass's own accumulator.  Its
+    blocks close at every probe index, as the recording pass's do
+    (_probe_blocks), so both passes fold the same windows into the same
+    GEMMs.
+    """
     spec = HermiteSpec.create(2, H)
     plan = _window_plan(grid_key, spec.hp, spec.c)
     tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * spec.d * spec.d * plan.h * plan.h)
     lam2 = np.empty(grid_key[0])
-    blocks = _pair_blocks(plan, _probe_indices(lam2.size), lam2, tau)
+    A = _pair_blocks(plan, _probe_indices(lam2.size), lam2, tau)[lam2.size]
     lam2.flags.writeable = False
-    return lam2, blocks
+    return lam2, A
+
+
+@lru_cache(maxsize=4)  # an entry holds about 2.2 n^2 doubles of blocks
+def _probe_blocks(grid_key, H: float) -> dict:
+    """The pair matrices at the probe indices below n, from one recording
+    pass (_pair_blocks without tau) that only callers of those probes pay."""
+    lam2 = _calibration(grid_key, H)[0]
+    probes = _probe_indices(lam2.size)[:-1]
+    spec = HermiteSpec.create(2, H)
+    return _pair_blocks(_window_plan(grid_key, spec.hp, spec.c), probes, lam2)
 
 
 @lru_cache(maxsize=16)
@@ -360,7 +394,7 @@ def _window_scales(grid_key, H: float) -> np.ndarray:
     adapted scale and path simulation stays a single incremental pass.  The
     factors absorb the L^2 mass a piecewise-constant-in-y projection cannot
     represent (lambda in [1.0, 1.3], largest on the first window).  The
-    solving pass (_pair_blocks) also records the probe pair matrices.
+    solving pass (_pair_blocks) leaves the pair matrix A_n behind.
     """
     return _calibration(grid_key, H)[0]
 
@@ -522,12 +556,15 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
 def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
-    Probe indices come from the calibration pass; any other k costs one
+    k = n is the calibration's A_n, the other probe indices come from the
+    one recording pass of _probe_blocks, and any other k costs one
     accumulation pass over windows l < k.
     """
-    lam2, blocks = _calibration(grid_key, H)
-    if k in blocks:
-        return blocks[k]
+    lam2, A = _calibration(grid_key, H)
+    if k == lam2.size:
+        return A
+    if k in _probe_indices(lam2.size):
+        return _probe_blocks(grid_key, H)[k]
     spec = HermiteSpec.create(2, H)
     return _pair_blocks(_window_plan(grid_key, spec.hp, spec.c), (k,), lam2)[k]
 

@@ -452,6 +452,86 @@ def test_pair_matrix_matches_direct_accumulation(H):
             grid.points[k] ** (2 * H), rel=1e-10)
 
 
+def _blocked_pair_matrices(plan, lam2, edges):
+    """{l1: 0.5 (A + A^T)} after each block [l0, l1) of the given edges, A
+    accumulated as _pair_blocks does: one GEMM per slab of _FOLD M rows."""
+    from stochtransport.noise import _FOLD
+
+    s = _FOLD * plan.M
+    A = np.zeros((edges[-1], edges[-1]))
+    out = {}
+    for l0, l1 in zip(edges, edges[1:]):
+        Psi, w = plan.factor_block(l0, l1)
+        Psi *= np.sqrt(np.tile(w, l1 - l0))[:, None]
+        scale = np.repeat(lam2[l0:l1], plan.M)[:, None]
+        for r in range(0, l1, s):
+            A[r:min(r + s, l1), :l1] += (scale * Psi[:, r:r + s]).T @ Psi
+        out[l1] = 0.5 * (A[:l1, :l1] + A[:l1, :l1].T)
+    return out
+
+
+@pytest.mark.parametrize("n", [100, 512])
+def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
+    """k = n is the calibration's own matrix; every probe below n comes from
+    one recording pass, bit for bit the accumulation with the same block
+    edges.  The calibration's matrix equals the recording pass's at k = n,
+    so its in-place symmetrization is 0.5 (A + A^T) to the bit; n = 512
+    takes two row slabs."""
+    import stochtransport.noise as noise
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.77)  # an H no other test uses: cold caches
+    passes = []
+    real = noise._pair_blocks
+
+    def counted(plan, probes, lam2, tau=None):
+        passes.append((tuple(int(k) for k in probes), tau is not None))
+        return real(plan, probes, lam2, tau)
+
+    monkeypatch.setattr(noise, "_pair_blocks", counted)
+    probes = [int(k) for k in noise._probe_indices(n)]
+    mats = {k: pair_matrix(grid, spec, grid.points[k]) for k in probes}
+    for k in probes:
+        lattice_variance(grid, spec, grid.points[k])
+    assert passes == [(tuple(probes), True), (tuple(probes[:-1]), False)]
+
+    lam2, A_n = noise._calibration(grid.key(), spec.H)
+    assert A_n.shape == (n, n) and not A_n.flags.writeable
+    plan = noise._window_plan(grid.key(), spec.hp, spec.c)
+    edges = sorted(set(probes) | set(range(0, n, noise._FOLD)))
+    ref = _blocked_pair_matrices(plan, lam2, edges)
+    for k in probes:
+        assert np.array_equal(mats[k][:k, :k], ref[k]), k
+    assert np.array_equal(real(plan, probes, lam2)[n], A_n)
+
+
+def test_calibration_keeps_one_pair_matrix():
+    """A cold calibration leaves lam2 and the one (n, n) matrix A_n in its
+    lru entry.  With the plan warm, its traced peak is A_n, one block's
+    stacked rows Psi (384 x n) and the fold's (384, 384) and (n, 384)
+    slabs: 5.03 n^2 doubles measured at n = 256, where the block-sized
+    slabs outweigh A_n (3.07 n^2 at n = 512)."""
+    import tracemalloc
+
+    from stochtransport.noise import _calibration, _window_plan
+
+    n = 256
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.66)  # an H no other test uses: cold caches
+    _window_plan(grid.key(), spec.hp, spec.c)
+    tracemalloc.start()
+    try:
+        entry = _calibration(grid.key(), spec.H)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lam2, A_n = entry
+    assert len(entry) == 2 and lam2.shape == (n,) and A_n.shape == (n, n)
+    assert A_n.base is None and lam2.base is None
+    assert held <= 1.05 * 8 * n * n
+    assert peak <= 5.1 * 8 * n * n
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 48), H=st.floats(0.55, 0.95), data=st.data())
 def test_wick_form_equals_simulated_values(n, H, data):
