@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, GridError, StochTransportError
-from .flow import _step_plan, backward_ensemble, forward_ensemble
+from .flow import _STEP_TOL, _step_plan, backward_ensemble, forward_ensemble
 from .grid import TimeGrid
 from .kernels import SUPPORTED_ORDERS, HermiteSpec
 from .malliavin import (
@@ -328,12 +328,13 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
 
     The thread pool maps over contiguous path slices, at least two.  With
     zero drift a slice marches to the end state only, and the weights are
-    None.  Otherwise each slice records its weights (_ensemble_weights)
-    over z.T[:index(t)+1], the noise rows it has just consumed (see
-    flow._march): z becomes the weights, and no second (n+1, paths) array
-    is allocated.  The work is elementwise in the paths, so the result does
-    not depend on the slicing.  The pool gets no more workers than
-    _cpu_count(), so a large thread count starts no more OS threads.
+    None.  Otherwise each slice writes its flow slopes, then its weights
+    (_ensemble_weights), over z.T[:index(t)+1], row by row as the march
+    consumes the noise there (see flow._march): z becomes the weights, and
+    no second (n+1, paths) array is allocated.  The work is elementwise in
+    the paths, so the result does not depend on the slicing.  The pool gets
+    no more workers than _cpu_count(), so a large thread count starts no
+    more OS threads.
     """
     paths = z.shape[0]
     kt = grid.index_of(t)
@@ -443,9 +444,22 @@ def _run_flow(config, grid, spec, out, checks, files):
         checks.append(_check("round-trip-exact", worst <= 1e-12, worst, 1e-12,
                              "zero drift: inversion is exact to roundoff"))
     else:
-        tol = 10.0 * grid.dt
+        # The exact trapezoid steps invert each other.  Each of the 2k
+        # computed steps of [s, t] lands within _STEP_TOL of its exact
+        # solution plus the rounding of its four-term update, at most 4 ulp
+        # of M, which bounds every state of both marches; an error made at
+        # one step grows by at most rho = (1 + kappa) / (1 - kappa),
+        # kappa = dt sup|b'| / 2, per later step.
+        ks, kt = grid.index_of(s), grid.index_of(t)
+        k, kappa = kt - ks, 0.5 * grid.dt * b.sup_norm_bprime
+        largest = (np.max(np.abs(nodes)) + b.sup_norm_b * (t - s)
+                   + 2.0 * np.max(np.abs(z[:, ks:kt + 1])))
+        rounding = 4.0 * np.finfo(float).eps * largest
+        tol = 2 * k * (_STEP_TOL + rounding) * ((1.0 + kappa) / (1.0 - kappa)) ** k
         checks.append(_check("round-trip", worst <= tol, worst, tol,
-                             "max |X(Y(x)) - x| over 32 nodes and all paths"))
+                             "max |X(Y(x)) - x| over 32 nodes and all paths; "
+                             "gate 2k (step tolerance + 4 ulp of the largest "
+                             "state) rho^k over the k steps"))
 
 
 def _run_weakform(config, grid, spec, out, checks, files):

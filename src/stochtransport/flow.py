@@ -22,8 +22,9 @@ stepwise backward solver, so the two agree to iteration tolerance; tests and
 calling code rely on that.
 
 Every flow in the package -- one path or an ensemble, a scalar, a node
-array or a paths vector of states, forward or backward, end state or whole
-trajectory -- runs through one step kernel, `_march`.  Its fixed-point
+array or a paths vector of states, forward or backward -- runs through one
+step kernel, `_march`, which returns the end state and hands each state it
+solves to an optional visitor that keeps what it reads.  Its fixed-point
 solve runs a number of iterations fixed in advance: the step map contracts
 with kappa = |h|/2 sup|b'|, and the predictor starts within |h| sup|b| of
 the fixed point, so k = ceil(log(tol / (|h| sup|b|)) / log kappa)
@@ -130,20 +131,19 @@ def _step_plan(b: DriftField, h: float) -> tuple[int, float] | None:
 
 
 def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
-                plan: tuple[int, float], out: np.ndarray | None = None):
+                plan: tuple[int, float]):
     """Solve x = rhs + (h/2) * b(t_new, x) by the plan's k iterations.
 
     No stopping test reads the data, so each component's bits do not depend
-    on the others; the last iterate goes into out when given.  The guard
-    compares the last change with the plan's bound (plus roundoff slack) and
-    raises ConvergenceError when the declared sup norms did not hold.
+    on the others.  The guard compares the last change with the plan's
+    bound (plus roundoff slack) and raises ConvergenceError when the
+    declared sup norms did not hold.
     """
     half = 0.5 * h
     k, bound = plan
     x = x_guess
-    for i in range(k):
-        x_prev, drift = x, half * np.asarray(b.b(t_new, x), dtype=float)
-        x = rhs + drift if out is None or i < k - 1 else np.add(rhs, drift, out=out)
+    for _ in range(k):
+        x_prev, x = x, rhs + half * np.asarray(b.b(t_new, x), dtype=float)
     gap = float(np.abs(x - x_prev).max())
     if gap > bound and \
             gap > bound + _STEP_SLACK * (1.0 + float(np.max(np.abs(x)))):
@@ -155,37 +155,29 @@ def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
 
 
 def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
-           sign: int, record: bool, out: np.ndarray | None = None):
-    """Implicit trapezoid steps between grid indices ks <= kt.
+           sign: int, visit: Callable | None = None):
+    """Implicit trapezoid steps between grid indices ks <= kt; the end state.
 
     z is time-first noise: z[k] is the value at grid index k, a scalar for
     one path or a paths vector for an ensemble (the transpose of a
     (paths, n+1) matrix).  x is a scalar, a node array or a paths vector.
     sign = +1 starts x at ks and marches forward to kt; sign = -1 anchors x
-    at kt and marches back to ks.  With record, the states at every index
-    ks..kt come back in time order, stacked along axis 0, written into out
-    when it is given; otherwise the end state.  Each noise row is read into
-    a one-row carry before the state at its index is written, so out may
-    be z's own rows ks..kt: the march then consumes the noise it records
-    over, with the same bits as into a fresh out.
+    at kt and marches back to ks.  visit(i, state), when given, gets the
+    anchor and then each state as it is solved, i = k - ks for grid index
+    k; it copies what it keeps.  Each noise row is read into a one-row
+    carry before the state at its index is solved, so visit may write z's
+    row ks + i: the march then consumes the noise a visitor records over,
+    with the same bits as into a fresh array.
     """
     start, end = (ks, kt) if sign > 0 else (kt, ks)
     x = np.zeros(np.shape(z[start])) + np.asarray(x, dtype=float)
     carry = np.array(z[start], dtype=float)  # z[k] at step k
-    traj = None
-    if record:
-        shape = (kt - ks + 1,) + x.shape
-        if out is not None and out.shape != shape:
-            raise DomainError(f"out has shape {out.shape}, expected {shape}")
-        traj = np.empty(shape) if out is None else out
     if b.is_zero:
-        if not record:
-            return x + (z[end] - carry)
-        zr = z[ks:kt + 1]
-        zr = zr.reshape(zr.shape + (1,) * (x.ndim - zr.ndim + 1))
-        np.subtract(zr, carry, out=traj)
-        traj += x
-        return traj
+        for k in range(start, end + sign, sign) if visit else (end,):
+            y = x + (z[k] - carry)
+            if visit:
+                visit(k - ks, y)
+        return y
     pts = grid.points
     h = sign * grid.dt
     plan = _step_plan(b, h)
@@ -194,10 +186,9 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
             f"drift step does not contract within {_STEP_MAX_ITER} iterations "
             f"(dt*sup|b'|/2 = {0.5 * grid.dt * b.sup_norm_bprime:.3g}); "
             "refine the grid")
-    if record:
-        traj[start - ks] = x
-    # rg[0] = x + h/2 f + dz is the trapezoid right side, rg[1] the predictor;
-    # a state is recorded by solving it into traj[i, ...], a view even for one path
+    if visit:
+        visit(start - ks, x)
+    # rg[0] = x + h/2 f + dz is the trapezoid right side, rg[1] the predictor
     steps = np.array([0.5 * h, h]).reshape((2,) + (1,) * x.ndim)
     dz, rg = np.empty_like(x), np.empty((2,) + x.shape)
     for k in range(start, end, sign):
@@ -208,27 +199,30 @@ def _march(b: DriftField, grid: TimeGrid, z, x, ks: int, kt: int,
         np.multiply(steps, np.asarray(b.b(pts[k], x), dtype=float), out=rg)
         rg += x
         rg += dz
-        x = _solve_step(b, pts[k + sign], rg[0], rg[1], h, plan,
-                        out=traj[k + sign - ks, ...] if record else None)
-    return traj if record else x
+        x = _solve_step(b, pts[k + sign], rg[0], rg[1], h, plan)
+        if visit:
+            visit(k + sign - ks, x)
+    return x
 
 
 def forward_flow(b: DriftField, Z: NoisePath, x, s: float, t: float):
     """X_{s,t}(x): start at x at time s, integrate drift + noise up to t."""
     ks, kt = _check_times(Z.grid, s, t)
-    return _march(b, Z.grid, Z.values, x, ks, kt, 1, record=False)
+    return _march(b, Z.grid, Z.values, x, ks, kt, 1)
 
 
 def backward_flow(b: DriftField, Z: NoisePath, x, s: float, t: float):
     """Y_{s,t}(x): anchor at x at time t, integrate down to time s."""
     ks, kt = _check_times(Z.grid, s, t)
-    return _march(b, Z.grid, Z.values, x, ks, kt, -1, record=False)
+    return _march(b, Z.grid, Z.values, x, ks, kt, -1)
 
 
 def backward_trajectory(b: DriftField, Z: NoisePath, x, t: float):
     """Y_{r,t}(x) for every grid time r in [0, t]; row r is the state at r."""
     ks, kt = _check_times(Z.grid, 0.0, t)
-    return _march(b, Z.grid, Z.values, x, ks, kt, -1, record=True)
+    traj = np.empty((kt + 1,) + np.shape(x))
+    _march(b, Z.grid, Z.values, x, ks, kt, -1, visit=traj.__setitem__)
+    return traj
 
 
 def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
@@ -287,26 +281,36 @@ def forward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                      x: float, s: float, t: float) -> np.ndarray:
     """X_{s,t}(x) per path for a (paths, n+1) matrix of noise values."""
     ks, kt = _check_times(grid, s, t)
-    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, 1, record=False)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, 1)
 
 
 def backward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                       x: float, s: float, t: float) -> np.ndarray:
     """Y_{s,t}(x) per path."""
     ks, kt = _check_times(grid, s, t)
-    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, record=False)
+    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1)
 
 
 def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
                                  z_values: np.ndarray, x: float, t: float,
-                                 out: np.ndarray | None = None) -> np.ndarray:
+                                 out: np.ndarray | None = None,
+                                 visit: Callable | None = None) -> np.ndarray:
     """Y_{r,t}(x) for all grid r <= t, per path: shape (kt+1, paths).
 
     With out, an array of that shape (a view is fine), the states are
     written into it and out is returned; the values are the same to the bit.
-    out may alias z_values.T[:kt+1], the noise rows the march reads: the
-    trajectory then replaces them (see _march).
+    out may alias z_values.T[:kt+1], the noise rows the march reads (see
+    _march).  With visit instead, _march hands it each state; returns Y_{0,t}.
     """
+    z = _time_first(grid, z_values)
     ks, kt = _check_times(grid, 0.0, t)
-    return _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1,
-                  record=True, out=out)
+    if visit is None:
+        shape = (kt + 1,) + np.broadcast_shapes(z.shape[1:], np.shape(x))
+        out = np.empty(shape) if out is None else out
+        if out.shape != shape:
+            raise DomainError(f"out has shape {out.shape}, expected {shape}")
+        visit = out.__setitem__
+    elif out is not None:
+        raise DomainError("give out or visit, not both")
+    end = _march(b, grid, z, x, ks, kt, -1, visit=visit)
+    return end if out is None else out

@@ -34,7 +34,7 @@ Density diagnostics follow the standard criterion: a functional whose
 derivative has positive L^2([0,T]) norm on almost every path has an
 absolutely continuous law.  density_bound_check reads the flow bracket,
 the discrete 2 - exp(-int_s^t b'(Y_{u,t}) du) that multiplies the noise
-derivative in dY, off the last weight omega[m], and density_report
+derivative in dY, as a running factor of the march, and density_report
 inspects a Monte Carlo sample for atoms and for vanishing derivative norms.
 """
 
@@ -50,6 +50,7 @@ from .errors import DomainError, NumericError, ResolutionError, SampleSizeError
 from .flow import (
     DriftField,
     _check_times,
+    _march,
     _time_first,
     backward_ensemble_trajectory,
     backward_trajectory,
@@ -230,14 +231,21 @@ def increment_derivative(Z: NoisePath) -> Callable:
     return DZ
 
 
-def _cn_weights(gam, dt: float, out: np.ndarray) -> np.ndarray:
+def _factor_ratios(a: np.ndarray) -> np.ndarray:
+    """f = a / (1 + a) of half-step slopes a = dt b'/2 (see _cn_weights)."""
+    if a.min() <= -1.0:
+        raise ResolutionError("dt * b' <= -2 leaves the discrete "
+                              "integrating factor undefined; refine the grid")
+    return a / (a + 1.0)
+
+
+def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
     """Signed Crank-Nicolson flow weights omega in calendar order, into out.
 
-    gam gives the slopes b'(r, Y_{r,t}) of rows r = 0..m-1 (time
-    t_ks + r dt): m+1 rows of shape () or (paths,), or a function of (lo, hi)
-    returning rows lo..hi-1; the anchor row m is never read.  With c, d =
-    1 +- a, a = dt gam / 2, and the discrete integrating factor
-    P[r] = (1/c_0) prod_{k=1..r} d_k / c_k,
+    gam holds the slopes b'(r, Y_{r,t}) of rows r = 0..m (time
+    t_ks + r dt), m+1 rows of shape () or (paths,); the anchor row m is
+    never read.  With c, d = 1 +- a, a = dt gam / 2, and the discrete
+    integrating factor P[r] = (1/c_0) prod_{k=1..r} d_k / c_k,
 
         omega[0] = P[0],   omega[m] = -P[m-1],
         omega[r] = -a[r] (P[r] + P[r-1]) = P[r] - P[r-1]   (0 < r < m),
@@ -249,18 +257,13 @@ def _cn_weights(gam, dt: float, out: np.ndarray) -> np.ndarray:
     max(1, _CN_BLOCK // paths) rows forms omega[r] = -2 P[r-1] f[r],
     f = a / c (differences of P would lose digits), and P[r] as the running
     sum of omega, so no rounded d / c is raised to a power.  It reads a
-    block's slopes before it writes their weights, so out may hold the
-    states the slopes come from.  Needs m >= 1.
+    block's slopes before it writes their weights, so out may be gam
+    itself.  Needs m >= 1.
     """
-    slopes = gam if callable(gam) else lambda lo, hi: gam[lo:hi]
     m, half_dt, p = out.shape[0] - 1, 0.5 * dt, 0.0
     step = max(1, _CN_BLOCK // out[0].size)
     for lo in range(0, m, step):
-        a = np.multiply(slopes(lo, min(lo + step, m)), half_dt)
-        if a.min() <= -1.0:
-            raise ResolutionError("dt * b' <= -2 leaves the discrete "
-                                  "integrating factor undefined; refine the grid")
-        f = a / (a + 1.0)
+        f = _factor_ratios(np.multiply(gam[lo:min(lo + step, m)], half_dt))
         g = -2.0 * f
         for r in range(lo, lo + len(f)):
             out[r] = p * g[r - lo] if r else 1.0 - f[0]
@@ -269,44 +272,29 @@ def _cn_weights(gam, dt: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flow_weights(b: DriftField, grid: TimeGrid, rows: np.ndarray,
-                  ks: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The flow weights omega of _cn_weights along flow rows.
-
-    rows holds Y_{r,t}(x) at the grid times r = t_ks, t_ks+1, ..., t_kt,
-    shape (m+1,) for one path or (m+1, paths); D_alpha Y_{s,t}(x) =
-    omega @ G[ks:kt+1], G the dz_table.  The slopes are taken a block of
-    rows at a time, each just before its weights replace it, so out may be
-    rows itself.
-    """
-    times = grid.points[ks:ks + rows.shape[0]].reshape((-1,) + (1,) * (rows.ndim - 1))
-
-    def slopes(lo, hi):
-        return np.broadcast_to(b.b_prime(times[lo:hi], rows[lo:hi]), rows[lo:hi].shape)
-    return _cn_weights(slopes, grid.dt,
-                       np.empty(rows.shape) if out is None else out)
-
-
 def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
                       ks: int, kt: int, out: np.ndarray | None = None):
-    """(Y_{s,t}(x), omega) per path of a (paths, n+1) noise ensemble z.
+    """(Y_{0,t}(x), omega of [s, t]) per path of a (paths, n+1) ensemble z.
 
-    Records the backward trajectory (kt+1, paths) into out when given (it
-    may be z.T[:kt+1], see backward_ensemble_trajectory), copies row ks,
-    and turns rows ks..kt into the flow weights omega of _flow_weights in
-    place, one block of rows at a time (_cn_weights).  The weights are
-    elementwise in the paths: no slicing moves a bit.
+    The march writes the slope b'(t_r, Y_{r,t}(x)) of grid row r into row
+    r - ks of out, (kt-ks+1, paths), which may be z.T[ks:kt+1] (_march);
+    _cn_weights turns the slopes into omega in place, elementwise in the
+    paths: no slicing moves a bit.
     """
-    traj = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], out=out)
-    w = traj[ks:]
-    return w[0].copy(), _flow_weights(b, grid, w, ks, out=w)
+    w = np.empty((kt - ks + 1, _time_first(grid, z).shape[1])) if out is None else out
+
+    def slopes(r, y):
+        if r >= ks:
+            w[r - ks] = b.b_prime(grid.points[r], y)
+    y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], visit=slopes)
+    return y, _cn_weights(w, grid.dt, w)
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
                    t: float, alpha: float, x: float) -> float:
     """D_alpha Y_{s,t}(x) = omega @ h with h = DZ(t_ks..t_kt).
 
-    omega are the flow weights (_flow_weights); they sum to zero, so for
+    omega are the flow weights (_cn_weights); they sum to zero, so for
     the increment_derivative convention h = G - G[kt] (h[m] = 0 by
     adaptedness) omega @ h = omega @ G[ks:kt+1], which dY_profile reads
     too.  They solve the trapezoid Volterra system that dY_integral_eq
@@ -318,8 +306,8 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
         return 0.0
     if ks == kt or b.is_zero:
         return float(DZ(s, t, alpha))
-    y = backward_trajectory(b, Z, x, t)
-    w = _flow_weights(b, grid, y[ks:kt + 1], ks)
+    y = backward_trajectory(b, Z, x, t)[ks:]
+    w = _cn_weights(b.b_prime(grid.points[ks:kt + 1], y), grid.dt, out=y)
     return float(w @ np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float))
 
 
@@ -331,8 +319,8 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     G = dz_table(Z)
     if ks == kt or b.is_zero:
         return MalliavinPath(grid=grid, values=-(G[kt] - G[ks]))
-    y = backward_trajectory(b, Z, x, t)
-    w = _flow_weights(b, grid, y[ks:kt + 1], ks)
+    y = backward_trajectory(b, Z, x, t)[ks:]
+    w = _cn_weights(b.b_prime(grid.points[ks:kt + 1], y), grid.dt, out=y)
     return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
 
@@ -514,7 +502,7 @@ class BoundCheckReport:
 
 def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
                         s: float, t: float, x: float) -> BoundCheckReport:
-    """The flow bracket 2 + (1 - a_m) omega[m] per path, a_m = dt b'(t, x)/2.
+    """The flow bracket 2 - (1 - a_m) P[m-1] per path, a_m = dt b'(t, x)/2.
 
     The bracket, 2 - d_m P[m-1] (_cn_weights), is the discrete form of
     1 + int_s^t b' e^{-int_s^u b'} du = 2 - exp(-int_s^t b'(Y_{u,t}) du); it
@@ -525,16 +513,24 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
     1 + f(||b'||_inf (t-s)) - 1e-6 and the universal constant 1 - e^{-1}/2,
     floors that hold when int_s^t b'(Y) >= -0.169; passed carries the
     verdict, so drifts that genuinely sit below the floor are reported.
+    The march covers [s, t] only and multiplies P[m-1] = (1 - f_0)
+    prod_{r=1..m-1} (1 - 2 f_r) (_factor_ratios) into one factor per path
+    as it solves rows m-1, ..., 0: no trajectory is held.
     """
     P = _time_first(grid, z_values).shape[1]
     if P < _MIN_BOUND_PATHS:
         raise SampleSizeError(f"need at least {_MIN_BOUND_PATHS} paths, got {P}")
     ks, kt = _check_times(grid, s, t)
-    brackets = np.ones(P)
+    m, pts, half_dt = kt - ks, grid.points, 0.5 * grid.dt
+    q, brackets = np.ones(P), np.ones(P)
+
+    def factor(r, y):
+        if r < m:
+            f = _factor_ratios(np.multiply(b.b_prime(pts[ks + r], y), half_dt))
+            q[:] -= (f if r == 0 else 2.0 * f) * q
     if ks < kt:
-        a_m = 0.5 * grid.dt * float(b.b_prime(grid.points[kt], x))
-        w_m = _ensemble_weights(b, grid, z_values, x, ks, kt)[1][-1]
-        brackets = 2.0 + (1.0 - a_m) * w_m
+        _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, visit=factor)
+        brackets = 2.0 - (1.0 - half_dt * float(b.b_prime(pts[kt], x))) * q
 
     m_bar = b.sup_norm_bprime * (t - s)
     floor_condition = 1.0 - m_bar * np.exp(-2.0 * m_bar) - _FLOOR_SLACK

@@ -8,9 +8,9 @@ composition u(t, x) = u0(Y_{0,t}(x)) with Y the inverse characteristic flow;
 node set by evolving one forward mesh of characteristics and inverting it by
 monotone interpolation: the forward flow maps a fine start mesh y_j to
 X_{0,s}(y_j), strictly increasing in y_j, so Y_{0,s}(x) is read off by
-interpolating x back onto the start mesh.  One O(n * mesh) sweep replaces
-n * nodes backward solves; the interpolation error is O(mesh spacing^2),
-far below the weak-form tolerances this feeds.
+interpolating x back onto each mesh row as the march solves it.  One
+O(n * mesh) sweep replaces n * nodes backward solves; the interpolation
+error is O(mesh spacing^2), far below the weak-form tolerances this feeds.
 
 `weak_form_residual` checks the distributional identity
 
@@ -127,7 +127,7 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
     Built from one forward characteristic mesh, spaced like the closest
     nodes and padded by max|Z| + sup|b| t + 0.5 on each side, which is more
     than a characteristic can travel by time t; returns shape
-    (grid index of t + 1, len(x_nodes)).
+    (grid index of t + 1, len(x_nodes)); no mesh trajectory is held.
     """
     nodes = np.asarray(x_nodes, dtype=float)
     if np.any(np.diff(nodes) <= 0):
@@ -138,16 +138,15 @@ def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,
     pad = float(np.max(np.abs(Z.values[: kt + 1]))) + b.sup_norm_b * t + 0.5
     y_mesh = np.arange(nodes[0] - pad, nodes[-1] + pad + mesh_dx, mesh_dx)
 
-    traj = _march(b, grid, Z.values, y_mesh, 0, kt, 1, record=True)
-
     out = np.empty((kt + 1, nodes.size))
-    for j in range(kt + 1):
-        row = traj[j]
+
+    def invert(j, row):
         if row[0] > nodes[0] or row[-1] < nodes[-1]:
             raise NumericError("characteristic mesh does not cover the nodes")
         if np.any(np.diff(row) <= 0):
             raise NumericError("forward mesh lost monotonicity; refine the grid")
         out[j] = u0.u0(np.interp(nodes, row, y_mesh))
+    _march(b, grid, Z.values, y_mesh, 0, kt, 1, visit=invert)
     return out
 
 

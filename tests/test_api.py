@@ -143,7 +143,7 @@ def test_signatures_are_pinned():
 
 # Callables outside __all__ whose keywords other modules pass by name.
 MODULE_SIGNATURES = {
-    "flow.backward_ensemble_trajectory": "b grid z_values x t out=",
+    "flow.backward_ensemble_trajectory": "b grid z_values x t out= visit=",
 }
 
 

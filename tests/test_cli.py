@@ -15,12 +15,19 @@ from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
 from stochtransport.flow import backward_ensemble_trajectory
 from stochtransport.kernels import HermiteSpec
-from stochtransport.malliavin import _flow_weights
+from stochtransport.malliavin import _cn_weights
 from stochtransport.noise import simulate_ensemble
 from stochtransport.presets import drift_preset
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _row_weights(b, grid, traj):
+    """The flow weights of a recorded [0, t] trajectory: the slopes of all
+    its rows at once, turned into weights by _cn_weights."""
+    gam = b.b_prime(grid.points[:len(traj), None], traj)
+    return _cn_weights(gam, grid.dt, np.empty(traj.shape))
 
 
 def readme_command(kind, out):
@@ -175,7 +182,7 @@ class TestRun:
         traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
         y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, threads)
         assert np.array_equal(y, traj[0])
-        assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
+        assert np.array_equal(cw, _row_weights(b, grid, traj))
 
     def test_flow_pool_has_no_more_workers_than_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -197,7 +204,7 @@ class TestRun:
         y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, 1000)
         assert asked == [1]
         assert np.array_equal(y, traj[0])
-        assert np.array_equal(cw, _flow_weights(b, grid, traj, 0))
+        assert np.array_equal(cw, _row_weights(b, grid, traj))
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -225,6 +232,29 @@ class TestRun:
         m = run(cfg(kind="flow", drift="sine", drift_params={"a": 0.4},
                     n=128, paths=20, out_dir=str(tmp_path)))
         assert m.passed and m.checks[0]["value"] <= 10.0 / 128
+
+    def test_round_trip_gate_rejects_explicit_euler(self, tmp_path,
+                                                    monkeypatch):
+        """Negative control, chosen before any run: an explicit-Euler
+        forward march does not invert the implicit backward flow.  At the
+        README flow parameters its round trip misses by O(dt), inside the
+        10 dt = 0.0195 that used to be the gate, so only a gate fixed by
+        the step tolerance budget rejects it; the real forward flow
+        passes that gate."""
+        def euler(b, grid, z_values, x, s, t):
+            for k in range(grid.index_of(s), grid.index_of(t)):
+                x = x + grid.dt * b.b(grid.points[k], x) \
+                    + (z_values[:, k + 1] - z_values[:, k])
+            return x
+
+        base = dict(kind="flow", drift="sine", n=512, paths=100)
+        honest = run(cfg(**base, out_dir=str(tmp_path / "implicit"))).checks[0]
+        assert honest["name"] == "round-trip" and honest["passed"]
+        monkeypatch.setattr(experiments, "forward_ensemble", euler)
+        euler_check = run(cfg(**base, out_dir=str(tmp_path / "euler"))).checks[0]
+        assert euler_check["threshold"] == honest["threshold"]
+        assert euler_check["value"] <= 10.0 / 512
+        assert not euler_check["passed"]
 
     def test_bound_check_failure_is_reported_not_raised(self, tmp_path):
         m = run(cfg(kind="bound-check", drift="linear",

@@ -109,11 +109,39 @@ class TestSolutionField:
         with pytest.raises(DomainError):
             solution_field(TANH, SINE, z, 0.5, np.array([0.0, 0.0, 1.0]))
 
+    def test_traced_peak_is_the_field_and_a_few_mesh_rows(self):
+        """Each mesh row is interpolated as the march solves it, so the
+        traced peak is the output plus O(mesh): measured output + 9.5 mesh
+        rows at n = 256 and dx = 2^-6 (the march state, its two-row right
+        side and step temporaries, the monotonicity check and the
+        interpolation), bounded here by 16.  Holding the (kt+1) x mesh
+        trajectory, as the field once did, cost 259 mesh rows."""
+        import tracemalloc
+
+        grid = TimeGrid(T=1.0, n=256)
+        z = simulate_fbm(generate(grid, seed=3, path_id=0), 0.9)
+        dx = 2**-6
+        x = np.arange(-1.5 - 2 * dx, 1.5 + 3 * dx, dx)
+        pad = float(np.max(np.abs(z.values))) + SINE.sup_norm_b + 0.5
+        mesh = np.arange(x[0] - pad, x[-1] + pad + dx, dx).size
+        solution_field(TANH, SINE, z, 1.0, x[:5])  # warm
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            field = solution_field(TANH, SINE, z, 1.0, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= field.nbytes + 16 * 8 * mesh
+
     def test_insufficient_pad_is_reported(self, monkeypatch):
-        """A mesh whose characteristics miss the nodes is refused."""
+        """A mesh whose characteristics miss the nodes is refused: every
+        row the visitor is handed is shifted past the nodes."""
         march = transport._march
-        monkeypatch.setattr(transport, "_march",
-                            lambda *args, **kw: march(*args, **kw) + 100.0)
+
+        def shifted(*args, visit):
+            return march(*args, visit=lambda j, row: visit(j, row + 100.0))
+        monkeypatch.setattr(transport, "_march", shifted)
         z = fbm_path(seed=2)
         with pytest.raises(NumericError):
             solution_field(TANH, SINE, z, 1.0, np.linspace(-2, 2, 9))
