@@ -326,28 +326,26 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
                  threads: int):
     """Y_{0,t}(x) per path and, for a nonzero drift, the flow weights of [0, t].
 
-    The thread pool maps over contiguous path slices, at least two.  With
-    zero drift a slice marches to the end state only, and the weights are
-    None.  Otherwise each slice writes its flow slopes, then its weights
-    (_ensemble_weights), over z.T[:index(t)+1], row by row as the march
-    consumes the noise there (see flow._march): z becomes the weights, and
-    no second (n+1, paths) array is allocated.  The work is elementwise in
-    the paths, so the result does not depend on the slicing.  The pool gets
-    no more workers than _cpu_count(), so a large thread count starts no
-    more OS threads.
+    A zero drift's march is a pure translation by the noise, made in one
+    call with no pool, and its weights are None.  Otherwise a thread pool
+    maps over contiguous path slices, at least two, and each slice writes
+    its flow slopes, then its weights (_ensemble_weights), over
+    z.T[:index(t)+1], row by row as the march consumes the noise there: z
+    becomes the weights, and no second (n+1, paths) array is allocated.
+    The work is elementwise in the paths, so the result does not depend on
+    the slicing.  The pool gets no more workers than _cpu_count(), so a
+    large thread count starts no more OS threads.
     """
+    if b.is_zero:
+        return backward_ensemble(b, grid, z, x, 0.0, t), None
     paths = z.shape[0]
-    kt = grid.index_of(t)
     y = np.empty(paths)
-    cw = None if b.is_zero else z.T[:kt + 1]
+    cw = z.T[:grid.index_of(t) + 1]
     cuts = np.linspace(0, paths, min(paths, max(2, threads)) + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def solve(sl):
-        if cw is None:
-            y[sl] = backward_ensemble(b, grid, z[sl], x, 0.0, t)
-        else:
-            y[sl] = _ensemble_weights(b, grid, z[sl], x, 0, kt, out=cw[:, sl])[0]
+        y[sl] = _ensemble_weights(b, grid, z[sl], x, 0.0, t, out=cw[:, sl])[0]
 
     with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
         list(pool.map(solve, slices))

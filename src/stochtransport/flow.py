@@ -292,25 +292,17 @@ def backward_ensemble(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
 
 
 def backward_ensemble_trajectory(b: DriftField, grid: TimeGrid,
-                                 z_values: np.ndarray, x: float, t: float,
-                                 out: np.ndarray | None = None,
-                                 visit: Callable | None = None) -> np.ndarray:
-    """Y_{r,t}(x) for all grid r <= t, per path: shape (kt+1, paths).
+                                 z_values: np.ndarray, x: float, s: float,
+                                 t: float, visit: Callable | None = None):
+    """Y_{r,t}(x) per path for the grid times r in [s, t], marched down from t.
 
-    With out, an array of that shape (a view is fine), the states are
-    written into it and out is returned; the values are the same to the bit.
-    out may alias z_values.T[:kt+1], the noise rows the march reads (see
-    _march).  With visit instead, _march hands it each state; returns Y_{0,t}.
+    Without visit, row i is the state at grid index index(s) + i.  With
+    visit, _march hands it each state instead and Y_{s,t}(x) is returned.
     """
     z = _time_first(grid, z_values)
-    ks, kt = _check_times(grid, 0.0, t)
-    if visit is None:
-        shape = (kt + 1,) + np.broadcast_shapes(z.shape[1:], np.shape(x))
-        out = np.empty(shape) if out is None else out
-        if out.shape != shape:
-            raise DomainError(f"out has shape {out.shape}, expected {shape}")
-        visit = out.__setitem__
-    elif out is not None:
-        raise DomainError("give out or visit, not both")
-    end = _march(b, grid, z, x, ks, kt, -1, visit=visit)
-    return end if out is None else out
+    ks, kt = _check_times(grid, s, t)
+    if visit is not None:
+        return _march(b, grid, z, x, ks, kt, -1, visit=visit)
+    traj = np.empty((kt - ks + 1,) + np.broadcast_shapes(z.shape[1:], np.shape(x)))
+    _march(b, grid, z, x, ks, kt, -1, visit=traj.__setitem__)
+    return traj

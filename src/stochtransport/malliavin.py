@@ -50,7 +50,6 @@ from .errors import DomainError, NumericError, ResolutionError, SampleSizeError
 from .flow import (
     DriftField,
     _check_times,
-    _march,
     _time_first,
     backward_ensemble_trajectory,
     backward_trajectory,
@@ -273,20 +272,21 @@ def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 
 def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
-                      ks: int, kt: int, out: np.ndarray | None = None):
-    """(Y_{0,t}(x), omega of [s, t]) per path of a (paths, n+1) ensemble z.
+                      s: float, t: float, out: np.ndarray | None = None):
+    """(Y_{s,t}(x), omega of [s, t]) per path of a (paths, n+1) ensemble z.
 
-    The march writes the slope b'(t_r, Y_{r,t}(x)) of grid row r into row
-    r - ks of out, (kt-ks+1, paths), which may be z.T[ks:kt+1] (_march);
-    _cn_weights turns the slopes into omega in place, elementwise in the
-    paths: no slicing moves a bit.
+    The march covers [s, t] only and writes the slope b'(t_r, Y_{r,t}(x))
+    of grid row ks + i into row i of out, (kt-ks+1, paths), which may be
+    z.T[ks:kt+1], as it reads each noise row before it solves the state
+    there.  _cn_weights turns the slopes into omega in place, elementwise
+    in the paths: no slicing moves a bit.  Needs s < t.
     """
+    ks, kt = _check_times(grid, s, t)
     w = np.empty((kt - ks + 1, _time_first(grid, z).shape[1])) if out is None else out
 
-    def slopes(r, y):
-        if r >= ks:
-            w[r - ks] = b.b_prime(grid.points[r], y)
-    y = backward_ensemble_trajectory(b, grid, z, x, grid.points[kt], visit=slopes)
+    def slopes(i, y):
+        w[i] = b.b_prime(grid.points[ks + i], y)
+    y = backward_ensemble_trajectory(b, grid, z, x, s, t, visit=slopes)
     return y, _cn_weights(w, grid.dt, w)
 
 
@@ -306,8 +306,7 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
         return 0.0
     if ks == kt or b.is_zero:
         return float(DZ(s, t, alpha))
-    y = backward_trajectory(b, Z, x, t)[ks:]
-    w = _cn_weights(b.b_prime(grid.points[ks:kt + 1], y), grid.dt, out=y)
+    w = _ensemble_weights(b, grid, Z.values[None], x, s, t)[1][:, 0]
     return float(w @ np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float))
 
 
@@ -319,8 +318,7 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     G = dz_table(Z)
     if ks == kt or b.is_zero:
         return MalliavinPath(grid=grid, values=-(G[kt] - G[ks]))
-    y = backward_trajectory(b, Z, x, t)[ks:]
-    w = _cn_weights(b.b_prime(grid.points[ks:kt + 1], y), grid.dt, out=y)
+    w = _ensemble_weights(b, grid, Z.values[None], x, s, t)[1][:, 0]
     return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
 
@@ -360,9 +358,9 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     simulator makes them; rank 2 needs the driving increments dW and makes
     one window pass for all paths (two GEMMs per block of windows and
     _PATH_BLOCK paths, no per-path table).  flow_weights optionally supplies
-    the omega of _ensemble_weights(b, grid, z_values, x, index(s),
-    index(t)), shape (index(t) - index(s) + 1, paths); they are elementwise
-    in the paths, so a caller can build them slice by slice.
+    the omega of _ensemble_weights(b, grid, z_values, x, s, t), shape
+    (index(t) - index(s) + 1, paths); they are elementwise in the paths, so
+    a caller can build them slice by slice.
     """
     P = _time_first(grid, z_values).shape[1]
     ks, kt = _check_times(grid, s, t)
@@ -375,7 +373,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
     w = None  # the (m+1, P) flow weights; a zero drift needs none
     if not b.is_zero and ks < kt:
         if flow_weights is None:
-            w = _ensemble_weights(b, grid, z_values, x, ks, kt)[1]
+            w = _ensemble_weights(b, grid, z_values, x, s, t)[1]
         else:
             w = np.asarray(flow_weights, dtype=float)
             if w.shape != (kt - ks + 1, P):
@@ -529,7 +527,7 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
             f = _factor_ratios(np.multiply(b.b_prime(pts[ks + r], y), half_dt))
             q[:] -= (f if r == 0 else 2.0 * f) * q
     if ks < kt:
-        _march(b, grid, _time_first(grid, z_values), x, ks, kt, -1, visit=factor)
+        backward_ensemble_trajectory(b, grid, z_values, x, s, t, visit=factor)
         brackets = 2.0 - (1.0 - half_dt * float(b.b_prime(pts[kt], x))) * q
 
     m_bar = b.sup_norm_bprime * (t - s)
@@ -585,7 +583,8 @@ def density_report(samples: np.ndarray, norms: np.ndarray) -> DensityReport:
     per-path ||DF||^2 values.  Flags: the KDE must keep its mass on the
     evaluation grid, the largest empirical-CDF jump must not exceed
     3/sqrt(N) (no atoms) and every norm must be positive (derivative
-    criterion).  The KDE bandwidth follows Silverman's rule.
+    criterion).  The KDE bandwidth follows Silverman's rule; a sample with
+    no spread has none, so its table is empty and the mass gate fails.
     """
     samples = np.asarray(samples, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -595,10 +594,13 @@ def density_report(samples: np.ndarray, norms: np.ndarray) -> DensityReport:
     if N < _MIN_DENSITY_SAMPLES:
         raise SampleSizeError(f"need at least {_MIN_DENSITY_SAMPLES} samples, got {N}")
 
-    kde = gaussian_kde(samples, bw_method="silverman")
-    bw = float(np.sqrt(kde.covariance[0, 0]))
-    x_grid = np.linspace(samples.min() - 5 * bw, samples.max() + 5 * bw, 801)
-    density = kde(x_grid)
+    try:
+        kde = gaussian_kde(samples, bw_method="silverman")
+        bw = float(np.sqrt(kde.covariance[0, 0]))
+        x_grid = np.linspace(samples.min() - 5 * bw, samples.max() + 5 * bw, 801)
+        density = kde(x_grid)
+    except np.linalg.LinAlgError:  # the sample variance is zero
+        x_grid = density = np.empty(0)
     mass = float(np.trapezoid(density, x_grid))
 
     _, counts = np.unique(samples, return_counts=True)

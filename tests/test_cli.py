@@ -179,7 +179,7 @@ class TestRun:
         b = drift_preset("sine")
         z = simulate_ensemble(grid, HermiteSpec.create(q, 0.7), 5,
                               np.arange(paths))
-        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
+        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 0.0, 1.0)
         y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, threads)
         assert np.array_equal(y, traj[0])
         assert np.array_equal(cw, _row_weights(b, grid, traj))
@@ -200,7 +200,7 @@ class TestRun:
         steps = np.random.default_rng(5).standard_normal((40, grid.n))
         z = np.zeros((40, grid.n + 1))
         z[:, 1:] = np.cumsum(steps, axis=1) * np.sqrt(grid.dt)
-        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 1.0)
+        traj = backward_ensemble_trajectory(b, grid, z, 0.2, 0.0, 1.0)
         y, cw = experiments._flow_slices(b, grid, z, 0.2, 1.0, 1000)
         assert asked == [1]
         assert np.array_equal(y, traj[0])
@@ -364,6 +364,16 @@ class TestCliMain:
         assert "[FAIL] kde-mass: value=0.95" in capsys.readouterr().out
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert [c["name"] for c in checks if not c["passed"]] == ["kde-mass"]
+
+    def test_constant_sample_fails_its_gates_with_exit_one(self, tmp_path):
+        """u0 = 0 maps every path to one value: the density gates report
+        the atom instead of the KDE raising."""
+        rc = main(["density", "--n", "64", "--paths", "1000", "--u0",
+                   "affine", "--u0-param", "m=0", "--out", str(tmp_path)])
+        assert rc == 1
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == [
+            "kde-mass", "no-atoms", "du-norm-positive"]
 
     def test_usage_error_exits_two(self, tmp_path, capsys):
         rc = main(["qv", "--H", "0.4", "--paths", "120", "--out",

@@ -210,43 +210,13 @@ def test_ensemble_elements_do_not_depend_on_the_batch(drift, slope, n, q, data):
         "backward": lambda zz: backward_ensemble(b, grid, zz, x, s, t),
         "forward": lambda zz: forward_ensemble(b, grid, zz, x, s, t),
         "trajectory":
-            lambda zz: backward_ensemble_trajectory(b, grid, zz, x, t).T,
+            lambda zz: backward_ensemble_trajectory(b, grid, zz, x, s, t).T,
     }
     for name, flow in flows.items():
         full = flow(z)
         assert np.array_equal(flow(z[sub]), full[sub]), name
         for p in sub[:3]:
             assert np.array_equal(flow(z[p:p + 1])[0], full[p]), (name, p)
-
-
-@pytest.mark.parametrize("drift", [_sine(), _zero()], ids=["sine", "zero"])
-def test_ensemble_trajectory_fills_out(drift):
-    grid = TimeGrid(T=1.0, n=128)
-    z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 3, range(7))
-    fresh = backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75)
-    # a strided view, as the density runner passes its weight columns
-    buf = np.full((fresh.shape[0], 2 * z.shape[0]), np.nan)[:, ::2]
-    got = backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75, out=buf)
-    assert got is buf
-    assert np.array_equal(buf, fresh)
-    with pytest.raises(DomainError):
-        backward_ensemble_trajectory(drift, grid, z, 0.3, 0.75,
-                                     out=np.empty((fresh.shape[0], 3)))
-
-
-@pytest.mark.parametrize("t", [0.75, 1.0])
-@pytest.mark.parametrize("drift", [_sine(), _zero()], ids=["sine", "zero"])
-def test_ensemble_trajectory_recorded_over_its_own_noise(drift, t):
-    """out = z.T[:kt+1], the rows the march reads, as the density runner
-    passes it: the same bits as into a fresh out."""
-    grid = TimeGrid(T=1.0, n=128)
-    z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 3, range(7))
-    fresh = backward_ensemble_trajectory(drift, grid, z, 0.3, t)
-    kt = grid.index_of(t)
-    got = backward_ensemble_trajectory(drift, grid, z, 0.3, t,
-                                       out=z.T[:kt + 1])
-    assert np.shares_memory(got, z)
-    assert np.array_equal(got, fresh)
 
 
 def test_trajectories_cover_grid():
@@ -334,6 +304,17 @@ def test_ensemble_trajectory_shape_and_anchor():
     grid = TimeGrid(T=1.0, n=128)
     spec = HermiteSpec.create(1, 0.8)
     Z = simulate_ensemble(grid, spec, seed=2, path_ids=range(4))
-    traj = backward_ensemble_trajectory(_sine(), grid, Z, 0.1, 1.0)
+    traj = backward_ensemble_trajectory(_sine(), grid, Z, 0.1, 0.0, 1.0)
     assert traj.shape == (129, 4)
     assert np.all(traj[-1] == 0.1)
+    # [s, t] holds rows index(s)..index(t) of the [0, t] march, to the bit
+    window = backward_ensemble_trajectory(_sine(), grid, Z, 0.1, 0.25, 1.0)
+    assert window.shape == (97, 4)
+    assert np.array_equal(window, traj[32:])
+    seen = []
+    end = backward_ensemble_trajectory(
+        _sine(), grid, Z, 0.1, 0.25, 1.0,
+        visit=lambda i, y: seen.append((i, y.copy())))
+    assert [i for i, _ in seen] == list(range(96, -1, -1))
+    assert all(np.array_equal(y, window[i]) for i, y in seen)
+    assert np.array_equal(end, window[0])

@@ -21,6 +21,7 @@ from stochtransport.errors import (
 )
 from stochtransport.flow import (
     DriftField,
+    _step_plan,
     backward_ensemble,
     backward_ensemble_trajectory,
     backward_flow,
@@ -361,7 +362,7 @@ class TestDyNormEnsemble:
         ks, kt = grid.index_of(s), grid.index_of(t)
         dW = generate_increments(grid, seed, range(paths)) if q == 2 else None
         z = simulate_ensemble(grid, spec, seed, range(paths))
-        traj = backward_ensemble_trajectory(SINE, grid, z, x, t)
+        traj = backward_ensemble_trajectory(SINE, grid, z, x, 0.0, t)
 
         def norms(rows):
             cw = None if rows is None else \
@@ -385,6 +386,34 @@ class TestDyNormEnsemble:
             dy_norm_ensemble(SINE, grid, spec, z, s, t, x, dW=dW,
                              flow_weights=_row_weights(SINE, grid, traj, 0))
 
+    def test_weight_march_covers_only_its_window(self):
+        """At s > 0 the flow weights evaluate the drift on the steps of
+        [s, t] alone, and their omega are rows index(s)..index(t) of the
+        weights of the [0, t] march, to the bit."""
+        grid = TimeGrid(T=1.0, n=128)
+        spec = HermiteSpec.create(1, 0.7)
+        s, t, x = 0.25, 0.75, 0.3
+        ks, kt = grid.index_of(s), grid.index_of(t)
+        z = simulate_ensemble(grid, spec, 13, range(9))
+        times = []
+
+        def counted(u, y):
+            times.append(u)
+            return SINE.b(u, y)
+        drift = dataclasses.replace(SINE, b=counted)
+        times.clear()  # drop the DriftField's validation calls
+        got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
+        iterations = _step_plan(SINE, -grid.dt)[0]
+        assert len(times) == (kt - ks) * (1 + iterations)
+        assert s <= min(times) and max(times) <= t
+        traj = backward_ensemble_trajectory(SINE, grid, z, x, 0.0, t)
+        w = _row_weights(SINE, grid, traj[ks:kt + 1], ks)
+        y, omega = malliavin._ensemble_weights(drift, grid, z, x, s, t)
+        assert np.array_equal(omega, w)
+        assert np.array_equal(y, traj[ks])
+        assert np.array_equal(got, dy_norm_ensemble(SINE, grid, spec, z, s, t,
+                                                    x, flow_weights=w))
+
     @pytest.mark.parametrize("paths", [1, 255, 256, 257, 515, 1031])
     @pytest.mark.parametrize("drift", [SINE, ZERO], ids=["sine", "zero"])
     @pytest.mark.parametrize("s", [0.0, 0.25])
@@ -397,7 +426,7 @@ class TestDyNormEnsemble:
         t, x = 0.75, 0.3
         ks, kt = grid.index_of(s), grid.index_of(t)
         z = simulate_ensemble(grid, spec, 13, range(paths))
-        traj = backward_ensemble_trajectory(drift, grid, z, x, t)
+        traj = backward_ensemble_trajectory(drift, grid, z, x, 0.0, t)
         w = _row_weights(drift, grid, traj[ks:kt + 1], ks)
         G = malliavin._dz_table_raw(grid, spec, np.empty((0,)))
         V = w.T @ G[ks:kt + 1]
@@ -650,6 +679,18 @@ class TestDensityReport:
         rep = density_report(samples, np.ones(1500))
         assert rep.max_cdf_jump > 3.0 / np.sqrt(1500)
         assert not rep.passed
+
+    @pytest.mark.parametrize("samples", [
+        np.zeros(1000),
+        np.r_[np.zeros(999), 1e-200],  # its variance underflows to zero
+    ], ids=["constant", "underflow"])
+    def test_sample_without_spread_fails_its_gates(self, samples):
+        """The purest atom has no KDE bandwidth: the report carries no
+        density table and zero mass, so the atom and mass gates fail."""
+        rep = density_report(samples, np.ones(1000))
+        assert rep.max_cdf_jump > rep.atom_bound
+        assert rep.mass == 0.0 and not rep.mass_ok and not rep.passed
+        assert rep.x_grid.size == rep.density.size == 0
 
     def test_mass_outside_range_fails(self):
         rng = np.random.default_rng(8)
