@@ -22,7 +22,6 @@ from .flow import (
     DriftField,
     backward_ensemble,
     backward_flow,
-    backward_trajectory,
     forward_ensemble,
     forward_flow,
     picard_solve,
@@ -39,7 +38,6 @@ from .malliavin import (
     density_bound_check,
     density_report,
     dy_norm_ensemble,
-    dz_fbm,
     dz_hermite,
     dz_norm_ensemble,
     dz_table,
@@ -76,7 +74,6 @@ __all__ = [
     "DriftField",
     "backward_ensemble",
     "backward_flow",
-    "backward_trajectory",
     "forward_ensemble",
     "forward_flow",
     "picard_solve",
@@ -89,7 +86,6 @@ __all__ = [
     "density_bound_check",
     "density_report",
     "dy_norm_ensemble",
-    "dz_fbm",
     "dz_hermite",
     "dz_norm_ensemble",
     "dz_table",

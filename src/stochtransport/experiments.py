@@ -305,11 +305,6 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes / KiB
 
 
-def _thread_count(config: ExperimentConfig) -> int:
-    """config.threads, or with 0 the CPUs this process may run on."""
-    return config.threads if config.threads > 0 else _cpu_count()
-
-
 def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
                      driver: bool = False):
     """The noise of path ids 0..paths-1, and with driver also its increments.
@@ -327,27 +322,31 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     """Y_{0,t}(x) per path and, for a nonzero drift, the flow weights of [0, t].
 
     A zero drift's march is a pure translation by the noise, made in one
-    call with no pool, and its weights are None.  Otherwise a thread pool
-    maps over contiguous path slices, at least two, and each slice writes
-    its flow slopes, then its weights (_ensemble_weights), over
+    call with no pool, and its weights are None.  Otherwise a pool of
+    min(threads or _cpu_count(), _cpu_count(), paths) workers maps over as
+    many contiguous path slices, one march each, and each slice writes its
+    flow slopes, then its weights (_ensemble_weights), over
     z.T[:index(t)+1], row by row as the march consumes the noise there: z
     becomes the weights, and no second (n+1, paths) array is allocated.
     The work is elementwise in the paths, so the result does not depend on
-    the slicing.  The pool gets no more workers than _cpu_count(), so a
-    large thread count starts no more OS threads.
+    the slicing.  Every march pays the per-step cost once, so a slice per
+    worker is the fewest marches that keep every worker busy, and a large
+    thread count starts no more OS threads than there are CPUs.
     """
     if b.is_zero:
         return backward_ensemble(b, grid, z, x, 0.0, t), None
     paths = z.shape[0]
     y = np.empty(paths)
     cw = z.T[:grid.index_of(t) + 1]
-    cuts = np.linspace(0, paths, min(paths, max(2, threads)) + 1).astype(int)
+    cpus = _cpu_count()
+    workers = min(threads or cpus, cpus, paths)
+    cuts = np.linspace(0, paths, workers + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def solve(sl):
         y[sl] = _ensemble_weights(b, grid, z[sl], x, 0.0, t, out=cw[:, sl])[0]
 
-    with ThreadPoolExecutor(max_workers=min(threads, _cpu_count())) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(solve, slices))
     return y, cw
 
@@ -530,7 +529,7 @@ def _run_density(config, grid, spec, out, checks, files):
     else:
         z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
                                  driver=True)
-    y, cw = _flow_slices(b, grid, z, config.x0, t, _thread_count(config))
+    y, cw = _flow_slices(b, grid, z, config.x0, t, config.threads)
     samples = np.asarray(u0.u0(y), dtype=float)
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, 0.0, t, config.x0, dW=dW,
                               flow_weights=cw)

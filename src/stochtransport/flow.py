@@ -217,14 +217,6 @@ def backward_flow(b: DriftField, Z: NoisePath, x, s: float, t: float):
     return _march(b, Z.grid, Z.values, x, ks, kt, -1)
 
 
-def backward_trajectory(b: DriftField, Z: NoisePath, x, t: float):
-    """Y_{r,t}(x) for every grid time r in [0, t]; row r is the state at r."""
-    ks, kt = _check_times(Z.grid, 0.0, t)
-    traj = np.empty((kt + 1,) + np.shape(x))
-    _march(b, Z.grid, Z.values, x, ks, kt, -1, visit=traj.__setitem__)
-    return traj
-
-
 def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
                  tol: float | None = None) -> tuple[float, int]:
     """Solve the time-reversed equation at reversed time u by Picard iteration.

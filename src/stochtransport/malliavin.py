@@ -52,10 +52,9 @@ from .flow import (
     _check_times,
     _time_first,
     backward_ensemble_trajectory,
-    backward_trajectory,
 )
 from .grid import TimeGrid
-from .kernels import HermiteSpec, kernel_KH
+from .kernels import HermiteSpec
 from .noise import (
     _FOLD,
     _PATH_BLOCK,
@@ -75,7 +74,6 @@ __all__ = [
     "MalliavinPath",
     "BoundCheckReport",
     "DensityReport",
-    "dz_fbm",
     "dz_hermite",
     "dz_table",
     "dz_norm_ensemble",
@@ -140,31 +138,16 @@ def _step_of(grid: TimeGrid, alpha: float) -> int:
     return min(a, grid.n - 1)
 
 
-def dz_fbm(t: float, alpha: float, H: float) -> float:
-    """D_alpha of the rank-1 noise at time t: the kernel K_H(t, alpha).
-
-    Deterministic (the noise is a Wiener integral of the kernel).  Zero for
-    alpha >= t; alpha = 0 sits on the kernel singularity and is rejected.
-    """
-    if alpha == 0.0:
-        raise DomainError("alpha = 0 is the kernel singularity")
-    if alpha < 0:
-        raise DomainError(f"alpha={alpha} is negative")
-    if alpha >= t:
-        return 0.0
-    return kernel_KH(t, alpha, H)
-
-
 def dz_hermite(w: WienerLattice, t: float, alpha: float,
                spec: HermiteSpec) -> float:
     """D_alpha Z_t for the lattice noise driven by w.
 
     The entry of dz_table for t and the step a containing alpha.  rank 1:
     the kernel weight K_H(t, m_a) at the step midpoint (independent of the
-    path; dz_fbm is its continuum limit).  rank 2: the order-1 chaos sum
-    2 d (A_t @ dW)[a] — the simulator's trace correction is deterministic
-    and drops out — so difference quotients of simulated values close
-    exactly.
+    path; its continuum limit is kernels.kernel_KH(t, alpha, H)).  rank 2:
+    the order-1 chaos sum 2 d (A_t @ dW)[a] — the simulator's trace
+    correction is deterministic and drops out — so difference quotients of
+    simulated values close exactly.
     """
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
@@ -187,16 +170,12 @@ def dz_table(Z: NoisePath) -> np.ndarray:
     row l+1, a block of windows at a time (noise._windows), and the rows are
     summed in place, so the whole table costs one extra pass over the path.
     """
-    return _dz_table_raw(Z.grid, Z.spec, Z.driver)
-
-
-def _dz_table_raw(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarray:
-    """dz_table from the (n,) driver alone."""
-    n = grid.n
+    grid, spec, n = Z.grid, Z.spec, Z.grid.n
     G = np.zeros((n + 1, n))
     if spec.q == 1:
         G[1:] = _fbm_weights(grid.key(), spec.H)
         return G
+    dW = Z.driver
     for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
         X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[:, None]
         G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
@@ -238,13 +217,14 @@ def _factor_ratios(a: np.ndarray) -> np.ndarray:
     return a / (a + 1.0)
 
 
-def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-    """Signed Crank-Nicolson flow weights omega in calendar order, into out.
+def _cn_weights(w: np.ndarray, dt: float) -> np.ndarray:
+    """Signed Crank-Nicolson flow weights omega in calendar order, in place.
 
-    gam holds the slopes b'(r, Y_{r,t}) of rows r = 0..m (time
-    t_ks + r dt), m+1 rows of shape () or (paths,); the anchor row m is
-    never read.  With c, d = 1 +- a, a = dt gam / 2, and the discrete
-    integrating factor P[r] = (1/c_0) prod_{k=1..r} d_k / c_k,
+    w holds the slopes gam[r] = b'(r, Y_{r,t}) of rows r = 0..m (time
+    t_ks + r dt), m+1 rows of shape () or (paths,), and is overwritten by
+    omega; the anchor row m is never read.  With c, d = 1 +- a,
+    a = dt gam / 2, and the discrete integrating factor
+    P[r] = (1/c_0) prod_{k=1..r} d_k / c_k,
 
         omega[0] = P[0],   omega[m] = -P[m-1],
         omega[r] = -a[r] (P[r] + P[r-1]) = P[r] - P[r-1]   (0 < r < m),
@@ -256,19 +236,20 @@ def _cn_weights(gam: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
     max(1, _CN_BLOCK // paths) rows forms omega[r] = -2 P[r-1] f[r],
     f = a / c (differences of P would lose digits), and P[r] as the running
     sum of omega, so no rounded d / c is raised to a power.  It reads a
-    block's slopes before it writes their weights, so out may be gam
-    itself.  Needs m >= 1.
+    block's slopes before it writes their weights.  A zero slope gives
+    f = 0 exactly, so a zero drift gets omega = e_0 - e_m to the bit, and
+    an empty window, m = 0, gets omega = [-0].
     """
-    m, half_dt, p = out.shape[0] - 1, 0.5 * dt, 0.0
-    step = max(1, _CN_BLOCK // out[0].size)
+    m, half_dt, p = w.shape[0] - 1, 0.5 * dt, 0.0
+    step = max(1, _CN_BLOCK // w[0].size)
     for lo in range(0, m, step):
-        f = _factor_ratios(np.multiply(gam[lo:min(lo + step, m)], half_dt))
+        f = _factor_ratios(np.multiply(w[lo:min(lo + step, m)], half_dt))
         g = -2.0 * f
         for r in range(lo, lo + len(f)):
-            out[r] = p * g[r - lo] if r else 1.0 - f[0]
-            p = p + out[r]
-    out[m] = -p
-    return out
+            w[r] = p * g[r - lo] if r else 1.0 - f[0]
+            p = p + w[r]
+    w[m] = -p
+    return w
 
 
 def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
@@ -279,7 +260,8 @@ def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
     of grid row ks + i into row i of out, (kt-ks+1, paths), which may be
     z.T[ks:kt+1], as it reads each noise row before it solves the state
     there.  _cn_weights turns the slopes into omega in place, elementwise
-    in the paths: no slicing moves a bit.  Needs s < t.
+    in the paths: no slicing moves a bit.  For s = t omega is the one row
+    [-0] and Y_{t,t}(x) = x.
     """
     ks, kt = _check_times(grid, s, t)
     w = np.empty((kt - ks + 1, _time_first(grid, z).shape[1])) if out is None else out
@@ -287,7 +269,7 @@ def _ensemble_weights(b: DriftField, grid: TimeGrid, z: np.ndarray, x: float,
     def slopes(i, y):
         w[i] = b.b_prime(grid.points[ks + i], y)
     y = backward_ensemble_trajectory(b, grid, z, x, s, t, visit=slopes)
-    return y, _cn_weights(w, grid.dt, w)
+    return y, _cn_weights(w, grid.dt)
 
 
 def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
@@ -304,8 +286,6 @@ def dY_closed_form(b: DriftField, Z: NoisePath, DZ: Callable, s: float,
     ks, kt = _check_times(grid, s, t)
     if alpha >= t:
         return 0.0
-    if ks == kt or b.is_zero:
-        return float(DZ(s, t, alpha))
     w = _ensemble_weights(b, grid, Z.values[None], x, s, t)[1][:, 0]
     return float(w @ np.asarray(DZ(grid.points[ks:kt + 1], t, alpha), dtype=float))
 
@@ -316,8 +296,6 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     grid = Z.grid
     ks, kt = _check_times(grid, s, t)
     G = dz_table(Z)
-    if ks == kt or b.is_zero:
-        return MalliavinPath(grid=grid, values=-(G[kt] - G[ks]))
     w = _ensemble_weights(b, grid, Z.values[None], x, s, t)[1][:, 0]
     return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
@@ -440,9 +418,7 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     # h_j = DZ over the window [t - u_j, t]
     rev = grid.points[kt::-1]  # calendar times t - u_j
     h = np.asarray(DZ(rev, t, alpha), dtype=float)
-    if kt == 0 or b.is_zero:
-        return MalliavinPath(grid=grid, values=h, axis="time")
-    y = backward_trajectory(b, Z, x, t)
+    y = backward_ensemble_trajectory(b, grid, Z.values[None], x, 0.0, t)[:, 0]
     gam = np.broadcast_to(np.asarray(b.b_prime(rev, y[::-1]), dtype=float),
                           rev.shape)
     dt = grid.dt

@@ -29,13 +29,13 @@ PUBLIC = {
     "EpsilonSchedule", "QVReport", "covariation_eps", "qv_certificate",
     "symmetric_integral_eps",
     # flows and transport
-    "DriftField", "backward_ensemble", "backward_flow", "backward_trajectory",
-    "forward_ensemble", "forward_flow", "picard_solve", "InitialDatum",
+    "DriftField", "backward_ensemble", "backward_flow", "forward_ensemble",
+    "forward_flow", "picard_solve", "InitialDatum",
     "TestFunction", "WeakFormReport", "solution_field", "weak_form_residual",
     # derivatives and density diagnostics
     "BoundCheckReport", "DensityReport", "MalliavinPath", "dY_closed_form",
     "dY_integral_eq", "dY_profile", "density_bound_check", "density_report",
-    "dy_norm_ensemble", "dz_fbm", "dz_hermite", "dz_norm_ensemble",
+    "dy_norm_ensemble", "dz_hermite", "dz_norm_ensemble",
     "dz_table", "increment_derivative", "mt_diagnostic",
     # presets
     "DRIFT_PRESETS", "U0_PRESETS", "drift_preset", "u0_preset",
@@ -49,7 +49,6 @@ SIGNATURES = {
     "DriftField": "b b_prime sup_norm_b sup_norm_bprime name=",
     "backward_ensemble": "b grid z_values x s t",
     "backward_flow": "b Z x s t",
-    "backward_trajectory": "b Z x t",
     "forward_ensemble": "b grid z_values x s t",
     "forward_flow": "b Z x s t",
     "picard_solve": "b Z x t u tol=",
@@ -62,7 +61,6 @@ SIGNATURES = {
     "density_bound_check": "b grid z_values s t x",
     "density_report": "samples norms",
     "dy_norm_ensemble": "b grid spec z_values s t x dW= flow_weights=",
-    "dz_fbm": "t alpha H",
     "dz_hermite": "w t alpha spec",
     "dz_norm_ensemble": "grid spec dW t",
     "dz_table": "Z",

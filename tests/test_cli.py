@@ -27,7 +27,7 @@ def _row_weights(b, grid, traj):
     """The flow weights of a recorded [0, t] trajectory: the slopes of all
     its rows at once, turned into weights by _cn_weights."""
     gam = b.b_prime(grid.points[:len(traj), None], traj)
-    return _cn_weights(gam, grid.dt, np.empty(traj.shape))
+    return _cn_weights(gam, grid.dt)
 
 
 def readme_command(kind, out):
@@ -207,13 +207,37 @@ class TestRun:
         assert np.array_equal(cw, _row_weights(b, grid, traj))
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+        """_flow_slices makes one weight march per worker, and has
+        min(threads or CPUs, CPUs, paths) workers: 0 threads selects the
+        CPUs this process may run on, or os.cpu_count() without affinity."""
+        marches = []
+        real = experiments._ensemble_weights
+
+        def counting(*args, **kwargs):
+            marches.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_ensemble_weights", counting)
+        grid = TimeGrid(T=1.0, n=16)
+        b = drift_preset("sine")
+        z = simulate_ensemble(grid, HermiteSpec.create(1, 0.7), 5,
+                              np.arange(40))
+
+        def count(threads, paths=40):
+            marches.clear()
+            experiments._flow_slices(b, grid, z[:paths].copy(), 0.2, 1.0,
+                                     threads)
+            return len(marches)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert experiments._thread_count(cfg(threads=0)) == 1
-        assert experiments._thread_count(cfg(threads=3)) == 3
+        assert [count(k) for k in (0, 1, 3, 1000)] == [4, 1, 3, 4]
+        assert count(0, paths=3) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [count(k) for k in (0, 1, 1000)] == [1, 1, 1]
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert experiments._thread_count(cfg(threads=0)) == 8
+        assert [count(k) for k in (0, 1, 1000)] == [8, 1, 8]
 
     def test_seed_changes_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

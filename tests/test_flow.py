@@ -23,7 +23,6 @@ from stochtransport.flow import (
     backward_ensemble,
     backward_ensemble_trajectory,
     backward_flow,
-    backward_trajectory,
     forward_ensemble,
     forward_flow,
     picard_solve,
@@ -222,7 +221,8 @@ def test_ensemble_elements_do_not_depend_on_the_batch(drift, slope, n, q, data):
 def test_trajectories_cover_grid():
     z = _noise(n=256)
     b = _sine()
-    back = backward_trajectory(b, z, 0.3, 1.0)
+    back = backward_ensemble_trajectory(b, z.grid, z.values[None], 0.3, 0.0,
+                                        1.0)[:, 0]
     assert back.shape == (257,)
     assert back[-1] == 0.3
     assert back[0] == backward_flow(b, z, 0.3, 0.0, 1.0)
@@ -230,7 +230,8 @@ def test_trajectories_cover_grid():
 
 def test_zero_drift_trajectory_is_translated_noise():
     z = _noise(n=128)
-    traj = backward_trajectory(_zero(), z, 0.5, 1.0)
+    traj = backward_ensemble_trajectory(_zero(), z.grid, z.values[None], 0.5,
+                                        0.0, 1.0)[:, 0]
     assert np.array_equal(traj, 0.5 - (z.values[-1] - z.values))
 
 
@@ -277,7 +278,8 @@ def test_backward_trajectory_over_nodes_is_monotone_and_invertible():
     nodes = np.linspace(-2.0, 2.0, 32)
     for pid in range(5):
         z = simulate_fbm(generate(grid, seed=11, path_id=pid), 0.7)
-        traj = backward_trajectory(b, z, nodes, 1.0)
+        traj = backward_ensemble_trajectory(b, grid, z.values[None], nodes,
+                                            0.0, 1.0)
         assert traj.shape == (grid.n + 1, nodes.size)
         assert np.all(np.diff(traj, axis=1) > 0)
         assert np.array_equal(traj[-1], nodes)

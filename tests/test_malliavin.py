@@ -36,7 +36,6 @@ from stochtransport.malliavin import (
     density_bound_check,
     density_report,
     dy_norm_ensemble,
-    dz_fbm,
     dz_hermite,
     dz_norm_ensemble,
     dz_table,
@@ -46,12 +45,13 @@ from stochtransport.malliavin import (
 from stochtransport.noise import (
     _TRI_BLOCK,
     _TRI_CHUNK,
+    _fbm_weights,
     lattice_variance,
     pair_matrix,
     simulate_ensemble,
     simulate_hermite,
 )
-from stochtransport.presets import drift_preset
+from stochtransport.presets import DRIFT_PRESETS, drift_preset
 from stochtransport.wiener import Perturbation, WienerLattice, generate_increments
 
 SINE = DriftField(
@@ -81,8 +81,8 @@ def _row_weights(b, grid, rows, ks):
     """The flow weights of recorded flow rows Y_{r,t}(x), r = t_ks, ...:
     the slopes of all rows at once, turned into weights by _cn_weights."""
     times = grid.points[ks:ks + len(rows)].reshape((-1,) + (1,) * (rows.ndim - 1))
-    return _cn_weights(np.broadcast_to(b.b_prime(times, rows), rows.shape),
-                       grid.dt, np.empty(rows.shape))
+    return _cn_weights(np.array(np.broadcast_to(b.b_prime(times, rows),
+                                                rows.shape)), grid.dt)
 
 
 class TestMalliavinPath:
@@ -108,22 +108,29 @@ class TestMalliavinPath:
 
 
 class TestDzFbm:
+    """The continuum rank-1 derivative D_alpha Z_t = kernel_KH(t, alpha, H)."""
+
     def test_zero_beyond_t(self):
-        assert dz_fbm(0.5, 0.5, 0.7) == 0.0
-        assert dz_fbm(0.5, 0.9, 0.7) == 0.0
+        assert kernel_KH(0.5, 0.5, 0.7) == 0.0
+        assert kernel_KH(0.5, 0.9, 0.7) == 0.0
 
     def test_singularity_rejected(self):
         with pytest.raises(DomainError):
-            dz_fbm(0.5, 0.0, 0.7)
+            kernel_KH(0.5, 0.0, 0.7)
         with pytest.raises(DomainError):
-            dz_fbm(0.5, -0.1, 0.7)
+            kernel_KH(0.5, -0.1, 0.7)
 
     def test_value_is_the_kernel(self):
-        assert dz_fbm(0.8, 0.3, 0.65) == pytest.approx(kernel_KH(0.8, 0.3, 0.65), abs=0)
+        """The lattice derivative is the kernel at alpha's step midpoint."""
+        grid = TimeGrid(T=1.0, n=64)
+        w = generate(grid, seed=2, path_id=0)
+        a = int(0.3 // grid.dt)
+        assert dz_hermite(w, 0.8125, 0.3, HermiteSpec.create(1, 0.65)) == \
+            pytest.approx(kernel_KH(0.8125, grid.midpoints[a], 0.65), rel=1e-15)
 
     def test_squared_integral_is_variance(self):
         """The L^2 norm of the derivative must reproduce Var = t^{2H}."""
-        val, _ = quad(lambda a: dz_fbm(1.0, a, 0.7) ** 2, 1e-9, 1.0, limit=200)
+        val, _ = quad(lambda a: kernel_KH(1.0, a, 0.7) ** 2, 1e-9, 1.0, limit=200)
         assert abs(val - 1.0) < 5e-9  # 7.9e-10 seen, mostly the (0, 1e-9) cut
 
     def test_perturbation_oracle(self):
@@ -134,7 +141,7 @@ class TestDzFbm:
         p = Perturbation(a=0.3, b=0.5, delta=delta)
         zp = simulate_fbm(p.perturb(w), H)
         quot = (zp.value_at(t) - z.value_at(t)) / delta
-        integral, _ = quad(lambda a: dz_fbm(t, a, H), 0.3, 0.5, limit=100)
+        integral, _ = quad(lambda a: kernel_KH(t, a, H), 0.3, 0.5, limit=100)
         assert abs(quot - integral) / abs(integral) < 1e-2
 
 
@@ -193,7 +200,7 @@ class TestDzTable:
         G = dz_table(Z)
         k = grid.index_of(0.5)
         for a in (3, 20, 60):
-            assert G[k, a] == pytest.approx(dz_fbm(0.5, grid.midpoints[a], 0.7),
+            assert G[k, a] == pytest.approx(kernel_KH(0.5, grid.midpoints[a], 0.7),
                                             rel=1e-15)
 
 
@@ -266,19 +273,35 @@ class TestIsometry:
 
 class TestDyRoutes:
     def test_zero_drift_is_noise_increment(self):
-        _, Z = rank2_path()
-        DZ = increment_derivative(Z)
-        grid = Z.grid
-        s, t = 0.25, 1.0
-        prof = dY_profile(ZERO, Z, s, t, 0.3)
-        G = dz_table(Z)
-        assert np.array_equal(prof.values,
-                              -(G[grid.index_of(t)] - G[grid.index_of(s)]))
+        """Two special cases of the one derivative formula, which every
+        route reaches through its general flow weights, exactly: a zero
+        drift gives D Y_{s,t} = DZ(s) = -(G[kt] - G[ks]), and an empty
+        window s = t gives D Y_{t,t} = 0 for every drift (== does not tell
+        the signed zeros apart)."""
+        grid = TimeGrid(T=1.0, n=256)
+        w = generate(grid, seed=5, path_id=0)
         alpha = grid.midpoints[100]
-        assert dY_closed_form(ZERO, Z, DZ, s, t, alpha, 0.3) == float(
-            DZ(s, t, alpha))
-        ie = dY_integral_eq(ZERO, Z, DZ, t, alpha, 0.3)
-        assert ie.values[0] == 0.0
+        for q in (1, 2):
+            Z = simulate_hermite(w, HermiteSpec.create(q, 0.7))
+            DZ = increment_derivative(Z)
+            G = dz_table(Z)
+            for s, t in [(0.25, 1.0), (0.0, 0.5), (0.375, 0.4375)]:
+                ks, kt = grid.index_of(s), grid.index_of(t)
+                prof = dY_profile(ZERO, Z, s, t, 0.3)
+                assert np.array_equal(prof.values, -(G[kt] - G[ks]))
+                assert dY_closed_form(ZERO, Z, DZ, s, t, alpha, 0.3) == \
+                    float(DZ(s, t, alpha))
+                ie = dY_integral_eq(ZERO, Z, DZ, t, alpha, 0.3)
+                assert np.array_equal(ie.values,
+                                      DZ(grid.points[kt::-1], t, alpha))
+            for name in DRIFT_PRESETS:
+                b = drift_preset(name)
+                for t in (0.0, 0.5, 1.0):
+                    prof = dY_profile(b, Z, t, t, 0.3)
+                    assert np.array_equal(prof.values, np.zeros(grid.n))
+                    assert dY_closed_form(b, Z, DZ, t, t, alpha, 0.3) == 0.0
+                ie = dY_integral_eq(b, Z, DZ, 0.0, alpha, 0.3)
+                assert np.array_equal(ie.values, [0.0])
 
     def test_alpha_beyond_t_is_zero(self):
         _, Z = rank2_path()
@@ -428,7 +451,8 @@ class TestDyNormEnsemble:
         z = simulate_ensemble(grid, spec, 13, range(paths))
         traj = backward_ensemble_trajectory(drift, grid, z, x, 0.0, t)
         w = _row_weights(drift, grid, traj[ks:kt + 1], ks)
-        G = malliavin._dz_table_raw(grid, spec, np.empty((0,)))
+        G = np.zeros((grid.n + 1, grid.n))
+        G[1:] = _fbm_weights(grid.key(), spec.H)
         V = w.T @ G[ks:kt + 1]
         want = np.sum(V * V, axis=1) * grid.dt
         got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)
@@ -499,7 +523,7 @@ class TestCnDuhamelWeights:
         for j in range(1, m + 1):
             D[j] = (f[j] - dt * running) / (1.0 + 0.5 * dt * g[j])
             running += g[j] * D[j]
-        w = _cn_weights(gam.copy(), dt, np.empty(m + 1))
+        w = _cn_weights(gam.copy(), dt)
         # roundoff of the sum is relative to the size of its terms, which
         # the Crank-Nicolson factors amplify where gam < 0
         scale = abs(h[0]) + float(np.abs(w) @ np.abs(h))
@@ -510,7 +534,7 @@ class TestCnDuhamelWeights:
         """The end weights are P[0] > 0 and -P[m-1] < 0; the interior
         weights are negative, and their sizes grow toward the anchor s."""
         dt = 1.0 / m
-        w = _cn_weights(np.full(m + 1, gamma), dt, np.empty(m + 1))
+        w = _cn_weights(np.full(m + 1, gamma), dt)
         # interior weights -dt gamma r^(i-1) / c^2 with c = 1 + dt gamma / 2
         # and r = (1 - dt gamma / 2) / c < 1
         c = 1.0 + 0.5 * dt * gamma
@@ -534,7 +558,7 @@ class TestCnDuhamelWeights:
         dt = 1.0 / m
         a = np.random.default_rng(seed).uniform(-1.0, 1.0, m + 1) \
             * frac * min(0.5, 8.0 / m)
-        w = _cn_weights(2.0 * a / dt, dt, np.empty(m + 1))
+        w = _cn_weights(2.0 * a / dt, dt)
         cw = _cw_reference(a)
         bracket = 2.0 + (1.0 - a[m]) * w[m]
         assert abs(bracket - (1.0 + cw.sum())) <= 1e-13 * (1.0 + np.abs(cw).sum())
@@ -548,19 +572,19 @@ class TestCnDuhamelWeights:
         block."""
         dt = 1.0 / m
         gam = np.random.default_rng(seed).uniform(-1.9, 1.9, (m + 1, paths)) / dt
-        want = _cn_weights(gam, dt, np.empty_like(gam))
+        want = _cn_weights(gam.copy(), dt)
         with mock.patch.object(malliavin, "_CN_BLOCK", block):
-            got = _cn_weights(gam, dt, np.empty_like(gam))
+            got = _cn_weights(gam.copy(), dt)
         assert np.array_equal(got, want)
 
     def test_refused_only_where_the_factor_is_undefined(self):
         dt = 0.01
         gam = np.full((9, 2), 1.0)
         gam[4, 1] = -1.9 / dt  # 1 + dt gam / 2 = 0.05 > 0: defined
-        assert np.all(np.isfinite(_cn_weights(gam.copy(), dt, np.empty((9, 2)))))
+        assert np.all(np.isfinite(_cn_weights(gam.copy(), dt)))
         gam[4, 1] = -2.0 / dt  # 1 + dt gam / 2 = 0
         with pytest.raises(ResolutionError):
-            _cn_weights(gam, dt, np.empty((9, 2)))
+            _cn_weights(gam, dt)
 
 
 class TestMtDiagnostic:
