@@ -3,7 +3,10 @@
 Subcommands mirror the experiment kinds; a ``validate`` subcommand checks a
 config without running anything.  Every flag overrides the matching config
 field, so a JSON config file is a complete reproduction recipe and the flags
-are one-off tweaks on top of it.
+are one-off tweaks on top of it.  Every subcommand takes every flag, and
+validate refuses a field that the kind does not read unless it holds its
+default, so an unread field cannot reach the config hash: a manifest's
+``config`` object is itself such a file, with the same hash.
 
 Exit codes: 0 all gated checks passed, 1 a check failed, 2 usage or config
 error, 3 numeric failure inside a run.
@@ -12,6 +15,7 @@ error, 3 numeric failure inside a run.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import (
     ConvergenceError,
@@ -52,6 +56,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, help="Monte Carlo ensemble size")
     p.add_argument("--seed", type=int, help="base RNG seed")
     p.add_argument("--eps", action="append", type=float, metavar="EPS",
+                   dest="eps_schedule",
                    help="regularization width; repeat for a schedule")
     p.add_argument("--s", type=float, help="window start time")
     p.add_argument("--t", type=float, help="window end time (default T)")
@@ -61,7 +66,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="weak-form regularization width")
     p.add_argument("--threads", type=int,
                    help="worker threads (0 = hardware parallelism)")
-    p.add_argument("--out", help="output directory for artifacts")
+    p.add_argument("--out", dest="out_dir",
+                   help="output directory for artifacts")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,14 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = {
-    "q": "q", "H": "H", "T": "T", "n": "n", "drift": "drift", "u0": "u0",
-    "paths": "paths", "seed": "seed", "s": "s", "t": "t", "x0": "x0",
-    "dx": "dx", "mollifier_eps": "mollifier_eps", "threads": "threads",
-    "out": "out_dir",
-}
-
-
 def _config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     data = {}
     if args.config:
@@ -95,16 +93,13 @@ def _config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
     data["kind"] = kind or data.get("kind", "")
-    for attr, fieldname in _FLAG_FIELDS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            data[fieldname] = value
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            data[f.name] = getattr(args, f.name)
     if args.drift_param:
         data["drift_params"] = _parse_params(args.drift_param)
     if args.u0_param:
         data["u0_params"] = _parse_params(args.u0_param)
-    if args.eps:
-        data["eps_schedule"] = list(args.eps)
     return ExperimentConfig.from_dict(data)
 
 

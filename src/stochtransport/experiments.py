@@ -1,12 +1,13 @@
 """Experiment drivers: wire configurations to the library and emit artifacts.
 
-Each runner simulates a Monte Carlo ensemble, evaluates the checks that make
-sense for its experiment kind, and writes CSV artifacts plus a JSON manifest
-into the output directory.  Runs are deterministic: the same (config, seed)
-produces byte-identical CSV files on one machine at any thread count.  Paths
-are keyed by path_id, the ensemble is simulated in one call, reductions
-happen in a fixed order, and the threads only split the density runner's
-per-path flow work, which is elementwise in the paths (flow._solve_step).
+Each runner simulates a Monte Carlo ensemble and returns its CSV tables and
+the checks that make sense for its experiment kind; run writes the tables
+and a JSON manifest into the output directory.  Runs are deterministic: the
+same (config, seed) produces byte-identical CSV files on one machine at any
+thread count.  Paths are keyed by path_id, the ensemble is simulated in one
+call, reductions happen in a fixed order, and the threads only split the
+density runner's per-path flow work, which is elementwise in the paths
+(flow._solve_step).
 A rank-1 simulate_ensemble also runs two helper threads of its own, which
 build the kernel matrix and draw the driver blocks.  Neither those threads
 nor the block sizes (noise._DRAW_BLOCK in the rank-1 draw, noise._TRI_BLOCK
@@ -25,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -61,26 +62,20 @@ from .rv import (
 from .transport import TestFunction, weak_form_residual
 from .wiener import generate
 
-KINDS = (
-    "noise-stats",
-    "qv",
-    "flow",
-    "transport-weakform",
-    "malliavin",
-    "density",
-    "bound-check",
-)
+# Fields that every kind accepts.  threads and out_dir are execution
+# plumbing outside the config hash: density alone reads threads, and a
+# caller may pass one thread count to every kind.
+_EVERY_KIND = {"kind", "q", "H", "T", "n", "paths", "seed", "threads", "out_dir"}
 
-# malliavin needs two paths for a ddof=1 standard error; noise-stats
-# three, the fewest at which its variance and covariance standard errors
-# are almost surely positive (two paths have equal |deviations|).
-_MIN_PATHS = {"qv": _MIN_QV_PATHS, "density": _MIN_DENSITY_SAMPLES,
-              "bound-check": _MIN_BOUND_PATHS, "noise-stats": 3,
-              "malliavin": 2}
-_FLOW_KINDS = set(KINDS) - {"noise-stats", "qv"}  # runs that march a flow
-# Kinds that read the window start s (noise-stats reads no window time);
-# validate refuses an ignored value, which would still change the hash.
-_READS_S = {"flow", "malliavin", "bound-check"}
+
+class _Kind(NamedTuple):
+    """An experiment kind: its runner, its fewest paths, and the fields its
+    runner reads beyond _EVERY_KIND.  validate refuses any other field set
+    off its default, which would change the hash but not the run."""
+
+    runner: Callable
+    min_paths: int
+    reads: frozenset
 
 
 @dataclass
@@ -147,7 +142,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     diags = _type_diags(config)
     if diags:
         return diags  # the checks below assume well-typed fields
-    if config.kind not in KINDS:
+    kind = _KINDS.get(config.kind)
+    if kind is None:
         diags.append(f"unknown experiment kind {config.kind!r}; "
                      f"choose from {', '.join(KINDS)}")
     if config.q not in SUPPORTED_ORDERS:
@@ -159,7 +155,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"T must be positive and finite, got {config.T}")
     if config.n < 2:
         diags.append(f"n must be at least 2, got {config.n}")
-    floor = _MIN_PATHS.get(config.kind, 1)
+    floor = kind.min_paths if kind else 1
     if config.paths < floor:
         diags.append(f"kind {config.kind!r} needs at least {floor} paths, "
                      f"got {config.paths}")
@@ -167,47 +163,53 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("seed must fit in an unsigned 64-bit integer")
     if config.threads < 0:
         diags.append("threads must be >= 0 (0 selects hardware parallelism)")
-    drift = None
-    try:
-        drift = drift_preset(config.drift, **config.drift_params)
-    except DomainError as exc:
-        diags.append(str(exc))
-    try:
-        u0_preset(config.u0, **config.u0_params)
-    except DomainError as exc:
-        diags.append(str(exc))
     if not np.isfinite(config.x0):
         diags.append("x0 must be finite")
     if not 0 < config.dx < np.inf:
         diags.append("dx must be positive and finite")
+    if kind is None:
+        return diags  # which fields it reads is unknown
+    default = ExperimentConfig(config.kind)
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name not in _EVERY_KIND | kind.reads \
+                and value != getattr(default, f.name):
+            diags.append(f"kind {config.kind!r} does not read {f.name}; "
+                         f"got {f.name}={value}")
+    drift = None
+    if "drift" in kind.reads:
+        try:
+            drift = drift_preset(config.drift, **config.drift_params)
+        except DomainError as exc:
+            diags.append(str(exc))
+    if "u0" in kind.reads:
+        try:
+            u0_preset(config.u0, **config.u0_params)
+        except DomainError as exc:
+            diags.append(str(exc))
 
     if not 0 < config.T < np.inf or config.n < 2:
         return diags  # grid-dependent checks below would be meaningless
     grid = TimeGrid(T=config.T, n=config.n)
-    if drift is not None and config.kind in _FLOW_KINDS \
-            and _step_plan(drift, grid.dt) is None:
+    if drift is not None and _step_plan(drift, grid.dt) is None:
         diags.append(f"drift {config.drift!r} is too steep for n={config.n}: its "
                      "flow steps have no a-priori iteration count; refine the grid")
-    if config.eps_schedule is not None or config.kind == "qv":
+    if "eps_schedule" in kind.reads:
         try:
             sched = _eps_schedule(config, grid)
             for e in sched.values:
                 _eps_steps(grid, float(e))
-            if config.kind == "qv" and len(sched) < _MIN_SLOPE_POINTS:
-                diags.append("kind 'qv' fits its slope through at least "
-                             f"{_MIN_SLOPE_POINTS} eps values, got {len(sched)}")
+            if len(sched) < _MIN_SLOPE_POINTS:
+                diags.append(f"kind {config.kind!r} fits its slope through at "
+                             f"least {_MIN_SLOPE_POINTS} eps values, got {len(sched)}")
         except (StochTransportError, TypeError, ValueError) as exc:
             diags.append(f"bad eps schedule: {exc}")
-    if config.kind == "transport-weakform":
+    if "mollifier_eps" in kind.reads:
         try:
             _eps_steps(grid, config.mollifier_eps)
         except (StochTransportError, TypeError, ValueError) as exc:
             diags.append(f"mollifier width: {exc}")
-    if config.kind not in _READS_S and config.s != 0.0:
-        diags.append(f"kind {config.kind!r} does not read s; got s={config.s}")
-    if config.kind == "noise-stats":
-        if config.t is not None:
-            diags.append(f"kind 'noise-stats' does not read t; got t={config.t}")
+    if "t" not in kind.reads:
         return diags
     t_end = config.t_end
     if not 0.0 <= config.s < t_end <= config.T:
@@ -258,7 +260,9 @@ def _config_hash(config: ExperimentConfig) -> str:
 
     threads and out_dir are execution plumbing, so they stay out of the
     hash: the same experiment on another thread count has the same hash and
-    writes byte-identical CSVs (see the module docstring).
+    writes byte-identical CSVs (see the module docstring).  validate refuses
+    a field the kind does not read unless it holds its default, so an unread
+    field cannot reach the hash either.
     """
     payload = {k: v for k, v in config.to_dict().items()
                if k not in ("threads", "out_dir")}
@@ -355,7 +359,7 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
 # runners
 
 
-def _run_noise_stats(config, grid, spec, out, checks, files):
+def _run_noise_stats(config, grid, spec):
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     probe_idx = _probe_indices(grid.n)
     times = grid.points[probe_idx]
@@ -375,10 +379,6 @@ def _run_noise_stats(config, grid, spec, out, checks, files):
         worst_mean = max(worst_mean, abs(z_mean))
         worst_var = max(worst_var, abs(z_var))
         rows.append((t, mean, var, lat, float(t) ** (2 * spec.H), z_mean, z_var))
-    _write_csv(out / "stats.csv", config,
-               ["t", "sample_mean", "sample_var", "lattice_var",
-                "continuum_var", "z_mean", "z_var"], rows)
-    files.append("stats.csv")
 
     quarter_idx = probe_idx[1::2]  # T/4, T/2, 3T/4, T
     cov_rows = []
@@ -394,16 +394,16 @@ def _run_noise_stats(config, grid, spec, out, checks, files):
             zc = (sample - lat) / se
             worst_cov = max(worst_cov, abs(zc))
             cov_rows.append((grid.points[ki], grid.points[kj], sample, lat, zc))
-    _write_csv(out / "covariance.csv", config,
-               ["s", "t", "sample_cov", "lattice_cov", "z"], cov_rows)
-    files.append("covariance.csv")
-
-    checks.append(_check("mean-zero", worst_mean <= 3.0, worst_mean, 3.0,
-                         "max |z| of the sample mean over 8 probe times"))
-    checks.append(_check("variance-lattice", worst_var <= 3.0, worst_var, 3.0,
-                         "max |z| of sample vs lattice variance"))
-    checks.append(_check("covariance-lattice", worst_cov <= 3.0, worst_cov, 3.0,
-                         "max |z| over the probe-time covariance grid"))
+    checks = [_check("mean-zero", worst_mean <= 3.0, worst_mean, 3.0,
+                     "max |z| of the sample mean over 8 probe times"),
+              _check("variance-lattice", worst_var <= 3.0, worst_var, 3.0,
+                     "max |z| of sample vs lattice variance"),
+              _check("covariance-lattice", worst_cov <= 3.0, worst_cov, 3.0,
+                     "max |z| over the probe-time covariance grid")]
+    return {"stats.csv": (["t", "sample_mean", "sample_var", "lattice_var",
+                           "continuum_var", "z_mean", "z_var"], rows),
+            "covariance.csv": (["s", "t", "sample_cov", "lattice_cov", "z"],
+                               cov_rows)}, checks
 
 
 def _eps_schedule(config: ExperimentConfig, grid: TimeGrid) -> EpsilonSchedule:
@@ -413,19 +413,17 @@ def _eps_schedule(config: ExperimentConfig, grid: TimeGrid) -> EpsilonSchedule:
     return EpsilonSchedule.dyadic(grid, 3, 7)
 
 
-def _run_qv(config, grid, spec, out, checks, files):
+def _run_qv(config, grid, spec):
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     rep = qv_certificate(z, grid, config.H, _eps_schedule(config, grid),
                          t=config.t_end)
-    _write_csv(out / "qv.csv", config, ["eps", "mean_bracket", "stderr"],
-               rep.rows())
-    files.append("qv.csv")
-    checks.append(_check("qv-slope", rep.passed, rep.slope, rep.target,
-                         "fitted log-log decay slope; pass iff within 0.1 of "
-                         "2H-1 and the bracket decreases"))
+    return {"qv.csv": (["eps", "mean_bracket", "stderr"], rep.rows())}, [
+        _check("qv-slope", rep.passed, rep.slope, rep.target,
+               "fitted log-log decay slope; pass iff within 0.1 of 2H-1 and "
+               "the bracket decreases")]
 
 
-def _run_flow(config, grid, spec, out, checks, files):
+def _run_flow(config, grid, spec):
     b = drift_preset(config.drift, **config.drift_params)
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     nodes = np.linspace(-2.0, 2.0, 32)[:, None]
@@ -435,11 +433,9 @@ def _run_flow(config, grid, spec, out, checks, files):
     err = np.abs(forward_ensemble(b, grid, z, y, s, t) - nodes)
     worst = float(err.max())
     rows = list(zip(nodes[:, 0], err.max(axis=1), err.mean(axis=1)))
-    _write_csv(out / "flow.csv", config, ["x", "max_err", "mean_err"], rows)
-    files.append("flow.csv")
     if b.is_zero:
-        checks.append(_check("round-trip-exact", worst <= 1e-12, worst, 1e-12,
-                             "zero drift: inversion is exact to roundoff"))
+        check = _check("round-trip-exact", worst <= 1e-12, worst, 1e-12,
+                       "zero drift: inversion is exact to roundoff")
     else:
         # The exact trapezoid steps invert each other.  Each of the 2k
         # computed steps of [s, t] lands within _STEP_TOL of its exact
@@ -453,13 +449,14 @@ def _run_flow(config, grid, spec, out, checks, files):
                    + 2.0 * np.max(np.abs(z[:, ks:kt + 1])))
         rounding = 4.0 * np.finfo(float).eps * largest
         tol = 2 * k * (_STEP_TOL + rounding) * ((1.0 + kappa) / (1.0 - kappa)) ** k
-        checks.append(_check("round-trip", worst <= tol, worst, tol,
-                             "max |X(Y(x)) - x| over 32 nodes and all paths; "
-                             "gate 2k (step tolerance + 4 ulp of the largest "
-                             "state) rho^k over the k steps"))
+        check = _check("round-trip", worst <= tol, worst, tol,
+                       "max |X(Y(x)) - x| over 32 nodes and all paths; "
+                       "gate 2k (step tolerance + 4 ulp of the largest "
+                       "state) rho^k over the k steps")
+    return {"flow.csv": (["x", "max_err", "mean_err"], rows)}, [check]
 
 
-def _run_weakform(config, grid, spec, out, checks, files):
+def _run_weakform(config, grid, spec):
     b = drift_preset(config.drift, **config.drift_params)
     u0 = u0_preset(config.u0, **config.u0_params)
     phi = TestFunction.bump(0.0, 1.5)
@@ -473,46 +470,41 @@ def _run_weakform(config, grid, spec, out, checks, files):
                                  config.mollifier_eps, xq)
         rows.append((pid, rep.lhs, rep.residual, rep.relative_residual))
         rels.append(rep.relative_residual)
-    _write_csv(out / "weakform.csv", config,
-               ["path_id", "lhs", "residual", "relative_residual"], rows)
-    files.append("weakform.csv")
     mean_rel = float(np.mean(rels))
-    checks.append(_check("weak-form-residual", mean_rel <= 1e-2, mean_rel,
-                         1e-2, "mean relative residual of the weak identity "
-                         f"over {config.paths} paths"))
+    return {"weakform.csv": (["path_id", "lhs", "residual",
+                              "relative_residual"], rows)}, [
+        _check("weak-form-residual", mean_rel <= 1e-2, mean_rel, 1e-2,
+               "mean relative residual of the weak identity over "
+               f"{config.paths} paths")]
 
 
-def _run_malliavin(config, grid, spec, out, checks, files):
+def _run_malliavin(config, grid, spec):
     b = drift_preset(config.drift, **config.drift_params)
     s, t = config.s, config.t_end
     z, dW = _simulate_blocks(grid, spec, config.seed, config.paths,
                              driver=True)
     dz_nsq = dz_norm_ensemble(grid, spec, dW, t)
     dy_nsq = dy_norm_ensemble(b, grid, spec, z, s, t, config.x0, dW=dW)
-    rows = [(pid, dz_nsq[pid], dy_nsq[pid]) for pid in range(config.paths)]
-    _write_csv(out / "malliavin.csv", config,
-               ["path_id", "dz_norm_sq", "dy_norm_sq"], rows)
-    files.append("malliavin.csv")
+    rows = list(zip(range(config.paths), dz_nsq, dy_nsq))
 
     target = spec.q * lattice_variance(grid, spec, t)
     if spec.q == 1:
         gap = abs(float(dz_nsq[0]) - target)
-        checks.append(_check("derivative-energy", gap <= 1e-10, gap, 1e-10,
-                             "||DZ_t||^2 is deterministic for q=1 and must "
-                             "equal the lattice variance"))
+        energy = _check("derivative-energy", gap <= 1e-10, gap, 1e-10,
+                        "||DZ_t||^2 is deterministic for q=1 and must equal "
+                        "the lattice variance")
     else:
         se = float(np.std(dz_nsq, ddof=1)) / np.sqrt(config.paths)
         zscore = (float(np.mean(dz_nsq)) - target) / se
-        checks.append(_check("derivative-energy", abs(zscore) <= 3.0,
-                             zscore, 3.0,
-                             "z-score of E||DZ_t||^2 against q x lattice "
-                             "variance"))
+        energy = _check("derivative-energy", abs(zscore) <= 3.0, zscore, 3.0,
+                        "z-score of E||DZ_t||^2 against q x lattice variance")
     mn = float(dy_nsq.min())
-    checks.append(_check("dy-norm-positive", mn > 0.0, mn, 0.0,
-                         "min ||DY_{s,t}(x0)||^2 over the ensemble"))
+    return {"malliavin.csv": (["path_id", "dz_norm_sq", "dy_norm_sq"], rows)}, [
+        energy, _check("dy-norm-positive", mn > 0.0, mn, 0.0,
+                       "min ||DY_{s,t}(x0)||^2 over the ensemble")]
 
 
-def _run_density(config, grid, spec, out, checks, files):
+def _run_density(config, grid, spec):
     """Samples of u(t, x0), their KDE, and ||Du(t, x0)||^2 per path.
 
     One flow solve serves the samples (row 0) and the derivative norms.
@@ -536,25 +528,19 @@ def _run_density(config, grid, spec, out, checks, files):
     del z, dW, cw
     du_nsq = np.asarray(u0.u0_prime(y), dtype=float) ** 2 * dy_nsq
     rep = density_report(samples, du_nsq)
-    _write_csv(out / "samples.csv", config,
-               ["path_id", "sample", "du_norm_sq"],
-               [(pid, samples[pid], du_nsq[pid]) for pid in range(config.paths)])
-    files.append("samples.csv")
-    _write_csv(out / "density.csv", config, ["x", "kde"],
-               list(zip(rep.x_grid, rep.density)))
-    files.append("density.csv")
     lo, hi = rep.MASS_RANGE
-    checks.append(_check("kde-mass", rep.mass_ok, rep.mass, hi,
-                         f"KDE total mass must sit in [{lo}, {hi}]"))
-    checks.append(_check("no-atoms", rep.max_cdf_jump <= rep.atom_bound,
-                         rep.max_cdf_jump, rep.atom_bound,
-                         "largest empirical CDF jump"))
-    checks.append(_check("du-norm-positive", rep.min_norm_sq > 0.0,
-                         rep.min_norm_sq, 0.0,
-                         "min ||Du(t, x0)||^2 over the ensemble"))
+    checks = [_check("kde-mass", rep.mass_ok, rep.mass, hi,
+                     f"KDE total mass must sit in [{lo}, {hi}]"),
+              _check("no-atoms", rep.max_cdf_jump <= rep.atom_bound,
+                     rep.max_cdf_jump, rep.atom_bound, "largest empirical CDF jump"),
+              _check("du-norm-positive", rep.min_norm_sq > 0.0, rep.min_norm_sq,
+                     0.0, "min ||Du(t, x0)||^2 over the ensemble")]
+    return {"samples.csv": (["path_id", "sample", "du_norm_sq"],
+                            list(zip(range(config.paths), samples, du_nsq))),
+            "density.csv": (["x", "kde"], list(zip(rep.x_grid, rep.density)))}, checks
 
 
-def _run_bound_check(config, grid, spec, out, checks, files):
+def _run_bound_check(config, grid, spec):
     """Per-path brackets with their discrete int_s^t b'(Y_{u,t}) du, and the
     bracket-floor gate, whose detail also gives the floor 2 - rho_g^k that
     the drift's declared sup|b'| = g alone guarantees over the k steps."""
@@ -562,31 +548,37 @@ def _run_bound_check(config, grid, spec, out, checks, files):
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     rep = density_bound_check(b, grid, z, config.s, config.t_end, config.x0)
     slope = 0.0 - np.log(2.0 - rep.brackets)  # 0.0 - keeps -0 out of the CSV
-    _write_csv(out / "brackets.csv", config,
-               ["path_id", "bracket", "slope_integral"],
-               [(pid, rep.brackets[pid], slope[pid]) for pid in range(config.paths)])
-    files.append("brackets.csv")
+    rows = list(zip(range(config.paths), rep.brackets, slope))
     floor = max(rep.floor_condition, rep.floor_universal)
     g = 0.5 * grid.dt * b.sup_norm_bprime
     k = grid.index_of(config.t_end) - grid.index_of(config.s)
     below = int(np.sum(~(rep.brackets > floor)))
-    checks.append(_check("bracket-floor", rep.passed, rep.min_bracket, floor,
-                         f"min integrating-factor bracket over {config.paths} "
-                         f"paths, {below} at or below the floor; floors: "
-                         f"condition={rep.floor_condition:.6g}, "
-                         f"universal={rep.floor_universal:.6g}, declared "
-                         f"sup|b'| ensures {2.0 - ((1.0 + g) / (1.0 - g)) ** k:.6g}"))
+    return {"brackets.csv": (["path_id", "bracket", "slope_integral"], rows)}, [
+        _check("bracket-floor", rep.passed, rep.min_bracket, floor,
+               f"min integrating-factor bracket over {config.paths} paths, "
+               f"{below} at or below the floor; floors: "
+               f"condition={rep.floor_condition:.6g}, "
+               f"universal={rep.floor_universal:.6g}, declared sup|b'| "
+               f"ensures {2.0 - ((1.0 + g) / (1.0 - g)) ** k:.6g}")]
 
 
-_RUNNERS = {
-    "noise-stats": _run_noise_stats,
-    "qv": _run_qv,
-    "flow": _run_flow,
-    "transport-weakform": _run_weakform,
-    "malliavin": _run_malliavin,
-    "density": _run_density,
-    "bound-check": _run_bound_check,
+_DRIFT, _U0 = frozenset({"drift", "drift_params"}), frozenset({"u0", "u0_params"})
+# malliavin needs two paths for a ddof=1 standard error; noise-stats
+# three, the fewest at which its variance and covariance standard errors
+# are almost surely positive (two paths have equal |deviations|).
+_KINDS = {
+    "noise-stats": _Kind(_run_noise_stats, 3, frozenset()),
+    "qv": _Kind(_run_qv, _MIN_QV_PATHS, frozenset({"eps_schedule", "t"})),
+    "flow": _Kind(_run_flow, 1, _DRIFT | {"s", "t"}),
+    "transport-weakform": _Kind(_run_weakform, 1,
+                                _DRIFT | _U0 | {"t", "dx", "mollifier_eps"}),
+    "malliavin": _Kind(_run_malliavin, 2, _DRIFT | {"s", "t", "x0"}),
+    "density": _Kind(_run_density, _MIN_DENSITY_SAMPLES,
+                     _DRIFT | _U0 | {"t", "x0"}),
+    "bound-check": _Kind(_run_bound_check, _MIN_BOUND_PATHS,
+                         _DRIFT | {"s", "t", "x0"}),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -600,8 +592,9 @@ def run(config: ExperimentConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     grid = TimeGrid(T=config.T, n=config.n)
     spec = HermiteSpec.create(config.q, config.H)
-    checks, files = [], []
-    _RUNNERS[config.kind](config, grid, spec, out, checks, files)
+    tables, checks = _KINDS[config.kind].runner(config, grid, spec)
+    for name, (columns, rows) in tables.items():
+        _write_csv(out / name, config, columns, rows)
     manifest = RunManifest(
         kind=config.kind,
         config=config.to_dict(),
@@ -611,7 +604,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         wall_clock_s=time.perf_counter() - t0,
         peak_rss_mb=_peak_rss_mb(),
         checks=checks,
-        files=files + ["manifest.json"],
+        files=[*tables, "manifest.json"],
         passed=all(c["passed"] for c in checks),
     )
     (out / "manifest.json").write_text(

@@ -554,13 +554,14 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # lattice_covariance reads two k at once
 def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
     k = n is the calibration's A_n, the other probe indices come from the
     one recording pass of _probe_blocks, and any other k costs one
-    accumulation pass over windows l < k.
+    accumulation pass over windows l < k.  Those caches hold the probe
+    blocks, so this one only keeps off-probe blocks, at most two of them.
     """
     lam2, A = _calibration(grid_key, H)
     if k == lam2.size:

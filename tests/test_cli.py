@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from stochtransport import TimeGrid, experiments
-from stochtransport.cli import _parse_params, main
+from stochtransport.cli import _build_parser, _config_from_args, _parse_params, main
 from stochtransport.errors import DomainError
 from stochtransport.experiments import ExperimentConfig, run, validate
 from stochtransport.flow import backward_ensemble_trajectory
@@ -37,6 +38,12 @@ def readme_command(kind, out):
     argv = line.split()[1:]
     argv[argv.index("--out") + 1] = str(out)
     return argv
+
+
+def readme_commands():
+    """Every README example command, as argv without the program name."""
+    return [ln.split()[1:] for ln in README.read_text().splitlines()
+            if ln.startswith("stochtransport ") and "--out" in ln]
 
 
 def cfg(**overrides):
@@ -73,7 +80,7 @@ class TestValidate:
         assert any("bad eps schedule" in d for d in diags)
 
     def test_unknown_presets_flagged(self):
-        diags = validate(cfg(kind="flow", drift="warp", u0="spline"))
+        diags = validate(cfg(kind="density", drift="warp", u0="spline"))
         assert any("drift preset" in d for d in diags)
         assert any("u0 preset" in d for d in diags)
 
@@ -97,10 +104,44 @@ class TestValidate:
         steep = dict(drift="sine", drift_params={"a": 5000.0}, n=16)
         assert any("refine the grid" in d
                    for d in validate(cfg(kind="flow", **steep)))
-        assert validate(cfg(kind="noise-stats", **steep)) == []
+        diags = validate(cfg(kind="noise-stats", **steep))
+        assert any("does not read drift" in d for d in diags)
+        assert not any("refine the grid" in d for d in diags)
 
     def test_int_accepted_for_float_fields(self):
         assert validate(cfg(T=1, H=0.7, x0=0)) == []
+
+    # A value off the default of every field that enters the config hash.
+    OFF_DEFAULT = {
+        "q": 2, "H": 0.8, "T": 2.0, "n": 512, "drift": "sine",
+        "drift_params": {"a": 0.25}, "u0": "affine", "u0_params": {"m": 2.0},
+        "paths": 1500, "seed": 5, "eps_schedule": [0.125, 0.0625, 0.03125],
+        "s": 0.5, "t": 0.5, "x0": 0.25, "dx": 2.0**-7, "mollifier_eps": 2.0**-5,
+    }
+
+    def test_every_unread_field_is_refused_and_named(self):
+        """Kind x hashed field: a field the kind reads never gets a "does
+        not read" diagnostic; any other field off its default gets exactly
+        one diagnostic, which names it.  71 (kind, field) pairs are
+        settable, of 7 x 16."""
+        hashed = [f.name for f in dataclasses.fields(ExperimentConfig)
+                  if f.name not in ("kind", "threads", "out_dir")]
+        assert sorted(hashed) == sorted(self.OFF_DEFAULT)
+        settable = 0
+        for kind, spec in experiments._KINDS.items():
+            base = dict(kind=kind, n=256, paths=1000)
+            assert validate(cfg(**base)) == []
+            assert validate(cfg(**base, threads=2, out_dir="elsewhere")) == []
+            for name in hashed:
+                diags = validate(cfg(**{**base, name: self.OFF_DEFAULT[name]}))
+                refused = [d for d in diags if "does not read" in d]
+                if name in experiments._EVERY_KIND | spec.reads:
+                    assert refused == [], (kind, name)
+                    settable += 1
+                else:
+                    assert len(diags) == 1, (kind, name, diags)
+                    assert f"does not read {name};" in diags[0], (kind, name)
+        assert settable == 71
 
     def test_unknown_config_field_rejected(self):
         with pytest.raises(DomainError):
@@ -452,6 +493,33 @@ class TestCliMain:
                                       "density", "bound-check"])
     def test_readme_example_passes(self, tmp_path, kind):
         assert main(readme_command(kind, tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        again = ExperimentConfig.from_dict(manifest["config"])
+        assert validate(again) == []
+        assert experiments._config_hash(again) == manifest["config_hash"]
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_config_is_a_reproduction_recipe(self, argv):
+        """The config that a README command writes into its manifest
+        validates clean as a config file and keeps its hash."""
+        args = _build_parser().parse_args(argv)
+        config = _config_from_args(args, args.command)
+        stored = json.loads(json.dumps(config.to_dict()))
+        again = ExperimentConfig.from_dict(stored)
+        assert validate(again) == []
+        assert experiments._config_hash(again) == experiments._config_hash(config)
+
+    def test_readme_table_of_read_fields_matches_the_kinds(self):
+        lines = README.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("| kind |"))
+        table = {}
+        for line in lines[at + 2:]:
+            if not line.startswith("|"):
+                break
+            kind, reads = (c.strip() for c in line.strip().strip("|").split("|"))
+            table[kind.strip("`")] = set(re.findall(r"`([^`]+)`", reads))
+        assert list(table) == list(experiments.KINDS)
+        assert table == {k: set(v.reads) for k, v in experiments._KINDS.items()}
 
     def test_validate_refuses_short_qv_schedule(self, capsys):
         rc = main(["validate", "--kind", "qv", "--eps", "0.125",
@@ -474,7 +542,7 @@ class TestCliMain:
             self, tmp_path, capsys, argv):
         rc = main(argv + ["--n", "64", "--paths", "1", "--out", str(tmp_path)])
         assert rc == 2
-        floor = experiments._MIN_PATHS[argv[0]]
+        floor = experiments._KINDS[argv[0]].min_paths
         assert f"needs at least {floor} paths" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
@@ -484,16 +552,21 @@ class TestCliMain:
         (["transport-weakform", "--s", "0.25"], "s"),
         (["noise-stats", "--s", "0.5"], "s"),
         (["noise-stats", "--t", "0.25"], "t"),
+        (["noise-stats", "--x0", "3"], "x0"),
+        (["qv", "--drift", "sine"], "drift"),
+        (["flow", "--u0", "affine"], "u0"),
+        (["density", "--eps", "0.1"], "eps_schedule"),
     ], ids=["density-s", "qv-s", "weakform-s", "noise-stats-s",
-            "noise-stats-t"])
+            "noise-stats-t", "noise-stats-x0", "qv-drift", "flow-u0",
+            "density-eps"])
     def test_window_time_the_kind_never_reads_exits_two(
             self, tmp_path, capsys, argv, field):
-        """A window time that the runner ignores would still change the
-        config hash, so it is refused and named."""
+        """A window time, or any other field, that the runner ignores
+        would still change the config hash, so it is refused and named."""
         rc = main(argv + ["--n", "64", "--paths", "1000",
                           "--out", str(tmp_path)])
         assert rc == 2
-        assert f"does not read {field}" in capsys.readouterr().err
+        assert f"does not read {field};" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_noise_stats_window_times_are_named_not_ordered(self, capsys):

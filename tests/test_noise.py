@@ -532,6 +532,29 @@ def test_calibration_keeps_one_pair_matrix():
     assert peak <= 5.1 * 8 * n * n
 
 
+def test_off_probe_pair_matrices_hold_two_blocks():
+    """Eight pair_matrix calls at off-probe times, with the plan and the
+    calibration warm, leave at most the last two k x k blocks cached: 1.76
+    n^2 doubles measured at n = 512 (k = 482 and 479), where a cache of
+    eight blocks held 7.32 n^2."""
+    import tracemalloc
+
+    from stochtransport.noise import _calibration
+
+    n = 512
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.73)  # an H no other test uses: cold caches
+    _calibration(grid.key(), spec.H)
+    tracemalloc.start()
+    try:
+        for k in range(500, 478, -3):
+            pair_matrix(grid, spec, grid.points[k])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.1 * 8 * n * n
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 48), H=st.floats(0.55, 0.95), data=st.data())
 def test_wick_form_equals_simulated_values(n, H, data):
