@@ -10,10 +10,8 @@ density runner's per-path flow work, which is elementwise in the paths
 (flow._solve_step).
 A rank-1 simulate_ensemble also runs two helper threads of its own, which
 build the kernel matrix and draw the driver blocks.  Neither those threads
-nor the block sizes (noise._DRAW_BLOCK in the rank-1 draw, noise._TRI_BLOCK
-and noise._TRI_CHUNK in the rank-1 noise and norms, noise._FOLD and
-noise._PATH_BLOCK in the rank-2 window products, malliavin._CN_BLOCK in the
-flow weights) change any bit of an artifact.
+nor the block sizes of noise and malliavin, constants independent of the
+thread count, change any bit of an artifact.
 """
 
 import hashlib
@@ -255,6 +253,11 @@ class RunManifest:
         return out
 
 
+def _as_float(v):
+    """A number (not a bool) as a float; anything else unchanged."""
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+
+
 def _config_hash(config: ExperimentConfig) -> str:
     """Hash of the experiment identity.
 
@@ -262,10 +265,24 @@ def _config_hash(config: ExperimentConfig) -> str:
     hash: the same experiment on another thread count has the same hash and
     writes byte-identical CSVs (see the module docstring).  validate refuses
     a field the kind does not read unless it holds its default, so an unread
-    field cannot reach the hash either.
+    field cannot reach the hash either.  A number runs the same as an int
+    or a float wherever it is read as a float, so float-annotated fields and
+    the numbers inside drift_params, u0_params and eps_schedule are hashed
+    as floats: T=1 and T=1.0 are one experiment.
     """
-    payload = {k: v for k, v in config.to_dict().items()
-               if k not in ("threads", "out_dir")}
+    floats = {name for name, hint in get_type_hints(ExperimentConfig).items()
+              if float in (get_args(hint) or (hint,))}
+    payload = {}
+    for k, v in config.to_dict().items():
+        if k in ("threads", "out_dir"):
+            continue
+        if k in floats:
+            v = _as_float(v)
+        elif isinstance(v, dict):  # drift_params, u0_params
+            v = {key: _as_float(x) for key, x in v.items()}
+        elif isinstance(v, list):  # eps_schedule
+            v = [_as_float(x) for x in v]
+        payload[k] = v
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -323,21 +340,23 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
 
 def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
                  threads: int):
-    """Y_{0,t}(x) per path and, for a nonzero drift, the flow weights of [0, t].
+    """Y_{0,t}(x) per path and, where the slope can move, its flow weights.
 
-    A zero drift's march is a pure translation by the noise, made in one
-    call with no pool, and its weights are None.  Otherwise a pool of
-    min(threads or _cpu_count(), _cpu_count(), paths) workers maps over as
-    many contiguous path slices, one march each, and each slice writes its
-    flow slopes, then its weights (_ensemble_weights), over
-    z.T[:index(t)+1], row by row as the march consumes the noise there: z
-    becomes the weights, and no second (n+1, paths) array is allocated.
+    A drift that declares sup_norm_bprime == 0 (zero, constant) needs no
+    weights, since dy_norm_ensemble reads its norm off the noise increment:
+    its march is made in one call with no pool, and its weights are None.
+    Otherwise a pool of min(threads or _cpu_count(), _cpu_count(), paths)
+    workers maps over as many contiguous path slices, one march each, and
+    each slice writes its flow slopes, then its weights of [0, t]
+    (_ensemble_weights), over z.T[:index(t)+1], row by row as the march
+    consumes the noise there: z becomes the weights, and no second
+    (n+1, paths) array is allocated.
     The work is elementwise in the paths, so the result does not depend on
     the slicing.  Every march pays the per-step cost once, so a slice per
     worker is the fewest marches that keep every worker busy, and a large
     thread count starts no more OS threads than there are CPUs.
     """
-    if b.is_zero:
+    if b.sup_norm_bprime == 0.0:
         return backward_ensemble(b, grid, z, x, 0.0, t), None
     paths = z.shape[0]
     y = np.empty(paths)
@@ -510,7 +529,7 @@ def _run_density(config, grid, spec):
     One flow solve serves the samples (row 0) and the derivative norms.
     The noise array becomes the flow weights (_flow_slices).  Rank 1 holds
     that one (n+1, paths) array; rank 2 also holds the (paths, n) driver,
-    which its norm's window pass reads.
+    which its norm reads.
     """
     b = drift_preset(config.drift, **config.drift_params)
     u0 = u0_preset(config.u0, **config.u0_params)

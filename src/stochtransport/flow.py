@@ -70,7 +70,9 @@ _SAMPLE_X = np.linspace(-3.0, 3.0, 13)
 class DriftField:
     """A drift b(t, x) together with its spatial derivative and sup-norms.
 
-    Both callables must broadcast over numpy arrays in x.  Consistency of
+    Both callables must broadcast over numpy arrays in t and x: the march
+    passes a scalar t, while picard_solve, dY_integral_eq and
+    weak_form_residual pass arrays of times.  Consistency of
     b_prime with centered finite differences of b, and the claimed sup-norms,
     are validated on a fixed sample of (t, x) points at construction.
     """

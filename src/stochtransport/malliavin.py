@@ -26,9 +26,12 @@ by parts, it is one signed weight vector omega (_cn_weights), sum 0:
     D_alpha Y_{s,t} = sum_r omega[r] D_alpha Z_{t_r},   t_r = s, ..., t,
 
 for one alpha (dY_closed_form) or every alpha at once (dY_profile,
-dy_norm_ensemble), so the profile equals the closed form to roundoff.  The
-oracle is forward substitution on the time-reversed Volterra form
-(dY_integral_eq), which solves the same system step by step.
+dy_norm_ensemble), so the profile equals the closed form to roundoff; where
+the slope cannot move (s = t, or sup|b'| declared 0) omega = e_0 - e_m, and
+dy_norm_ensemble reads ||D(Z_t - Z_s)||^2 off the kernel rows (rank 1) or
+the pair matrices (rank 2), as dz_norm_ensemble does at s = 0.  The oracle
+is forward substitution on the time-reversed Volterra form (dY_integral_eq),
+which solves the same system step by step.
 
 Density diagnostics follow the standard criterion: a functional whose
 derivative has positive L^2([0,T]) norm on almost every path has an
@@ -300,45 +303,51 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
 
+def _increment_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
+                    paths: int, ks: int, kt: int) -> np.ndarray:
+    """||G[kt] - G[ks]||^2 dt per path, G[k] = D Z_{t_k} (dz_table's rows);
+    zero for ks == kt.  rank 1 rows are kernel rows, one value for every
+    path; rank 2 rows are 2d dW A_k, A_k the cached pair matrix at index k:
+    one GEMM per end of [s, t] and no window pass."""
+    if ks == kt:
+        return np.zeros(paths)
+    if spec.q == 1:
+        M = _fbm_weights(grid.key(), spec.H)
+        v = M[kt - 1] - (M[ks - 1] if ks else 0.0)
+        return np.full(paths, float(np.sum(v * v) * grid.dt))
+    rows = dW[:, :kt] @ _pair_matrix_cached(grid.key(), spec.H, kt)
+    if ks:
+        rows[:, :ks] -= dW[:, :ks] @ _pair_matrix_cached(grid.key(), spec.H, ks)
+    rows *= 2.0 * spec.d
+    rows *= rows
+    return rows.sum(axis=1) * grid.dt
+
+
 def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
                      t: float) -> np.ndarray:
-    """||D Z_t||^2_{L^2} per path for a (paths, n) matrix of increments.
-
-    rank 1 is deterministic (one value broadcast); rank 2 is one GEMM
-    against the support block of the cached pair matrix.
-    """
+    """||D Z_t||^2_{L^2} per path for a (paths, n) matrix of increments:
+    the s = 0 case of _increment_norm (kernel row or pair matrix)."""
     dW = np.asarray(dW, dtype=float)
     if dW.ndim != 2 or dW.shape[1] != grid.n:
         raise DomainError(f"increments shape {dW.shape} does not match the grid")
-    k = grid.index_of(t)
-    if spec.q == 1:
-        M = np.zeros(grid.n)
-        if k > 0:
-            M[:] = _fbm_weights(grid.key(), spec.H)[k - 1]
-        return np.full(dW.shape[0], float(np.sum(M * M) * grid.dt))
-    if k == 0:
-        return np.zeros(dW.shape[0])
-    lam = _pair_matrix_cached(grid.key(), spec.H, k)
-    rows = 2.0 * spec.d * (dW[:, :k] @ lam)
-    return np.sum(rows * rows, axis=1) * grid.dt
+    return _increment_norm(grid, spec, dW, dW.shape[0], 0, grid.index_of(t))
 
 
 def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                      z_values: np.ndarray, s: float, t: float, x: float,
                      dW: np.ndarray | None = None,
                      flow_weights: np.ndarray | None = None) -> np.ndarray:
-    """||D Y_{s,t}(x)||^2_{L^2} per path, by the profile formula.
+    """||D Y_{s,t}(x)||^2_{L^2} per path, V = omega.T @ G[ks:kt+1] (_cn_weights).
 
-    The profile is V = omega.T @ G[ks:kt+1] (_cn_weights; omega = e_0 - e_m
-    for a zero drift), z_values the (paths, n+1) noise ensemble.  rank 1
-    shares one table G across paths: one GEMM over its lower triangle per
-    block of _TRI_BLOCK steps and chunk of _TRI_CHUNK paths, as the rank-1
-    simulator makes them; rank 2 needs the driving increments dW and makes
-    one window pass for all paths (two GEMMs per block of windows and
-    _PATH_BLOCK paths, no per-path table).  flow_weights optionally supplies
-    the omega of _ensemble_weights(b, grid, z_values, x, s, t), shape
-    (index(t) - index(s) + 1, paths); they are elementwise in the paths, so
-    a caller can build them slice by slice.
+    z_values is the (paths, n+1) noise ensemble; rank 2 also needs its
+    increments dW.  For s = t or a drift declaring sup_norm_bprime == 0,
+    omega = e_0 - e_m and _increment_norm reads the norm off the kernel
+    rows or the pair matrices.  Other drifts take the flow weights: rank 1
+    one GEMM over the lower triangle of G per block of _TRI_BLOCK steps and
+    chunk of _TRI_CHUNK paths, rank 2 one window pass (two GEMMs per block
+    of windows and _PATH_BLOCK paths).  flow_weights optionally supplies
+    the omega of _ensemble_weights, shape (index(t) - index(s) + 1, paths),
+    which a caller can build slice by slice.
     """
     P = _time_first(grid, z_values).shape[1]
     ks, kt = _check_times(grid, s, t)
@@ -348,26 +357,21 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         dW = np.asarray(dW, dtype=float)
         if dW.shape != (P, grid.n):
             raise DomainError("dW must pair with z_values row by row")
-    w = None  # the (m+1, P) flow weights; a zero drift needs none
-    if not b.is_zero and ks < kt:
-        if flow_weights is None:
-            w = _ensemble_weights(b, grid, z_values, x, s, t)[1]
-        else:
-            w = np.asarray(flow_weights, dtype=float)
-            if w.shape != (kt - ks + 1, P):
-                raise DomainError(f"flow weights have shape {w.shape}, "
-                                  f"expected {(kt - ks + 1, P)}")
+    if ks == kt or b.sup_norm_bprime == 0.0:
+        return _increment_norm(grid, spec, dW, P, ks, kt)
+    w = _ensemble_weights(b, grid, z_values, x, s, t)[1] if flow_weights is None \
+        else np.asarray(flow_weights, dtype=float)
+    if w.shape != (kt - ks + 1, P):
+        raise DomainError(f"flow weights have shape {w.shape}, "
+                          f"expected {(kt - ks + 1, P)}")
 
     if spec.q == 1:
-        # row k >= 1 of the table G is the kernel row M[k - 1]; row 0 is 0
+        # G[k] = M[k - 1], G[0] = 0.  V = w.T @ G[ks:kt+1] per chunk of
+        # paths and block of steps a < kt (V vanishes past kt - 1), from the
+        # first table row that reaches the block (row k vanishes on steps
+        # a >= k); each block is squared in one (_TRI_BLOCK, _TRI_CHUNK)
+        # buffer and summed per path.
         M = _fbm_weights(grid.key(), spec.H)
-        if w is None:
-            g_t, g_s = (M[k - 1] if k else np.zeros(grid.n) for k in (kt, ks))
-            return np.full(P, float(np.sum((g_s - g_t) ** 2) * grid.dt))
-        # V = w.T @ G[ks:kt+1] per chunk of paths and block of steps a < kt
-        # (V vanishes past kt - 1), from the first table row that reaches
-        # the block (row k vanishes on steps a >= k); each block is squared
-        # in one (_TRI_BLOCK, _TRI_CHUNK) buffer and summed per path.
         out = np.zeros(P)
         prod = np.empty((_TRI_BLOCK, min(_TRI_CHUNK, P)))
         for c in range(0, P, _TRI_CHUNK):
@@ -380,20 +384,15 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
                 v *= v
                 out[cols] += v.sum(axis=0)
         return out * grid.dt
-    if ks == kt:
-        return np.zeros(P)
-    # V = sum_r w[r] G[ks+r] with G[k] = 2d sum_{l<k} T_l, T_l =
-    # lam2_l F_l^T (wu * F_l dW), so V = 2d sum_l coef_l T_l, coef_l the sum
-    # of the weights beyond l: zero for l < ks (they sum to zero) and -run
-    # for ks <= l < kt, run the running sum of w, which is the integrating
-    # factor at row l - ks (1 for a zero drift).  Each block of windows and _PATH_BLOCK paths adds X @ Fs
-    # to V through one fixed buffer.
-    run, scale = np.full(P, 1.0 if w is None else 0.0), np.empty((_FOLD, P))
+    # V = sum_r w[r] G[ks+r], G[k] = 2d sum_{l<k} lam2_l F_l^T (wu * F_l dW),
+    # so window l's term carries the weights beyond l: zero for l < ks (they
+    # sum to zero), else -run, the running sum of w.  Each block of windows
+    # and _PATH_BLOCK paths adds X @ Fs to V through one fixed buffer.
+    run, scale = np.zeros(P), np.empty((_FOLD, P))
     V, buf = np.zeros((P, kt)), np.empty((min(_PATH_BLOCK, P), kt))
     for l0, l1, lam2, Fs, wu in _windows(grid, spec, ks, kt):
         for a in range(l1 - l0):
-            if w is not None:
-                run += w[l0 + a - ks]
+            run += w[l0 + a - ks]
             np.multiply(-2.0 * spec.d * lam2[a], run, out=scale[a])
         for c in range(0, P, _PATH_BLOCK):
             X = (dW[c:c + _PATH_BLOCK, :l1] @ Fs.T).reshape(-1, l1 - l0, wu.size)

@@ -185,8 +185,8 @@ def weak_form_residual(u0: InitialDatum, b: DriftField, Z: NoisePath,
     term1 = float(np.trapezoid(np.asarray(u0.u0(x), dtype=float) * phi_x, x))
 
     times = grid.points[: kt + 1]
-    bx = np.asarray([b.b(tj, x) for tj in times], dtype=float)
-    bpx = np.asarray([b.b_prime(tj, x) for tj in times], dtype=float)
+    bx = np.asarray(b.b(times[:, None], x), dtype=float)
+    bpx = np.asarray(b.b_prime(times[:, None], x), dtype=float)
     inner2 = np.trapezoid(u_field * bx * dphi_x[None, :], x, axis=1)
     inner3 = np.trapezoid(u_field * bpx * phi_x[None, :], x, axis=1)
     term2 = float(np.trapezoid(inner2, times))

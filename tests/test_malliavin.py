@@ -360,6 +360,7 @@ class TestDyNormEnsemble:
         # window range [19, 57): not a multiple of the window block
         (SINE, 0.296875, 0.890625),
         (ZERO, 0.296875, 0.890625),
+        (drift_preset("constant"), 0.25, 0.75),
     ])
     def test_rank2_matches_profile_route(self, drift, s, t):
         grid = TimeGrid(T=1.0, n=64)
@@ -376,6 +377,41 @@ class TestDyNormEnsemble:
                 assert got[p] == want == 0.0
             else:
                 assert got[p] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_zero_drift_at_s_zero_is_dz_norm_to_the_bit(self, q, t):
+        """D Y_{0,t} = -D Z_t for a zero drift, and both norms take the
+        one noise-increment route, so they agree bit for bit."""
+        grid = TimeGrid(T=1.0, n=64)
+        spec = HermiteSpec.create(q, 0.7)
+        z, dW = simulate_ensemble(grid, spec, 13, range(9), driver=True)
+        for drift in (ZERO, drift_preset("constant")):
+            assert np.array_equal(
+                dy_norm_ensemble(drift, grid, spec, z, 0.0, t, 0.3, dW=dW),
+                dz_norm_ensemble(grid, spec, dW, t))
+
+    @pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)])
+    def test_rank2_zero_slope_makes_no_window_pass(self, monkeypatch, s, t):
+        """A drift declaring sup|b'| = 0, or an empty window s = t for any
+        drift, reads the pair matrices, never the window loop; the zero
+        and constant drifts share that route to the bit."""
+        grid = TimeGrid(T=1.0, n=64)
+        spec = HermiteSpec.create(2, 0.7)
+        z, dW = simulate_ensemble(grid, spec, 13, range(6), driver=True)
+
+        def refuse(*args):
+            raise AssertionError("window pass")
+        monkeypatch.setattr(malliavin, "_windows", refuse)
+        zero, const = (dy_norm_ensemble(b, grid, spec, z, s, t, 0.3, dW=dW)
+                       for b in (ZERO, drift_preset("constant")))
+        assert np.array_equal(zero, const)
+        if s == t:
+            assert np.array_equal(zero, np.zeros(6))
+            assert np.array_equal(
+                dy_norm_ensemble(SINE, grid, spec, z, s, t, 0.3, dW=dW), zero)
+        else:
+            assert np.all(zero > 0.0)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_precomputed_flow_is_used_and_validated(self, q):
