@@ -122,7 +122,8 @@ def _type_diags(config: ExperimentConfig) -> list[str]:
     """One diagnostic per field whose value does not match its annotation.
 
     An int field takes int, a float field int or float, and neither takes
-    bool (JSON true would otherwise run as 1).
+    bool (JSON true would otherwise run as 1).  Nor does a preset parameter;
+    its other types are the preset's to refuse.
     """
     diags = []
     for name, hint in get_type_hints(ExperimentConfig).items():
@@ -132,6 +133,9 @@ def _type_diags(config: ExperimentConfig) -> list[str]:
         if isinstance(value, bool) or not isinstance(value, kinds):
             diags.append(f"{name} must be {getattr(hint, '__name__', hint)}, "
                          f"got {value!r}")
+        elif isinstance(value, dict):  # drift_params, u0_params
+            diags += [f"{name}[{key!r}] must be a number, got {v!r}"
+                      for key, v in value.items() if isinstance(v, bool)]
     return diags
 
 

@@ -66,6 +66,13 @@ _SAMPLE_T = np.array([0.0, 0.31, 0.64, 1.0])
 _SAMPLE_X = np.linspace(-3.0, 3.0, 13)
 
 
+def _fd_gap(f: Callable, der: np.ndarray, x: np.ndarray) -> float:
+    """Largest gap between a declared derivative der = f'(x) and the centred
+    difference of f at x; a gap over _FD_TOL refuses the declaration."""
+    fd = (np.asarray(f(x + _FD_STEP)) - np.asarray(f(x - _FD_STEP))) / (2 * _FD_STEP)
+    return float(np.max(np.abs(der - fd)))
+
+
 @dataclass(frozen=True)
 class DriftField:
     """A drift b(t, x) together with its spatial derivative and sup-norms.
@@ -87,12 +94,11 @@ class DriftField:
         for t in _SAMPLE_T:
             bv = np.asarray(self.b(t, _SAMPLE_X), dtype=float)
             bp = np.asarray(self.b_prime(t, _SAMPLE_X), dtype=float)
-            fd = (np.asarray(self.b(t, _SAMPLE_X + _FD_STEP))
-                  - np.asarray(self.b(t, _SAMPLE_X - _FD_STEP))) / (2 * _FD_STEP)
-            if np.max(np.abs(bp - fd)) > _FD_TOL:
+            gap = _fd_gap(lambda x: self.b(t, x), bp, _SAMPLE_X)
+            if gap > _FD_TOL:
                 raise DomainError(
                     f"b_prime disagrees with finite differences of b "
-                    f"(max gap {np.max(np.abs(bp - fd)):.2e} at t={t})")
+                    f"(max gap {gap:.2e} at t={t})")
             if np.max(np.abs(bv)) > self.sup_norm_b + 1e-9:
                 raise DomainError(f"|b| exceeds declared sup norm {self.sup_norm_b} at t={t}")
             if np.max(np.abs(bp)) > self.sup_norm_bprime + 1e-9:

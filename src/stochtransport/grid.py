@@ -23,6 +23,9 @@ class TimeGrid:
         Number of steps (so there are n + 1 grid points). Powers of two
         interact cleanly with the dyadic epsilon schedules used elsewhere,
         but any n >= 2 is accepted.
+
+    A grid compares and hashes by (T, n) alone, so TimeGrid(T=1, n=8) and
+    TimeGrid(T=1.0, n=8) are one grid; the plan caches in noise key on it.
     """
 
     T: float
@@ -53,7 +56,3 @@ class TimeGrid:
         if k < 0 or k > self.n or abs(k * self.dt - t) > 1e-9 * max(1.0, self.T):
             raise GridError(f"time {t} is not a grid point of [0, {self.T}] with dt={self.dt}")
         return k
-
-    def key(self) -> tuple:
-        """Hashable identity used for caching kernel matrices."""
-        return (self.n, float(self.T))

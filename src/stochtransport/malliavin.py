@@ -159,8 +159,8 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
         return 0.0
     a = _step_of(w.grid, alpha)
     if spec.q == 1:
-        return float(_fbm_weights(w.grid.key(), spec.H)[k - 1, a])
-    lam = _pair_matrix_cached(w.grid.key(), spec.H, k)
+        return float(_fbm_weights(w.grid, spec)[k - 1, a])
+    lam = _pair_matrix_cached(w.grid, spec, k)
     return float(2.0 * spec.d * (lam[a] @ w.increments[:k]))
 
 
@@ -176,7 +176,7 @@ def dz_table(Z: NoisePath) -> np.ndarray:
     grid, spec, n = Z.grid, Z.spec, Z.grid.n
     G = np.zeros((n + 1, n))
     if spec.q == 1:
-        G[1:] = _fbm_weights(grid.key(), spec.H)
+        G[1:] = _fbm_weights(grid, spec)
         return G
     dW = Z.driver
     for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
@@ -312,12 +312,12 @@ def _increment_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
     if ks == kt:
         return np.zeros(paths)
     if spec.q == 1:
-        M = _fbm_weights(grid.key(), spec.H)
+        M = _fbm_weights(grid, spec)
         v = M[kt - 1] - (M[ks - 1] if ks else 0.0)
         return np.full(paths, float(np.sum(v * v) * grid.dt))
-    rows = dW[:, :kt] @ _pair_matrix_cached(grid.key(), spec.H, kt)
+    rows = dW[:, :kt] @ _pair_matrix_cached(grid, spec, kt)
     if ks:
-        rows[:, :ks] -= dW[:, :ks] @ _pair_matrix_cached(grid.key(), spec.H, ks)
+        rows[:, :ks] -= dW[:, :ks] @ _pair_matrix_cached(grid, spec, ks)
     rows *= 2.0 * spec.d
     rows *= rows
     return rows.sum(axis=1) * grid.dt
@@ -371,7 +371,7 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
         # first table row that reaches the block (row k vanishes on steps
         # a >= k); each block is squared in one (_TRI_BLOCK, _TRI_CHUNK)
         # buffer and summed per path.
-        M = _fbm_weights(grid.key(), spec.H)
+        M = _fbm_weights(grid, spec)
         out = np.zeros(P)
         prod = np.empty((_TRI_BLOCK, min(_TRI_CHUNK, P)))
         for c in range(0, P, _TRI_CHUNK):

@@ -44,6 +44,9 @@ that matrix anyway, in slabs of rows, and keeps only its last, A_n, the one
 a run at t = T reads.  The pair matrices at the other probe times (the
 eighths of [0, T]) come from one recording pass with the same blocks, paid
 only by the diagnostics that read them (noise-stats, mt_diagnostic).
+Every plan cache (_fbm_weights, _window_plan, _calibration, _window_scales,
+_probe_blocks, _pair_matrix_cached) is keyed by the TimeGrid and
+HermiteSpec its caller holds; both hash by value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -113,7 +116,7 @@ class NoisePath:
             raise DomainError(
                 f"values shape {self.values.shape} does not match grid with n={self.grid.n}"
             )
-        if self.source.grid.key() != self.grid.key():
+        if self.source.grid != self.grid:
             raise DomainError("source lattice lives on a different grid")
         self.values.flags.writeable = False
 
@@ -139,10 +142,8 @@ _DRAW_BLOCK = 64
 
 
 @lru_cache(maxsize=32)
-def _fbm_weights(grid_key, H: float) -> np.ndarray:
-    n, T = grid_key
-    grid = TimeGrid(T=T, n=n)
-    M = kernel_KH_matrix(grid.points[1:], grid.midpoints, H)
+def _fbm_weights(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
+    M = kernel_KH_matrix(grid.points[1:], grid.midpoints, spec.H)
     M.flags.writeable = False
     return M
 
@@ -183,9 +184,8 @@ class _WindowPlan:
       - window 0: one exact Beta integral.
     """
 
-    def __init__(self, n: int, T: float, hp: float, c: float):
-        self.h = h = T / n
-        self.pts = pts = np.linspace(0.0, T, n + 1)
+    def __init__(self, grid: TimeGrid, spec: HermiteSpec):
+        n, h, pts, hp, c = grid.n, grid.dt, grid.points, spec.hp, spec.c
         m_y, m_edge = max(2, _NODES // 2), max(4, _NODES - 2)
 
         # u template: offsets and weights relative to the window start
@@ -276,8 +276,8 @@ class _WindowPlan:
 
 
 @lru_cache(maxsize=16)
-def _window_plan(grid_key, hp: float, c: float) -> _WindowPlan:
-    return _WindowPlan(*grid_key, hp, c)
+def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
+    return _WindowPlan(grid, spec)
 
 
 def _probe_indices(n: int) -> np.ndarray:
@@ -353,7 +353,7 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
 
 
 @lru_cache(maxsize=4)  # an entry holds n^2 doubles: A_n
-def _calibration(grid_key, H: float):
+def _calibration(grid: TimeGrid, spec: HermiteSpec):
     """(lam2, A_n) of one calibration pass; see _window_scales.
 
     A_n, the pair matrix at k = n, is the pass's own accumulator.  Its
@@ -361,27 +361,23 @@ def _calibration(grid_key, H: float):
     (_probe_blocks), so both passes fold the same windows into the same
     GEMMs.
     """
-    spec = HermiteSpec.create(2, H)
-    plan = _window_plan(grid_key, spec.hp, spec.c)
-    tau = np.diff(plan.pts ** (2.0 * H)) / (2.0 * spec.d * spec.d * plan.h * plan.h)
-    lam2 = np.empty(grid_key[0])
-    A = _pair_blocks(plan, _probe_indices(lam2.size), lam2, tau)[lam2.size]
+    tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
+    lam2 = np.empty(grid.n)
+    A = _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n), lam2, tau)[grid.n]
     lam2.flags.writeable = False
     return lam2, A
 
 
 @lru_cache(maxsize=4)  # an entry holds about 2.2 n^2 doubles of blocks
-def _probe_blocks(grid_key, H: float) -> dict:
+def _probe_blocks(grid: TimeGrid, spec: HermiteSpec) -> dict:
     """The pair matrices at the probe indices below n, from one recording
     pass (_pair_blocks without tau) that only callers of those probes pay."""
-    lam2 = _calibration(grid_key, H)[0]
-    probes = _probe_indices(lam2.size)[:-1]
-    spec = HermiteSpec.create(2, H)
-    return _pair_blocks(_window_plan(grid_key, spec.hp, spec.c), probes, lam2)
+    return _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n)[:-1],
+                        _calibration(grid, spec)[0])
 
 
 @lru_cache(maxsize=16)
-def _window_scales(grid_key, H: float) -> np.ndarray:
+def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
     """Variance-calibration factors lambda_l^2, one per window (rank 2).
 
     With A_k = sum_{l<k} lambda_l^2 B_l (B_l the window-l Gram matrix of the
@@ -398,7 +394,7 @@ def _window_scales(grid_key, H: float) -> np.ndarray:
     at H = 0.7, [1.04, 1.28] at H = 0.8 and [1.17, 1.60] at H = 0.9.  The
     solving pass (_pair_blocks) leaves the pair matrix A_n behind.
     """
-    return _calibration(grid_key, H)[0]
+    return _calibration(grid, spec)[0]
 
 
 def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
@@ -410,8 +406,8 @@ def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
     chaos integrand S = dW[c, :l1] @ Fs.T, column a M + p holding window
     l0 + a at u-node p, for a chunk c of _PATH_BLOCK driver rows at a time.
     """
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
-    lam2 = _window_scales(grid.key(), spec.H)
+    plan = _window_plan(grid, spec)
+    lam2 = _window_scales(grid, spec)
     for l0 in range(lo, hi, _FOLD):
         l1 = min(l0 + _FOLD, hi)
         yield (l0, l1, lam2[l0:l1], *plan.factor_block(l0, l1))
@@ -445,7 +441,7 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
     zt = np.empty((n + 1, P))
     if spec.q == 1:
         zt[1:] = dW.T
-        _fbm_in_place(_fbm_weights(grid.key(), spec.H), zt)
+        _fbm_in_place(_fbm_weights(grid, spec), zt)
         return zt.T
 
     # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
@@ -505,7 +501,7 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
               for lo in range(0, len(path_ids), _DRAW_BLOCK)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         # the kernel matrix goes into its lru cache during the draw
-        weights = pool.submit(_fbm_weights, grid.key(), spec.H)
+        weights = pool.submit(_fbm_weights, grid, spec)
         list(pool.map(draw, blocks))
         M = weights.result()
     _fbm_in_place(M, zt)
@@ -555,7 +551,7 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
 
 
 @lru_cache(maxsize=2)  # lattice_covariance reads two k at once
-def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
+def _pair_matrix_cached(grid: TimeGrid, spec: HermiteSpec, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
     k = n is the calibration's A_n, the other probe indices come from the
@@ -563,13 +559,12 @@ def _pair_matrix_cached(grid_key, H: float, k: int) -> np.ndarray:
     accumulation pass over windows l < k.  Those caches hold the probe
     blocks, so this one only keeps off-probe blocks, at most two of them.
     """
-    lam2, A = _calibration(grid_key, H)
-    if k == lam2.size:
+    lam2, A = _calibration(grid, spec)
+    if k == grid.n:
         return A
-    if k in _probe_indices(lam2.size):
-        return _probe_blocks(grid_key, H)[k]
-    spec = HermiteSpec.create(2, H)
-    return _pair_blocks(_window_plan(grid_key, spec.hp, spec.c), (k,), lam2)[k]
+    if k in _probe_indices(grid.n):
+        return _probe_blocks(grid, spec)[k]
+    return _pair_blocks(_window_plan(grid, spec), (k,), lam2)[k]
 
 
 def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
@@ -587,7 +582,7 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
         raise DomainError("pair_matrix is defined for rank-2 noise only")
     k = grid.index_of(t)
     A = np.zeros((grid.n, grid.n))
-    A[:k, :k] = _pair_matrix_cached(grid.key(), spec.H, k)
+    A[:k, :k] = _pair_matrix_cached(grid, spec, k)
     A.flags.writeable = False
     return A
 
@@ -610,10 +605,10 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
     if k == 0:
         return 0.0
     if spec.q == 1:
-        M = _fbm_weights(grid.key(), spec.H)
+        M = _fbm_weights(grid, spec)
         return float(grid.dt * (M[ks - 1] @ M[kt - 1]))
-    lam_s = _pair_matrix_cached(grid.key(), spec.H, ks)[:k, :k]
-    lam_t = _pair_matrix_cached(grid.key(), spec.H, kt)[:k, :k]
+    lam_s = _pair_matrix_cached(grid, spec, ks)[:k, :k]
+    lam_t = _pair_matrix_cached(grid, spec, kt)[:k, :k]
     return float(2.0 * spec.d**2 * grid.dt**2 * (lam_s * lam_t).sum())
 
 

@@ -29,12 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .flow import DriftField, _march
+from .flow import _FD_TOL, DriftField, _fd_gap, _march
 from .noise import NoisePath
 from .rv import symmetric_integral_eps
 
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
 _SAMPLE_X = np.linspace(-4.0, 4.0, 17)
 
 
@@ -57,9 +55,7 @@ class InitialDatum:
             raise DomainError("slope floor must be nonnegative")
         vals = np.asarray(self.u0(_SAMPLE_X), dtype=float)
         der = np.asarray(self.u0_prime(_SAMPLE_X), dtype=float)
-        fd = (np.asarray(self.u0(_SAMPLE_X + _FD_STEP))
-              - np.asarray(self.u0(_SAMPLE_X - _FD_STEP))) / (2 * _FD_STEP)
-        if np.max(np.abs(der - fd)) > _FD_TOL:
+        if _fd_gap(self.u0, der, _SAMPLE_X) > _FD_TOL:
             raise DomainError("u0_prime disagrees with finite differences of u0")
         if self.lower_bound_sq_derivative > 0:
             if np.min(der**2) < self.lower_bound_sq_derivative - 1e-12:
@@ -89,9 +85,7 @@ class TestFunction:
         if np.max(np.abs(np.asarray(self.phi(margin), dtype=float))) > 1e-12:
             raise DomainError("phi must vanish at and outside its support edges")
         xs = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), 17)
-        fd = (np.asarray(self.phi(xs + _FD_STEP))
-              - np.asarray(self.phi(xs - _FD_STEP))) / (2 * _FD_STEP)
-        if np.max(np.abs(np.asarray(self.phi_prime(xs)) - fd)) > _FD_TOL:
+        if _fd_gap(self.phi, np.asarray(self.phi_prime(xs), dtype=float), xs) > _FD_TOL:
             raise DomainError("phi_prime disagrees with finite differences of phi")
 
     @classmethod

@@ -109,7 +109,7 @@ CLASS_MEMBERS = {
     "InitialDatum": set(),
     "TestFunction": {"bump"},
     "WeakFormReport": set(),
-    "TimeGrid": {"dt", "index_of", "key", "midpoints"},
+    "TimeGrid": {"dt", "index_of", "midpoints"},
     "HermiteSpec": {"create"},
     "NoisePath": {"driver", "value_at"},
     "Perturbation": {"perturb", "step_mask"},

@@ -100,6 +100,22 @@ class TestValidate:
         diags = validate(cfg(kind="flow", drift="sine", drift_params={"a": "x"}))
         assert any("bad parameters for drift preset" in d for d in diags)
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "flow", "drift": "sine", "drift_params": {"a": True}},
+        {"kind": "density", "u0": "offset-tanh", "u0_params": {"level": True}},
+    ], ids=["drift_params", "u0_params"])
+    def test_bool_preset_parameter_is_refused(self, tmp_path, capsys, fields):
+        """JSON true would run as 1 but hash as true: one run, two
+        identities.  The diagnostic names the parameter."""
+        name, params = list(fields.items())[-1]
+        (key, _), = params.items()
+        message = f"{name}[{key!r}] must be a number, got True"
+        assert validate(ExperimentConfig.from_dict(fields)) == [message]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(fields))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().out
+
     def test_steep_drift_flagged_for_flow_kinds_only(self):
         steep = dict(drift="sine", drift_params={"a": 5000.0}, n=16)
         assert any("refine the grid" in d
@@ -166,6 +182,27 @@ class TestRun:
         assert stored["passed"] == m.passed
         assert all({"name", "passed", "value", "threshold"} <= set(c)
                    for c in stored["checks"])
+
+    def test_weakform_runner_at_smoke_size(self, tmp_path):
+        """The README weak-form datum at the benchmark's smoke size (n = 128,
+        2 paths); the README size takes about 20 s.  This covers the runner,
+        not the default datum's gate failure."""
+        fields = dict(kind="transport-weakform", H=0.9, n=128, dx=2.0**-8,
+                      paths=2, u0="offset-tanh")
+        texts = []
+        for out in ("a", "b"):
+            m = run(ExperimentConfig(**fields, out_dir=str(tmp_path / out)))
+            assert m.passed and m.files == ["weakform.csv", "manifest.json"]
+            (check,) = m.checks
+            assert check["name"] == "weak-form-residual"
+            assert check["threshold"] == 1e-2
+            assert 0.0 < check["value"] < 1e-2
+            texts.append((tmp_path / out / "weakform.csv").read_bytes())
+        assert texts[0] == texts[1]
+        rows = [ln for ln in texts[0].decode().splitlines()
+                if not ln.startswith("#")]
+        assert rows[0] == "path_id,lhs,residual,relative_residual"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
 
     def test_config_echo_and_hash(self, tmp_path):
         m = run(cfg(out_dir=str(tmp_path)))
@@ -518,6 +555,7 @@ class TestCliMain:
         assert "refine the grid" in capsys.readouterr().err
 
     # transport-weakform is left out: its README run takes about 20 s.
+    # TestRun.test_weakform_runner_at_smoke_size covers its runner.
     @pytest.mark.parametrize("kind", ["noise-stats", "qv", "flow", "malliavin",
                                       "density", "bound-check"])
     def test_readme_example_passes(self, tmp_path, kind):

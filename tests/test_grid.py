@@ -33,7 +33,11 @@ def test_invalid_construction(T, n):
 
 
 def test_key_is_hashable_identity():
+    """The grid itself is the cache key: equal and equally hashed by value,
+    with an integer horizon the same grid as its float."""
     a = TimeGrid(T=1.0, n=64)
-    b = TimeGrid(T=1.0, n=64)
-    assert a.key() == b.key()
-    assert TimeGrid(T=2.0, n=64).key() != a.key()
+    for b in (TimeGrid(T=1.0, n=64), TimeGrid(T=1, n=64)):
+        assert a == b and hash(a) == hash(b)
+        assert np.array_equal(a.points, b.points) and a.dt == b.dt
+    assert TimeGrid(T=2.0, n=64) != a
+    assert TimeGrid(T=1.0, n=32) != a

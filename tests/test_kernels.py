@@ -125,7 +125,7 @@ def test_fbm_weights_match_a_full_square_build():
     t, s = grid.points[1:, None], grid.midpoints[None, :]
     below = s < t
     full = np.where(below, _kh(t, s, H), 0.0)
-    M = _fbm_weights(grid.key(), H)
+    M = _fbm_weights(grid, HermiteSpec.create(1, H))
     assert np.array_equal(M == 0, ~below)
     assert np.array_equal(M, full)
 
@@ -139,7 +139,7 @@ def test_fbm_weights_match_adaptive_quadrature(H):
     n = 1024
     grid = TimeGrid(T=1.0, n=n)
     t, s = grid.points[1:], grid.midpoints
-    M = _fbm_weights(grid.key(), H)
+    M = _fbm_weights(grid, HermiteSpec.create(1, H))
     rng = np.random.default_rng(13)
     pairs = [(n - 1, 0), (n - 1, 1), (n - 1, 10), (0, 0), (1, 0), (10, 1)]
     pairs += [tuple(sorted(p, reverse=True)) for p in rng.integers(0, n, (24, 2))]

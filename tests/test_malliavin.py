@@ -488,7 +488,7 @@ class TestDyNormEnsemble:
         traj = backward_ensemble_trajectory(drift, grid, z, x, 0.0, t)
         w = _row_weights(drift, grid, traj[ks:kt + 1], ks)
         G = np.zeros((grid.n + 1, grid.n))
-        G[1:] = _fbm_weights(grid.key(), spec.H)
+        G[1:] = _fbm_weights(grid, spec)
         V = w.T @ G[ks:kt + 1]
         want = np.sum(V * V, axis=1) * grid.dt
         got = dy_norm_ensemble(drift, grid, spec, z, s, t, x)

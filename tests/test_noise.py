@@ -62,7 +62,7 @@ def test_factor_rows_match_direct_kernel_quadrature():
 
     grid = TimeGrid(T=1.0, n=16)
     spec = HermiteSpec.create(2, 0.7)
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    plan = _window_plan(grid, spec)
     A = np.zeros((16, 16))
     for l in range(16):
         F, w = plan.factor_block(l, l + 1)
@@ -142,7 +142,20 @@ def test_rank_one_kernel_built_during_the_draw():
     assert _fbm_weights.cache_info().misses == 1
     assert np.array_equal(cold, warm)
     # n = 96 is one block, so the product is this single call
-    assert np.array_equal(cold[:, 1:], (_fbm_weights(grid.key(), 0.65) @ dW.T).T)
+    assert np.array_equal(cold[:, 1:], (_fbm_weights(grid, spec) @ dW.T).T)
+
+
+@pytest.mark.parametrize("cache, q", [("_fbm_weights", 1), ("_window_scales", 2)])
+def test_plan_caches_hold_one_entry_per_value(cache, q):
+    """A plan cache keys on the grid and the spec by value: an integer
+    horizon and its float, each with its own equal spec, are one entry."""
+    import stochtransport.noise as noise
+    fn = getattr(noise, cache)
+    fn.cache_clear()
+    first = fn(TimeGrid(T=1, n=24), HermiteSpec.create(q, 0.7))
+    again = fn(TimeGrid(T=1.0, n=24), HermiteSpec.create(q, 0.7))
+    assert again is first
+    assert fn.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize("paths", [1, 300, 1031])
@@ -155,7 +168,7 @@ def test_rank_one_blocks_match_the_dense_product(paths):
     spec = HermiteSpec.create(1, 0.7)
     z, dW = simulate_ensemble(grid, spec, seed=5, path_ids=range(paths),
                               driver=True)
-    dense = dW @ _fbm_weights(grid.key(), 0.7).T
+    dense = dW @ _fbm_weights(grid, spec).T
     assert z.shape == (paths, grid.n + 1) and z.flags.f_contiguous
     assert np.all(z[:, 0] == 0.0)
     assert np.all(np.abs(z[:, 1:] - dense) <= 1e-14 * (1.0 + np.abs(dense)))
@@ -383,7 +396,7 @@ def _direct_pair_matrix(grid, spec, k, lam2):
     """sum_{l<k} lam2_l F_l^T diag(w) F_l, accumulated window by window."""
     from stochtransport.noise import _window_plan
 
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    plan = _window_plan(grid, spec)
     A = np.zeros((grid.n, grid.n))
     for l in range(k):
         F, w = plan.factor_block(l, l + 1)
@@ -397,7 +410,7 @@ def test_factor_rows_bulk_cells_match_direct_powers(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    plan = _window_plan(grid, spec)
     for l in range(grid.n):
         F, w = plan.factor_block(l, l + 1)
         assert F.shape == (24, l + 1) and w.shape == (24,)
@@ -414,7 +427,7 @@ def test_window_scales_match_reference_recursion(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
+    plan = _window_plan(grid, spec)
     tau_scale = 2.0 * spec.d**2 * grid.dt**2
     A = np.zeros((grid.n, grid.n))
     ref = np.empty(grid.n)
@@ -426,7 +439,7 @@ def test_window_scales_match_reference_recursion(H):
         tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
         ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
         A[: l + 1, : l + 1] += ref[l] * B
-    lam2 = _window_scales(grid.key(), spec.H)
+    lam2 = _window_scales(grid, spec)
     assert lam2.shape == (grid.n,) and not lam2.flags.writeable
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
@@ -437,7 +450,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    lam2 = _window_scales(grid.key(), spec.H)
+    lam2 = _window_scales(grid, spec)
     eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
     for k in list(eighths) + [37]:
         lam = pair_matrix(grid, spec, grid.points[k])
@@ -495,9 +508,9 @@ def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
         lattice_variance(grid, spec, grid.points[k])
     assert passes == [(tuple(probes), True), (tuple(probes[:-1]), False)]
 
-    lam2, A_n = noise._calibration(grid.key(), spec.H)
+    lam2, A_n = noise._calibration(grid, spec)
     assert A_n.shape == (n, n) and not A_n.flags.writeable
-    plan = noise._window_plan(grid.key(), spec.hp, spec.c)
+    plan = noise._window_plan(grid, spec)
     edges = sorted(set(probes) | set(range(0, n, noise._FOLD)))
     ref = _blocked_pair_matrices(plan, lam2, edges)
     for k in probes:
@@ -518,10 +531,10 @@ def test_calibration_keeps_one_pair_matrix():
     n = 256
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.66)  # an H no other test uses: cold caches
-    _window_plan(grid.key(), spec.hp, spec.c)
+    _window_plan(grid, spec)
     tracemalloc.start()
     try:
-        entry = _calibration(grid.key(), spec.H)
+        entry = _calibration(grid, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -544,7 +557,7 @@ def test_off_probe_pair_matrices_hold_two_blocks():
     n = 512
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.73)  # an H no other test uses: cold caches
-    _calibration(grid.key(), spec.H)
+    _calibration(grid, spec)
     tracemalloc.start()
     try:
         for k in range(500, 478, -3):
@@ -602,8 +615,8 @@ def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
     spec = HermiteSpec.create(2, 0.7)
     hi = data.draw(st.integers(1, n), label="hi")
     lo = data.draw(st.integers(0, hi - 1), label="lo")
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
-    lam2 = _window_scales(grid.key(), spec.H)
+    plan = _window_plan(grid, spec)
+    lam2 = _window_scales(grid, spec)
     seen = []
     for l0, l1, lam2_blk, Fs, w in _windows(grid, spec, lo, hi):
         assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
@@ -627,8 +640,8 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.7)
     dW = generate_increments(grid, 5, range(_PATH_BLOCK + 5))
-    plan = _window_plan(grid.key(), spec.hp, spec.c)
-    lam2 = _window_scales(grid.key(), spec.H)
+    plan = _window_plan(grid, spec)
+    lam2 = _window_scales(grid, spec)
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
         F, w = plan.factor_block(l, l + 1)
