@@ -342,6 +342,12 @@ def _simulate_blocks(grid: TimeGrid, spec: HermiteSpec, seed: int, paths: int,
     return simulate_ensemble(grid, spec, seed, np.arange(paths), driver=driver)
 
 
+# Fewest paths per flow worker.  Every slice pays the per-step cost of its
+# march, so a second worker pays only once each holds about this many paths
+# (rank 1, sine drift, n = 1024, paired runs on a 2-core x86 host).
+_PATHS_PER_WORKER = 4000
+
+
 def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
                  threads: int):
     """Y_{0,t}(x) per path and, where the slope can move, its flow weights.
@@ -349,16 +355,17 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     A drift that declares sup_norm_bprime == 0 (zero, constant) needs no
     weights, since dy_norm_ensemble reads its norm off the noise increment:
     its march is made in one call with no pool, and its weights are None.
-    Otherwise a pool of min(threads or _cpu_count(), _cpu_count(), paths)
-    workers maps over as many contiguous path slices, one march each, and
-    each slice writes its flow slopes, then its weights of [0, t]
-    (_ensemble_weights), over z.T[:index(t)+1], row by row as the march
-    consumes the noise there: z becomes the weights, and no second
-    (n+1, paths) array is allocated.
+    Otherwise a pool of min(threads or _cpu_count(), _cpu_count(),
+    paths // _PATHS_PER_WORKER) workers, at least one, maps over as many
+    contiguous path slices, one march each, and each slice writes its flow
+    slopes, then its weights of [0, t] (_ensemble_weights), over
+    z.T[:index(t)+1], row by row as the march consumes the noise there: z
+    becomes the weights, and no second (n+1, paths) array is allocated.
     The work is elementwise in the paths, so the result does not depend on
     the slicing.  Every march pays the per-step cost once, so a slice per
-    worker is the fewest marches that keep every worker busy, and a large
-    thread count starts no more OS threads than there are CPUs.
+    worker is the fewest marches that keep every worker busy, a narrow
+    ensemble marches once, and a large thread count starts no more OS
+    threads than there are CPUs.
     """
     if b.sup_norm_bprime == 0.0:
         return backward_ensemble(b, grid, z, x, 0.0, t), None
@@ -366,7 +373,7 @@ def _flow_slices(b, grid: TimeGrid, z: np.ndarray, x: float, t: float,
     y = np.empty(paths)
     cw = z.T[:grid.index_of(t) + 1]
     cpus = _cpu_count()
-    workers = min(threads or cpus, cpus, paths)
+    workers = max(1, min(threads or cpus, cpus, paths // _PATHS_PER_WORKER))
     cuts = np.linspace(0, paths, workers + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 

@@ -27,15 +27,17 @@ that Var Z(t_k) = t_k^(2H) holds exactly at every grid point.
 The pair sum is never formed entry by entry during simulation: the
 u-integral splits across grid windows [t_l, t_{l+1}], and on each window the
 chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, with graded
-Gauss-Legendre u-panels of fixed order (_NODES) and Gauss-Jacobi y-rules
-placing every kernel singularity inside a quadrature weight.  Cost is
+Gauss-Legendre u-panels of fixed order (_NODES).  In y, the three edge cells
+of a window (cell 0 and the two next to u), next to the kernel's
+singularities, are exact incomplete-Beta averages, and the bulk cells
+between them use a lag-tabulated Gauss-Legendre rule.  Cost is
 O(_NODES * n^2) for a whole path, not per output time.  One block engine
 serves every rank-2 consumer.  _WindowPlan tabulates once per grid the bulk
 kernel powers by lag, every window's u-powers and its three edge cells, so
 factor_block stacks the factor rows of up to _FOLD windows with one einsum
-per window and no edge rule.  _windows walks the calibrated windows in those
-blocks, and a consumer applies a block to _PATH_BLOCK driver rows at a time,
-one GEMM S = dW[:, :l1] @ Fs.T per block: the simulator here and the
+per window.  _windows walks the calibrated windows in those blocks, and a
+consumer applies a block to _PATH_BLOCK driver rows at a time, one GEMM
+S = dW[:, :l1] @ Fs.T per block: the simulator here and the
 derivative tables and norms in malliavin.  pair_matrix accumulates the
 identical quadrature into an explicit matrix, so the Wick form
 d * (dW' A dW - dt * tr A) reproduces simulated values to roundoff, which
@@ -83,11 +85,11 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import beta as _beta_fn
+from scipy.special import beta as _beta_fn, betainc
 
 from .errors import DomainError, NumericError
 from .grid import TimeGrid
-from .kernels import HermiteSpec, _jacobi, kernel_KH_matrix
+from .kernels import HermiteSpec, kernel_KH_matrix
 from .wiener import WienerLattice, _rng, generate_increments
 
 __all__ = [
@@ -152,7 +154,7 @@ def _fbm_weights(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
 # where the newest cell's kernel factor blows up.
 _U_GRADING = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
 
-# Gauss-Legendre order of each u-panel; the y-rules derive from it.
+# Gauss-Legendre order of each u-panel; the bulk y-rule derives from it.
 _NODES = 8
 
 
@@ -171,26 +173,22 @@ class _WindowPlan:
     F[p, i] is the average of dK(u_p, y) over cell i (i <= l) at the
     window-l u-nodes u_p, and w the matching u-weights, so F.T @ diag(w) @ F
     is window l's contribution to the pair matrix and F @ dW[:l+1] evaluates
-    the chaos integrand at the u-nodes.  The y-integrals are exact up to the
-    stated rules, the edge rules evaluated for every window at construction:
+    the chaos integrand at the u-nodes.  The y-integrals, tabulated for
+    every window at construction:
 
-      - bulk cells: fixed Gauss-Legendre nodes, shared by every window, so
-        their kernel powers are tabulated once by lag (D, C);
-      - cell 0: Gauss-Jacobi in y for the origin weight y^(1/2 - H');
-      - cell l-1: substitution v = u - y, geometric panels doubling away
-        from v = eps (the smallest u-offset keeps the rule finite);
-      - cell l (the window's own): Gauss-Jacobi in v for the edge weight
-        v^(H' - 3/2) on [0, eps];
-      - window 0: one exact Beta integral.
+      - bulk cells 1 .. l-2: a fixed Gauss-Legendre rule, shared by every
+        window, so their kernel powers are tabulated once by lag (D, C);
+      - edge cells 0, l-1 and l, next to the singularities at y = 0 and
+        y = u: exact, one regularized incomplete Beta expression (edges).
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
         n, h, pts, hp, c = grid.n, grid.dt, grid.points, spec.hp, spec.c
-        m_y, m_edge = max(2, _NODES // 2), max(4, _NODES - 2)
+        m_y = max(2, _NODES // 2)
 
         # u template: offsets and weights relative to the window start
         du, self.wu = _panels(np.array(_U_GRADING) * h, *leggauss(_NODES))
-        self.M = M = du.size
+        self.M = du.size
 
         # bulk cells see window l only through the lag k = l - i >= 2: D[j, p,
         # n-1-k] = (k h + du_p - yoff_j)^(hp - 3/2) at y-node j (window l reads
@@ -201,63 +199,24 @@ class _WindowPlan:
         self.D = (lag + du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
         self.C = (pts[:-1] + yoff[:, None]) ** (0.5 - hp) * (wb[:, None] / 2.0)
 
-        # origin cell: weight y^(1/2-hp) at the left endpoint of [0, h]
-        x0, w0 = _jacobi(m_edge, 0.0, 0.5 - hp)
-        y0 = (h / 2.0) * (x0 + 1.0)
-        w0 = (h / 2.0) ** (1.5 - hp) * w0 / h  # carries the 1/h average
-
-        # self cell: weight v^(hp-3/2) at v = 0; v in [0, eps], eps = du
-        xs, ws = _jacobi(m_edge, 0.0, hp - 1.5)
-        vs = du[:, None] * (xs + 1.0) / 2.0
-        ws = (du[:, None] / 2.0) ** (hp - 0.5) * ws / h
-
-        # near cell: v = u - y in [eps, eps + width] on panels doubling away
-        # from eps; v nodes (padded with 1.0 under zero weight) and
-        # v^(hp - 3/2) times the weights.  Width h covers a full previous
-        # cell (l >= 2), width h/2 the upper half of cell 0 (l = 1, whose
-        # lower half goes through the origin rule instead).
-        gauss_edge = leggauss(m_edge)
-
-        def near_template(width):
-            rows = []
-            for eps in du:
-                e = [eps]
-                while e[-1] < eps + width:
-                    e.append(min(eps + width, 2.0 * e[-1]))
-                rows.append(_panels(np.array(e), *gauss_edge))
-            L = max(v.size for v, _ in rows)
-            V, W = np.ones((M, L)), np.zeros((M, L))
-            for p, (v, wv) in enumerate(rows):
-                V[p, :v.size], W[p, :v.size] = v, wv / h
-            return V, V ** (hp - 1.5) * W
-
-        Vn, Kn = near_template(h)
-        Vn_half, Kn_half = near_template(h / 2.0)
-
         # Every window's u-powers c u^(hp - 1/2) and its edge columns
-        # edges[l] = (cell 0, cell l-1, cell l), u-powers included.  An edge
-        # rule, sum_j y_j^p wy_j per u-node, is pow-bound, so the rules run
-        # once per grid, vectorized over windows in chunks of 64: a
-        # (64, M, 72) transient at most.
-        u = (pts[:-1, None] + du)[:, :, None]  # (n, M, 1)
-        self.upow = up = c * u[:, :, 0] ** (hp - 0.5)
-        self.edges = edges = np.empty((n, 3, M))
-
-        def rule(y, wy, p, up):
-            return (y ** p * wy).sum(axis=-1) * up
-
-        for lo in range(1, n, 64):
-            ul, c64 = u[lo:lo + 64], slice(lo, lo + 64)
-            edges[c64, 0] = rule(ul - y0, w0, hp - 1.5, up[c64])
-            edges[c64, 1] = rule(np.where(Kn > 0, ul - Vn, 1.0), Kn, 0.5 - hp, up[c64])
-            edges[c64, 2] = rule(ul - vs, ws, 0.5 - hp, up[c64])
-        # window 1 (n >= 2 on any grid) replaces its cells 0 and l-1 = 0: its
-        # near cell is the upper half of cell 0, the origin rule the lower
-        edges[1, :2] = (
-            rule(np.where(Kn_half > 0, u[1] - Vn_half, 1.0), Kn_half, 0.5 - hp, up[1])
-            + rule(u[1] - y0 / 2.0, w0 / 2.0 ** (1.5 - hp), hp - 1.5, up[1]))
-        # window 0: one exact Beta integral over its only cell
-        edges[0] = (c * _beta_fn(1.5 - hp, hp - 0.5) / h) * u[0, :, 0] ** (hp - 0.5)
+        # edges[l] = (cell 0, cell l-1, cell l), u-powers included.  With
+        # y = u s a cell average is exact: (c/h) u^(hp - 1/2) B(a, b) times
+        # I_{y1/u}(a, b) - I_{y0/u}(a, b), a = 3/2 - hp, b = hp - 1/2.  Cells
+        # l-1 and l, next to the singularity at y = u, take the complement
+        # form I_{(u-y0)/u}(b, a) - I_{(u-y1)/u}(b, a), which keeps their
+        # digits; cell l ends at u, and window 0's cell l-1 is cell 0.
+        u = pts[:-1, None] + du  # (n, M)
+        self.upow = up = c * u ** (hp - 0.5)
+        a, b = 1.5 - hp, hp - 0.5
+        l = np.arange(n)[:, None, None]
+        y0 = h * np.concatenate([np.maximum(l - 1, 0), l], axis=1)  # (n, 2, 1)
+        uc = u[:, None, :]
+        near = (betainc(b, a, np.clip((uc - y0) / uc, 0.0, 1.0))
+                - betainc(b, a, np.clip((uc - y0 - h) / uc, 0.0, 1.0)))
+        origin = betainc(a, b, np.minimum(h, u) / u)[:, None, :]
+        self.edges = ((_beta_fn(a, b) / h) * up[:, None, :]
+                      * np.concatenate([origin, near], axis=1))
 
     def factor_block(self, l0: int, l1: int):
         """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack

@@ -266,7 +266,8 @@ class TestRun:
         dict(kind="flow", q=1, n=64, paths=60, drift="sine"),
         dict(kind="noise-stats", q=1, n=64, paths=200),
     ], ids=["density-q1", "density-q2", "flow", "noise-stats"])
-    def test_csvs_do_not_depend_on_threads(self, tmp_path, base):
+    def test_csvs_do_not_depend_on_threads(self, tmp_path, monkeypatch, base):
+        monkeypatch.setattr(experiments, "_PATHS_PER_WORKER", 1)
         got = self._csvs_by_threads(tmp_path, **base)
         assert got[1] and all(got[k] == got[1] for k in got)
 
@@ -274,10 +275,12 @@ class TestRun:
     @pytest.mark.parametrize("paths, q", [
         pytest.param(p, q, id=str(p) if q == 1 else f"{p}-q2")
         for p in (3, 1300, 2057) for q in (1, 2)])
-    def test_flow_slices_match_one_whole_solve(self, paths, q, threads):
+    def test_flow_slices_match_one_whole_solve(self, monkeypatch, paths, q,
+                                               threads):
         """The weights recorded over the noise rows, slice by slice, against
         one fresh trajectory of the whole ensemble, for both ranks.  1300
         and 2057 paths end inside a product chunk and a path block."""
+        monkeypatch.setattr(experiments, "_PATHS_PER_WORKER", 1)
         grid = TimeGrid(T=1.0, n=32)
         b = drift_preset("sine")
         z = simulate_ensemble(grid, HermiteSpec.create(q, 0.7), 5,
@@ -288,6 +291,7 @@ class TestRun:
         assert np.array_equal(cw, _row_weights(b, grid, traj))
 
     def test_flow_pool_has_no_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_PATHS_PER_WORKER", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         asked = []
@@ -311,8 +315,10 @@ class TestRun:
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         """_flow_slices makes one weight march per worker, and has
-        min(threads or CPUs, CPUs, paths) workers: 0 threads selects the
-        CPUs this process may run on, or os.cpu_count() without affinity."""
+        min(threads or CPUs, CPUs, paths // _PATHS_PER_WORKER) workers, at
+        least one: 0 threads selects the CPUs this process may run on, or
+        os.cpu_count() without affinity, and a narrow ensemble marches
+        once at any thread count."""
         marches = []
         real = experiments._ensemble_weights
 
@@ -335,6 +341,10 @@ class TestRun:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert [count(k) for k in (0, 1, 3, 1000)] == [1, 1, 1, 1]
+        monkeypatch.setattr(experiments, "_PATHS_PER_WORKER", 20)
+        assert [count(k) for k in (0, 1, 3, 1000)] == [2, 1, 2, 2]
+        monkeypatch.setattr(experiments, "_PATHS_PER_WORKER", 1)
         assert [count(k) for k in (0, 1, 3, 1000)] == [4, 1, 3, 4]
         assert count(0, paths=3) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -583,10 +593,13 @@ class TestCliMain:
         for line in lines[at + 2:]:
             if not line.startswith("|"):
                 break
-            kind, reads = (c.strip() for c in line.strip().strip("|").split("|"))
-            table[kind.strip("`")] = set(re.findall(r"`([^`]+)`", reads))
+            kind, fewest, reads = (
+                c.strip() for c in line.strip().strip("|").split("|"))
+            table[kind.strip("`")] = (int(fewest),
+                                      set(re.findall(r"`([^`]+)`", reads)))
         assert list(table) == list(experiments.KINDS)
-        assert table == {k: set(v.reads) for k, v in experiments._KINDS.items()}
+        assert table == {k: (v.min_paths, set(v.reads))
+                         for k, v in experiments._KINDS.items()}
 
     def test_validate_refuses_short_qv_schedule(self, capsys):
         rc = main(["validate", "--kind", "qv", "--eps", "0.125",

@@ -376,20 +376,52 @@ _PIN_N = 64
 _PIN_HS = (0.6, 0.75, 0.9)
 
 
+def _window_u_nodes(grid, l, nodes=8):
+    """The u-nodes of window l: Gauss-Legendre panels graded toward t_l."""
+    h = grid.dt
+    xg, _ = np.polynomial.legendre.leggauss(nodes)
+    grading = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
+    du = np.concatenate([a * h + (b - a) * h / 2.0 * (xg + 1.0)
+                         for a, b in zip(grading[:-1], grading[1:])])
+    return grid.points[l] + du
+
+
 def _direct_bulk_rows(grid, spec, l, nodes=8):
     """Bulk cells 1..l-2 of window l by direct powers, one per (p, i, j)."""
     h = grid.dt
     hp = spec.hp
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    grading = (0.0, 1.0 / 64.0, 1.0 / 8.0, 1.0)
-    du = np.concatenate([a * h + (b - a) * h / 2.0 * (xg + 1.0)
-                         for a, b in zip(grading[:-1], grading[1:])])
-    u = grid.points[l] + du
+    u = _window_u_nodes(grid, l, nodes)
     xb, wb = np.polynomial.legendre.leggauss(max(2, nodes // 2))
     Y = grid.points[1 : l - 1, None] + (h / 2.0) * (xb + 1.0)
     diff = u[:, None, None] - Y[None]
     rows = ((diff ** (hp - 1.5)) * Y[None] ** (0.5 - hp)) @ (wb / 2.0)
     return rows * (spec.c * u ** (hp - 0.5))[:, None]
+
+
+def _quad_edge_rows(grid, spec, l):
+    """Edge cells 0, l-1 and l of window l by adaptive quadrature in
+    v = u - y, with the kernel's singularities at v = 0 (y = u) and v = u
+    (y = 0) in QUADPACK's algebraic end-point weights."""
+    from scipy.integrate import quad
+
+    h, hp = grid.dt, spec.hp
+    u = _window_u_nodes(grid, l)
+    cells = (0, max(l - 1, 0), l)
+    rows = np.empty((u.size, 3))
+    for p, up in enumerate(u):
+        for col, i in enumerate(cells):
+            y0 = i * h
+            v0, v1 = up - min(y0 + h, up), up - y0
+            own, origin = v0 == 0.0, y0 == 0.0
+
+            def f(v):
+                return ((1.0 if own else v ** (hp - 1.5))
+                        * (1.0 if origin else (up - v) ** (0.5 - hp)))
+
+            wvar = (hp - 1.5 if own else 0.0, 0.5 - hp if origin else 0.0)
+            rows[p, col] = quad(f, v0, v1, weight="alg", wvar=wvar,
+                                epsabs=0.0, epsrel=2e-14, limit=200)[0]
+    return rows * (spec.c * u ** (hp - 0.5) / h)[:, None], list(cells)
 
 
 def _direct_pair_matrix(grid, spec, k, lam2):
@@ -406,6 +438,9 @@ def _direct_pair_matrix(grid, spec, k, lam2):
 
 @pytest.mark.parametrize("H", _PIN_HS)
 def test_factor_rows_bulk_cells_match_direct_powers(H):
+    """Bulk cells against direct powers, and the three edge cells of every
+    window against adaptive quadrature, a route that shares nothing with
+    the plan's incomplete Beta function."""
     from stochtransport.noise import _window_plan
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
@@ -419,6 +454,9 @@ def test_factor_rows_bulk_cells_match_direct_powers(H):
             ref = _direct_bulk_rows(grid, spec, l)
             rel = np.abs(F[:, 1 : l - 1] - ref) / np.abs(ref)
             assert rel.max() < 1e-13, (l, rel.max())
+        ref, cols = _quad_edge_rows(grid, spec, l)
+        rel = np.abs(F[:, cols] - ref) / ref
+        assert rel.max() < 1e-12, (l, rel.max())
 
 
 @pytest.mark.parametrize("H", _PIN_HS)
