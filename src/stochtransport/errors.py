@@ -22,11 +22,8 @@ class UnsupportedOrderError(StochTransportError, ValueError):
 
 
 class ConvergenceError(StochTransportError, RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative solver failed to reach its tolerance; the message
+    carries the last change it saw."""
 
 
 class SampleSizeError(StochTransportError, ValueError):

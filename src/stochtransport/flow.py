@@ -68,9 +68,21 @@ _SAMPLE_X = np.linspace(-3.0, 3.0, 13)
 
 def _fd_gap(f: Callable, der: np.ndarray, x: np.ndarray) -> float:
     """Largest gap between a declared derivative der = f'(x) and the centred
-    difference of f at x; a gap over _FD_TOL refuses the declaration."""
-    fd = (np.asarray(f(x + _FD_STEP)) - np.asarray(f(x - _FD_STEP))) / (2 * _FD_STEP)
-    return float(np.max(np.abs(der - fd)))
+    difference of f at x; a gap over _FD_TOL, or a nan, refuses the
+    declaration."""
+    with np.errstate(all="ignore"):
+        fd = (np.asarray(f(x + _FD_STEP)) - np.asarray(f(x - _FD_STEP))) / (2 * _FD_STEP)
+        return float(np.max(np.abs(der - fd)))
+
+
+def _sample(f: Callable, what: str, *args) -> np.ndarray:
+    """f(*args) on a validation sample; DomainError unless every value is
+    finite, so an overflow or a nan parameter is refused, not warned of."""
+    with np.errstate(all="ignore"):
+        v = np.asarray(f(*args), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{what} is not finite on its validation sample")
+    return v
 
 
 @dataclass(frozen=True)
@@ -79,29 +91,31 @@ class DriftField:
 
     Both callables must broadcast over numpy arrays in t and x: the march
     passes a scalar t, while picard_solve, dY_integral_eq and
-    weak_form_residual pass arrays of times.  Consistency of
-    b_prime with centered finite differences of b, and the claimed sup-norms,
-    are validated on a fixed sample of (t, x) points at construction.
+    weak_form_residual pass arrays of times.  At construction, on a fixed
+    sample of (t, x) points, both must be finite, b_prime must agree with
+    centered finite differences of b, and neither may exceed its declared
+    sup-norm, which must be finite; every check refuses a nan.
     """
 
     b: Callable
     b_prime: Callable
     sup_norm_b: float
     sup_norm_bprime: float
-    name: str = ""
 
     def __post_init__(self):
+        if not (0 <= self.sup_norm_b < np.inf and 0 <= self.sup_norm_bprime < np.inf):
+            raise DomainError("declared sup norms must be finite and nonnegative")
         for t in _SAMPLE_T:
-            bv = np.asarray(self.b(t, _SAMPLE_X), dtype=float)
-            bp = np.asarray(self.b_prime(t, _SAMPLE_X), dtype=float)
+            bv = _sample(self.b, "b", t, _SAMPLE_X)
+            bp = _sample(self.b_prime, "b_prime", t, _SAMPLE_X)
             gap = _fd_gap(lambda x: self.b(t, x), bp, _SAMPLE_X)
-            if gap > _FD_TOL:
+            if not gap <= _FD_TOL:
                 raise DomainError(
                     f"b_prime disagrees with finite differences of b "
                     f"(max gap {gap:.2e} at t={t})")
-            if np.max(np.abs(bv)) > self.sup_norm_b + 1e-9:
+            if not np.max(np.abs(bv)) <= self.sup_norm_b + 1e-9:
                 raise DomainError(f"|b| exceeds declared sup norm {self.sup_norm_b} at t={t}")
-            if np.max(np.abs(bp)) > self.sup_norm_bprime + 1e-9:
+            if not np.max(np.abs(bp)) <= self.sup_norm_bprime + 1e-9:
                 raise DomainError(
                     f"|b_prime| exceeds declared sup norm {self.sup_norm_bprime} at t={t}")
 
@@ -158,7 +172,7 @@ def _solve_step(b: DriftField, t_new: float, rhs, x_guess, h: float,
         raise ConvergenceError(
             f"drift step changed by {gap:.3g} after {k} iterations, above "
             f"the {bound:.3g} its declared sup norms allow; check "
-            "sup_norm_b and sup_norm_bprime", residual=gap)
+            "sup_norm_b and sup_norm_bprime")
     return x
 
 
@@ -262,8 +276,7 @@ def picard_solve(b: DriftField, Z: NoisePath, x: float, t: float, u: float,
             return float(R[ku]), it
     raise ConvergenceError(
         f"no fixed point after {_PICARD_MAX_ITER} iterations "
-        f"(last change {gap:.3e})",
-        residual=float(gap))
+        f"(last change {gap:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,14 @@ class TimeGrid:
         """Midpoints of the n steps; used as kernel evaluation points."""
         return (self.points[:-1] + self.points[1:]) / 2.0
 
+    @property
+    def _time_tol(self) -> float:
+        """How far a time may sit from a grid point and still name it."""
+        return 1e-9 * max(1.0, self.T)
+
     def index_of(self, t: float) -> int:
         """Index of a grid point, or GridError if t is not on the lattice."""
         k = int(round(t / self.dt))
-        if k < 0 or k > self.n or abs(k * self.dt - t) > 1e-9 * max(1.0, self.T):
+        if k < 0 or k > self.n or abs(k * self.dt - t) > self._time_tol:
             raise GridError(f"time {t} is not a grid point of [0, {self.T}] with dt={self.dt}")
         return k

@@ -43,7 +43,7 @@ inspects a Monte Carlo sample for atoms and for vanishing derivative norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -98,39 +98,25 @@ _MIN_DENSITY_SAMPLES = 1000  # fewest samples density_report accepts
 _CN_BLOCK = 4096  # slope values per block of rows in _cn_weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MalliavinPath:
-    """A first-variation profile with its L^2 norm.
+    """A first-variation profile on a grid, stored read-only.
 
-    axis "alpha": values[i] is D_alpha F for alpha in step i (length n);
-    the squared norm is the exact integral of the step profile.
-    axis "time": values[j] is the derivative of a trajectory at node j for
-    one fixed alpha (any length up to n+1); the norm uses the trapezoid rule.
+    values is one-dimensional with 1 to n+1 entries: dY_profile gives
+    D_alpha F for alpha in each of the n steps, dY_integral_eq the
+    derivative of a trajectory at each node for one fixed alpha.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    axis: str = "alpha"
-    l2_norm_sq: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise DomainError("values must be one-dimensional")
-        if self.axis == "alpha":
-            if v.shape != (self.grid.n,):
-                raise DomainError(
-                    f"alpha profile needs one value per step, got {v.shape}")
-            norm = float(np.sum(v * v) * self.grid.dt)
-        elif self.axis == "time":
-            if not 1 <= v.size <= self.grid.n + 1:
-                raise DomainError("time profile does not fit on the grid")
-            norm = float(np.trapezoid(v * v, dx=self.grid.dt))
-        else:
-            raise DomainError(f"unknown axis {self.axis!r}")
-        object.__setattr__(self, "l2_norm_sq", norm)
+        if v.ndim != 1 or not 1 <= v.size <= self.grid.n + 1:
+            raise DomainError(f"a profile needs 1 to n+1 = {self.grid.n + 1} "
+                              f"values in one dimension, got shape {v.shape}")
         v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
 
 def _step_of(grid: TimeGrid, alpha: float) -> int:
@@ -203,7 +189,7 @@ def increment_derivative(Z: NoisePath) -> Callable:
             return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
         a = _step_of(grid, alpha)
         ku = np.rint(np.asarray(u, dtype=float) / dt).astype(int)
-        if np.any(np.abs(np.asarray(u) - ku * dt) > 1e-9 * max(dt, 1.0)) or \
+        if np.any(np.abs(np.asarray(u) - ku * dt) > grid._time_tol) or \
                 np.any(ku < 0) or np.any(ku > kt):
             raise DomainError("u must be lattice times inside [0, t]")
         out = -(G[kt, a] - G[ku, a])
@@ -437,7 +423,7 @@ def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,
     if residual > _VOLTERRA_TOL * (1.0 + float(np.max(np.abs(h)))):
         raise NumericError(f"Volterra residual {residual:.3e} above "
                            f"tolerance {_VOLTERRA_TOL:.1e}")
-    return MalliavinPath(grid=grid, values=D, axis="time")
+    return MalliavinPath(grid=grid, values=D)
 
 
 def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
@@ -459,7 +445,7 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCheckReport:
     """Per-path values of the flow bracket and its floors."""
 
@@ -514,13 +500,14 @@ def density_bound_check(b: DriftField, grid: TimeGrid, z_values: np.ndarray,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
     """KDE summary plus the two density-criterion diagnostics.
 
-    passed needs all three gates: KDE mass inside MASS_RANGE (mass lost off
-    the evaluation grid means the density table is not trustworthy), no
-    empirical-CDF jump above atom_bound, and every derivative norm positive.
+    The density runner gates on three of its facts: mass_ok (KDE mass
+    inside MASS_RANGE; mass lost off the evaluation grid means the density
+    table is not trustworthy), max_cdf_jump at most atom_bound (no atoms),
+    and min_norm_sq above zero (every derivative norm positive).
     """
 
     MASS_RANGE: ClassVar[tuple[float, float]] = (0.99, 1.01)
@@ -544,11 +531,6 @@ class DensityReport:
     @property
     def atom_bound(self) -> float:
         return 3.0 / np.sqrt(self.count)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.mass_ok and self.max_cdf_jump <= self.atom_bound
-                    and self.min_norm_sq > 0.0)
 
 
 def density_report(samples: np.ndarray, norms: np.ndarray) -> DensityReport:

@@ -104,9 +104,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
-    """One realized noise path on a grid, with the lattice that produced it."""
+    """One realized noise path on a grid, with the lattice that produced it.
+
+    values[k] is the path at grid.points[k]; grid.index_of maps a lattice
+    time to its index.  Paths compare and hash by identity.
+    """
 
     grid: TimeGrid
     spec: HermiteSpec
@@ -125,9 +129,6 @@ class NoisePath:
     @property
     def driver(self) -> np.ndarray:
         return self.source.increments
-
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
 
 
 # Time steps per block, and paths per chunk, of the rank-1 triangular

@@ -33,7 +33,7 @@ _MIN_SLOPE_POINTS = 3
 _MIN_QV_PATHS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsilonSchedule:
     """Strictly decreasing ladder of regularization widths."""
 
@@ -122,7 +122,7 @@ def covariation_eps(X, Y, grid: TimeGrid, eps: float, t: float) -> float:
                           grid.index_of(t)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QVReport:
     """Per-eps bracket statistics plus the fitted decay slope."""
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .flow import _FD_TOL, DriftField, _fd_gap, _march
+from .flow import _FD_TOL, DriftField, _fd_gap, _march, _sample
 from .noise import NoisePath
 from .rv import symmetric_integral_eps
 
@@ -38,59 +38,55 @@ _SAMPLE_X = np.linspace(-4.0, 4.0, 17)
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Initial profile u0 with derivative and an optional slope floor.
+    """Initial profile u0 with its derivative.
 
-    lower_bound_sq_derivative is a claimed constant C >= 0 with
-    (u0'(x))^2 >= C; both the derivative and the floor are spot-checked at
-    construction.
+    Both callables must broadcast elementwise over arrays.  At construction,
+    on a fixed sample of points, both must be finite and u0_prime must agree
+    with centered finite differences of u0.
     """
 
     u0: Callable
     u0_prime: Callable
-    lower_bound_sq_derivative: float = 0.0
-    name: str = ""
 
     def __post_init__(self):
-        if self.lower_bound_sq_derivative < 0:
-            raise DomainError("slope floor must be nonnegative")
-        vals = np.asarray(self.u0(_SAMPLE_X), dtype=float)
-        der = np.asarray(self.u0_prime(_SAMPLE_X), dtype=float)
-        if _fd_gap(self.u0, der, _SAMPLE_X) > _FD_TOL:
+        vals = _sample(self.u0, "u0", _SAMPLE_X)
+        der = _sample(self.u0_prime, "u0_prime", _SAMPLE_X)
+        if not _fd_gap(self.u0, der, _SAMPLE_X) <= _FD_TOL:
             raise DomainError("u0_prime disagrees with finite differences of u0")
-        if self.lower_bound_sq_derivative > 0:
-            if np.min(der**2) < self.lower_bound_sq_derivative - 1e-12:
-                raise DomainError(
-                    f"(u0')^2 dips below the claimed floor "
-                    f"{self.lower_bound_sq_derivative} (min {np.min(der**2):.4f})")
         if vals.shape != _SAMPLE_X.shape:
             raise DomainError("u0 must broadcast elementwise over arrays")
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Compactly supported smooth test function with analytic derivative."""
+    """Compactly supported smooth test function with analytic derivative.
+
+    At construction the support must be a nonempty finite interval, phi
+    must vanish at and just outside its edges, and phi_prime must be finite
+    and agree with centered finite differences of phi inside it.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
     phi: Callable
     phi_prime: Callable
     support: tuple[float, float]
-    name: str = ""
 
     def __post_init__(self):
         a, b = self.support
-        if a >= b:
-            raise DomainError("support must be a nonempty interval")
+        if not -np.inf < a < b < np.inf:
+            raise DomainError("support must be a nonempty finite interval")
         margin = np.array([a, b, a - 0.01 * (b - a), b + 0.01 * (b - a)])
-        if np.max(np.abs(np.asarray(self.phi(margin), dtype=float))) > 1e-12:
+        if not np.max(np.abs(_sample(self.phi, "phi", margin))) <= 1e-12:
             raise DomainError("phi must vanish at and outside its support edges")
         xs = np.linspace(a + 0.05 * (b - a), b - 0.05 * (b - a), 17)
-        if _fd_gap(self.phi, np.asarray(self.phi_prime(xs), dtype=float), xs) > _FD_TOL:
+        if not _fd_gap(self.phi, _sample(self.phi_prime, "phi_prime", xs), xs) <= _FD_TOL:
             raise DomainError("phi_prime disagrees with finite differences of phi")
 
     @classmethod
     def bump(cls, center: float = 0.0, radius: float = 1.0) -> "TestFunction":
-        """exp(-1/(1-z^2)) on |z| < 1 with z = (x-center)/radius, else 0."""
+        """The smooth bump exp(-1/(1-z^2)) on |z| < 1, z = (x-center)/radius,
+        and 0 elsewhere; its support is [center - radius, center + radius]."""
         c, r = float(center), float(radius)
 
         def phi(x):
@@ -110,8 +106,7 @@ class TestFunction:
             out[inside] = np.exp(-1.0 / w) * (-2.0 * zi / (w * w)) / r
             return out
 
-        return cls(phi=phi, phi_prime=phi_prime, support=(c - r, c + r),
-                   name=f"bump({c},{r})")
+        return cls(phi=phi, phi_prime=phi_prime, support=(c - r, c + r))
 
 
 def solution_field(u0: InitialDatum, b: DriftField, Z: NoisePath, t: float,

@@ -36,20 +36,21 @@ def _rng(seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | path_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WienerLattice:
     """Increments of a Brownian path over one TimeGrid.
 
     increments[i] ~ N(0, dt) covers the step [t_i, t_{i+1}]. The seed and
     path_id record how the base draw was produced; objects derived by
     perturbation keep them for provenance even though they no longer
-    reproduce the (shifted) increments.
+    reproduce the (shifted) increments.  Lattices compare and hash by
+    identity: compare their increments to compare draws.
     """
 
     grid: TimeGrid
     seed: int
     path_id: int
-    increments: np.ndarray = field(repr=False, compare=False)
+    increments: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -60,14 +61,6 @@ class WienerLattice:
         inc = inc.copy()
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Path values W_{t_k}, k = 0..n, with W_0 = 0."""
-        out = np.empty(self.grid.n + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
 
 
 def generate(grid: TimeGrid, seed: int, path_id: int = 0) -> WienerLattice:

@@ -564,6 +564,36 @@ class TestCliMain:
         assert main(["flow"] + argv + ["--out", str(tmp_path)]) == 2
         assert "refine the grid" in capsys.readouterr().err
 
+    # 15 preset parameters that make the preset nan or infinite on its
+    # validation sample; each comparison in a construction check is False
+    # for nan, so these once validated.
+    NON_FINITE = (
+        [("drift", "constant", "lam", v) for v in ("nan", "inf", "-inf")]
+        + [("drift", "linear", "lam", "nan"), ("drift", "sine", "a", "nan")]
+        + [("u0", "affine", "m", v) for v in ("nan", "inf", "-inf", "1e308")]
+        + [("u0", "affine", "c", v) for v in ("nan", "inf", "-inf")]
+        + [("u0", "offset-tanh", "level", v) for v in ("nan", "inf", "-inf")])
+
+    @pytest.mark.parametrize("which, preset, param, value", NON_FINITE)
+    def test_non_finite_preset_exits_two(self, capsys, which, preset, param,
+                                         value):
+        argv = ["validate", "--kind", "density", "--paths", "1000",
+                f"--{which}", preset, f"--{which}-param", f"{param}={value}"]
+        assert main(argv) == 2
+        assert f"{which} preset {preset!r}" in capsys.readouterr().out
+
+    def test_non_finite_preset_run_exits_two(self, tmp_path, capsys):
+        argv = ["density", "--paths", "1000", "--n", "64", "--u0",
+                "offset-tanh", "--u0-param", "level=inf", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "u0 preset 'offset-tanh'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_finite_preset_validates(self):
+        """b = 1e308 is finite everywhere, so it stays a valid drift."""
+        assert main(["validate", "--kind", "flow", "--drift", "constant",
+                     "--drift-param", "lam=1e308"]) == 0
+
     # transport-weakform is left out: its README run takes about 20 s.
     # TestRun.test_weakform_runner_at_smoke_size covers its runner.
     @pytest.mark.parametrize("kind", ["noise-stats", "qv", "flow", "malliavin",

@@ -59,7 +59,6 @@ SINE = DriftField(
     b_prime=lambda t, x: 0.5 * np.cos(x),
     sup_norm_b=0.5,
     sup_norm_bprime=0.5,
-    name="sine",
 )
 
 ZERO = DriftField(
@@ -67,7 +66,6 @@ ZERO = DriftField(
     b_prime=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
     sup_norm_b=0.0,
     sup_norm_bprime=0.0,
-    name="zero",
 )
 
 
@@ -86,25 +84,14 @@ def _row_weights(b, grid, rows, ks):
 
 
 class TestMalliavinPath:
-    def test_norm_recomputable_alpha(self):
-        grid = TimeGrid(T=1.0, n=32)
-        v = np.linspace(0.0, 1.0, 32)
-        mp = MalliavinPath(grid=grid, values=v)
-        assert mp.l2_norm_sq == pytest.approx(np.sum(v**2) * grid.dt, abs=0)
-        assert mp.l2_norm_sq >= 0
-
-    def test_norm_recomputable_time(self):
-        grid = TimeGrid(T=1.0, n=32)
-        v = np.sin(grid.points[:20])
-        mp = MalliavinPath(grid=grid, values=v, axis="time")
-        assert mp.l2_norm_sq == pytest.approx(np.trapezoid(v**2, dx=grid.dt), abs=0)
-
     def test_rows_and_validation(self):
         grid = TimeGrid(T=1.0, n=16)
-        with pytest.raises(DomainError):
-            MalliavinPath(grid=grid, values=np.ones(4))
-        with pytest.raises(DomainError):
-            MalliavinPath(grid=grid, values=np.ones(16), axis="what")
+        for size in (1, 16, 17):
+            mp = MalliavinPath(grid=grid, values=np.ones(size))
+            assert mp.values.shape == (size,) and not mp.values.flags.writeable
+        for bad in (np.ones(0), np.ones(18), np.ones((4, 4))):
+            with pytest.raises(DomainError):
+                MalliavinPath(grid=grid, values=bad)
 
 
 class TestDzFbm:
@@ -140,7 +127,8 @@ class TestDzFbm:
         z = simulate_fbm(w, H)
         p = Perturbation(a=0.3, b=0.5, delta=delta)
         zp = simulate_fbm(p.perturb(w), H)
-        quot = (zp.value_at(t) - z.value_at(t)) / delta
+        k = grid.index_of(t)
+        quot = (zp.values[k] - z.values[k]) / delta
         integral, _ = quad(lambda a: kernel_KH(t, a, H), 0.3, 0.5, limit=100)
         assert abs(quot - integral) / abs(integral) < 1e-2
 
@@ -348,6 +336,21 @@ class TestDyRoutes:
         with pytest.raises(DomainError):
             dY_closed_form(SINE, Z, DZ, 1.0, 0.5, 0.3, 0.3)
 
+    def test_lattice_times_follow_index_of(self):
+        """DZ takes a window start u as a lattice time exactly when
+        TimeGrid.index_of does: within 1e-9 max(1, T) of a grid point."""
+        grid = TimeGrid(T=2.0, n=1024)
+        DZ = increment_derivative(simulate_fbm(generate(grid, seed=3), 0.7))
+        near, off = 0.5 + 1.5e-9, 0.5 + 3e-9  # tolerance 2e-9 here
+        assert grid.index_of(near) == 256
+        assert DZ(near, 1.0, 0.1) == DZ(0.5, 1.0, 0.1)
+        assert np.array_equal(DZ(np.array([near, 0.25]), 1.0, 0.1),
+                              DZ(np.array([0.5, 0.25]), 1.0, 0.1))
+        with pytest.raises(GridError):
+            grid.index_of(off)
+        with pytest.raises(DomainError):
+            DZ(off, 1.0, 0.1)
+
 
 class TestDyNormEnsemble:
     """The ensemble norms against the per-path routes and dense formulas."""
@@ -372,7 +375,8 @@ class TestDyNormEnsemble:
         for p in range(paths):
             w = WienerLattice(grid=grid, seed=seed, path_id=p, increments=dW[p])
             Z = simulate_hermite(w, spec)
-            want = dY_profile(drift, Z, s, t, x).l2_norm_sq
+            v = dY_profile(drift, Z, s, t, x).values
+            want = np.sum(v * v) * grid.dt
             if s == t:
                 assert got[p] == want == 0.0
             else:
@@ -718,6 +722,12 @@ class TestBoundCheck:
             density_bound_check(ZERO, grid, z[:, :10], 0.0, 1.0, 0.0)
 
 
+def _density_gates(rep) -> bool:
+    """The density runner's three gates: KDE mass, atoms, positive norms."""
+    return (rep.mass_ok and rep.max_cdf_jump <= rep.atom_bound
+            and rep.min_norm_sq > 0.0)
+
+
 class TestDensityReport:
     def test_gaussian_control(self):
         """Drift-free identity datum: u(1, x) - x is exactly -Z_1."""
@@ -727,7 +737,7 @@ class TestDensityReport:
         y = backward_ensemble(ZERO, grid, z, 0.0, 0.0, 1.0)
         norms = dy_norm_ensemble(ZERO, grid, spec, z, 0.0, 1.0, 0.0)
         rep = density_report(y, norms)
-        assert rep.passed and 0.99 <= rep.mass <= 1.01
+        assert _density_gates(rep) and 0.99 <= rep.mass <= 1.01
         assert rep.max_cdf_jump <= 3.0 / np.sqrt(1200)
         assert rep.min_norm_sq > 0
         sd = np.sqrt(lattice_variance(grid, spec, 1.0))
@@ -738,7 +748,7 @@ class TestDensityReport:
         samples = np.round(rng.standard_normal(1500))  # heavy ties
         rep = density_report(samples, np.ones(1500))
         assert rep.max_cdf_jump > 3.0 / np.sqrt(1500)
-        assert not rep.passed
+        assert not _density_gates(rep)
 
     @pytest.mark.parametrize("samples", [
         np.zeros(1000),
@@ -749,22 +759,22 @@ class TestDensityReport:
         density table and zero mass, so the atom and mass gates fail."""
         rep = density_report(samples, np.ones(1000))
         assert rep.max_cdf_jump > rep.atom_bound
-        assert rep.mass == 0.0 and not rep.mass_ok and not rep.passed
+        assert rep.mass == 0.0 and not rep.mass_ok and not _density_gates(rep)
         assert rep.x_grid.size == rep.density.size == 0
 
     def test_mass_outside_range_fails(self):
         rng = np.random.default_rng(8)
         rep = density_report(rng.standard_normal(1200), np.ones(1200))
-        assert rep.mass_ok and rep.passed
+        assert rep.mass_ok and _density_gates(rep)
         lost = dataclasses.replace(rep, mass=0.95)
-        assert not lost.mass_ok and not lost.passed
+        assert not lost.mass_ok and not _density_gates(lost)
 
     def test_vanishing_norm_fails(self):
         rng = np.random.default_rng(5)
         norms = np.ones(1200)
         norms[7] = 0.0
         rep = density_report(rng.standard_normal(1200), norms)
-        assert rep.min_norm_sq == 0.0 and not rep.passed
+        assert rep.min_norm_sq == 0.0 and not _density_gates(rep)
 
     def test_input_validation(self):
         rng = np.random.default_rng(6)

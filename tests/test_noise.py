@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from stochtransport import (
     DomainError,
-    GridError,
     HermiteSpec,
     NoisePath,
     TimeGrid,
@@ -107,7 +106,7 @@ def test_simulated_path_equals_quadratic_form():
         lam = pair_matrix(grid, spec, t)
         quad = spec.d * (w.increments @ lam @ w.increments
                          - grid.dt * np.trace(lam))
-        assert abs(z.value_at(t) - quad) < 1e-12
+        assert abs(z.values[grid.index_of(t)] - quad) < 1e-12
 
 
 def test_adaptedness_of_pair_matrix():
@@ -212,9 +211,8 @@ def test_noise_path_accessors():
     w = generate(grid, seed=1, path_id=0)
     z = simulate_fbm(w, 0.75)
     assert z.values[0] == 0.0
-    assert z.value_at(0.5) == z.values[4]
-    with pytest.raises(GridError):
-        z.value_at(0.3)
+    assert z.driver is w.increments
+    assert not z.values.flags.writeable
 
 
 def test_noise_path_shape_validation():

@@ -16,11 +16,13 @@ def test_reproducible_and_independent():
     assert not np.array_equal(w1.increments, w4.increments)
 
 
-def test_values_start_at_zero_and_cumulate():
-    g = TimeGrid(T=1.0, n=32)
-    w = generate(g, seed=1, path_id=3)
-    assert w.values[0] == 0.0
-    np.testing.assert_allclose(np.diff(w.values), w.increments)
+def test_perturbed_lattice_differs_from_its_source():
+    """Lattices compare by identity, so a shift of the increments is never
+    mistaken for its source, in == or in a set."""
+    w = generate(TimeGrid(T=1.0, n=8), seed=1, path_id=0)
+    p = Perturbation(0, 0.5, 1).perturb(w)
+    assert not np.array_equal(p.increments, w.increments)
+    assert p != w and w == w and len({w, p}) == 2
 
 
 def test_matrix_matches_single_paths():
