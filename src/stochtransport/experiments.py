@@ -43,8 +43,8 @@ from .malliavin import (
     dz_norm_ensemble,
 )
 from .noise import (
+    _lattice_gram,
     _probe_indices,
-    lattice_covariance,
     lattice_variance,
     simulate_ensemble,
     simulate_hermite,
@@ -393,9 +393,10 @@ def _run_noise_stats(config, grid, spec):
     z = _simulate_blocks(grid, spec, config.seed, config.paths)
     probe_idx = _probe_indices(grid.n)
     times = grid.points[probe_idx]
+    gram = _lattice_gram(grid, spec, probe_idx)
     rows = []
     worst_mean = worst_var = 0.0
-    for k, t in zip(probe_idx, times):
+    for i, (k, t) in enumerate(zip(probe_idx, times)):
         x = z[:, k]
         mean, var = float(np.mean(x)), float(np.var(x, ddof=1))
         se_mean = float(np.std(x, ddof=1)) / np.sqrt(x.size)
@@ -403,24 +404,24 @@ def _run_noise_stats(config, grid, spec):
         dev = x - mean
         m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
         se_var = np.sqrt((m4 - m2**2) / x.size)
-        lat = lattice_variance(grid, spec, float(t))
+        lat = float(gram[i, i])
         z_mean = mean / se_mean
         z_var = (var - lat) / se_var
         worst_mean = max(worst_mean, abs(z_mean))
         worst_var = max(worst_var, abs(z_var))
         rows.append((t, mean, var, lat, float(t) ** (2 * spec.H), z_mean, z_var))
 
-    quarter_idx = probe_idx[1::2]  # T/4, T/2, 3T/4, T
+    quarters = range(1, probe_idx.size, 2)  # T/4, T/2, 3T/4, T
     cov_rows = []
     worst_cov = 0.0
-    for i, ki in enumerate(quarter_idx):
-        for kj in quarter_idx[i:]:
+    for a, i in enumerate(quarters):
+        for j in quarters[a:]:
+            ki, kj = probe_idx[i], probe_idx[j]
             xi, xj = z[:, ki], z[:, kj]
             prod = (xi - xi.mean()) * (xj - xj.mean())
             sample = float(np.mean(prod))
             se = float(np.std(prod, ddof=1)) / np.sqrt(prod.size)
-            lat = lattice_covariance(grid, spec, grid.points[ki],
-                                     grid.points[kj])
+            lat = float(gram[i, j])
             zc = (sample - lat) / se
             worst_cov = max(worst_cov, abs(zc))
             cov_rows.append((grid.points[ki], grid.points[kj], sample, lat, zc))

@@ -65,11 +65,10 @@ from .noise import (
     _TRI_CHUNK,
     NoisePath,
     _fbm_weights,
+    _lattice_gram,
     _pair_matrix_cached,
     _probe_indices,
     _windows,
-    lattice_covariance,
-    lattice_variance,
 )
 from .wiener import WienerLattice
 
@@ -432,17 +431,12 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
     Deterministic, by the isometry E ||D F||^2 = q E F^2 of a rank-q chaos:
     q (Var Z_u + Var Z_t - 2 Cov(Z_u, Z_t)) of the lattice noise.
     Diagnostic only; the probe grid is 0 and the eighths of [0, T], whose
-    rank-2 pair matrices come from the calibration (at T) and one recording
-    pass (the others).
+    second moments come from one lattice Gram (noise._lattice_gram): at
+    rank 2, A_n from the calibration and one pass over the probes below n.
     """
-    probes = grid.points[np.concatenate(([0], _probe_indices(grid.n)))]
-    var = [lattice_variance(grid, spec, t) for t in probes]
-    worst = 0.0
-    for i, u in enumerate(probes):
-        for j in range(i, probes.size):
-            cov = lattice_covariance(grid, spec, u, probes[j])
-            worst = max(worst, spec.q * (var[i] + var[j] - 2.0 * cov))
-    return worst
+    G = _lattice_gram(grid, spec, np.concatenate(([0], _probe_indices(grid.n))))
+    var = np.diag(G)
+    return float(spec.q * (var[:, None] + var - 2.0 * G).max())
 
 
 @dataclass(frozen=True, eq=False)

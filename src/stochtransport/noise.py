@@ -43,12 +43,12 @@ identical quadrature into an explicit matrix, so the Wick form
 d * (dW' A dW - dt * tr A) reproduces simulated values to roundoff, which
 downstream first-variation code relies on.  The calibration pass builds
 that matrix anyway, in slabs of rows, and keeps only its last, A_n, the one
-a run at t = T reads.  The pair matrices at the other probe times (the
-eighths of [0, T]) come from one recording pass with the same blocks, paid
-only by the diagnostics that read them (noise-stats, mt_diagnostic).
-Every plan cache (_fbm_weights, _window_plan, _calibration, _window_scales,
-_probe_blocks, _pair_matrix_cached) is keyed by the TimeGrid and
-HermiteSpec its caller holds; both hash by value.
+a run at t = T reads.  A pair matrix below n costs one more pass, over
+exactly the indices its caller asks for, and is not kept past the request
+(_pair_matrix_cached keeps the last two single blocks; _lattice_gram drops
+its blocks on return).  The four plan caches (_fbm_weights, _window_plan,
+_window_scales, _pair_matrix_cached) are keyed by the TimeGrid and
+HermiteSpec their caller holds; both hash by value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -242,8 +242,8 @@ def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
 
 def _probe_indices(n: int) -> np.ndarray:
     """Grid indices of the eighths of [0, T], 0 excluded: the probe times of
-    the noise-stats and malliavin diagnostics.  The last is n, whose pair
-    matrix the calibration keeps; _probe_blocks records the others."""
+    noise-stats and mt_diagnostic.  The calibration's blocks close at each
+    of them, so a pass over the probes below n folds the same GEMMs."""
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
@@ -252,27 +252,27 @@ def _probe_indices(n: int) -> np.ndarray:
 _FOLD = 16
 
 
-def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
+def _pair_blocks(plan: _WindowPlan, ks, lam2: np.ndarray,
                  tau: np.ndarray | None = None) -> dict:
-    """One window pass; the pair matrices A_k at the probe indices k.
+    """One window pass; {k: A_k} at exactly the requested indices k.
 
     A_k = sum_{l<k} lam2_l B_l with B_l = Psi_l^T Psi_l and Psi_l = sqrt(w) F_l
     is supported on [:k, :k]; only that block is returned, symmetrized and
     read-only.  Windows are folded into A in blocks of up to _FOLD, and
-    every probe closes a block.  A block of m windows stacks m M rows Psi
-    and adds to A one GEMM per slab of s = _FOLD M rows of A, so no
-    transient is larger than a full block's Psi.  The last probe's block is
-    A itself, symmetrized in place by the same slabs; every earlier probe
+    every requested index closes a block.  A block of m windows stacks m M
+    rows Psi and adds to A one GEMM per slab of s = _FOLD M rows of A, so no
+    transient is larger than a full block's Psi.  The last index's block is
+    A itself, symmetrized in place by the same slabs; every earlier index
     costs a symmetrized copy.  With tau given the pass also calibrates (see
     _window_scales), solving lam2_l in place before window l counts, and
-    returns the last probe's block only: x = <A_l, B_l> is
+    returns the last index's block only: x = <A_l, B_l> is
     tr(Psi_l A_l0 Psi_l^T) for the part folded at the block start l0 plus
     lam2_j ||Psi_l Psi_j^T||^2 for each window j of the block before l, and
     y = ||B_l||^2 = ||Psi_l Psi_l^T||^2.
     """
-    probes = {int(k) for k in probes}
-    kmax = max(probes)
-    edges = sorted(probes | set(range(0, kmax, _FOLD)))
+    ks = {int(k) for k in ks}
+    kmax = max(ks)
+    edges = sorted(ks | set(range(0, kmax, _FOLD)))
     A = np.zeros((kmax, kmax))
     M = plan.M
     s = _FOLD * M
@@ -288,7 +288,7 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
             A.flags.writeable = False
             blocks[l0] = A
             return blocks
-        if l0 in probes and tau is None:
+        if l0 in ks and tau is None:
             blk = 0.5 * (A[:l0, :l0] + A[:l0, :l0].T)
             blk.flags.writeable = False
             blocks[l0] = blk
@@ -312,33 +312,10 @@ def _pair_blocks(plan: _WindowPlan, probes, lam2: np.ndarray,
             A[r:min(r + s, l1), :l1] += (scale * Psi[:, r:r + s]).T @ Psi
 
 
-@lru_cache(maxsize=4)  # an entry holds n^2 doubles: A_n
-def _calibration(grid: TimeGrid, spec: HermiteSpec):
-    """(lam2, A_n) of one calibration pass; see _window_scales.
-
-    A_n, the pair matrix at k = n, is the pass's own accumulator.  Its
-    blocks close at every probe index, as the recording pass's do
-    (_probe_blocks), so both passes fold the same windows into the same
-    GEMMs.
-    """
-    tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
-    lam2 = np.empty(grid.n)
-    A = _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n), lam2, tau)[grid.n]
-    lam2.flags.writeable = False
-    return lam2, A
-
-
-@lru_cache(maxsize=4)  # an entry holds about 2.2 n^2 doubles of blocks
-def _probe_blocks(grid: TimeGrid, spec: HermiteSpec) -> dict:
-    """The pair matrices at the probe indices below n, from one recording
-    pass (_pair_blocks without tau) that only callers of those probes pay."""
-    return _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n)[:-1],
-                        _calibration(grid, spec)[0])
-
-
-@lru_cache(maxsize=16)
-def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
-    """Variance-calibration factors lambda_l^2, one per window (rank 2).
+@lru_cache(maxsize=4)  # an entry holds n^2 + n doubles: A_n and lam2
+def _window_scales(grid: TimeGrid, spec: HermiteSpec):
+    """(lam2, A_n): the variance-calibration factors lambda_l^2, one per
+    window (rank 2), and the pair matrix at k = n that their pass leaves.
 
     With A_k = sum_{l<k} lambda_l^2 B_l (B_l the window-l Gram matrix of the
     factor rows), the requirement Var Z(t_k) = 2 d^2 dt^2 ||A_k||_F^2
@@ -352,9 +329,14 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
     represent.  lambda is largest on the first window and smallest on the
     last; at n = 1024 it runs over [1.03, 1.25] at H = 0.6, [1.01, 1.19]
     at H = 0.7, [1.04, 1.28] at H = 0.8 and [1.17, 1.60] at H = 0.9.  The
-    solving pass (_pair_blocks) leaves the pair matrix A_n behind.
+    solving pass (_pair_blocks) keeps its own accumulator, A_n; its blocks
+    close at every probe index (_probe_indices).
     """
-    return _calibration(grid, spec)[0]
+    tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
+    lam2 = np.empty(grid.n)
+    A = _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n), lam2, tau)[grid.n]
+    lam2.flags.writeable = False
+    return lam2, A
 
 
 def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
@@ -367,7 +349,7 @@ def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
     l0 + a at u-node p, for a chunk c of _PATH_BLOCK driver rows at a time.
     """
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec)[0]
     for l0 in range(lo, hi, _FOLD):
         l1 = min(l0 + _FOLD, hi)
         yield (l0, l1, lam2[l0:l1], *plan.factor_block(l0, l1))
@@ -510,20 +492,19 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
     return out
 
 
-@lru_cache(maxsize=2)  # lattice_covariance reads two k at once
+@lru_cache(maxsize=2)
 def _pair_matrix_cached(grid: TimeGrid, spec: HermiteSpec, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
-    k = n is the calibration's A_n, the other probe indices come from the
-    one recording pass of _probe_blocks, and any other k costs one
-    accumulation pass over windows l < k.  Those caches hold the probe
-    blocks, so this one only keeps off-probe blocks, at most two of them.
+    k = n is the calibration's A_n; any other k costs one accumulation pass
+    over windows l < k, and the cache keeps the last two such blocks.  A_k
+    cannot be sliced from A_n, or from any A_m with m > k: every window
+    l >= k adds lam2_l B_l[:k, :k] to the cells below k, and B_l is nonzero
+    there.
     """
-    lam2, A = _calibration(grid, spec)
+    lam2, A = _window_scales(grid, spec)
     if k == grid.n:
         return A
-    if k in _probe_indices(grid.n):
-        return _probe_blocks(grid, spec)[k]
     return _pair_blocks(_window_plan(grid, spec), (k,), lam2)[k]
 
 
@@ -547,6 +528,32 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
     return A
 
 
+def _lattice_gram(grid: TimeGrid, spec: HermiteSpec, ks) -> np.ndarray:
+    """E[Z(t_i) Z(t_j)] of the lattice noise over the grid indices ks (see
+    lattice_covariance).  Rank 2 reads A_n from the calibration, a single
+    index below n from _pair_matrix_cached, and several from one
+    _pair_blocks pass over exactly those indices, dropped on return."""
+    ks = [int(k) for k in ks]
+    if spec.q == 1:
+        M = _fbm_weights(grid, spec)
+    else:
+        lam2, A_n = _window_scales(grid, spec)
+        below = {k for k in ks if 0 < k < grid.n}
+        A = (_pair_blocks(_window_plan(grid, spec), below, lam2) if len(below) > 1
+             else {k: _pair_matrix_cached(grid, spec, k) for k in below})
+        A[grid.n] = A_n
+    G = np.zeros((len(ks), len(ks)))
+    for i, a in enumerate(ks):
+        for j, b in enumerate(ks[i:], i):
+            k = min(a, b)
+            if k and spec.q == 1:
+                G[i, j] = G[j, i] = grid.dt * (M[a - 1] @ M[b - 1])
+            elif k:
+                G[i, j] = G[j, i] = (2.0 * spec.d**2 * grid.dt**2
+                                     * (A[a][:k, :k] * A[b][:k, :k]).sum())
+    return G
+
+
 def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
                        t: float) -> float:
     """Exact covariance E[Z(s) Z(t)] of the *lattice* noise, deterministically.
@@ -557,19 +564,10 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
     (t^2H + s^2H - |t-s|^2H)/2 is confined to s != t and shrinks with
     refinement; rank 1 carries the usual small midpoint bias.  Either way
     this is the exact second moment of what simulate_* samples, so tests
-    can separate discretization bias from Monte Carlo error.
+    can separate discretization bias from Monte Carlo error.  The two-index
+    case of _lattice_gram: two rank-2 indices below n take one pass.
     """
-    ks = grid.index_of(s)
-    kt = grid.index_of(t)
-    k = min(ks, kt)
-    if k == 0:
-        return 0.0
-    if spec.q == 1:
-        M = _fbm_weights(grid, spec)
-        return float(grid.dt * (M[ks - 1] @ M[kt - 1]))
-    lam_s = _pair_matrix_cached(grid, spec, ks)[:k, :k]
-    lam_t = _pair_matrix_cached(grid, spec, kt)[:k, :k]
-    return float(2.0 * spec.d**2 * grid.dt**2 * (lam_s * lam_t).sum())
+    return float(_lattice_gram(grid, spec, (grid.index_of(s), grid.index_of(t)))[0, 1])
 
 
 def lattice_variance(grid: TimeGrid, spec: HermiteSpec, t: float) -> float:

@@ -43,9 +43,10 @@ class EpsilonSchedule:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise DomainError("schedule must be a non-empty 1-d array")
-        if np.any(v <= 0):
-            raise DomainError("every eps must be positive")
-        if np.any(np.diff(v) >= 0):
+        # written so that a nan fails each test
+        if not np.all((v > 0) & (v < np.inf)):
+            raise DomainError("every eps must be positive and finite")
+        if not np.all(np.diff(v) < 0):
             raise DomainError("eps values must be strictly decreasing")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -66,6 +67,8 @@ class EpsilonSchedule:
 
 def _eps_steps(grid: TimeGrid, eps: float) -> int:
     """eps as a whole number of grid steps, >= 2."""
+    if not abs(eps) < np.inf:  # a nan fails it too
+        raise DomainError(f"eps={eps} is not finite")
     k = int(round(eps / grid.dt))
     if abs(k * grid.dt - eps) > 1e-9 * grid.dt:
         raise ResolutionError(f"eps={eps} is not an integer multiple of dt={grid.dt}")

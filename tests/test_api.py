@@ -251,3 +251,19 @@ def test_benchmark_traced_names_resolve():
         module, name = cached.split(".")
         fn = getattr(importlib.import_module(f"stochtransport.{module}"), name)
         assert callable(fn.cache_info), cached
+
+
+def test_every_noise_cache_is_reported_by_the_benchmark():
+    """The lru caches of noise are exactly the noise caches whose counters
+    perfbench/spans.py reports (CACHES), so no plan cache goes unseen."""
+    import stochtransport.noise as noise
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    caches = {f"noise.{name}" for name, fn in vars(noise).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == noise.__name__}
+    assert caches == {c for c in spans.CACHES if c.startswith("noise.")}
+    assert caches == {"noise._fbm_weights", "noise._window_plan",
+                      "noise._window_scales", "noise._pair_matrix_cached"}

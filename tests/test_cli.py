@@ -631,6 +631,25 @@ class TestCliMain:
         assert table == {k: (v.min_paths, set(v.reads))
                          for k, v in experiments._KINDS.items()}
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--kind", "qv", "--eps", "inf", "--eps", "0.25",
+         "--eps", "0.125"],
+        ["qv", "--eps", "inf", "--eps", "0.25", "--eps", "0.125"],
+        ["transport-weakform", "--n", "64", "--paths", "1",
+         "--mollifier-eps", "inf"],
+        ["validate", "--kind", "qv", "--eps", "0.5", "--eps", "nan",
+         "--eps", "0.125"],
+    ])
+    def test_non_finite_width_exits_two(self, tmp_path, capsys, argv):
+        """An infinite width once escaped validate as an OverflowError."""
+        if argv[0] != "validate":
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid:" in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not any(tmp_path.iterdir())
+
     def test_validate_refuses_short_qv_schedule(self, capsys):
         rc = main(["validate", "--kind", "qv", "--eps", "0.125",
                    "--eps", "0.0625"])

@@ -475,7 +475,7 @@ def test_window_scales_match_reference_recursion(H):
         tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
         ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
         A[: l + 1, : l + 1] += ref[l] * B
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec)[0]
     assert lam2.shape == (grid.n,) and not lam2.flags.writeable
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
@@ -486,7 +486,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec)[0]
     eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
     for k in list(eighths) + [37]:
         lam = pair_matrix(grid, spec, grid.points[k])
@@ -519,39 +519,82 @@ def _blocked_pair_matrices(plan, lam2, edges):
     return out
 
 
+def _record_pair_passes(monkeypatch):
+    """Wrap noise._pair_blocks; returns the list it appends, per call, the
+    sorted requested indices, whether the pass calibrates, and its blocks."""
+    import stochtransport.noise as noise
+
+    passes = []
+    real = noise._pair_blocks
+
+    def recorded(plan, ks, lam2, tau=None):
+        out = real(plan, ks, lam2, tau)
+        passes.append((tuple(sorted(int(k) for k in ks)), tau is not None, out))
+        return out
+
+    monkeypatch.setattr(noise, "_pair_blocks", recorded)
+    return passes
+
+
 @pytest.mark.parametrize("n", [100, 512])
 def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
-    """k = n is the calibration's own matrix; every probe below n comes from
-    one recording pass, bit for bit the accumulation with the same block
-    edges.  The calibration's matrix equals the recording pass's at k = n,
-    so its in-place symmetrization is 0.5 (A + A^T) to the bit; n = 512
-    takes two row slabs."""
+    """The lattice Gram at the probe indices reads A_n from the calibration
+    and the probes below n from one pass over exactly those indices, bit
+    for bit the accumulation with the calibration's block edges; so are
+    A_n, symmetrized in place, and every Gram entry.  n = 512 takes two
+    row slabs."""
     import stochtransport.noise as noise
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.77)  # an H no other test uses: cold caches
-    passes = []
-    real = noise._pair_blocks
-
-    def counted(plan, probes, lam2, tau=None):
-        passes.append((tuple(int(k) for k in probes), tau is not None))
-        return real(plan, probes, lam2, tau)
-
-    monkeypatch.setattr(noise, "_pair_blocks", counted)
+    passes = _record_pair_passes(monkeypatch)
     probes = [int(k) for k in noise._probe_indices(n)]
-    mats = {k: pair_matrix(grid, spec, grid.points[k]) for k in probes}
-    for k in probes:
-        lattice_variance(grid, spec, grid.points[k])
-    assert passes == [(tuple(probes), True), (tuple(probes[:-1]), False)]
+    gram = noise._lattice_gram(grid, spec, probes)
+    assert [p[:2] for p in passes] == [(tuple(probes), True),
+                                       (tuple(probes[:-1]), False)]
 
-    lam2, A_n = noise._calibration(grid, spec)
+    lam2, A_n = noise._window_scales(grid, spec)
     assert A_n.shape == (n, n) and not A_n.flags.writeable
-    plan = noise._window_plan(grid, spec)
     edges = sorted(set(probes) | set(range(0, n, noise._FOLD)))
-    ref = _blocked_pair_matrices(plan, lam2, edges)
+    ref = _blocked_pair_matrices(noise._window_plan(grid, spec), lam2, edges)
+    blocks = {**passes[1][2], n: A_n}
     for k in probes:
-        assert np.array_equal(mats[k][:k, :k], ref[k]), k
-    assert np.array_equal(real(plan, probes, lam2)[n], A_n)
+        assert np.array_equal(blocks[k], ref[k]), k
+    c = 2.0 * spec.d**2 * grid.dt**2
+    for i, a in enumerate(probes):
+        for j, b in enumerate(probes):
+            k = min(a, b)
+            assert gram[i, j] == c * (ref[a][:k, :k] * ref[b][:k, :k]).sum()
+
+
+def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path):
+    """A cold pair_matrix or dz_norm_ensemble at T/2 makes the calibrating
+    pass and one pass over {n/2}, not over all seven probes below n; a cold
+    noise-stats makes one pass over those seven."""
+    import stochtransport.noise as noise
+    from stochtransport.experiments import ExperimentConfig, run
+    from stochtransport.malliavin import dz_norm_ensemble
+
+    n = 64
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.7)
+    probes = tuple(int(k) for k in noise._probe_indices(n))
+    passes = _record_pair_passes(monkeypatch)
+    dW = generate_increments(grid, 3, range(4))
+    for call in (lambda: pair_matrix(grid, spec, 0.5),
+                 lambda: dz_norm_ensemble(grid, spec, dW, 0.5)):
+        noise._window_scales.cache_clear()
+        noise._pair_matrix_cached.cache_clear()
+        passes.clear()
+        call()
+        assert [p[:2] for p in passes] == [(probes, True), ((n // 2,), False)]
+
+    noise._window_scales.cache_clear()
+    noise._pair_matrix_cached.cache_clear()
+    passes.clear()
+    run(ExperimentConfig(kind="noise-stats", q=2, n=n, paths=50, seed=7,
+                         out_dir=str(tmp_path)))
+    assert [p[:2] for p in passes] == [(probes, True), (probes[:-1], False)]
 
 
 def test_calibration_keeps_one_pair_matrix():
@@ -562,7 +605,7 @@ def test_calibration_keeps_one_pair_matrix():
     slabs outweigh A_n (3.07 n^2 at n = 512)."""
     import tracemalloc
 
-    from stochtransport.noise import _calibration, _window_plan
+    from stochtransport.noise import _window_plan, _window_scales
 
     n = 256
     grid = TimeGrid(T=1.0, n=n)
@@ -570,7 +613,7 @@ def test_calibration_keeps_one_pair_matrix():
     _window_plan(grid, spec)
     tracemalloc.start()
     try:
-        entry = _calibration(grid, spec)
+        entry = _window_scales(grid, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -588,12 +631,12 @@ def test_off_probe_pair_matrices_hold_two_blocks():
     eight blocks held 7.32 n^2."""
     import tracemalloc
 
-    from stochtransport.noise import _calibration
+    from stochtransport.noise import _window_scales
 
     n = 512
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.73)  # an H no other test uses: cold caches
-    _calibration(grid, spec)
+    _window_scales(grid, spec)
     tracemalloc.start()
     try:
         for k in range(500, 478, -3):
@@ -602,6 +645,32 @@ def test_off_probe_pair_matrices_hold_two_blocks():
     finally:
         tracemalloc.stop()
     assert held <= 2.1 * 8 * n * n
+
+
+def test_lattice_gram_keeps_no_block_below_n():
+    """With the calibration warm, the lattice Gram at the probe indices
+    builds the seven probe blocks below n (about 2.2 n^2 doubles; traced
+    peak 5.6 n^2 at n = 256) and holds none of them afterwards (0.007 n^2
+    measured: the Gram and interpreter small change)."""
+    import tracemalloc
+
+    import stochtransport.noise as noise
+
+    n = 256
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.71)  # an H no other test uses: cold caches
+    noise._window_scales(grid, spec)
+    before = noise._pair_matrix_cached.cache_info()
+    tracemalloc.start()
+    try:
+        gram = noise._lattice_gram(grid, spec, noise._probe_indices(n))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (8, 8)
+    assert peak >= 2.0 * 8 * n * n  # the blocks were built ...
+    assert held <= 0.05 * 8 * n * n  # ... and dropped
+    assert noise._pair_matrix_cached.cache_info() == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,7 +721,7 @@ def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
     hi = data.draw(st.integers(1, n), label="hi")
     lo = data.draw(st.integers(0, hi - 1), label="lo")
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec)[0]
     seen = []
     for l0, l1, lam2_blk, Fs, w in _windows(grid, spec, lo, hi):
         assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
@@ -677,7 +746,7 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     spec = HermiteSpec.create(2, 0.7)
     dW = generate_increments(grid, 5, range(_PATH_BLOCK + 5))
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec)[0]
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
         F, w = plan.factor_block(l, l + 1)

@@ -15,6 +15,7 @@ from stochtransport import (
 )
 from stochtransport.rv import (
     EpsilonSchedule,
+    _eps_steps,
     covariation_eps,
     qv_certificate,
     symmetric_integral_eps,
@@ -45,6 +46,19 @@ def test_schedule_rejects_bad_ladders():
         EpsilonSchedule(values=np.array([0.1, 0.2]))
     with pytest.raises(DomainError):
         EpsilonSchedule(values=np.array([0.1, -0.05]))
+
+
+@pytest.mark.parametrize("values", [[np.nan], [np.inf, 0.25], [0.5, np.nan],
+                                    [0.5, -np.inf], [np.nan, 0.25]])
+def test_schedule_refuses_non_finite_widths(values):
+    with pytest.raises(DomainError):
+        EpsilonSchedule(values=np.array(values))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_eps_steps_refuses_non_finite_widths(eps):
+    with pytest.raises(DomainError):
+        _eps_steps(TimeGrid(T=1.0, n=16), eps)
 
 
 def test_constant_integrator_gives_zero():
