@@ -27,11 +27,12 @@ by parts, it is one signed weight vector omega (_cn_weights), sum 0:
 
 for one alpha (dY_closed_form) or every alpha at once (dY_profile,
 dy_norm_ensemble), so the profile equals the closed form to roundoff; where
-the slope cannot move (s = t, or sup|b'| declared 0) omega = e_0 - e_m, and
-dy_norm_ensemble reads ||D(Z_t - Z_s)||^2 off the kernel rows (rank 1) or
-the pair matrices (rank 2), as dz_norm_ensemble does at s = 0.  The oracle
-is forward substitution on the time-reversed Volterra form (dY_integral_eq),
-which solves the same system step by step.
+the slope cannot move (s = t, or sup|b'| declared 0) omega = e_0 - e_m.
+The oracle is forward substitution on the time-reversed Volterra form
+(dY_integral_eq), which solves the same system step by step.
+
+The rank enters only through D Z, whose kernel products live in noise
+(_dz_rows, _dz_norm); this module is rank-agnostic.
 
 Density diagnostics follow the standard criterion: a functional whose
 derivative has positive L^2([0,T]) norm on almost every path has an
@@ -58,18 +59,7 @@ from .flow import (
 )
 from .grid import TimeGrid
 from .kernels import HermiteSpec
-from .noise import (
-    _FOLD,
-    _PATH_BLOCK,
-    _TRI_BLOCK,
-    _TRI_CHUNK,
-    NoisePath,
-    _fbm_weights,
-    _lattice_gram,
-    _pair_matrix_cached,
-    _probe_indices,
-    _windows,
-)
+from .noise import NoisePath, _dz_norm, _dz_rows, _lattice_gram, _probe_indices
 from .wiener import WienerLattice
 
 __all__ = [
@@ -133,43 +123,23 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
     The entry of dz_table for t and the step a containing alpha.  rank 1:
     the kernel weight K_H(t, m_a) at the step midpoint (independent of the
     path; its continuum limit is kernels.kernel_KH(t, alpha, H)).  rank 2:
-    the order-1 chaos sum 2 d (A_t @ dW)[a] — the simulator's trace
-    correction is deterministic and drops out — so difference quotients of
-    simulated values close exactly.
+    the order-1 chaos sum 2 d (A_t @ dW)[a], from the cached pair matrix —
+    the simulator's trace correction is deterministic and drops out — so
+    difference quotients of simulated values close exactly.
     """
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
     k = w.grid.index_of(t)
     if alpha >= t:
         return 0.0
-    a = _step_of(w.grid, alpha)
-    if spec.q == 1:
-        return float(_fbm_weights(w.grid, spec)[k - 1, a])
-    lam = _pair_matrix_cached(w.grid, spec, k)
-    return float(2.0 * spec.d * (lam[a] @ w.increments[:k]))
+    return float(_dz_rows(w.grid, spec, w.increments, (k, _step_of(w.grid, alpha))))
 
 
 def dz_table(Z: NoisePath) -> np.ndarray:
-    """All lattice derivatives of one noise path: G[k, a] = D_alpha Z_{t_k}.
-
-    Shape (n+1, n), row k supported on steps a < k.  rank 1 rows are the
-    kernel weight rows; rank 2 rows are rebuilt by the same window
-    quadrature as the simulator: window l's term of A_{t_k} @ dW goes into
-    row l+1, a block of windows at a time (noise._windows), and the rows are
-    summed in place, so the whole table costs one extra pass over the path.
-    """
-    grid, spec, n = Z.grid, Z.spec, Z.grid.n
-    G = np.zeros((n + 1, n))
-    if spec.q == 1:
-        G[1:] = _fbm_weights(grid, spec)
-        return G
-    dW = Z.driver
-    for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
-        X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[:, None]
-        G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
-    np.cumsum(G, axis=0, out=G)
-    G *= 2.0 * spec.d
-    return G
+    """All lattice derivatives of one noise path: G[k, a] = D_alpha Z_{t_k},
+    shape (n+1, n), row k supported on steps a < k (noise._dz_rows): kernel
+    rows at rank 1, one more window pass over the path at rank 2."""
+    return _dz_rows(Z.grid, Z.spec, Z.driver)
 
 
 def increment_derivative(Z: NoisePath) -> Callable:
@@ -288,34 +258,14 @@ def dY_profile(b: DriftField, Z: NoisePath, s: float, t: float,
     return MalliavinPath(grid=grid, values=w @ G[ks:kt + 1])
 
 
-def _increment_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
-                    paths: int, ks: int, kt: int) -> np.ndarray:
-    """||G[kt] - G[ks]||^2 dt per path, G[k] = D Z_{t_k} (dz_table's rows);
-    zero for ks == kt.  rank 1 rows are kernel rows, one value for every
-    path; rank 2 rows are 2d dW A_k, A_k the cached pair matrix at index k:
-    one GEMM per end of [s, t] and no window pass."""
-    if ks == kt:
-        return np.zeros(paths)
-    if spec.q == 1:
-        M = _fbm_weights(grid, spec)
-        v = M[kt - 1] - (M[ks - 1] if ks else 0.0)
-        return np.full(paths, float(np.sum(v * v) * grid.dt))
-    rows = dW[:, :kt] @ _pair_matrix_cached(grid, spec, kt)
-    if ks:
-        rows[:, :ks] -= dW[:, :ks] @ _pair_matrix_cached(grid, spec, ks)
-    rows *= 2.0 * spec.d
-    rows *= rows
-    return rows.sum(axis=1) * grid.dt
-
-
 def dz_norm_ensemble(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
                      t: float) -> np.ndarray:
     """||D Z_t||^2_{L^2} per path for a (paths, n) matrix of increments:
-    the s = 0 case of _increment_norm (kernel row or pair matrix)."""
+    the s = 0, omega = e_0 - e_m case of noise._dz_norm."""
     dW = np.asarray(dW, dtype=float)
     if dW.ndim != 2 or dW.shape[1] != grid.n:
         raise DomainError(f"increments shape {dW.shape} does not match the grid")
-    return _increment_norm(grid, spec, dW, dW.shape[0], 0, grid.index_of(t))
+    return _dz_norm(grid, spec, dW, dW.shape[0], 0, grid.index_of(t))
 
 
 def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
@@ -326,66 +276,25 @@ def dy_norm_ensemble(b: DriftField, grid: TimeGrid, spec: HermiteSpec,
 
     z_values is the (paths, n+1) noise ensemble; rank 2 also needs its
     increments dW.  For s = t or a drift declaring sup_norm_bprime == 0,
-    omega = e_0 - e_m and _increment_norm reads the norm off the kernel
-    rows or the pair matrices.  Other drifts take the flow weights: rank 1
-    one GEMM over the lower triangle of G per block of _TRI_BLOCK steps and
-    chunk of _TRI_CHUNK paths, rank 2 one window pass (two GEMMs per block
-    of windows and _PATH_BLOCK paths).  flow_weights optionally supplies
-    the omega of _ensemble_weights, shape (index(t) - index(s) + 1, paths),
-    which a caller can build slice by slice.
+    omega = e_0 - e_m (noise._dz_norm's closed form, no flow).
+    flow_weights optionally supplies the omega of _ensemble_weights, shape
+    (index(t) - index(s) + 1, paths), which a caller can build slice by
+    slice.
     """
     P = _time_first(grid, z_values).shape[1]
     ks, kt = _check_times(grid, s, t)
-    if spec.q == 2:
-        if dW is None:
-            raise DomainError("rank-2 ensembles need the driving increments dW")
+    if dW is not None:
         dW = np.asarray(dW, dtype=float)
         if dW.shape != (P, grid.n):
             raise DomainError("dW must pair with z_values row by row")
     if ks == kt or b.sup_norm_bprime == 0.0:
-        return _increment_norm(grid, spec, dW, P, ks, kt)
+        return _dz_norm(grid, spec, dW, P, ks, kt)
     w = _ensemble_weights(b, grid, z_values, x, s, t)[1] if flow_weights is None \
         else np.asarray(flow_weights, dtype=float)
     if w.shape != (kt - ks + 1, P):
         raise DomainError(f"flow weights have shape {w.shape}, "
                           f"expected {(kt - ks + 1, P)}")
-
-    if spec.q == 1:
-        # G[k] = M[k - 1], G[0] = 0.  V = w.T @ G[ks:kt+1] per chunk of
-        # paths and block of steps a < kt (V vanishes past kt - 1), from the
-        # first table row that reaches the block (row k vanishes on steps
-        # a >= k); each block is squared in one (_TRI_BLOCK, _TRI_CHUNK)
-        # buffer and summed per path.
-        M = _fbm_weights(grid, spec)
-        out = np.zeros(P)
-        prod = np.empty((_TRI_BLOCK, min(_TRI_CHUNK, P)))
-        for c in range(0, P, _TRI_CHUNK):
-            cols, nc = slice(c, c + _TRI_CHUNK), min(_TRI_CHUNK, P - c)
-            for lo in range(0, kt, _TRI_BLOCK):
-                hi = min(lo + _TRI_BLOCK, kt)
-                r0 = max(0, lo + 1 - ks)
-                v = np.matmul(M[ks + r0 - 1:kt, lo:hi].T, w[r0:, cols],
-                              out=prod[:hi - lo, :nc])
-                v *= v
-                out[cols] += v.sum(axis=0)
-        return out * grid.dt
-    # V = sum_r w[r] G[ks+r], G[k] = 2d sum_{l<k} lam2_l F_l^T (wu * F_l dW),
-    # so window l's term carries the weights beyond l: zero for l < ks (they
-    # sum to zero), else -run, the running sum of w.  Each block of windows
-    # and _PATH_BLOCK paths adds X @ Fs to V through one fixed buffer.
-    run, scale = np.zeros(P), np.empty((_FOLD, P))
-    V, buf = np.zeros((P, kt)), np.empty((min(_PATH_BLOCK, P), kt))
-    for l0, l1, lam2, Fs, wu in _windows(grid, spec, ks, kt):
-        for a in range(l1 - l0):
-            run += w[l0 + a - ks]
-            np.multiply(-2.0 * spec.d * lam2[a], run, out=scale[a])
-        for c in range(0, P, _PATH_BLOCK):
-            X = (dW[c:c + _PATH_BLOCK, :l1] @ Fs.T).reshape(-1, l1 - l0, wu.size)
-            X *= scale[:l1 - l0, c:c + _PATH_BLOCK].T[:, :, None]
-            X *= wu
-            V[c:c + _PATH_BLOCK, :l1] += np.matmul(
-                X.reshape(len(X), -1), Fs, out=buf[:len(X), :l1])
-    return np.einsum("ij,ij->i", V, V) * grid.dt
+    return _dz_norm(grid, spec, dW, P, ks, kt, w)
 
 
 def dY_integral_eq(b: DriftField, Z: NoisePath, DZ: Callable, t: float,

@@ -35,13 +35,12 @@ O(_NODES * n^2) for a whole path, not per output time.  One block engine
 serves every rank-2 consumer.  _WindowPlan tabulates once per grid the bulk
 kernel powers by lag, every window's u-powers and its three edge cells, so
 factor_block stacks the factor rows of up to _FOLD windows with one einsum
-per window.  _windows walks the calibrated windows in those blocks, and a
-consumer applies a block to _PATH_BLOCK driver rows at a time, one GEMM
-S = dW[:, :l1] @ Fs.T per block: the simulator here and the
-derivative tables and norms in malliavin.  pair_matrix accumulates the
-identical quadrature into an explicit matrix, so the Wick form
-d * (dW' A dW - dt * tr A) reproduces simulated values to roundoff, which
-downstream first-variation code relies on.  The calibration pass builds
+per window.  _windows walks the calibrated windows in those blocks and
+applies each to _PATH_BLOCK driver rows at a time, one GEMM
+S = dW[:, :l1] @ Fs.T per block, for the simulator and for the derivative
+products below.  pair_matrix accumulates the identical quadrature into an
+explicit matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces
+simulated values to roundoff, which the derivative products rely on.  The calibration pass builds
 that matrix anyway, in slabs of rows, and keeps only its last, A_n, the one
 a run at t = T reads.  A pair matrix below n costs one more pass, over
 exactly the indices its caller asks for, and is not kept past the request
@@ -70,6 +69,13 @@ _DRAW_BLOCK, on which thread drew a block, or on the thread count.  The BLAS
 rounds by matrix shape; each chunk is its own GEMMs, so a path in a complete
 chunk has the same bits whatever paths follow it.  Rank 2 builds its plan
 on the calling thread.
+
+The Malliavin derivative of the lattice noise is a product with the same
+kernels, so it lives here, beside the forward product it transposes:
+_dz_rows gives the rows G[k] = D Z_{t_k}, kernel rows or 2 d A_k dW, and
+_dz_norm the per-path norm ||sum_r w[r] G[ks+r]||^2 dt, off two kernel rows
+or pair matrices for w = e_0 - e_m, else by the adjoint of _fbm_in_place
+or of the window loop.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -132,8 +138,8 @@ class NoisePath:
 
 
 # Time steps per block, and paths per chunk, of the rank-1 triangular
-# products (here and in malliavin.dy_norm_ensemble).  Constants, so no bit
-# depends on the thread count.
+# products (_fbm_in_place and its adjoint in _dz_norm).  Constants, so no
+# bit depends on the thread count.
 _TRI_BLOCK, _TRI_CHUNK = 128, 1024
 
 # Paths per chunk of the rank-2 window products.
@@ -339,20 +345,23 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec):
     return lam2, A
 
 
-def _windows(grid: TimeGrid, spec: HermiteSpec, lo: int, hi: int):
-    """The rank-2 window loop over l in [lo, hi).
+def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int, hi: int):
+    """The rank-2 window loop over l in [lo, hi), applied to driver rows dW.
 
-    Yields (l0, l1, lam2[l0:l1], Fs, w) per block [l0, l1) of up to _FOLD
-    windows: their calibration factors, their stacked factor rows
-    (_WindowPlan.factor_block) and the u-weights.  A consumer forms the
-    chaos integrand S = dW[c, :l1] @ Fs.T, column a M + p holding window
-    l0 + a at u-node p, for a chunk c of _PATH_BLOCK driver rows at a time.
-    """
+    Yields (l0, l1, lam2[l0:l1], Fs, w, chunks) per block [l0, l1) of up to
+    _FOLD windows: their calibration factors, their stacked factor rows
+    (_WindowPlan.factor_block), the u-weights and, per chunk cols of
+    _PATH_BLOCK driver rows, (cols, S) with the chaos integrand
+    S = dW[cols, :l1] @ Fs.T, column a M + p holding window l0 + a at u-node
+    p.  A consumer takes a block's chunks before the next block."""
     plan = _window_plan(grid, spec)
     lam2 = _window_scales(grid, spec)[0]
     for l0 in range(lo, hi, _FOLD):
         l1 = min(l0 + _FOLD, hi)
-        yield (l0, l1, lam2[l0:l1], *plan.factor_block(l0, l1))
+        Fs, w = plan.factor_block(l0, l1)
+        chunks = ((slice(c, c + _PATH_BLOCK), dW[c:c + _PATH_BLOCK, :l1] @ Fs.T)
+                  for c in range(0, len(dW), _PATH_BLOCK))
+        yield l0, l1, lam2[l0:l1], Fs, w, chunks
 
 
 def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
@@ -388,16 +397,93 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
 
     # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
     zt[0] = 0.0
-    for l0, l1, lam2, Fs, w in _windows(grid, spec, 0, n):
+    for l0, l1, lam2, Fs, w, chunks in _windows(grid, spec, dW, 0, n):
         mean_sq = grid.dt * (np.einsum("ij,ij->i", Fs, Fs).reshape(-1, w.size) @ w)
-        for c in range(0, P, _PATH_BLOCK):
-            S = dW[c:c + _PATH_BLOCK, :l1] @ Fs.T
+        for cols, S in chunks:
             S *= S
-            zt[l0 + 1:l1 + 1, c:c + _PATH_BLOCK] = lam2[:, None] * (
+            zt[l0 + 1:l1 + 1, cols] = lam2[:, None] * (
                 (S.reshape(-1, w.size) @ w).reshape(-1, l1 - l0).T - mean_sq[:, None])
     np.cumsum(zt[1:], axis=0, out=zt[1:])
     zt[1:] *= spec.d
     return zt.T
+
+
+def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
+             entry: tuple[int, int] | None = None):
+    """G[k, a] = D_alpha Z_{t_k}, alpha in step a, for the increments dW (n,):
+    the (n+1, n) table, row k supported on a < k, or with entry = (k, a) the
+    one entry G[k, a].  A rank-2 entry reads row a of the cached pair
+    matrix; the table takes the simulator's window loop, window l's term in
+    row l+1, and sums the rows in place: one more pass over the path."""
+    if entry is not None:
+        k, a = entry
+        if spec.q == 1:
+            return _fbm_weights(grid, spec)[k - 1, a]
+        return 2.0 * spec.d * (_pair_matrix_cached(grid, spec, k)[a] @ dW[:k])
+    G = np.zeros((grid.n + 1, grid.n))
+    if spec.q == 1:
+        G[1:] = _fbm_weights(grid, spec)
+        return G
+    for l0, l1, lam2, Fs, w, chunks in _windows(grid, spec, dW[None], 0, grid.n):
+        (_, S), = chunks
+        X = S.reshape(-1, w.size) * w * lam2[:, None]
+        G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
+    np.cumsum(G, axis=0, out=G)
+    G *= 2.0 * spec.d
+    return G
+
+
+def _dz_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
+             paths: int, ks: int, kt: int, w: np.ndarray | None = None) -> np.ndarray:
+    """||V||^2 dt per path, V = sum_r w[r] G[ks+r] (_dz_rows), for driver
+    rows dW (paths, n) and weights w (kt-ks+1, paths) of sum zero; zero for
+    ks == kt.  w = None stands for e_0 - e_m: G[kt] - G[ks] from two kernel
+    rows (one value for every path) or two cached pair matrices, one GEMM
+    per end.  Rank 2 otherwise: window l's term of G[k] counts in every row
+    k > l, so it carries -run, run the running sum of w (zero for l < ks),
+    and each weighted chunk S adds X @ Fs to V."""
+    if spec.q == 2 and dW is None:
+        raise DomainError("rank-2 ensembles need the driving increments dW")
+    if ks == kt:
+        return np.zeros(paths)
+    if spec.q == 1:
+        M = _fbm_weights(grid, spec)
+        if w is None:
+            v = M[kt - 1] - (M[ks - 1] if ks else 0.0)
+            return np.full(paths, float(np.sum(v * v) * grid.dt))
+        # G[k] = M[k - 1]: per chunk of paths and block of steps a < kt,
+        # one GEMM from the first row that reaches the block (row k
+        # vanishes on a >= k), squared in one buffer and summed per path
+        out, prod = np.zeros(paths), np.empty((_TRI_BLOCK, min(_TRI_CHUNK, paths)))
+        for c in range(0, paths, _TRI_CHUNK):
+            cols, nc = slice(c, c + _TRI_CHUNK), min(_TRI_CHUNK, paths - c)
+            for lo in range(0, kt, _TRI_BLOCK):
+                hi = min(lo + _TRI_BLOCK, kt)
+                r0 = max(0, lo + 1 - ks)
+                v = np.matmul(M[ks + r0 - 1:kt, lo:hi].T, w[r0:, cols],
+                              out=prod[:hi - lo, :nc])
+                v *= v
+                out[cols] += v.sum(axis=0)
+        return out * grid.dt
+    if w is None:
+        rows = dW[:, :kt] @ _pair_matrix_cached(grid, spec, kt)
+        if ks:
+            rows[:, :ks] -= dW[:, :ks] @ _pair_matrix_cached(grid, spec, ks)
+        rows *= 2.0 * spec.d
+        rows *= rows
+        return rows.sum(axis=1) * grid.dt
+    run, scale = np.zeros(paths), np.empty((_FOLD, paths))
+    V, buf = np.zeros((paths, kt)), np.empty((min(_PATH_BLOCK, paths), kt))
+    for l0, l1, lam2, Fs, wu, chunks in _windows(grid, spec, dW, ks, kt):
+        for a in range(l1 - l0):
+            run += w[l0 + a - ks]
+            np.multiply(-2.0 * spec.d * lam2[a], run, out=scale[a])
+        for cols, S in chunks:
+            X = S.reshape(-1, l1 - l0, wu.size)
+            X *= scale[:l1 - l0, cols].T[:, :, None]
+            X *= wu
+            V[cols, :l1] += np.matmul(X.reshape(len(X), -1), Fs, out=buf[:len(X), :l1])
+    return np.einsum("ij,ij->i", V, V) * grid.dt
 
 
 def simulate_hermite(w: WienerLattice, spec: HermiteSpec) -> NoisePath:

@@ -58,6 +58,8 @@ class WienerLattice:
             raise DomainError(
                 f"increments shape {inc.shape} does not match grid with n={self.grid.n}"
             )
+        if not np.isfinite(inc).all():  # nan and inf fail
+            raise DomainError("increments must be finite")
         inc = inc.copy()
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
@@ -114,6 +116,8 @@ class Perturbation:
     def __post_init__(self):
         if not (self.a < self.b):
             raise DomainError(f"need a < b, got [{self.a}, {self.b}]")
+        if not abs(self.delta) < np.inf:  # nan fails
+            raise DomainError(f"delta must be finite, got {self.delta}")
 
     def step_mask(self, grid: TimeGrid) -> np.ndarray:
         tol = 1e-12 * max(1.0, grid.T)

@@ -185,8 +185,7 @@ class TestRun:
 
     def test_weakform_runner_at_smoke_size(self, tmp_path):
         """The README weak-form datum at the benchmark's smoke size (n = 128,
-        2 paths); the README size takes about 20 s.  This covers the runner,
-        not the default datum's gate failure."""
+        2 paths); the README size takes about 20 s."""
         fields = dict(kind="transport-weakform", H=0.9, n=128, dx=2.0**-8,
                       paths=2, u0="offset-tanh")
         texts = []
@@ -588,6 +587,17 @@ class TestCliMain:
         assert main(argv) == 2
         assert "u0 preset 'offset-tanh'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", experiments.KINDS)
+    def test_weak_form_alone_defaults_to_the_offset_datum(self, kind):
+        """transport-weakform defaults to offset-tanh, whose residual passes
+        its gate; every other kind keeps identity and its config hash."""
+        config = ExperimentConfig(kind)
+        want = "offset-tanh" if kind == "transport-weakform" else "identity"
+        assert config.u0 == want
+        assert experiments._config_hash(config) == experiments._config_hash(
+            ExperimentConfig(kind, u0=want))
+        assert ExperimentConfig.from_dict({"kind": kind}).u0 == want
 
     def test_huge_finite_preset_validates(self):
         """b = 1e308 is finite everywhere, so it stays a valid drift."""

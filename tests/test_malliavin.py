@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from stochtransport import TimeGrid, generate, malliavin, simulate_fbm
+from stochtransport import TimeGrid, generate, malliavin, noise, simulate_fbm
 from stochtransport.errors import (
     DomainError,
     GridError,
@@ -406,7 +406,7 @@ class TestDyNormEnsemble:
 
         def refuse(*args):
             raise AssertionError("window pass")
-        monkeypatch.setattr(malliavin, "_windows", refuse)
+        monkeypatch.setattr(noise, "_windows", refuse)
         zero, const = (dy_norm_ensemble(b, grid, spec, z, s, t, 0.3, dW=dW)
                        for b in (ZERO, drift_preset("constant")))
         assert np.array_equal(zero, const)

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,19 +38,44 @@ def test_rank_one_reduces_to_fbm_exactly():
 
 
 @pytest.mark.parametrize("q", [1, 2])
-def test_adaptedness(q):
-    """Z_k must depend only on increments strictly before step k."""
-    grid = TimeGrid(T=1.0, n=64)
-    w = generate(grid, seed=11, path_id=4)
-    spec = HermiteSpec.create(q, 0.65)
-    full = simulate_hermite(w, spec)
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 96), H=st.floats(0.55, 0.95), k=st.integers(0, 96))
+@example(n=64, H=0.65, k=40)
+def test_adaptedness(q, n, H, k):
+    """Z(t_j), j <= k, depends only on the increments before step k: zeroing
+    them from step k on leaves those values bit for bit, path by path
+    (simulate_hermite) and in every row of an ensemble (simulate_ensemble,
+    against the same procedure on its zeroed driver)."""
+    from stochtransport.noise import _from_driver
 
-    k = 40
+    k = min(k, n)
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(q, H)
+    w = generate(grid, seed=11, path_id=4)
     inc = w.increments.copy()
     inc[k:] = 0.0
-    w2 = WienerLattice(grid=grid, increments=inc, seed=w.seed, path_id=w.path_id)
-    trunc = simulate_hermite(w2, spec)
-    assert np.array_equal(full.values[: k + 1], trunc.values[: k + 1])
+    trunc = simulate_hermite(
+        WienerLattice(grid=grid, seed=11, path_id=4, increments=inc), spec)
+    assert np.array_equal(simulate_hermite(w, spec).values[:k + 1],
+                          trunc.values[:k + 1])
+    z, dW = simulate_ensemble(grid, spec, 11, range(5), driver=True)
+    dW[:, k:] = 0.0
+    assert np.array_equal(_from_driver(grid, spec, dW)[:, :k + 1], z[:, :k + 1])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("H", [0.6, 0.8])
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_ensemble_is_self_similar_in_the_horizon(q, H, c):
+    """On TimeGrid(T=c) the driver is sqrt(c) times the one at T = 1 and
+    the lattice noise c^H times: the kernels are homogeneous and the rank-2
+    calibration targets t^(2H).  Bound fixed in advance at 1e-13 of
+    max|Z|; measured worst case 1.6e-15 at 20 paths."""
+    n, ids = 128, range(20)
+    spec = HermiteSpec.create(q, H)
+    ref = c**H * simulate_ensemble(TimeGrid(T=1.0, n=n), spec, 5, ids)
+    got = simulate_ensemble(TimeGrid(T=c, n=n), spec, 5, ids)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_factor_rows_match_direct_kernel_quadrature():
@@ -713,17 +738,26 @@ def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
 def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
     """_windows visits every window of [lo, hi) once, in blocks of at most
     _FOLD, and each stacked row is plan.factor_block(l, l + 1) to the bit,
-    exactly zero past column l."""
-    from stochtransport.noise import _FOLD, _window_plan, _window_scales, _windows
+    exactly zero past column l; each block's chunks cover the driver rows
+    in _PATH_BLOCK slices with S = dW[cols, :l1] @ Fs.T."""
+    from stochtransport.noise import (
+        _FOLD,
+        _PATH_BLOCK,
+        _window_plan,
+        _window_scales,
+        _windows,
+    )
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.7)
     hi = data.draw(st.integers(1, n), label="hi")
     lo = data.draw(st.integers(0, hi - 1), label="lo")
+    paths = data.draw(st.sampled_from([1, 5, _PATH_BLOCK + 3]), label="paths")
+    dW = generate_increments(grid, 3, range(paths))
     plan = _window_plan(grid, spec)
     lam2 = _window_scales(grid, spec)[0]
     seen = []
-    for l0, l1, lam2_blk, Fs, w in _windows(grid, spec, lo, hi):
+    for l0, l1, lam2_blk, Fs, w, chunks in _windows(grid, spec, dW, lo, hi):
         assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
         assert np.array_equal(lam2_blk, lam2[l0:l1])
         for a, l in enumerate(range(l0, l1)):
@@ -731,6 +765,11 @@ def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
             rows = Fs[a * w.size:(a + 1) * w.size]
             assert np.array_equal(rows[:, :l + 1], F) and np.array_equal(w, wl)
             assert not rows[:, l + 1:].any()
+        covered = []
+        for cols, S in chunks:
+            assert np.array_equal(S, dW[cols, :l1] @ Fs.T)
+            covered.extend(range(paths)[cols])
+        assert covered == list(range(paths))
         seen.extend(range(l0, l1))
     assert seen == list(range(lo, hi))
 

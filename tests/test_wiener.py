@@ -25,6 +25,21 @@ def test_perturbed_lattice_differs_from_its_source():
     assert p != w and w == w and len({w, p}) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_driver_is_refused(bad):
+    """A non-finite increment or shift would turn every noise value built on
+    the lattice into nan; the lattice and the shift refuse it."""
+    g = TimeGrid(T=1.0, n=8)
+    inc = generate(g, seed=1).increments.copy()
+    inc[3] = bad
+    with pytest.raises(DomainError):
+        WienerLattice(grid=g, seed=1, path_id=0, increments=inc)
+    with pytest.raises(DomainError):
+        WienerLattice(grid=g, seed=1, path_id=0, increments=np.full(8, bad))
+    with pytest.raises(DomainError):
+        Perturbation(0.0, 0.5, bad)
+
+
 def test_matrix_matches_single_paths():
     """The ensemble generator must agree with per-path generation row by row."""
     g = TimeGrid(T=1.0, n=16)
