@@ -341,7 +341,7 @@ def mt_diagnostic(grid: TimeGrid, spec: HermiteSpec) -> float:
     q (Var Z_u + Var Z_t - 2 Cov(Z_u, Z_t)) of the lattice noise.
     Diagnostic only; the probe grid is 0 and the eighths of [0, T], whose
     second moments come from one lattice Gram (noise._lattice_gram): at
-    rank 2, A_n from the calibration and one pass over the probes below n.
+    rank 2, one sweep over the eight probe indices (noise._pair_sums).
     """
     G = _lattice_gram(grid, spec, np.concatenate(([0], _probe_indices(grid.n))))
     var = np.diag(G)

@@ -38,16 +38,23 @@ factor_block stacks the factor rows of up to _FOLD windows with one einsum
 per window.  _windows walks the calibrated windows in those blocks and
 applies each to _PATH_BLOCK driver rows at a time, one GEMM
 S = dW[:, :l1] @ Fs.T per block, for the simulator and for the derivative
-products below.  pair_matrix accumulates the identical quadrature into an
-explicit matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces
-simulated values to roundoff, which the derivative products rely on.  The calibration pass builds
-that matrix anyway, in slabs of rows, and keeps only its last, A_n, the one
-a run at t = T reads.  A pair matrix below n costs one more pass, over
-exactly the indices its caller asks for, and is not kept past the request
-(_pair_matrix_cached keeps the last two single blocks; _lattice_gram drops
-its blocks on return).  The four plan caches (_fbm_weights, _window_plan,
-_window_scales, _pair_matrix_cached) are keyed by the TimeGrid and
-HermiteSpec their caller holds; both hash by value.
+products below.  pair_matrix gives the same quadrature as an explicit
+matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces simulated
+values to roundoff, which the derivative products rely on.
+
+Neither the calibration nor a pair matrix walks the factor rows.  The bulk
+kernel power x^(hp - 3/2), x in [dt, T], is an exponential sum of N = 36-71
+positive terms accurate to about 1e-15 (_exp_sum), so a bulk factor row of
+window l is Eh_l (r^(l-2-i) ct_i) with r = exp(-rates dt)
+(_WindowPlan.exp_block), and a sum over windows becomes a recursion on
+N-vectors and (N, N) tables: _window_scales solves the calibration in one
+forward sweep, O(n N^2 M), and _pair_sums builds the pair matrices at any
+set of indices in one backward sweep, O(k N^2 M + k^2 N) for A_k.  A k x k
+array is built only when a consumer reads a pair matrix:
+_pair_matrix_cached keeps the last two single blocks, and _lattice_gram
+drops its blocks on return.  The four plan caches (_fbm_weights,
+_window_plan, _window_scales, _pair_matrix_cached) are keyed by the
+TimeGrid and HermiteSpec their caller holds; both hash by value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -91,7 +98,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import beta as _beta_fn, betainc
+from scipy.special import beta as _beta_fn, betainc, gamma as _gamma_fn
 
 from .errors import DomainError, NumericError
 from .grid import TimeGrid
@@ -173,6 +180,24 @@ def _panels(edges: np.ndarray, x: np.ndarray, w: np.ndarray):
     return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
+def _exp_sum(a: float, n: int):
+    """(sigma, w), all positive: x^(-a) = sum_e w_e exp(-sigma_e x) to
+    about 1e-15 relative for x in [1/n, 1], 0 < a < 1.
+
+    The trapezoid rule with step 1/4 in t on x^(-a) = int_0^inf s^(a-1)
+    exp(-s x) ds / Gamma(a), s = exp(t - exp(-t)), whose integrand decays
+    doubly exponentially as t -> -inf and exponentially as t -> inf (Beylkin
+    and Monzon 2005); terms below 1e-17 of x^(-a) everywhere on the range
+    are dropped: 36-38 at n = 4, 55-57 at n = 512, 64-65 at n = 4096."""
+    t = np.arange(-32, 240) / 4.0
+    sigma = np.exp(t - np.exp(-t))
+    w = 0.25 * sigma**a * (1.0 + np.exp(-t)) / _gamma_fn(a)
+    with np.errstate(divide="ignore"):
+        x = np.clip(a / sigma, 1.0 / n, 1.0)  # where term / x^(-a) peaks
+    keep = w * np.exp(-sigma * x) * x**a > 1e-17
+    return sigma[keep], w[keep]
+
+
 class _WindowPlan:
     """Per-grid quadrature tables for cell-averaged kernel factor rows.
 
@@ -187,6 +212,10 @@ class _WindowPlan:
         window, so their kernel powers are tabulated once by lag (D, C);
       - edge cells 0, l-1 and l, next to the singularities at y = 0 and
         y = u: exact, one regularized incomplete Beta expression (edges).
+
+    The bulk power also comes as an exponential sum (rates, weights; E, r,
+    ct), which the window sums of _window_scales and _pair_sums read
+    through exp_block.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
@@ -225,6 +254,20 @@ class _WindowPlan:
         self.edges = ((_beta_fn(a, b) / h) * up[:, None, :]
                       * np.concatenate([origin, near], axis=1))
 
+        # The bulk power as an exponential sum, x^(-a) = sum_e weights_e
+        # exp(-rates_e x) on [h, T] (_exp_sum), so D[j, p, n-1-k] factors as
+        # E[p] r^(k-2) ct[i]: E[p, e] = weights_e exp(-rates_e du_p),
+        # r = exp(-rates h) and ct[i, e] = sum_j C[j, i] exp(-rates_e (2h -
+        # yoff_j)).  The sums over windows (_window_scales, _pair_sums) run
+        # on these N-vectors instead of on factor rows.
+        sigma, wt = _exp_sum(a, n)
+        T = n * h
+        self.rates, self.weights = sigma / T, wt * T ** -a
+        self.rh = self.rates * h
+        self.r = np.exp(-self.rh)
+        self.E = self.weights * np.exp(-np.outer(du, self.rates))
+        self.ct = self.C.T @ np.exp(-np.outer(2.0 * h - yoff, self.rates))
+
     def factor_block(self, l0: int, l1: int):
         """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
         Fs hold window l's factor rows, l0 <= l < l1, exactly zero past
@@ -240,6 +283,15 @@ class _WindowPlan:
         Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[l0:l1]
         return Fs.reshape(m * self.M, l1), self.wu
 
+    def exp_block(self, l0: int, l1: int):
+        """(Eh, P) for windows 3 <= l0 <= l < l1, weighted by sqrt(w): the
+        bulk factor rows of window l are Eh[l - l0] (r^(l-2-i) * ct[i]) for
+        cells 1 <= i <= l-2, and P[l - l0] its (cell 0, cell l-1, cell l)
+        edge rows, (3, M)."""
+        sw = np.sqrt(self.wu)
+        Eh = (sw * self.upow[l0:l1])[:, :, None] * self.E
+        return Eh, self.edges[l0:l1] * sw
+
 
 @lru_cache(maxsize=16)
 def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
@@ -248,101 +300,238 @@ def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
 
 def _probe_indices(n: int) -> np.ndarray:
     """Grid indices of the eighths of [0, T], 0 excluded: the probe times of
-    noise-stats and mt_diagnostic.  The calibration's blocks close at each
-    of them, so a pass over the probes below n folds the same GEMMs."""
+    noise-stats and mt_diagnostic, whose lattice Gram builds the eight pair
+    matrices in one _pair_sums sweep."""
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
-# Windows per block of the rank-2 window engine (_windows, _pair_blocks):
-# one GEMM applies a block's stacked factor rows.
+# Windows per block of the rank-2 window engine: one GEMM applies a block's
+# stacked factor rows (_windows), and the exponential-sum sweeps batch a
+# block's (N, N) tables (_window_scales, _pair_sums; rows per block of
+# _tri_sum).
 _FOLD = 16
 
 
-def _pair_blocks(plan: _WindowPlan, ks, lam2: np.ndarray,
-                 tau: np.ndarray | None = None) -> dict:
-    """One window pass; {k: A_k} at exactly the requested indices k.
+def _first_windows(plan: _WindowPlan, l1: int) -> list:
+    """sqrt(w)-weighted factor rows Psi_l of the windows l < l1 <= 4, whose
+    edge cells coincide (l < 3) or which the sweeps take exactly (l = 3)."""
+    sw = np.sqrt(plan.wu)[:, None]
+    return [sw * plan.factor_block(l, l + 1)[0] for l in range(l1)]
 
-    A_k = sum_{l<k} lam2_l B_l with B_l = Psi_l^T Psi_l and Psi_l = sqrt(w) F_l
-    is supported on [:k, :k]; only that block is returned, symmetrized and
-    read-only.  Windows are folded into A in blocks of up to _FOLD, and
-    every requested index closes a block.  A block of m windows stacks m M
-    rows Psi and adds to A one GEMM per slab of s = _FOLD M rows of A, so no
-    transient is larger than a full block's Psi.  The last index's block is
-    A itself, symmetrized in place by the same slabs; every earlier index
-    costs a symmetrized copy.  With tau given the pass also calibrates (see
-    _window_scales), solving lam2_l in place before window l counts, and
-    returns the last index's block only: x = <A_l, B_l> is
-    tr(Psi_l A_l0 Psi_l^T) for the part folded at the block start l0 plus
-    lam2_j ||Psi_l Psi_j^T||^2 for each window j of the block before l, and
-    y = ||B_l||^2 = ||Psi_l Psi_l^T||^2.
+
+@lru_cache(maxsize=4)
+def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
+    """The variance-calibration factors lambda_l^2, one per window (rank 2).
+
+    With A_k = sum_{l<k} lambda_l^2 B_l (B_l = Psi_l^T Psi_l the window-l
+    Gram matrix of the weighted factor rows Psi_l = sqrt(w) F_l), the
+    requirement Var Z(t_k) = 2 d^2 dt^2 ||A_k||_F^2 = t_k^(2H) at every k
+    reduces to one quadratic per window: writing x = <A_l, B_l>_F,
+    y = ||B_l||_F^2 and tau = (t_{l+1}^(2H) - t_l^(2H)) / (2 d^2 dt^2),
+    solve y * lam^4 + 2 x * lam^2 = tau for lam^2.  x, y, tau are all
+    positive, so the positive root always exists; each window keeps one
+    deterministic, adapted scale and path simulation stays a single
+    incremental pass.  The factors absorb the L^2 mass a piecewise-constant-
+    in-y projection cannot represent.  lambda is largest on the first
+    window and smallest on the last; at n = 1024 it runs over [1.03, 1.25]
+    at H = 0.6, [1.01, 1.19] at H = 0.7, [1.04, 1.28] at H = 0.8 and
+    [1.17, 1.60] at H = 0.9.
+
+    x_l = sum_{m<l} lambda_m^2 ||Psi_l Psi_m^T||^2 comes from one forward
+    recursion on the exponential sum (_WindowPlan.exp_block), never from a
+    pair matrix.  For m <= l - 2 every cell of window m but cell 0 is a
+    bulk cell of window l, Psi_l[:, i] = Eh_l (r^(l-2-i) ct_i), so
+    Psi_l Psi_m^T = e0_l a_m^T + Eh_l (r^(l-2-m) H_m) with a_m = Psi_m[:, 0]
+    and H_m = sum_{1<=i<=m} (r^(m-i) ct_i) Psi_m[:, i]^T, (N, M).  Their
+    sum over m is |e0_l|^2 alpha + 2 g_l . v + <Phi_l, W> with g_l =
+    Eh_l^T e0_l, Phi_l = Eh_l^T Eh_l and the states alpha = sum lam2_m
+    |a_m|^2, v = sum lam2_m r^(l-2-m) H_m a_m and W = sum lam2_m
+    (r^(l-2-m) r^(l-2-m)^T) H_m H_m^T, which decay by r and r r^T per
+    window.  Window l - 1 adds lam2_{l-1} ||Psi_l Psi_{l-1}^T||^2 itself.
+    With the bulk Gram K_m = sum_{1<=i<=m-2} (r^(m-2-i) ct_i)(...)^T,
+    H_m = r^2 K_m Eh_m^T + (r ct_{m-1}) p1_m^T + ct_m p2_m^T (p1, p2 the
+    edge columns of cells m-1 and m), so a window costs O(N^2 M) and the
+    pass O(n N^2 M).  Windows l < 4 take the small products of their factor
+    rows.  The entry holds n doubles.
     """
-    ks = {int(k) for k in ks}
-    kmax = max(ks)
-    edges = sorted(ks | set(range(0, kmax, _FOLD)))
-    A = np.zeros((kmax, kmax))
-    M = plan.M
-    s = _FOLD * M
-    blocks = {}
-    for l0, l1 in zip(edges, edges[1:] + [None]):
-        if l1 is None:
-            # A <- (A + A^T) / 2 by row slabs: slab r reads only entries at
-            # or past r in both indices, which no earlier slab has written
-            for r in range(0, kmax, s):
-                sym = A[r:r + s, r:] + A[r:, r:r + s].T
-                sym *= 0.5
-                A[r:r + s, r:], A[r:, r:r + s] = sym, sym.T
-            A.flags.writeable = False
-            blocks[l0] = A
-            return blocks
-        if l0 in ks and tau is None:
-            blk = 0.5 * (A[:l0, :l0] + A[:l0, :l0].T)
-            blk.flags.writeable = False
-            blocks[l0] = blk
-        m = l1 - l0
-        Psi, w = plan.factor_block(l0, l1)
-        Psi *= np.sqrt(np.tile(w, m))[:, None]
-        if tau is not None:
-            P0 = Psi[:, :l0]
-            x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0).reshape(m, M).sum(axis=1)
-            Q = Psi @ Psi.T
-            Q *= Q
-            R = Q.reshape(m, M, m, M).sum(axis=(1, 3))
-            del Q  # not held through the fold below
-            for a in range(m):
-                l = l0 + a
-                x = x0[a] + R[a, :a] @ lam2[l0:l]
-                y = R[a, a]
-                lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
-        scale = np.repeat(lam2[l0:l1], M)[:, None]
-        for r in range(0, l1, s):
-            A[r:min(r + s, l1), :l1] += (scale * Psi[:, r:r + s]).T @ Psi
-
-
-@lru_cache(maxsize=4)  # an entry holds n^2 + n doubles: A_n and lam2
-def _window_scales(grid: TimeGrid, spec: HermiteSpec):
-    """(lam2, A_n): the variance-calibration factors lambda_l^2, one per
-    window (rank 2), and the pair matrix at k = n that their pass leaves.
-
-    With A_k = sum_{l<k} lambda_l^2 B_l (B_l the window-l Gram matrix of the
-    factor rows), the requirement Var Z(t_k) = 2 d^2 dt^2 ||A_k||_F^2
-    = t_k^(2H) at every k reduces to one quadratic per window: writing
-    x = <A_l, B_l>_F, y = ||B_l||_F^2 and
-    tau = (t_{l+1}^(2H) - t_l^(2H)) / (2 d^2 dt^2), solve
-    y * lam^4 + 2 x * lam^2 = tau for lam^2.  x, y, tau are all positive, so
-    the positive root always exists; each window keeps one deterministic,
-    adapted scale and path simulation stays a single incremental pass.  The
-    factors absorb the L^2 mass a piecewise-constant-in-y projection cannot
-    represent.  lambda is largest on the first window and smallest on the
-    last; at n = 1024 it runs over [1.03, 1.25] at H = 0.6, [1.01, 1.19]
-    at H = 0.7, [1.04, 1.28] at H = 0.8 and [1.17, 1.60] at H = 0.9.  The
-    solving pass (_pair_blocks) keeps its own accumulator, A_n; its blocks
-    close at every probe index (_probe_indices).
-    """
+    plan, n = _window_plan(grid, spec), grid.n
     tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
-    lam2 = np.empty(grid.n)
-    A = _pair_blocks(_window_plan(grid, spec), _probe_indices(grid.n), lam2, tau)[grid.n]
+    lam2 = np.empty(n)
+    Psi = _first_windows(plan, min(n, 4))
+    for l, P in enumerate(Psi):
+        x = sum(lam2[m] * np.sum((P[:, :m + 1] @ Q.T) ** 2) for m, Q in enumerate(Psi[:l]))
+        y = np.sum((P @ P.T) ** 2)
+        lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
+    if n > 4:
+        _scales_sweep(plan, lam2, tau, Psi)
     lam2.flags.writeable = False
-    return lam2, A
+    return lam2
+
+
+def _scales_sweep(plan: _WindowPlan, lam2: np.ndarray, tau: np.ndarray,
+                  Psi: list) -> None:
+    """Solve lam2_l for windows l >= 4 in place (see _window_scales), given
+    those before and the factor rows Psi of windows 0 .. 3."""
+    n, r, ct = len(lam2), plan.r, plan.ct
+    N = r.size
+    # the states as window 4 sees windows m <= 2: r^(2-m) H_m = G
+    alpha = sum(lam2[m] * (Psi[m][:, 0] @ Psi[m][:, 0]) for m in range(3))
+    v, W, rr = np.zeros(N), np.zeros((N, N)), np.outer(r, r)
+    for m in range(1, 3):
+        G = sum(np.outer(r ** (2 - i) * ct[i], Psi[m][:, i]) for i in range(1, m + 1))
+        v += lam2[m] * (G @ Psi[m][:, 0])
+        W += lam2[m] * (G @ G.T)
+    K = np.outer(ct[1], ct[1])  # K_3
+    for l0 in range(4, n, _FOLD):
+        # windows l0-1 .. l1-1: each l >= l0 with the window l-1 before it
+        l1 = min(l0 + _FOLD, n)
+        Eh, P = plan.exp_block(l0 - 1, l1)
+        e0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
+        Ks = np.empty((l1 - l0 + 1, N, N))
+        for b in range(l1 - l0 + 1):
+            Ks[b] = K
+            if b < l1 - l0:
+                K = rr * K
+                K += np.outer(ct[l0 - 2 + b], ct[l0 - 2 + b])
+        KE = Ks @ Eh.transpose(0, 2, 1)
+        del Ks
+        H = (r * r)[:, None] * KE
+        H += (r * ct[l0 - 2:l1 - 1])[:, :, None] * p1[:, None, :]
+        H += ct[l0 - 1:l1][:, :, None] * p2[:, None, :]
+        HH = H @ H.transpose(0, 2, 1)
+        Hv = np.einsum("bnm,bm->bn", H, e0)
+        asq = np.einsum("bm,bm->b", e0, e0)
+        El = Eh[1:]
+        Phi = El.transpose(0, 2, 1) @ El
+        g = np.einsum("bmn,bm->bn", El, e0[1:])
+        # Psi_l Psi_l^T and Psi_l Psi_{l-1}^T, (M, M) each
+        S = El @ KE[1:]
+        for c in (e0, p1, p2):
+            S += c[1:, :, None] * c[1:, None, :]
+        y = np.einsum("bij,bij->b", S, S)
+        S = El @ (r[:, None] * KE[:-1] + ct[l0 - 2:l1 - 2][:, :, None] * p1[:-1, None, :])
+        S += e0[1:, :, None] * e0[:-1, None, :]
+        S += p1[1:, :, None] * p2[:-1, None, :]
+        pn = np.einsum("bij,bij->b", S, S)
+        for b, l in enumerate(range(l0, l1)):
+            x = (asq[b + 1] * alpha + 2.0 * (g[b] @ v)
+                 + Phi[b].ravel() @ W.ravel() + lam2[l - 1] * pn[b])
+            lam2[l] = (-x + np.sqrt(x * x + y[b] * tau[l])) / y[b]
+            # window l-1 joins the states that window l+1 sees
+            lam = lam2[l - 1]
+            alpha += lam * asq[b]
+            v *= r
+            v += lam * Hv[b]
+            W *= rr
+            W += lam * HH[b]
+
+
+def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
+    """{k: A_k} at exactly the requested indices k, from one backward sweep.
+
+    A_k = sum_{l<k} lam2_l Psi_l^T Psi_l is supported on [:k, :k]; only
+    that block is returned, symmetric and read-only, and it is the one k x k
+    array built.  Windows l < 3 add their small products.  Window l >= 3
+    has cell 0, the bulk cells 1 .. l-2 with Psi_l[:, i] = Eh_l (r^(l-2-i)
+    ct_i) (_WindowPlan.exp_block), and the edge cells l-1 and l.  Summed
+    over l < k, the bulk-bulk entries are (r^(j-i) ct_i) . z_j, i <= j,
+    with z_j = Y_{j+2} ct_j and the backward recursion
+    Y_m = lam2_m Phi_m + R Y_{m+1} R (R = diag r, Phi_m = Eh_m^T Eh_m), the
+    cell-0 row is ct_j . gamma_j with gamma_j = lam2_{j+2} Eh_{j+2}^T e0 +
+    r gamma_{j+1}, and a bulk cell against an edge cell is the same product
+    with Eh_l^T p1_l or Eh_l^T p2_l in place of z.  Every entry at or above
+    the second superdiagonal is then sum_e r^(j-2-i) ct_i Z_j (_tri_sum);
+    the diagonal, the first superdiagonal and row 0 are vectors.  The sweep
+    costs O(k N^2 M), each A_k O(k^2 N) more.
+    """
+    ks = sorted({int(k) for k in ks}, reverse=True)
+    kmax, N, r, ct = ks[0], plan.r.size, plan.r, plan.ct
+    rr = np.outer(r, r)
+    # lam2-weighted per window l >= 3: Eh_l^T (p1, p2) and the products
+    # (e0.e0, e0.p1, e0.p2, p1.p1, p1.p2, p2.p2) of its edge columns
+    q, s = np.zeros((kmax + 1, 2, N)), np.zeros((kmax + 1, 6))
+    z, row0 = np.zeros((len(ks), kmax, N)), np.zeros((len(ks), kmax))
+    Y, gam = np.zeros((len(ks), N, N)), np.zeros((len(ks), N))
+    active = 0
+    for l1 in range(kmax, 3, -_FOLD):
+        l0 = max(l1 - _FOLD, 3)
+        Eh, P = plan.exp_block(l0, l1)
+        lam = lam2[l0:l1, None]
+        q[l0:l1] = lam[:, :, None] * np.einsum("bmn,bcm->bcn", Eh, P[:, 1:])
+        G = np.einsum("bcm,bdm->bcd", P, P)
+        s[l0:l1] = lam * G[:, (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)]
+        Phi = Eh.transpose(0, 2, 1) @ Eh
+        Phi *= lam[:, :, None]
+        g = lam * np.einsum("bmn,bm->bn", Eh, P[:, 0])
+        for l in reversed(range(l0, l1)):
+            while active < len(ks) and ks[active] > l:
+                active += 1
+            Ya, ga = Y[:active], gam[:active]
+            Ya *= rr
+            Ya += Phi[l - l0]
+            ga *= r
+            ga += g[l - l0]
+            z[:active, l - 2] = Ya @ ct[l - 2]
+            row0[:active, l - 2] = ga @ ct[l - 2]
+    del Y
+    out = {}
+    first = _first_windows(plan, min(kmax, 3))
+    for a, k in enumerate(ks):
+        A = np.zeros((k, k))
+        q[k:] = s[k:] = 0.0  # windows l >= k: not in A_k, nor in any later k
+        if k > 3:
+            _bulk_sums(A, plan, z[a, :k], row0[a, :k], q[:k + 1], s[:k + 1])
+        for l, Psi in enumerate(first[:k]):
+            B = Psi.T @ Psi
+            A[:l + 1, :l + 1] += lam2[l] * 0.5 * (B + B.T)
+        A.flags.writeable = False
+        out[k] = A
+    return out
+
+
+def _bulk_sums(A: np.ndarray, plan: _WindowPlan, z, row0, q, s) -> None:
+    """Add the windows 3 <= l < k of A_k (see _pair_sums) to A, (k, k):
+    the entries on and above the diagonal, then their mirror images.  Rows
+    l < k of q and s hold window l's edge terms, row k zeros."""
+    k, r, ct = len(A), plan.r, plan.ct
+    j = np.arange(1, k)
+    # column factors Z_j, j >= 3: the bulk term, then window j+1 (cell j is
+    # its edge l-1) and window j (cell j is its edge l)
+    Z = r * r * z[3:] + r * q[4:, 0] + q[3:k, 1]
+    _tri_sum(A[1:k - 2, 3:], ct[1:k - 2], Z, plan.rh)
+    A[j, j] += np.einsum("je,je->j", ct[1:k], z[1:]) + s[j + 1, 3] + s[j, 5]
+    i = j[1:] - 1
+    A[i, i + 1] += (np.einsum("je,je->j", r * ct[i], z[i + 1])
+                    + np.einsum("je,je->j", ct[i], q[i + 2, 0]) + s[i + 1, 4])
+    A[0, 0] += s[:, 0].sum()
+    A[0, 1:] += row0[1:] + s[j + 1, 1] + s[j, 2]
+    for r0 in range(0, k, _FOLD):
+        r1 = min(r0 + _FOLD, k)
+        A[r0:r1, :r0] = A[:r0, r0:r1].T
+        blk = A[r0:r1, r0:r1]
+        lower = np.tril_indices(r1 - r0, -1)
+        blk[lower] = blk.T[lower]
+
+
+def _tri_sum(out: np.ndarray, L: np.ndarray, R: np.ndarray, rh: np.ndarray) -> None:
+    """out[a, b] += sum_e exp(-rh_e (b - a)) L[a, e] R[b, e] for a <= b.
+
+    By blocks of _FOLD rows: the diagonal block gathers its powers,
+    and the block's rows right of it are one GEMM with the powers split at
+    the block's last row, so every power is non-negative.  Powers below
+    e^-200 count as zero, which keeps subnormals out of the products."""
+    m = len(L)
+    d = np.arange(m + 1)[:, None] * rh
+    pw = np.exp(-d)
+    pw[d > 200.0] = 0.0
+    for a0 in range(0, m, _FOLD):
+        a1 = min(a0 + _FOLD, m)
+        gap = np.arange(a1 - a0) - np.arange(a1 - a0)[:, None]  # b - a
+        blk = np.einsum("abe,ae,be->ab", pw[np.maximum(gap, 0)], L[a0:a1], R[a0:a1])
+        out[a0:a1, a0:a1] += np.where(gap >= 0, blk, 0.0)
+        if a1 < m:
+            Lh = L[a0:a1] * pw[a1 - 1 - np.arange(a0, a1)]
+            out[a0:a1, a1:m] += Lh @ (R[a1:m] * pw[1:m - a1 + 1]).T
 
 
 def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int, hi: int):
@@ -355,7 +544,7 @@ def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int, hi: int
     S = dW[cols, :l1] @ Fs.T, column a M + p holding window l0 + a at u-node
     p.  A consumer takes a block's chunks before the next block."""
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)[0]
+    lam2 = _window_scales(grid, spec)
     for l0 in range(lo, hi, _FOLD):
         l1 = min(l0 + _FOLD, hi)
         Fs, w = plan.factor_block(l0, l1)
@@ -582,16 +771,12 @@ def simulate_fbm_circulant(grid: TimeGrid, H: float, seed: int, path_ids) -> np.
 def _pair_matrix_cached(grid: TimeGrid, spec: HermiteSpec, k: int) -> np.ndarray:
     """The k x k support block of the pair matrix at grid index k.
 
-    k = n is the calibration's A_n; any other k costs one accumulation pass
-    over windows l < k, and the cache keeps the last two such blocks.  A_k
-    cannot be sliced from A_n, or from any A_m with m > k: every window
-    l >= k adds lam2_l B_l[:k, :k] to the cells below k, and B_l is nonzero
-    there.
+    Each k costs one _pair_sums sweep over the windows l < k, and the cache
+    keeps the last two blocks.  A_k cannot be sliced from any A_m with
+    m > k: every window l >= k adds lam2_l B_l[:k, :k] to the cells below
+    k, and B_l is nonzero there.
     """
-    lam2, A = _window_scales(grid, spec)
-    if k == grid.n:
-        return A
-    return _pair_blocks(_window_plan(grid, spec), (k,), lam2)[k]
+    return _pair_sums(_window_plan(grid, spec), _window_scales(grid, spec), (k,))[k]
 
 
 def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
@@ -601,7 +786,10 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
     L_t(y1, y2) over cell_i x cell_j; symmetric with positive diagonal, zero
     outside the cells before t.  The Wick form d * (dW' A dW - dt * tr A)
     equals the simulated Z(t) for the path driven by dW to roundoff, because
-    the same window quadrature and calibration build both.  The result is a
+    the same window quadrature and calibration build both; the bulk kernel
+    power enters A through its exponential sum, 1e-15 from the table the
+    simulator reads.  Building the support block takes one sweep over the
+    windows before t, O(k N^2 M + k^2 N) at grid index k.  The result is a
     fresh read-only copy of the cached support block; the library's own
     consumers use that block directly.
     """
@@ -616,18 +804,17 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
 
 def _lattice_gram(grid: TimeGrid, spec: HermiteSpec, ks) -> np.ndarray:
     """E[Z(t_i) Z(t_j)] of the lattice noise over the grid indices ks (see
-    lattice_covariance).  Rank 2 reads A_n from the calibration, a single
-    index below n from _pair_matrix_cached, and several from one
-    _pair_blocks pass over exactly those indices, dropped on return."""
+    lattice_covariance).  Rank 2 reads a single nonzero index from
+    _pair_matrix_cached, and several from one _pair_sums sweep over exactly
+    those indices, dropped on return."""
     ks = [int(k) for k in ks]
     if spec.q == 1:
         M = _fbm_weights(grid, spec)
     else:
-        lam2, A_n = _window_scales(grid, spec)
-        below = {k for k in ks if 0 < k < grid.n}
-        A = (_pair_blocks(_window_plan(grid, spec), below, lam2) if len(below) > 1
-             else {k: _pair_matrix_cached(grid, spec, k) for k in below})
-        A[grid.n] = A_n
+        nonzero = {k for k in ks if k}
+        A = (_pair_sums(_window_plan(grid, spec), _window_scales(grid, spec), nonzero)
+             if len(nonzero) > 1
+             else {k: _pair_matrix_cached(grid, spec, k) for k in nonzero})
     G = np.zeros((len(ks), len(ks)))
     for i, a in enumerate(ks):
         for j, b in enumerate(ks[i:], i):
@@ -651,7 +838,8 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
     refinement; rank 1 carries the usual small midpoint bias.  Either way
     this is the exact second moment of what simulate_* samples, so tests
     can separate discretization bias from Monte Carlo error.  The two-index
-    case of _lattice_gram: two rank-2 indices below n take one pass.
+    case of _lattice_gram: two distinct rank-2 indices take one _pair_sums
+    sweep, and one index reads _pair_matrix_cached.
     """
     return float(_lattice_gram(grid, spec, (grid.index_of(s), grid.index_of(t)))[0, 1])
 

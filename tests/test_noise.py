@@ -500,9 +500,93 @@ def test_window_scales_match_reference_recursion(H):
         tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
         ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
         A[: l + 1, : l + 1] += ref[l] * B
-    lam2 = _window_scales(grid, spec)[0]
+    lam2 = _window_scales(grid, spec)
     assert lam2.shape == (grid.n,) and not lam2.flags.writeable
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
+
+
+def _dense_pair_blocks(plan, ks, lam2, tau=None):
+    """The dense window pass: {k: A_k} at the requested indices k, each
+    window's Gram matrix Psi_l^T Psi_l folded into one (kmax, kmax)
+    accumulator in blocks of _FOLD windows closed at every k, O(M n^3) in
+    all.  With tau it calibrates instead, solving lam2_l in place before
+    window l counts, from x = tr(Psi_l A_l0 Psi_l^T) for the part folded at
+    the block start l0 plus lam2_j ||Psi_l Psi_j^T||^2 for each window j of
+    the block before l, and y = ||Psi_l Psi_l^T||^2."""
+    from stochtransport.noise import _FOLD
+
+    ks = {int(k) for k in ks}
+    kmax, M = max(ks), plan.M
+    edges = sorted(ks | set(range(0, kmax, _FOLD)))
+    A = np.zeros((kmax, kmax))
+    out = {}
+    for l0, l1 in zip(edges, edges[1:] + [None]):
+        if l0 in ks:
+            out[l0] = 0.5 * (A[:l0, :l0] + A[:l0, :l0].T)
+        if l1 is None:
+            return out
+        m = l1 - l0
+        Psi, w = plan.factor_block(l0, l1)
+        Psi *= np.sqrt(np.tile(w, m))[:, None]
+        if tau is not None:
+            P0 = Psi[:, :l0]
+            x0 = np.einsum("ri,ri->r", P0 @ A[:l0, :l0], P0).reshape(m, M).sum(axis=1)
+            R = ((Psi @ Psi.T) ** 2).reshape(m, M, m, M).sum(axis=(1, 3))
+            for a in range(m):
+                l = l0 + a
+                x = x0[a] + R[a, :a] @ lam2[l0:l]
+                lam2[l] = (-x + np.sqrt(x * x + R[a, a] * tau[l])) / R[a, a]
+        A[:l1, :l1] += (np.repeat(lam2[l0:l1], M)[:, None] * Psi).T @ Psi
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 96), H=st.floats(0.51, 0.99),
+       T=st.sampled_from([0.5, 1.0, 3.0]))
+@example(n=5, H=0.51, T=3.0)
+@example(n=96, H=0.99, T=0.5)
+def test_window_scales_match_the_dense_calibrating_pass(n, H, T):
+    """The exponential-sum recursion against the dense calibrating pass,
+    which solves the same quadratics from the pair matrix itself."""
+    from stochtransport.noise import _window_plan, _window_scales
+
+    grid = TimeGrid(T=T, n=n)
+    spec = HermiteSpec.create(2, H)
+    tau = np.diff(grid.points ** (2 * H)) / (2.0 * spec.d**2 * grid.dt**2)
+    ref = np.empty(n)
+    _dense_pair_blocks(_window_plan(grid, spec), [n], ref, tau)
+    lam2 = _window_scales(grid, spec)
+    assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
+
+
+@pytest.mark.parametrize("H", [0.51, 0.7, 0.99])
+@pytest.mark.parametrize("n", [4, 512, 4096])
+def test_exp_sum_reproduces_the_bulk_powers(n, H):
+    """sum_e weights_e exp(-rates_e x) against every tabulated bulk power
+    D = x^(hp - 3/2), x in [h, T], with positive rates and weights; and
+    E r^(k-2) ct against the bulk rows the plan builds from D and C."""
+    from stochtransport.noise import _window_plan
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    plan = _window_plan(grid, spec)
+    assert np.all(plan.rates > 0.0) and np.all(plan.weights > 0.0)
+    h = grid.dt
+    du = _window_u_nodes(grid, 0)
+    yoff = (h / 2.0) * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
+    x = np.arange(n - 1, 1, -1) * h + du[:, None] - yoff[:, None, None]
+    assert x.shape == plan.D.shape
+    assert x.min() >= h and x.max() <= grid.T
+    approx = np.exp(-x[..., None] * plan.rates) @ plan.weights
+    assert np.max(np.abs(approx / plan.D - 1.0)) <= 1e-14
+    if n > 3:
+        l = n - 1
+        Eh, P = plan.exp_block(l, l + 1)
+        powers = plan.r ** np.arange(l - 3, -1, -1)[:, None]  # cells 1 .. l-2
+        rows = Eh[0] @ (powers * plan.ct[1:l - 1]).T
+        F, w = plan.factor_block(l, l + 1)
+        ref = np.sqrt(w)[:, None] * F
+        assert np.max(np.abs(rows / ref[:, 1:l - 1] - 1.0)) <= 1e-13
+        assert np.array_equal(P[0], ref[:, [0, l - 1, l]].T)
 
 
 @pytest.mark.parametrize("H", _PIN_HS)
@@ -511,7 +595,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    lam2 = _window_scales(grid, spec)[0]
+    lam2 = _window_scales(grid, spec)
     eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
     for k in list(eighths) + [37]:
         lam = pair_matrix(grid, spec, grid.points[k])
@@ -526,76 +610,81 @@ def test_pair_matrix_matches_direct_accumulation(H):
             grid.points[k] ** (2 * H), rel=1e-10)
 
 
-def _blocked_pair_matrices(plan, lam2, edges):
-    """{l1: 0.5 (A + A^T)} after each block [l0, l1) of the given edges, A
-    accumulated as _pair_blocks does: one GEMM per slab of _FOLD M rows."""
-    from stochtransport.noise import _FOLD
+@pytest.mark.parametrize("H", [0.51, 0.7, 0.99])
+@pytest.mark.parametrize("n", [7, 40, 100])
+def test_pair_sums_match_the_dense_accumulating_pass(n, H):
+    """A_k from the exponential sum against the dense accumulating pass,
+    for k = 0 .. 6 (the windows whose edge cells coincide or leave one bulk
+    cell), every probe index and n, from one sweep and one at a time."""
+    from stochtransport.noise import _pair_sums, _probe_indices, _window_plan, _window_scales
 
-    s = _FOLD * plan.M
-    A = np.zeros((edges[-1], edges[-1]))
-    out = {}
-    for l0, l1 in zip(edges, edges[1:]):
-        Psi, w = plan.factor_block(l0, l1)
-        Psi *= np.sqrt(np.tile(w, l1 - l0))[:, None]
-        scale = np.repeat(lam2[l0:l1], plan.M)[:, None]
-        for r in range(0, l1, s):
-            A[r:min(r + s, l1), :l1] += (scale * Psi[:, r:r + s]).T @ Psi
-        out[l1] = 0.5 * (A[:l1, :l1] + A[:l1, :l1].T)
-    return out
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    ks = sorted({*range(1, 7), *(int(k) for k in _probe_indices(n)), n})
+    ref = _dense_pair_blocks(plan, ks, lam2)
+    together = _pair_sums(plan, lam2, ks)
+    assert sorted(together) == ks
+    for k in ks:
+        for A in (together[k], _pair_sums(plan, lam2, [k])[k]):
+            assert A.shape == (k, k) and not A.flags.writeable
+            assert np.array_equal(A, A.T)
+            assert np.max(np.abs(A - ref[k])) <= 1e-13 * np.max(np.abs(ref[k])), k
+    assert _pair_sums(plan, lam2, [0])[0].shape == (0, 0)
 
 
 def _record_pair_passes(monkeypatch):
-    """Wrap noise._pair_blocks; returns the list it appends, per call, the
-    sorted requested indices, whether the pass calibrates, and its blocks."""
+    """Wrap noise._pair_sums; returns the list it appends, per call, the
+    sorted requested indices and the blocks it returned."""
     import stochtransport.noise as noise
 
     passes = []
-    real = noise._pair_blocks
+    real = noise._pair_sums
 
-    def recorded(plan, ks, lam2, tau=None):
-        out = real(plan, ks, lam2, tau)
-        passes.append((tuple(sorted(int(k) for k in ks)), tau is not None, out))
+    def recorded(plan, lam2, ks):
+        out = real(plan, lam2, ks)
+        passes.append((tuple(sorted(int(k) for k in ks)), out))
         return out
 
-    monkeypatch.setattr(noise, "_pair_blocks", recorded)
+    monkeypatch.setattr(noise, "_pair_sums", recorded)
     return passes
 
 
 @pytest.mark.parametrize("n", [100, 512])
 def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
-    """The lattice Gram at the probe indices reads A_n from the calibration
-    and the probes below n from one pass over exactly those indices, bit
-    for bit the accumulation with the calibration's block edges; so are
-    A_n, symmetrized in place, and every Gram entry.  n = 512 takes two
-    row slabs."""
+    """The lattice Gram at the probe indices builds every probe block, A_n
+    included, in one sweep over exactly those indices and reads no cache;
+    each block is the dense accumulation to 1e-13 of its largest entry,
+    and every Gram entry is, bit for bit, the Wick covariance of the
+    blocks the sweep returned.  n = 512 takes several row blocks."""
     import stochtransport.noise as noise
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.77)  # an H no other test uses: cold caches
     passes = _record_pair_passes(monkeypatch)
+    cached = noise._pair_matrix_cached.cache_info()
     probes = [int(k) for k in noise._probe_indices(n)]
     gram = noise._lattice_gram(grid, spec, probes)
-    assert [p[:2] for p in passes] == [(tuple(probes), True),
-                                       (tuple(probes[:-1]), False)]
+    assert [p[0] for p in passes] == [tuple(probes)]
+    assert noise._pair_matrix_cached.cache_info() == cached
 
-    lam2, A_n = noise._window_scales(grid, spec)
-    assert A_n.shape == (n, n) and not A_n.flags.writeable
-    edges = sorted(set(probes) | set(range(0, n, noise._FOLD)))
-    ref = _blocked_pair_matrices(noise._window_plan(grid, spec), lam2, edges)
-    blocks = {**passes[1][2], n: A_n}
+    blocks = passes[0][1]
+    ref = _dense_pair_blocks(noise._window_plan(grid, spec), probes,
+                             noise._window_scales(grid, spec))
     for k in probes:
-        assert np.array_equal(blocks[k], ref[k]), k
+        assert blocks[k].shape == (k, k) and not blocks[k].flags.writeable
+        assert np.max(np.abs(blocks[k] - ref[k])) <= 1e-13 * np.max(np.abs(ref[k])), k
     c = 2.0 * spec.d**2 * grid.dt**2
     for i, a in enumerate(probes):
         for j, b in enumerate(probes):
             k = min(a, b)
-            assert gram[i, j] == c * (ref[a][:k, :k] * ref[b][:k, :k]).sum()
+            assert gram[i, j] == c * (blocks[a][:k, :k] * blocks[b][:k, :k]).sum()
 
 
 def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path):
-    """A cold pair_matrix or dz_norm_ensemble at T/2 makes the calibrating
-    pass and one pass over {n/2}, not over all seven probes below n; a cold
-    noise-stats makes one pass over those seven."""
+    """A cold pair_matrix or dz_norm_ensemble at T/2 makes one calibration
+    and one sweep over {n/2}, not over all eight probes; a cold noise-stats
+    makes one calibration and one sweep over the eight."""
     import stochtransport.noise as noise
     from stochtransport.experiments import ExperimentConfig, run
     from stochtransport.malliavin import dz_norm_ensemble
@@ -612,41 +701,59 @@ def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path
         noise._pair_matrix_cached.cache_clear()
         passes.clear()
         call()
-        assert [p[:2] for p in passes] == [(probes, True), ((n // 2,), False)]
+        assert [p[0] for p in passes] == [(n // 2,)]
+        assert noise._window_scales.cache_info().misses == 1
 
     noise._window_scales.cache_clear()
     noise._pair_matrix_cached.cache_clear()
     passes.clear()
     run(ExperimentConfig(kind="noise-stats", q=2, n=n, paths=50, seed=7,
                          out_dir=str(tmp_path)))
-    assert [p[:2] for p in passes] == [(probes, True), (probes[:-1], False)]
+    assert [p[0] for p in passes] == [probes]
+    assert noise._window_scales.cache_info().misses == 1
 
 
-def test_calibration_keeps_one_pair_matrix():
-    """A cold calibration leaves lam2 and the one (n, n) matrix A_n in its
-    lru entry.  With the plan warm, its traced peak is A_n, one block's
-    stacked rows Psi (384 x n) and the fold's (384, 384) and (n, 384)
-    slabs: 5.03 n^2 doubles measured at n = 256, where the block-sized
-    slabs outweigh A_n (3.07 n^2 at n = 512)."""
+def test_a_sine_drift_density_builds_no_pair_matrix(monkeypatch, tmp_path):
+    """A rank-2 density with the sine drift reads its derivative norm off
+    the window adjoint: a cold run calibrates once and builds no pair
+    matrix, so it holds no k x k array."""
+    import stochtransport.noise as noise
+    from stochtransport.experiments import ExperimentConfig, run
+
+    passes = _record_pair_passes(monkeypatch)
+    noise._window_scales.cache_clear()
+    noise._pair_matrix_cached.cache_clear()
+    run(ExperimentConfig(kind="density", q=2, n=64, paths=1000, drift="sine",
+                         out_dir=str(tmp_path)))
+    assert passes == []
+    assert noise._window_scales.cache_info().misses == 1
+    assert noise._pair_matrix_cached.cache_info().currsize == 0
+
+
+def test_calibration_keeps_only_the_scales():
+    """A cold calibration leaves lam2 alone in its lru entry: n doubles,
+    and no (n, n) array on the way.  With the plan warm, its traced peak is
+    one block's (N, N) tables, _FOLD of each of K, H H^T and Phi and their
+    temporaries: 5.7 _FOLD N^2 doubles measured at n = 2048, 0.05 n^2, where
+    the dense pass peaked above its A_n."""
     import tracemalloc
 
-    from stochtransport.noise import _window_plan, _window_scales
+    from stochtransport.noise import _FOLD, _window_plan, _window_scales
 
-    n = 256
+    n = 2048
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.66)  # an H no other test uses: cold caches
-    _window_plan(grid, spec)
+    N = _window_plan(grid, spec).r.size
     tracemalloc.start()
     try:
-        entry = _window_scales(grid, spec)
+        lam2 = _window_scales(grid, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lam2, A_n = entry
-    assert len(entry) == 2 and lam2.shape == (n,) and A_n.shape == (n, n)
-    assert A_n.base is None and lam2.base is None
-    assert held <= 1.05 * 8 * n * n
-    assert peak <= 5.1 * 8 * n * n
+    assert lam2.shape == (n,) and lam2.base is None
+    assert held <= 8 * n + 1024
+    assert peak <= 6.5 * 8 * _FOLD * N * N
+    assert peak <= 0.1 * 8 * n * n
 
 
 def test_off_probe_pair_matrices_hold_two_blocks():
@@ -674,9 +781,10 @@ def test_off_probe_pair_matrices_hold_two_blocks():
 
 def test_lattice_gram_keeps_no_block_below_n():
     """With the calibration warm, the lattice Gram at the probe indices
-    builds the seven probe blocks below n (about 2.2 n^2 doubles; traced
-    peak 5.6 n^2 at n = 256) and holds none of them afterwards (0.007 n^2
-    measured: the Gram and interpreter small change)."""
+    builds the eight probe blocks, A_n included (about 3.2 n^2 doubles;
+    traced peak 7.0 n^2 at n = 256 with the sweep's per-index column
+    factors), and holds none of them afterwards (0.012 n^2 measured: the
+    Gram and interpreter small change)."""
     import tracemalloc
 
     import stochtransport.noise as noise
@@ -755,7 +863,7 @@ def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
     paths = data.draw(st.sampled_from([1, 5, _PATH_BLOCK + 3]), label="paths")
     dW = generate_increments(grid, 3, range(paths))
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)[0]
+    lam2 = _window_scales(grid, spec)
     seen = []
     for l0, l1, lam2_blk, Fs, w, chunks in _windows(grid, spec, dW, lo, hi):
         assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
@@ -785,7 +893,7 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     spec = HermiteSpec.create(2, 0.7)
     dW = generate_increments(grid, 5, range(_PATH_BLOCK + 5))
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)[0]
+    lam2 = _window_scales(grid, spec)
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
         F, w = plan.factor_block(l, l + 1)
