@@ -29,32 +29,26 @@ u-integral splits across grid windows [t_l, t_{l+1}], and on each window the
 chaos sum collapses to S(u_p) = sum_i F_i(u_p) dW_i, with graded
 Gauss-Legendre u-panels of fixed order (_NODES).  In y, the three edge cells
 of a window (cell 0 and the two next to u), next to the kernel's
-singularities, are exact incomplete-Beta averages, and the bulk cells
-between them use a lag-tabulated Gauss-Legendre rule.  Cost is
-O(_NODES * n^2) for a whole path, not per output time.  One block engine
-serves every rank-2 consumer.  _WindowPlan tabulates once per grid the bulk
-kernel powers by lag, every window's u-powers and its three edge cells, so
-factor_block stacks the factor rows of up to _FOLD windows with one einsum
-per window.  _windows walks the calibrated windows in those blocks and
-applies each to _PATH_BLOCK driver rows at a time, one GEMM
-S = dW[:, :l1] @ Fs.T per block, for the simulator and for the derivative
-products below.  pair_matrix gives the same quadrature as an explicit
-matrix, so the Wick form d * (dW' A dW - dt * tr A) reproduces simulated
-values to roundoff, which the derivative products rely on.
-
-Neither the calibration nor a pair matrix walks the factor rows.  The bulk
-kernel power x^(hp - 3/2), x in [dt, T], is an exponential sum of N = 36-71
-positive terms accurate to about 1e-15 (_exp_sum), so a bulk factor row of
-window l is Eh_l (r^(l-2-i) ct_i) with r = exp(-rates dt)
-(_WindowPlan.exp_block), and a sum over windows becomes a recursion on
-N-vectors and (N, N) tables: _window_scales solves the calibration in one
-forward sweep, O(n N^2 M), and _pair_sums builds the pair matrices at any
-set of indices in one backward sweep, O(k N^2 M + k^2 N) for A_k.  A k x k
-array is built only when a consumer reads a pair matrix:
-_pair_matrix_cached keeps the last two single blocks, and _lattice_gram
-drops its blocks on return.  The four plan caches (_fbm_weights,
-_window_plan, _window_scales, _pair_matrix_cached) are keyed by the
-TimeGrid and HermiteSpec their caller holds; both hash by value.
+singularities, are exact incomplete-Beta averages.  The bulk cells between
+them average the kernel power x^(hp - 3/2), x in [dt, T], with a fixed
+Gauss-Legendre rule, and that power is an exponential sum of N = 36-71
+positive terms accurate to about 1e-15 (_exp_sum), so a bulk factor row is
+E (r^(l-2-i) ct_i) times the u-powers, r = exp(-rates dt), and every sum
+over cells or windows is a recursion on N-vectors and (N, N) tables.  The
+window pass (_window_blocks) keeps per path the state
+X_l = sum_{1<=i<=l-2} r^(l-2-i) ct_i dW_i and maps it, with the newest
+increments, to the chaos sums of _FOLD windows by one GEMM per block and
+chunk of _PATH_BLOCK driver rows: O(n N M) per path, forward in the
+simulator and transposed in the derivative norm.  _window_scales solves
+the calibration in one forward sweep, O(n N^2 M), and _pair_sums builds
+the pair matrices at any set of indices in one backward sweep,
+O(k N^2 M + k^2 N) for A_k, whose Wick form d * (dW' A dW - dt * tr A)
+reproduces simulated values to roundoff.  A k x k array is built only
+when a consumer reads a pair matrix: _pair_matrix_cached keeps the last
+two single blocks, and _lattice_gram drops its blocks on return.  The four
+plan caches (_fbm_weights, _window_plan, _window_scales,
+_pair_matrix_cached) are keyed by the TimeGrid and HermiteSpec their
+caller holds; both hash by value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -82,7 +76,7 @@ kernels, so it lives here, beside the forward product it transposes:
 _dz_rows gives the rows G[k] = D Z_{t_k}, kernel rows or 2 d A_k dW, and
 _dz_norm the per-path norm ||sum_r w[r] G[ks+r]||^2 dt, off two kernel rows
 or pair matrices for w = e_0 - e_m, else by the adjoint of _fbm_in_place
-or of the window loop.
+or of the window pass.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -198,6 +192,12 @@ def _exp_sum(a: float, n: int):
     return sigma[keep], w[keep]
 
 
+def _powers(rh: np.ndarray, k: int) -> np.ndarray:
+    """(k, N): row j holds r^j = exp(-rh j), zero below e^-200 (no subnormals)."""
+    d = np.arange(k)[:, None] * rh
+    return np.where(d > 200.0, 0.0, np.exp(-d))
+
+
 class _WindowPlan:
     """Per-grid quadrature tables for cell-averaged kernel factor rows.
 
@@ -205,17 +205,13 @@ class _WindowPlan:
     F[p, i] is the average of dK(u_p, y) over cell i (i <= l) at the
     window-l u-nodes u_p, and w the matching u-weights, so F.T @ diag(w) @ F
     is window l's contribution to the pair matrix and F @ dW[:l+1] evaluates
-    the chaos integrand at the u-nodes.  The y-integrals, tabulated for
-    every window at construction:
-
-      - bulk cells 1 .. l-2: a fixed Gauss-Legendre rule, shared by every
-        window, so their kernel powers are tabulated once by lag (D, C);
-      - edge cells 0, l-1 and l, next to the singularities at y = 0 and
-        y = u: exact, one regularized incomplete Beta expression (edges).
-
-    The bulk power also comes as an exponential sum (rates, weights; E, r,
-    ct), which the window sums of _window_scales and _pair_sums read
-    through exp_block.
+    the chaos integrand at the u-nodes.  Edge cells 0, l-1 and l, next to
+    the singularities at y = 0 and y = u, are exact incomplete-Beta
+    averages (edges).  Bulk cells 1 .. l-2 average the kernel power with a
+    fixed Gauss-Legendre rule, and the power's exponential sum (rates,
+    weights) factors them as E[p] r^(l-2-i) ct[i] times the u-power, which
+    _window_scales and _pair_sums read through exp_block and the window
+    pass (_window_blocks) through the block tables.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
@@ -226,14 +222,11 @@ class _WindowPlan:
         du, self.wu = _panels(np.array(_U_GRADING) * h, *leggauss(_NODES))
         self.M = du.size
 
-        # bulk cells see window l only through the lag k = l - i >= 2: D[j, p,
-        # n-1-k] = (k h + du_p - yoff_j)^(hp - 3/2) at y-node j (window l reads
-        # a contiguous tail), C[j, i] = y^(1/2 - hp) times the averaging weight
+        # bulk cells average over the y-nodes yoff_j of a fixed Gauss-Legendre
+        # rule: weight y^(1/2 - hp) times the averaging weight at y = t_i + yoff_j
         xb, wb = leggauss(m_y)
         yoff = (h / 2.0) * (xb + 1.0)
-        lag = np.arange(n - 1, 1, -1) * h
-        self.D = (lag + du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
-        self.C = (pts[:-1] + yoff[:, None]) ** (0.5 - hp) * (wb[:, None] / 2.0)
+        cw = (pts[:-1] + yoff[:, None]) ** (0.5 - hp) * (wb[:, None] / 2.0)
 
         # Every window's u-powers c u^(hp - 1/2) and its edge columns
         # edges[l] = (cell 0, cell l-1, cell l), u-powers included.  With
@@ -255,29 +248,36 @@ class _WindowPlan:
                       * np.concatenate([origin, near], axis=1))
 
         # The bulk power as an exponential sum, x^(-a) = sum_e weights_e
-        # exp(-rates_e x) on [h, T] (_exp_sum), so D[j, p, n-1-k] factors as
-        # E[p] r^(k-2) ct[i]: E[p, e] = weights_e exp(-rates_e du_p),
-        # r = exp(-rates h) and ct[i, e] = sum_j C[j, i] exp(-rates_e (2h -
-        # yoff_j)).  The sums over windows (_window_scales, _pair_sums) run
-        # on these N-vectors instead of on factor rows.
+        # exp(-rates_e x) on [h, T] (_exp_sum), so the power at lag k = l - i,
+        # (k h + du_p - yoff_j)^(hp - 3/2), factors as E[p] r^(k-2) ct[i]:
+        # E[p, e] = weights_e exp(-rates_e du_p), r = exp(-rates h) and
+        # ct[i, e] = sum_j cw[j, i] exp(-rates_e (2h - yoff_j)).  Every sum
+        # over cells or windows runs on these N-vectors.
         sigma, wt = _exp_sum(a, n)
         T = n * h
         self.rates, self.weights = sigma / T, wt * T ** -a
         self.rh = self.rates * h
         self.r = np.exp(-self.rh)
         self.E = self.weights * np.exp(-np.outer(du, self.rates))
-        self.ct = self.C.T @ np.exp(-np.outer(2.0 * h - yoff, self.rates))
+        self.ct = cw.T @ np.exp(-np.outer(2.0 * h - yoff, self.rates))
+        # sqrt(w)-weighted factor rows of windows l < 4, rows (l, p)
+        Fs = self.factor_block(0, min(n, 4))[0]
+        self.first = (Fs * np.tile(np.sqrt(self.wu), len(Fs) // self.M)[:, None]).T
+        self.wick = _BlockTables(self, h).wick
 
     def factor_block(self, l0: int, l1: int):
         """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
         Fs hold window l's factor rows, l0 <= l < l1, exactly zero past
         column l; the u-powers go in with one multiply per block."""
-        m = l1 - l0
+        m, pw, ct = l1 - l0, _powers(self.rh, l1), self.ct
         Fs = np.zeros((m, self.M, l1))
-        # bulk cells 1 .. l-2: lags l-1 .. 2 of the tables
-        for l in range(max(l0, 3), l1):
-            Fs[l - l0, :, 1:l - 1] = np.einsum(
-                "jpk,jk->pk", self.D[:, :, 2 - l:], self.C[:, 1:l - 1])
+        # bulk cells 1 .. l-2: the cells i <= l0-2 of every window at once,
+        # r^(l-2-i) = r^(l-l0) r^(l0-2-i), then each window's newer cells
+        if l0 > 2:
+            Fs[:, :, 1:l0 - 1] = (pw[:m, None] * self.E) @ (pw[l0 - 3::-1] * ct[1:l0 - 1]).T
+        i0 = max(1, l0 - 1)
+        for l in range(max(l0 + 1, 3), l1):
+            Fs[l - l0, :, i0:l - 1] = self.E @ (pw[l - 2 - i0::-1] * ct[i0:l - 1]).T
         Fs *= self.upow[l0:l1, :, None]
         l = np.arange(l0, l1)[:, None]
         Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[l0:l1]
@@ -293,6 +293,49 @@ class _WindowPlan:
         return Eh, self.edges[l0:l1] * sw
 
 
+class _BlockTables:
+    """The tables of the window pass (_window_blocks), built per pass, so a
+    run holds none of them while it reads a pair matrix.  Block b, windows
+    4 + b _FOLD <= l < l1, reads X_l = sum_{1<=i<=l-2} r^(l-2-i) ct_i dW_i
+    through er[:, (l - l0) M + p] = sqrt(w_p) E[p] r^(l-l0) and dW_0,
+    dW_{l0-1} .. dW_{l1-1} through wb[b] (edge cells, bulk cells
+    l0-1 <= i <= l-2), u-powers and sqrt(w) included; X_l1 = rf X_l0 +
+    dW_{l0-1 .. l1-2} @ tn[b + 1], rf = r^_FOLD, and X_4 = dW_1,2 @ tn[0].
+    Given dt, also the Wick means wick[l] = dt sum_p w_p |F_l[p]|^2, cells
+    below l0 - 1 through their Gram K_l0.  Products stay per window, small
+    enough that BLAS keeps to one thread.
+    """
+
+    def __init__(self, plan: _WindowPlan, dt: float | None = None):
+        F, M, ct, n = _FOLD, plan.M, plan.ct, len(plan.upow)
+        pw, sw = _powers(plan.rh, F + 1), np.sqrt(plan.wu)
+        self.rf = pw[F]
+        er = pw[:F, :, None] * (sw[:, None] * plan.E).T  # (F, N, M)
+        self.er = np.ascontiguousarray(er.transpose(1, 0, 2).reshape(-1, F * M))
+        self.tn, self.wb = [pw[1::-1] * ct[1:3]], []
+        if dt is not None:
+            self.wick = np.empty(n)
+            self.wick[:4] = dt * (plan.first ** 2).sum(axis=0).reshape(-1, M).sum(axis=1)
+            K = self.tn[0].T @ self.tn[0]
+        for l0 in range(4, n, F):
+            l1 = min(l0 + F, n)
+            m = l1 - l0
+            i, j = np.tril_indices(m, -1)  # cell l0-1+j <= l-2 of window l0+i
+            G = ct[l0 - 1:l1 - 1] @ er  # G[d, j] = E . (r^d ct_{l0-1+j})
+            W = np.zeros((m + 2, m, M))
+            W[1 + j, i] = G[i - 1 - j, j]
+            W *= plan.upow[l0:l1]
+            i = np.arange(m)
+            W[0, i], W[1 + i, i], W[2 + i, i] = (plan.edges[l0:l1] * sw).transpose(1, 0, 2)
+            self.wb.append(W.reshape(m + 2, m * M))
+            self.tn.append(pw[m - 1::-1] * ct[l0 - 1:l1 - 1])
+            if dt is not None:
+                Ws = er[:m] * plan.upow[l0:l1, None]
+                q = np.einsum("anp,anp->a", Ws, K @ Ws) + np.einsum("rap,rap->a", W, W)
+                self.wick[l0:l1] = dt * q
+                K = np.outer(pw[m], pw[m]) * K + self.tn[-1].T @ self.tn[-1]
+
+
 @lru_cache(maxsize=16)
 def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
     return _WindowPlan(grid, spec)
@@ -305,18 +348,11 @@ def _probe_indices(n: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
-# Windows per block of the rank-2 window engine: one GEMM applies a block's
-# stacked factor rows (_windows), and the exponential-sum sweeps batch a
-# block's (N, N) tables (_window_scales, _pair_sums; rows per block of
-# _tri_sum).
+# Windows per block of the rank-2 window engine: one GEMM maps a block's
+# state and increments to its chaos sums (_window_blocks), and the
+# exponential-sum sweeps batch a block's (N, N) tables (_window_scales,
+# _pair_sums; rows per block of _tri_sum).
 _FOLD = 16
-
-
-def _first_windows(plan: _WindowPlan, l1: int) -> list:
-    """sqrt(w)-weighted factor rows Psi_l of the windows l < l1 <= 4, whose
-    edge cells coincide (l < 3) or which the sweeps take exactly (l = 3)."""
-    sw = np.sqrt(plan.wu)[:, None]
-    return [sw * plan.factor_block(l, l + 1)[0] for l in range(l1)]
 
 
 @lru_cache(maxsize=4)
@@ -357,7 +393,7 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
     plan, n = _window_plan(grid, spec), grid.n
     tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
     lam2 = np.empty(n)
-    Psi = _first_windows(plan, min(n, 4))
+    Psi = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(n, 4))]
     for l, P in enumerate(Psi):
         x = sum(lam2[m] * np.sum((P[:, :m + 1] @ Q.T) ** 2) for m, Q in enumerate(Psi[:l]))
         y = np.sum((P @ P.T) ** 2)
@@ -450,8 +486,9 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
     # lam2-weighted per window l >= 3: Eh_l^T (p1, p2) and the products
     # (e0.e0, e0.p1, e0.p2, p1.p1, p1.p2, p2.p2) of its edge columns
     q, s = np.zeros((kmax + 1, 2, N)), np.zeros((kmax + 1, 6))
-    z, row0 = np.zeros((len(ks), kmax, N)), np.zeros((len(ks), kmax))
+    z, row0 = [np.zeros((k, N)) for k in ks], np.zeros((len(ks), kmax))
     Y, gam = np.zeros((len(ks), N, N)), np.zeros((len(ks), N))
+    zb = np.empty((len(ks), _FOLD, N))  # a block's z_j, then copied to each k > j + 2
     active = 0
     for l1 in range(kmax, 3, -_FOLD):
         l0 = max(l1 - _FOLD, 3)
@@ -471,16 +508,19 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
             Ya += Phi[l - l0]
             ga *= r
             ga += g[l - l0]
-            z[:active, l - 2] = Ya @ ct[l - 2]
+            zb[:active, l - l0] = Ya @ ct[l - 2]
             row0[:active, l - 2] = ga @ ct[l - 2]
+        for a in range(active):
+            hi = min(l1, ks[a])
+            z[a][l0 - 2:hi - 2] = zb[a, :hi - l0]
     del Y
     out = {}
-    first = _first_windows(plan, min(kmax, 3))
+    first = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(kmax, 3))]
     for a, k in enumerate(ks):
         A = np.zeros((k, k))
         q[k:] = s[k:] = 0.0  # windows l >= k: not in A_k, nor in any later k
         if k > 3:
-            _bulk_sums(A, plan, z[a, :k], row0[a, :k], q[:k + 1], s[:k + 1])
+            _bulk_sums(A, plan, z[a], row0[a, :k], q[:k + 1], s[:k + 1])
         for l, Psi in enumerate(first[:k]):
             B = Psi.T @ Psi
             A[:l + 1, :l + 1] += lam2[l] * 0.5 * (B + B.T)
@@ -516,14 +556,11 @@ def _bulk_sums(A: np.ndarray, plan: _WindowPlan, z, row0, q, s) -> None:
 def _tri_sum(out: np.ndarray, L: np.ndarray, R: np.ndarray, rh: np.ndarray) -> None:
     """out[a, b] += sum_e exp(-rh_e (b - a)) L[a, e] R[b, e] for a <= b.
 
-    By blocks of _FOLD rows: the diagonal block gathers its powers,
-    and the block's rows right of it are one GEMM with the powers split at
-    the block's last row, so every power is non-negative.  Powers below
-    e^-200 count as zero, which keeps subnormals out of the products."""
+    By blocks of _FOLD rows: the diagonal block gathers its powers
+    (_powers), and the block's rows right of it are one GEMM with the
+    powers split at the block's last row, so every power is non-negative."""
     m = len(L)
-    d = np.arange(m + 1)[:, None] * rh
-    pw = np.exp(-d)
-    pw[d > 200.0] = 0.0
+    pw = _powers(rh, m + 1)
     for a0 in range(0, m, _FOLD):
         a1 = min(a0 + _FOLD, m)
         gap = np.arange(a1 - a0) - np.arange(a1 - a0)[:, None]  # b - a
@@ -534,23 +571,33 @@ def _tri_sum(out: np.ndarray, L: np.ndarray, R: np.ndarray, rh: np.ndarray) -> N
             out[a0:a1, a1:m] += Lh @ (R[a1:m] * pw[1:m - a1 + 1]).T
 
 
-def _windows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray, lo: int, hi: int):
-    """The rank-2 window loop over l in [lo, hi), applied to driver rows dW.
-
-    Yields (l0, l1, lam2[l0:l1], Fs, w, chunks) per block [l0, l1) of up to
-    _FOLD windows: their calibration factors, their stacked factor rows
-    (_WindowPlan.factor_block), the u-weights and, per chunk cols of
-    _PATH_BLOCK driver rows, (cols, S) with the chaos integrand
-    S = dW[cols, :l1] @ Fs.T, column a M + p holding window l0 + a at u-node
-    p.  A consumer takes a block's chunks before the next block."""
-    plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
-    for l0 in range(lo, hi, _FOLD):
+def _window_blocks(plan: _WindowPlan, tab: _BlockTables, d: np.ndarray, lo: int, hi: int):
+    """The rank-2 window pass over driver rows d, windows l < hi: per block
+    with a window in [lo, hi), (b, l0, l1, S, W), the sqrt(w)-weighted chaos
+    sums S = u @ W of windows l0 <= l < l1, column (l - l0) M + p.  Windows
+    l < 4 (b = -1) read u = dW_0 .. dW_{l1-1}, block b (_BlockTables)
+    u = [X_l0 | dW_0 | dW_{l0-1} .. dW_{l1-1}]; X moves on past every block."""
+    l1 = min(hi, 4)
+    if lo < l1:
+        W = plan.first[:l1, :l1 * plan.M]
+        yield -1, 0, l1, d[:, :l1] @ W, W
+    if hi <= 4:
+        return
+    N = plan.r.size
+    u, S = np.empty((len(d), N + _FOLD + 2)), np.empty((len(d), _FOLD * plan.M))
+    X = d[:, 1:3] @ tab.tn[0]
+    u[:, N] = d[:, 0]
+    for b, l0 in enumerate(range(4, hi, _FOLD)):
         l1 = min(l0 + _FOLD, hi)
-        Fs, w = plan.factor_block(l0, l1)
-        chunks = ((slice(c, c + _PATH_BLOCK), dW[c:c + _PATH_BLOCK, :l1] @ Fs.T)
-                  for c in range(0, len(dW), _PATH_BLOCK))
-        yield l0, l1, lam2[l0:l1], Fs, w, chunks
+        if l1 > lo:
+            u[:, :N] = X
+            u[:, N + 1:N + l1 - l0 + 2] = d[:, l0 - 1:l1]
+            k = (l1 - l0) * plan.M
+            W = np.vstack([tab.er[:, :k] * plan.upow[l0:l1].ravel(), tab.wb[b][:l1 - l0 + 2, :k]])
+            yield b, l0, l1, np.matmul(u[:, :len(W)], W, out=S[:, :W.shape[1]]), W
+        if l1 < hi:
+            X *= tab.rf
+            X += d[:, l0 - 1:l1 - 1] @ tab.tn[b + 1]
 
 
 def _fbm_in_place(M: np.ndarray, zt: np.ndarray) -> None:
@@ -585,13 +632,15 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
         return zt.T
 
     # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    tab = _BlockTables(plan)
     zt[0] = 0.0
-    for l0, l1, lam2, Fs, w, chunks in _windows(grid, spec, dW, 0, n):
-        mean_sq = grid.dt * (np.einsum("ij,ij->i", Fs, Fs).reshape(-1, w.size) @ w)
-        for cols, S in chunks:
-            S *= S
-            zt[l0 + 1:l1 + 1, cols] = lam2[:, None] * (
-                (S.reshape(-1, w.size) @ w).reshape(-1, l1 - l0).T - mean_sq[:, None])
+    for c in range(0, P, _PATH_BLOCK):
+        for _, l0, l1, S, _ in _window_blocks(plan, tab, dW[c:c + _PATH_BLOCK], 0, n):
+            S = S.reshape(-1, plan.M)
+            zt[l0 + 1:l1 + 1, c:c + _PATH_BLOCK] = lam2[l0:l1, None] * (
+                np.einsum("ij,ij->i", S, S).reshape(-1, l1 - l0).T
+                - plan.wick[l0:l1, None])
     np.cumsum(zt[1:], axis=0, out=zt[1:])
     zt[1:] *= spec.d
     return zt.T
@@ -602,8 +651,9 @@ def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
     """G[k, a] = D_alpha Z_{t_k}, alpha in step a, for the increments dW (n,):
     the (n+1, n) table, row k supported on a < k, or with entry = (k, a) the
     one entry G[k, a].  A rank-2 entry reads row a of the cached pair
-    matrix; the table takes the simulator's window loop, window l's term in
-    row l+1, and sums the rows in place: one more pass over the path."""
+    matrix; the table takes every window's factor rows (factor_block, in
+    blocks of _FOLD windows), window l's term in row l+1, and sums the rows
+    in place."""
     if entry is not None:
         k, a = entry
         if spec.q == 1:
@@ -613,9 +663,11 @@ def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
     if spec.q == 1:
         G[1:] = _fbm_weights(grid, spec)
         return G
-    for l0, l1, lam2, Fs, w, chunks in _windows(grid, spec, dW[None], 0, grid.n):
-        (_, S), = chunks
-        X = S.reshape(-1, w.size) * w * lam2[:, None]
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    for l0 in range(0, grid.n, _FOLD):
+        l1 = min(l0 + _FOLD, grid.n)
+        Fs, w = plan.factor_block(l0, l1)
+        X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[l0:l1, None]
         G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
     np.cumsum(G, axis=0, out=G)
     G *= 2.0 * spec.d
@@ -629,8 +681,10 @@ def _dz_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
     ks == kt.  w = None stands for e_0 - e_m: G[kt] - G[ks] from two kernel
     rows (one value for every path) or two cached pair matrices, one GEMM
     per end.  Rank 2 otherwise: window l's term of G[k] counts in every row
-    k > l, so it carries -run, run the running sum of w (zero for l < ks),
-    and each weighted chunk S adds X @ Fs to V."""
+    k > l, so it carries -run, run the running sum of w (zero for l < ks).
+    Per chunk of _PATH_BLOCK paths, the window pass runs forward, each
+    block's scaled S goes back through its map W, and the state gradients
+    then run backwards through the state recursion onto the cells."""
     if spec.q == 2 and dW is None:
         raise DomainError("rank-2 ensembles need the driving increments dW")
     if ks == kt:
@@ -661,18 +715,35 @@ def _dz_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
         rows *= 2.0 * spec.d
         rows *= rows
         return rows.sum(axis=1) * grid.dt
-    run, scale = np.zeros(paths), np.empty((_FOLD, paths))
-    V, buf = np.zeros((paths, kt)), np.empty((min(_PATH_BLOCK, paths), kt))
-    for l0, l1, lam2, Fs, wu, chunks in _windows(grid, spec, dW, ks, kt):
-        for a in range(l1 - l0):
-            run += w[l0 + a - ks]
-            np.multiply(-2.0 * spec.d * lam2[a], run, out=scale[a])
-        for cols, S in chunks:
-            X = S.reshape(-1, l1 - l0, wu.size)
-            X *= scale[:l1 - l0, cols].T[:, :, None]
-            X *= wu
-            V[cols, :l1] += np.matmul(X.reshape(len(X), -1), Fs, out=buf[:len(X), :l1])
-    return np.einsum("ij,ij->i", V, V) * grid.dt
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    tab = _BlockTables(plan)
+    N, M, nb, rows = plan.r.size, plan.M, len(range(4, kt, _FOLD)), min(paths, _PATH_BLOCK)
+    out = np.empty(paths)
+    bufs = np.empty((rows, kt)), np.empty((rows, kt)), np.empty((nb, rows, N))
+    for c in range(0, paths, _PATH_BLOCK):
+        d = dW[c:c + _PATH_BLOCK]
+        scale, V, gX = bufs[0][:len(d)], bufs[1][:len(d)], bufs[2][:, :len(d)]
+        scale[:, :ks] = V[:] = gX[:] = 0.0
+        np.cumsum(w[:-1, c:c + _PATH_BLOCK].T, axis=1, out=scale[:, ks:])
+        scale *= -2.0 * spec.d * lam2[:kt]
+        for b, l0, l1, S, W in _window_blocks(plan, tab, d, ks, kt):
+            X = S.reshape(len(d), l1 - l0, M)
+            X *= scale[:, l0:l1, None]
+            g = S @ W.T
+            if b < 0:
+                V[:, :l1] += g
+            else:
+                gX[b] = g[:, :N]
+                V[:, 0] += g[:, N]
+                V[:, l0 - 1:l1] += g[:, N + 1:]
+        Y = np.zeros((len(d), N))  # the gradient at block b's state, then its input cells
+        for b in reversed(range(nb)):
+            Y *= tab.rf
+            Y += gX[b]
+            l0, k = 4 + b * _FOLD, len(tab.tn[b])
+            V[:, l0 - k - 1:l0 - 1] += Y @ tab.tn[b].T
+        out[c:c + _PATH_BLOCK] = np.einsum("ij,ij->i", V, V)
+    return out * grid.dt
 
 
 def simulate_hermite(w: WienerLattice, spec: HermiteSpec) -> NoisePath:
@@ -696,7 +767,7 @@ def simulate_ensemble(grid: TimeGrid, spec: HermiteSpec, seed: int,
     one time across all paths -- is contiguous).  Rank 1 draws the driver
     in blocks of _DRAW_BLOCK paths straight into that array, which the
     kernel product then overwrites in place (see the module docstring);
-    rank 2 draws the whole (paths, n) driver for its window loop.  With
+    rank 2 draws the whole (paths, n) driver for its window pass.  With
     driver, the (paths, n) increments come back too, as (values, dW), so a
     caller that needs both draws them once.
     """

@@ -406,7 +406,7 @@ class TestDyNormEnsemble:
 
         def refuse(*args):
             raise AssertionError("window pass")
-        monkeypatch.setattr(noise, "_windows", refuse)
+        monkeypatch.setattr(noise, "_window_blocks", refuse)
         zero, const = (dy_norm_ensemble(b, grid, spec, z, s, t, 0.3, dW=dW)
                        for b in (ZERO, drift_preset("constant")))
         assert np.array_equal(zero, const)

@@ -505,6 +505,37 @@ def test_window_scales_match_reference_recursion(H):
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
 
+def _gl_tables(grid, spec):
+    """The lag-tabulated Gauss-Legendre bulk rule: D[j, p, n-1-k] =
+    (k h + du_p - yoff_j)^(hp - 3/2) at lag k >= 2, u-node p and y-node j
+    (window l reads a contiguous tail), and C[j, i] = (t_i + yoff_j)^(1/2 - hp)
+    times the averaging weight, so a bulk cell of window l is
+    sum_j D[j, p, n-1-(l-i)] C[j, i] times the u-power."""
+    h, hp = grid.dt, spec.hp
+    du = _window_u_nodes(grid, 0)
+    xb, wb = np.polynomial.legendre.leggauss(4)
+    yoff = (h / 2.0) * (xb + 1.0)
+    D = (np.arange(grid.n - 1, 1, -1) * h + du[:, None] - yoff[:, None, None]) ** (hp - 1.5)
+    C = (grid.points[:-1] + yoff[:, None]) ** (0.5 - hp) * (wb[:, None] / 2.0)
+    return D, C
+
+
+def _gl_factor_rows(grid, spec, l, tables=None):
+    """Window l's factor rows, (M, l + 1), the dense oracle of the window
+    pass: bulk cells 1 .. l-2 from the lag tables (_gl_tables), one einsum
+    per window, and the plan's edge cells 0, l-1 and l."""
+    from stochtransport.noise import _window_plan
+
+    plan = _window_plan(grid, spec)
+    D, C = tables or _gl_tables(grid, spec)
+    F = np.zeros((plan.M, l + 1))
+    if l >= 3:
+        F[:, 1:l - 1] = np.einsum("jpk,jk->pk", D[:, :, 2 - l:], C[:, 1:l - 1])
+    F *= plan.upow[l][:, None]
+    F[:, [0, max(l - 1, 0), l]] = plan.edges[l].T
+    return F
+
+
 def _dense_pair_blocks(plan, ks, lam2, tau=None):
     """The dense window pass: {k: A_k} at the requested indices k, each
     window's Gram matrix Psi_l^T Psi_l folded into one (kmax, kmax)
@@ -562,8 +593,10 @@ def test_window_scales_match_the_dense_calibrating_pass(n, H, T):
 @pytest.mark.parametrize("n", [4, 512, 4096])
 def test_exp_sum_reproduces_the_bulk_powers(n, H):
     """sum_e weights_e exp(-rates_e x) against every tabulated bulk power
-    D = x^(hp - 3/2), x in [h, T], with positive rates and weights; and
-    E r^(k-2) ct against the bulk rows the plan builds from D and C."""
+    D = x^(hp - 3/2), x in [h, T], of the Gauss-Legendre oracle, with
+    positive rates and weights; factor_block's bulk rows, built from
+    E r^(k-2) ct, against the oracle's rows from D and C; and exp_block's
+    weighted rows against factor_block's."""
     from stochtransport.noise import _window_plan
 
     grid = TimeGrid(T=1.0, n=n)
@@ -574,16 +607,19 @@ def test_exp_sum_reproduces_the_bulk_powers(n, H):
     du = _window_u_nodes(grid, 0)
     yoff = (h / 2.0) * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
     x = np.arange(n - 1, 1, -1) * h + du[:, None] - yoff[:, None, None]
-    assert x.shape == plan.D.shape
+    tables = _gl_tables(grid, spec)
+    assert x.shape == tables[0].shape
     assert x.min() >= h and x.max() <= grid.T
     approx = np.exp(-x[..., None] * plan.rates) @ plan.weights
-    assert np.max(np.abs(approx / plan.D - 1.0)) <= 1e-14
+    assert np.max(np.abs(approx / tables[0] - 1.0)) <= 1e-14
     if n > 3:
         l = n - 1
+        F, w = plan.factor_block(l, l + 1)
+        ref = _gl_factor_rows(grid, spec, l, tables)
+        assert np.max(np.abs(F[:, 1:l - 1] / ref[:, 1:l - 1] - 1.0)) <= 1e-13
         Eh, P = plan.exp_block(l, l + 1)
         powers = plan.r ** np.arange(l - 3, -1, -1)[:, None]  # cells 1 .. l-2
         rows = Eh[0] @ (powers * plan.ct[1:l - 1]).T
-        F, w = plan.factor_block(l, l + 1)
         ref = np.sqrt(w)[:, None] * F
         assert np.max(np.abs(rows / ref[:, 1:l - 1] - 1.0)) <= 1e-13
         assert np.array_equal(P[0], ref[:, [0, l - 1, l]].T)
@@ -782,9 +818,9 @@ def test_off_probe_pair_matrices_hold_two_blocks():
 def test_lattice_gram_keeps_no_block_below_n():
     """With the calibration warm, the lattice Gram at the probe indices
     builds the eight probe blocks, A_n included (about 3.2 n^2 doubles;
-    traced peak 7.0 n^2 at n = 256 with the sweep's per-index column
-    factors), and holds none of them afterwards (0.012 n^2 measured: the
-    Gram and interpreter small change)."""
+    traced peak 6.3 n^2 at n = 256 with the sweep's column factors, k rows
+    for each A_k), and holds none of them afterwards (0.012 n^2 measured:
+    the Gram and interpreter small change)."""
     import tracemalloc
 
     import stochtransport.noise as noise
@@ -844,42 +880,37 @@ def test_ensemble_rows_do_not_depend_on_the_batch(q, data):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 70), data=st.data())
 def test_window_blocks_cover_the_range_once_with_the_plan_rows(n, data):
-    """_windows visits every window of [lo, hi) once, in blocks of at most
-    _FOLD, and each stacked row is plan.factor_block(l, l + 1) to the bit,
-    exactly zero past column l; each block's chunks cover the driver rows
-    in _PATH_BLOCK slices with S = dW[cols, :l1] @ Fs.T."""
-    from stochtransport.noise import (
-        _FOLD,
-        _PATH_BLOCK,
-        _window_plan,
-        _window_scales,
-        _windows,
-    )
+    """_window_blocks visits every window of [lo, hi) once, in blocks of at
+    most _FOLD: windows l < 4 first, then recursion block b from
+    4 + b _FOLD.  Driven by the identity, whose row i is the unit increment
+    of step i, a block's S holds its windows' sqrt(w)-weighted factor rows:
+    the edge cells bit for bit the plan's, exactly zero past column l, and
+    the bulk cells, read through the block tables and the state, the
+    oracle's rows (_gl_factor_rows) to 1e-13."""
+    from stochtransport.noise import _FOLD, _BlockTables, _window_blocks, _window_plan
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.7)
     hi = data.draw(st.integers(1, n), label="hi")
     lo = data.draw(st.integers(0, hi - 1), label="lo")
-    paths = data.draw(st.sampled_from([1, 5, _PATH_BLOCK + 3]), label="paths")
-    dW = generate_increments(grid, 3, range(paths))
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
+    tables = _gl_tables(grid, spec)
     seen = []
-    for l0, l1, lam2_blk, Fs, w, chunks in _windows(grid, spec, dW, lo, hi):
-        assert 0 < l1 - l0 <= _FOLD and Fs.shape == ((l1 - l0) * w.size, l1)
-        assert np.array_equal(lam2_blk, lam2[l0:l1])
+    for b, l0, l1, S, W in _window_blocks(plan, _BlockTables(plan), np.eye(n), lo, hi):
+        assert 0 < l1 - l0 <= _FOLD and S.shape == (n, (l1 - l0) * plan.M)
+        assert l0 == (0 if b < 0 else 4 + b * _FOLD) and (b < 0) == (l1 <= 4)
         for a, l in enumerate(range(l0, l1)):
-            F, wl = plan.factor_block(l, l + 1)
-            rows = Fs[a * w.size:(a + 1) * w.size]
-            assert np.array_equal(rows[:, :l + 1], F) and np.array_equal(w, wl)
+            rows = S[:, a * plan.M:(a + 1) * plan.M].T
+            ref = _gl_factor_rows(grid, spec, l, tables) * np.sqrt(plan.wu)[:, None]
+            edge = [0, max(l - 1, 0), l]
+            assert np.array_equal(rows[:, edge], ref[:, edge])
             assert not rows[:, l + 1:].any()
-        covered = []
-        for cols, S in chunks:
-            assert np.array_equal(S, dW[cols, :l1] @ Fs.T)
-            covered.extend(range(paths)[cols])
-        assert covered == list(range(paths))
+            if l >= 3:
+                bulk = rows[:, 1:l - 1] / ref[:, 1:l - 1]
+                assert np.max(np.abs(bulk - 1.0)) <= 1e-13
         seen.extend(range(l0, l1))
-    assert seen == list(range(lo, hi))
+    start = 0 if lo < 4 else lo - (lo - 4) % _FOLD  # the start of lo's block
+    assert seen == list(range(start, hi))
 
 
 @pytest.mark.parametrize("n", [37, 48])
@@ -902,3 +933,51 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
         ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
     z = _from_driver(grid, spec, dW)
     assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 96), H=st.floats(0.55, 0.95), data=st.data())
+def test_forward_pass_equals_the_oracle_wick_sum(n, H, data):
+    """The state recursion against the window-by-window Wick sum of the
+    dense Gauss-Legendre rows (_gl_factor_rows),
+    Z(t_{l+1}) - Z(t_l) = d lam2_l ((S_l * S_l) @ w - dt (F_l * F_l) @ w)
+    with S_l = dW[:, :l+1] @ F_l.T, over more than one path chunk."""
+    from stochtransport.noise import _PATH_BLOCK, _from_driver, _window_plan, _window_scales
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    paths = data.draw(st.integers(_PATH_BLOCK + 1, _PATH_BLOCK + 40), label="paths")
+    dW = generate_increments(grid, 17, range(paths))
+    w, lam2 = _window_plan(grid, spec).wu, _window_scales(grid, spec)
+    tables = _gl_tables(grid, spec)
+    ref = np.zeros((paths, n + 1))
+    for l in range(n):
+        F = _gl_factor_rows(grid, spec, l, tables)
+        S = dW[:, :l + 1] @ F.T
+        term = (S * S) @ w - grid.dt * ((F * F).sum(axis=1) @ w)
+        ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
+    z = _from_driver(grid, spec, dW)
+    assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 96), H=st.floats(0.55, 0.95), data=st.data())
+def test_window_adjoint_equals_the_derivative_table(n, H, data):
+    """The adjoint pass, _dz_norm with zero-sum weights w at ks < kt,
+    against ||sum_r w[r] G[ks+r]||^2 dt from each path's derivative table
+    (_dz_rows), on paths of both sides of a path-chunk boundary."""
+    from stochtransport.noise import _PATH_BLOCK, _dz_norm, _dz_rows
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    kt = data.draw(st.integers(1, n), label="kt")
+    ks = data.draw(st.integers(0, kt - 1), label="ks")
+    paths = _PATH_BLOCK + 3
+    dW = generate_increments(grid, 19, range(paths))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = rng.standard_normal((kt - ks + 1, paths))
+    w -= w.mean(axis=0)
+    got = _dz_norm(grid, spec, dW, paths, ks, kt, w)
+    for p in (0, 1, _PATH_BLOCK - 1, _PATH_BLOCK, paths - 1):
+        v = w[:, p] @ _dz_rows(grid, spec, dW[p])[ks:kt + 1]
+        assert got[p] == pytest.approx(v @ v * grid.dt, rel=1e-12)
