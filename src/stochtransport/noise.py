@@ -211,7 +211,7 @@ class _WindowPlan:
     fixed Gauss-Legendre rule, and the power's exponential sum (rates,
     weights) factors them as E[p] r^(l-2-i) ct[i] times the u-power, which
     _window_scales and _pair_sums read through exp_block and the window
-    pass (_window_blocks) through the block tables.
+    pass (_window_blocks) through the tables of _BlockTables.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
