@@ -40,15 +40,17 @@ X_l = sum_{1<=i<=l-2} r^(l-2-i) ct_i dW_i and maps it, with the newest
 increments, to the chaos sums of _FOLD windows by one GEMM per block and
 chunk of _PATH_BLOCK driver rows: O(n N M) per path, forward in the
 simulator and transposed in the derivative norm.  _window_scales solves
-the calibration in one forward sweep, O(n N^2 M), and _pair_sums builds
+the calibration in one forward sweep, O(n N^2 M), whose per-window Grams
+also give the Wick means the simulator subtracts, and _pair_sums builds
 the pair matrices at any set of indices in one backward sweep,
-O(k N^2 M + k^2 N) for A_k, whose Wick form d * (dW' A dW - dt * tr A)
-reproduces simulated values to roundoff.  A k x k array is built only
-when a consumer reads a pair matrix: _pair_matrix_cached keeps the last
-two single blocks, and _lattice_gram drops its blocks on return.  The four
-plan caches (_fbm_weights, _window_plan, _window_scales,
-_pair_matrix_cached) are keyed by the TimeGrid and HermiteSpec their
-caller holds; both hash by value.
+O(k N^2 M + k^2 N) for A_k; both sweeps batch the lambda-free products of
+a block of _FOLD windows and step one (N+1, N+1) state per window.  The
+Wick form of A_k, d * (dW' A dW - dt * tr A), reproduces simulated values
+to roundoff.  A k x k array is built only when a consumer reads a pair
+matrix: _pair_matrix_cached keeps the last two single blocks, and
+_lattice_gram drops its blocks on return.  The four plan caches
+(_fbm_weights, _window_plan, _window_scales, _pair_matrix_cached) are keyed
+by the TimeGrid and HermiteSpec their caller holds; both hash by value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -86,6 +88,7 @@ Monte Carlo error.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -212,6 +215,12 @@ class _WindowPlan:
     weights) factors them as E[p] r^(l-2-i) ct[i] times the u-power, which
     _window_scales and _pair_sums read through exp_block and the window
     pass (_window_blocks) through the tables of _BlockTables.
+
+    wick[l] = dt sum_p w_p |F_l[p]|^2 is the Wick mean the simulator
+    subtracts from window l's square.  Windows l < 4 take it from their
+    factor rows here; the rest is dt tr(Psi_l Psi_l^T), which the
+    calibration sweep forms for each window anyway and writes in
+    (_calibrate).  wick_ready says whether that sweep has run on this plan.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
@@ -234,18 +243,16 @@ class _WindowPlan:
         # I_{y1/u}(a, b) - I_{y0/u}(a, b), a = 3/2 - hp, b = hp - 1/2.  Cells
         # l-1 and l, next to the singularity at y = u, take the complement
         # form I_{(u-y0)/u}(b, a) - I_{(u-y1)/u}(b, a), which keeps their
-        # digits; cell l ends at u, and window 0's cell l-1 is cell 0.
+        # digits.  It is evaluated once per boundary, t_{l-1} and t_l: cell l
+        # ends at u, where it is I_0 = 0, and window 0's cell l-1 is cell 0.
         u = pts[:-1, None] + du  # (n, M)
         self.upow = up = c * u ** (hp - 0.5)
         a, b = 1.5 - hp, hp - 0.5
-        l = np.arange(n)[:, None, None]
-        y0 = h * np.concatenate([np.maximum(l - 1, 0), l], axis=1)  # (n, 2, 1)
-        uc = u[:, None, :]
-        near = (betainc(b, a, np.clip((uc - y0) / uc, 0.0, 1.0))
-                - betainc(b, a, np.clip((uc - y0 - h) / uc, 0.0, 1.0)))
-        origin = betainc(a, b, np.minimum(h, u) / u)[:, None, :]
-        self.edges = ((_beta_fn(a, b) / h) * up[:, None, :]
-                      * np.concatenate([origin, near], axis=1))
+        l = np.arange(n)[:, None]
+        lower, own = betainc(b, a, np.clip((u - h * np.stack([l - 1, l])) / u, 0.0, 1.0))
+        cells = np.stack([betainc(a, b, np.minimum(h, u) / u), lower - own, own], axis=1)
+        cells[0, 1] = own[0]
+        self.edges = (_beta_fn(a, b) / h) * up[:, None, :] * cells
 
         # The bulk power as an exponential sum, x^(-a) = sum_e weights_e
         # exp(-rates_e x) on [h, T] (_exp_sum), so the power at lag k = l - i,
@@ -263,7 +270,10 @@ class _WindowPlan:
         # sqrt(w)-weighted factor rows of windows l < 4, rows (l, p)
         Fs = self.factor_block(0, min(n, 4))[0]
         self.first = (Fs * np.tile(np.sqrt(self.wu), len(Fs) // self.M)[:, None]).T
-        self.wick = _BlockTables(self, h).wick
+        # the Wick means of windows l < 4; the calibration sweep fills the rest
+        self.wick = np.empty(n)
+        self.wick[:4] = h * (self.first ** 2).sum(axis=0).reshape(-1, self.M).sum(axis=1)
+        self.wick_ready = n <= 4
 
     def factor_block(self, l0: int, l1: int):
         """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
@@ -301,26 +311,21 @@ class _BlockTables:
     dW_{l0-1} .. dW_{l1-1} through wb[b] (edge cells, bulk cells
     l0-1 <= i <= l-2), u-powers and sqrt(w) included; X_l1 = rf X_l0 +
     dW_{l0-1 .. l1-2} @ tn[b + 1], rf = r^_FOLD, and X_4 = dW_1,2 @ tn[0].
-    Given dt, also the Wick means wick[l] = dt sum_p w_p |F_l[p]|^2, cells
-    below l0 - 1 through their Gram K_l0.  Products stay per window, small
-    enough that BLAS keeps to one thread.
+    Products stay per window, small enough that BLAS keeps to one thread.
     """
 
-    def __init__(self, plan: _WindowPlan, dt: float | None = None):
+    def __init__(self, plan: _WindowPlan):
         F, M, ct, n = _FOLD, plan.M, plan.ct, len(plan.upow)
         pw, sw = _powers(plan.rh, F + 1), np.sqrt(plan.wu)
         self.rf = pw[F]
         er = pw[:F, :, None] * (sw[:, None] * plan.E).T  # (F, N, M)
         self.er = np.ascontiguousarray(er.transpose(1, 0, 2).reshape(-1, F * M))
         self.tn, self.wb = [pw[1::-1] * ct[1:3]], []
-        if dt is not None:
-            self.wick = np.empty(n)
-            self.wick[:4] = dt * (plan.first ** 2).sum(axis=0).reshape(-1, M).sum(axis=1)
-            K = self.tn[0].T @ self.tn[0]
+        tril = np.tril_indices(F, -1)  # row by row, so (m, -1)'s are its head
         for l0 in range(4, n, F):
             l1 = min(l0 + F, n)
             m = l1 - l0
-            i, j = np.tril_indices(m, -1)  # cell l0-1+j <= l-2 of window l0+i
+            i, j = (t[:m * (m - 1) // 2] for t in tril)  # cell l0-1+j <= l-2 of window l0+i
             G = ct[l0 - 1:l1 - 1] @ er  # G[d, j] = E . (r^d ct_{l0-1+j})
             W = np.zeros((m + 2, m, M))
             W[1 + j, i] = G[i - 1 - j, j]
@@ -329,11 +334,6 @@ class _BlockTables:
             W[0, i], W[1 + i, i], W[2 + i, i] = (plan.edges[l0:l1] * sw).transpose(1, 0, 2)
             self.wb.append(W.reshape(m + 2, m * M))
             self.tn.append(pw[m - 1::-1] * ct[l0 - 1:l1 - 1])
-            if dt is not None:
-                Ws = er[:m] * plan.upow[l0:l1, None]
-                q = np.einsum("anp,anp->a", Ws, K @ Ws) + np.einsum("rap,rap->a", W, W)
-                self.wick[l0:l1] = dt * q
-                K = np.outer(pw[m], pw[m]) * K + self.tn[-1].T @ self.tn[-1]
 
 
 @lru_cache(maxsize=16)
@@ -373,24 +373,20 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
     at H = 0.6, [1.01, 1.19] at H = 0.7, [1.04, 1.28] at H = 0.8 and
     [1.17, 1.60] at H = 0.9.
 
-    x_l = sum_{m<l} lambda_m^2 ||Psi_l Psi_m^T||^2 comes from one forward
-    recursion on the exponential sum (_WindowPlan.exp_block), never from a
-    pair matrix.  For m <= l - 2 every cell of window m but cell 0 is a
-    bulk cell of window l, Psi_l[:, i] = Eh_l (r^(l-2-i) ct_i), so
-    Psi_l Psi_m^T = e0_l a_m^T + Eh_l (r^(l-2-m) H_m) with a_m = Psi_m[:, 0]
-    and H_m = sum_{1<=i<=m} (r^(m-i) ct_i) Psi_m[:, i]^T, (N, M).  Their
-    sum over m is |e0_l|^2 alpha + 2 g_l . v + <Phi_l, W> with g_l =
-    Eh_l^T e0_l, Phi_l = Eh_l^T Eh_l and the states alpha = sum lam2_m
-    |a_m|^2, v = sum lam2_m r^(l-2-m) H_m a_m and W = sum lam2_m
-    (r^(l-2-m) r^(l-2-m)^T) H_m H_m^T, which decay by r and r r^T per
-    window.  Window l - 1 adds lam2_{l-1} ||Psi_l Psi_{l-1}^T||^2 itself.
-    With the bulk Gram K_m = sum_{1<=i<=m-2} (r^(m-2-i) ct_i)(...)^T,
-    H_m = r^2 K_m Eh_m^T + (r ct_{m-1}) p1_m^T + ct_m p2_m^T (p1, p2 the
-    edge columns of cells m-1 and m), so a window costs O(N^2 M) and the
-    pass O(n N^2 M).  Windows l < 4 take the small products of their factor
-    rows.  The entry holds n doubles.
+    x_l = sum_{m<l} lambda_m^2 ||Psi_l Psi_m^T||^2 and y_l = ||Psi_l
+    Psi_l^T||^2 come from one forward sweep on the exponential sum
+    (_scales_sweep), never from a pair matrix; windows l < 4 take the small
+    products of their factor rows.  The sweep forms every window's M x M
+    Gram Psi_l Psi_l^T, and dt times its trace is the window's Wick mean,
+    so the calibration also fills plan.wick (_calibrate, _wick_means).  The
+    entry holds n doubles.
     """
-    plan, n = _window_plan(grid, spec), grid.n
+    return _calibrate(grid, spec, _window_plan(grid, spec))
+
+
+def _calibrate(grid: TimeGrid, spec: HermiteSpec, plan: _WindowPlan) -> np.ndarray:
+    """lam2 of _window_scales, uncached; fills plan.wick on the way."""
+    n = grid.n
     tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
     lam2 = np.empty(n)
     Psi = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(n, 4))]
@@ -399,67 +395,106 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
         y = np.sum((P @ P.T) ** 2)
         lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
     if n > 4:
-        _scales_sweep(plan, lam2, tau, Psi)
+        _scales_sweep(plan, lam2, tau, Psi, grid.dt)
+    plan.wick_ready = True
     lam2.flags.writeable = False
     return lam2
 
 
+def _wick_means(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
+    """The plan's Wick means (_WindowPlan.wick).  The calibration sweep fills
+    them on a _window_scales miss, and once more for a plan rebuilt while
+    its lam2 stayed cached."""
+    _window_scales(grid, spec)
+    plan = _window_plan(grid, spec)
+    if not plan.wick_ready:
+        _calibrate(grid, spec, plan)
+    return plan.wick
+
+
 def _scales_sweep(plan: _WindowPlan, lam2: np.ndarray, tau: np.ndarray,
-                  Psi: list) -> None:
+                  Psi: list, dt: float) -> None:
     """Solve lam2_l for windows l >= 4 in place (see _window_scales), given
-    those before and the factor rows Psi of windows 0 .. 3."""
-    n, r, ct = len(lam2), plan.r, plan.ct
+    those before and the factor rows Psi of windows 0 .. 3, and fill
+    plan.wick[4:].
+
+    For m <= l - 2 every cell of window m but cell 0 is a bulk cell of
+    window l, Psi_l[:, i] = Eh_l (r^(l-2-i) ct_i) (_WindowPlan.exp_block), so
+    Psi_l Psi_m^T = Et_l Dt^(l-2-m) Ht_m with Et_l = [Eh_l | e0_l],
+    Dt = diag(r, 1), Ht_m = [H_m ; e0_m^T] and
+    H_m = sum_{1<=i<=m} (r^(m-i) ct_i) Psi_m[:, i]^T, (N, M).  Hence
+    x_l = <Phi_l, W_l> + lam2_{l-1} ||Psi_l Psi_{l-1}^T||^2 with
+    Phi_l = Et_l^T Et_l and the (N+1, N+1) state
+    W_l = sum_{m<=l-2} lam2_m Dt^(l-2-m) Ht_m Ht_m^T Dt^(l-2-m).  With the
+    bulk Gram K_l = sum_{1<=i<=l-2} (r^(l-2-i) ct_i)(...)^T,
+    H_m = r^2 K_m Eh_m^T + (r ct_{m-1}) p1_m^T + ct_m p2_m^T (p1, p2 the edge
+    columns of cells m-1 and m) and Psi_l Psi_l^T = Eh_l K_l Eh_l^T plus the
+    edge columns' outer products.  Every lambda-free product is formed per
+    block of _FOLD windows in batched calls, K_l of the block's windows
+    l0-1+b included, D^b K_{l0-1} D^b + C_b^T C_b (D = diag r, C_b the rows
+    r^(b-1-j) ct_{l0-2+j}, j < b); only the dot with W, the root and
+    W <- (rt rt^T) * W + lam2_{l-1} Ht_{l-1} Ht_{l-1}^T (rt = (r, 1)) stay
+    per window.  O(N^2 M) per window, each product small enough that BLAS
+    keeps to one thread.
+    """
+    n, M, r, ct = len(lam2), plan.M, plan.r, plan.ct
     N = r.size
-    # the states as window 4 sees windows m <= 2: r^(2-m) H_m = G
-    alpha = sum(lam2[m] * (Psi[m][:, 0] @ Psi[m][:, 0]) for m in range(3))
-    v, W, rr = np.zeros(N), np.zeros((N, N)), np.outer(r, r)
-    for m in range(1, 3):
-        G = sum(np.outer(r ** (2 - i) * ct[i], Psi[m][:, i]) for i in range(1, m + 1))
-        v += lam2[m] * (G @ Psi[m][:, 0])
+    pw = _powers(plan.rh, _FOLD + 1)
+    rt = np.append(r, 1.0)
+    rho = np.outer(rt, rt)
+    lag = np.arange(_FOLD + 1)[:, None] - 1 - np.arange(_FOLD)
+    Pc = np.where(lag[:, :, None] >= 0, pw[np.maximum(lag, 0)], 0.0)  # C_b's powers
+    # the state as window 4 sees windows m <= 2
+    W = np.zeros((N + 1, N + 1))
+    for m, P in enumerate(Psi[:3]):
+        G = np.zeros((N + 1, M))
+        for i in range(1, m + 1):
+            G[:N] += np.outer(pw[2 - i] * ct[i], P[:, i])
+        G[N] = P[:, 0]
         W += lam2[m] * (G @ G.T)
+    Wf = W.ravel()
     K = np.outer(ct[1], ct[1])  # K_3
     for l0 in range(4, n, _FOLD):
-        # windows l0-1 .. l1-1: each l >= l0 with the window l-1 before it
+        # windows l0-1+b, 0 <= b <= m: each l >= l0 with the window l-1 before it
         l1 = min(l0 + _FOLD, n)
+        m = l1 - l0
         Eh, P = plan.exp_block(l0 - 1, l1)
-        e0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
-        Ks = np.empty((l1 - l0 + 1, N, N))
-        for b in range(l1 - l0 + 1):
-            Ks[b] = K
-            if b < l1 - l0:
-                K = rr * K
-                K += np.outer(ct[l0 - 2 + b], ct[l0 - 2 + b])
-        KE = Ks @ Eh.transpose(0, 2, 1)
-        del Ks
-        H = (r * r)[:, None] * KE
-        H += (r * ct[l0 - 2:l1 - 1])[:, :, None] * p1[:, None, :]
-        H += ct[l0 - 1:l1][:, :, None] * p2[:, None, :]
-        HH = H @ H.transpose(0, 2, 1)
-        Hv = np.einsum("bnm,bm->bn", H, e0)
-        asq = np.einsum("bm,bm->b", e0, e0)
-        El = Eh[1:]
-        Phi = El.transpose(0, 2, 1) @ El
-        g = np.einsum("bmn,bm->bn", El, e0[1:])
+        e0, Pt = P[:, :1].transpose(0, 2, 1), P.transpose(0, 2, 1)
+        # EK[b] = Eh_b K_b, K_b = D^b K D^b + C_b^T C_b
+        D, C = pw[:m + 1, None, :], Pc[:m + 1, :m] * ct[l0 - 2:l1 - 2]
+        EK = ((Eh * D) @ K) * D
+        EK += (Eh @ C.transpose(0, 2, 1)) @ C
+        K = pw[m][:, None] * K * pw[m] + C[m].T @ C[m]  # K_{l1-1}
+        # H_m^T, then Ht_m^T = [H_m^T | e0_m] and Et_l = [Eh_l | e0_l]
+        H = EK[:m] * (r * r)
+        H += Pt[:m, :, 1:] @ np.stack([r * ct[l0 - 2:l1 - 2], ct[l0 - 1:l1 - 1]], axis=1)
+        HH = _gram(np.concatenate((H, e0[:m]), axis=2)).reshape(m, -1)
+        Phi = _gram(np.concatenate((Eh[1:], e0[1:]), axis=2)).reshape(m, -1)
         # Psi_l Psi_l^T and Psi_l Psi_{l-1}^T, (M, M) each
-        S = El @ KE[1:]
-        for c in (e0, p1, p2):
-            S += c[1:, :, None] * c[1:, None, :]
-        y = np.einsum("bij,bij->b", S, S)
-        S = El @ (r[:, None] * KE[:-1] + ct[l0 - 2:l1 - 2][:, :, None] * p1[:-1, None, :])
-        S += e0[1:, :, None] * e0[:-1, None, :]
-        S += p1[1:, :, None] * p2[:-1, None, :]
-        pn = np.einsum("bij,bij->b", S, S)
-        for b, l in enumerate(range(l0, l1)):
-            x = (asq[b + 1] * alpha + 2.0 * (g[b] @ v)
-                 + Phi[b].ravel() @ W.ravel() + lam2[l - 1] * pn[b])
-            lam2[l] = (-x + np.sqrt(x * x + y[b] * tau[l])) / y[b]
-            # window l-1 joins the states that window l+1 sees
+        S = Eh[1:] @ EK[1:].transpose(0, 2, 1)
+        S += Pt[1:] @ P[1:]
+        y = np.einsum("bij,bij->b", S, S).tolist()
+        plan.wick[l0:l1] = dt * np.einsum("bii->b", S)
+        # bulk cells, then (e0_l, p1_l, Eh_l ct_{l-2}) against cells 0, l-1
+        # and l-2 of window l-1
+        S = (Eh[1:] * r) @ EK[:-1].transpose(0, 2, 1)
+        edge = np.concatenate((Pt[1:, :, :2], Eh[1:] @ ct[l0 - 2:l1 - 2, :, None]), axis=2)
+        S += edge @ P[:-1, (0, 2, 1)]
+        pn = np.einsum("bij,bij->b", S, S).tolist()
+        for a, l in enumerate(range(l0, l1)):
             lam = lam2[l - 1]
-            alpha += lam * asq[b]
-            v *= r
-            v += lam * Hv[b]
-            W *= rr
-            W += lam * HH[b]
+            x = float(Phi[a] @ Wf) + lam * pn[a]
+            lam2[l] = (-x + math.sqrt(x * x + y[a] * tau[l])) / y[a]
+            # window l-1 joins the state that window l+1 sees
+            W *= rho
+            Wf += lam * HH[a]
+
+
+def _gram(A: np.ndarray, w=1.0) -> np.ndarray:
+    """w A^T A for each slice of a stack A, (m, r, c) -> (m, c, c).  w A is a
+    second buffer, so numpy takes a GEMM: for A^T A of one buffer it takes
+    syrk, about twice as slow at these sizes."""
+    return A.transpose(0, 2, 1) @ (w * A)
 
 
 def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
@@ -470,11 +505,12 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
     array built.  Windows l < 3 add their small products.  Window l >= 3
     has cell 0, the bulk cells 1 .. l-2 with Psi_l[:, i] = Eh_l (r^(l-2-i)
     ct_i) (_WindowPlan.exp_block), and the edge cells l-1 and l.  Summed
-    over l < k, the bulk-bulk entries are (r^(j-i) ct_i) . z_j, i <= j,
-    with z_j = Y_{j+2} ct_j and the backward recursion
-    Y_m = lam2_m Phi_m + R Y_{m+1} R (R = diag r, Phi_m = Eh_m^T Eh_m), the
-    cell-0 row is ct_j . gamma_j with gamma_j = lam2_{j+2} Eh_{j+2}^T e0 +
-    r gamma_{j+1}, and a bulk cell against an edge cell is the same product
+    over l < k, the bulk-bulk entries are (r^(j-i) ct_i) . z_j, i <= j, and
+    the cell-0 row is gamma_j . ct_j: with Et_m = [Eh_m | e0_m] and
+    Rt = diag(r, 1), the backward recursion
+    Y_m = lam2_m Et_m^T Et_m + Rt Y_{m+1} Rt on one (N+1, N+1) state gives
+    both, Y_{j+2}[:, :N] ct_j = (z_j, gamma_j . ct_j), three calls per
+    window.  A bulk cell against an edge cell is the same product
     with Eh_l^T p1_l or Eh_l^T p2_l in place of z.  Every entry at or above
     the second superdiagonal is then sum_e r^(j-2-i) ct_i Z_j (_tri_sum);
     the diagonal, the first superdiagonal and row 0 are vectors.  The sweep
@@ -482,13 +518,14 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
     """
     ks = sorted({int(k) for k in ks}, reverse=True)
     kmax, N, r, ct = ks[0], plan.r.size, plan.r, plan.ct
-    rr = np.outer(r, r)
+    rt = np.append(r, 1.0)
+    rho = np.outer(rt, rt)
     # lam2-weighted per window l >= 3: Eh_l^T (p1, p2) and the products
     # (e0.e0, e0.p1, e0.p2, p1.p1, p1.p2, p2.p2) of its edge columns
     q, s = np.zeros((kmax + 1, 2, N)), np.zeros((kmax + 1, 6))
     z, row0 = [np.zeros((k, N)) for k in ks], np.zeros((len(ks), kmax))
-    Y, gam = np.zeros((len(ks), N, N)), np.zeros((len(ks), N))
-    zb = np.empty((len(ks), _FOLD, N))  # a block's z_j, then copied to each k > j + 2
+    Y = np.zeros((len(ks), N + 1, N + 1))
+    zb = np.empty((len(ks), _FOLD, N + 1))  # a block's (z_j, row 0), then copied to each k > j + 2
     active = 0
     for l1 in range(kmax, 3, -_FOLD):
         l0 = max(l1 - _FOLD, 3)
@@ -497,22 +534,18 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
         q[l0:l1] = lam[:, :, None] * np.einsum("bmn,bcm->bcn", Eh, P[:, 1:])
         G = np.einsum("bcm,bdm->bcd", P, P)
         s[l0:l1] = lam * G[:, (0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)]
-        Phi = Eh.transpose(0, 2, 1) @ Eh
-        Phi *= lam[:, :, None]
-        g = lam * np.einsum("bmn,bm->bn", Eh, P[:, 0])
+        Phi = _gram(np.concatenate((Eh, P[:, 0, :, None]), axis=2), lam[:, :, None])
         for l in reversed(range(l0, l1)):
             while active < len(ks) and ks[active] > l:
                 active += 1
-            Ya, ga = Y[:active], gam[:active]
-            Ya *= rr
+            Ya = Y[:active]
+            Ya *= rho
             Ya += Phi[l - l0]
-            ga *= r
-            ga += g[l - l0]
-            zb[:active, l - l0] = Ya @ ct[l - 2]
-            row0[:active, l - 2] = ga @ ct[l - 2]
+            np.matmul(Ya[:, :, :N], ct[l - 2], out=zb[:active, l - l0])
         for a in range(active):
-            hi = min(l1, ks[a])
-            z[a][l0 - 2:hi - 2] = zb[a, :hi - l0]
+            hi = min(l1, ks[a]) - l0
+            z[a][l0 - 2:l0 - 2 + hi] = zb[a, :hi, :N]
+            row0[a, l0 - 2:l0 - 2 + hi] = zb[a, :hi, N]
     del Y
     out = {}
     first = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(kmax, 3))]
@@ -545,27 +578,30 @@ def _bulk_sums(A: np.ndarray, plan: _WindowPlan, z, row0, q, s) -> None:
                     + np.einsum("je,je->j", ct[i], q[i + 2, 0]) + s[i + 1, 4])
     A[0, 0] += s[:, 0].sum()
     A[0, 1:] += row0[1:] + s[j + 1, 1] + s[j, 2]
+    tril = np.tril_indices(_FOLD, -1)  # row by row, so (m, -1)'s are its head
     for r0 in range(0, k, _FOLD):
         r1 = min(r0 + _FOLD, k)
         A[r0:r1, :r0] = A[:r0, r0:r1].T
         blk = A[r0:r1, r0:r1]
-        lower = np.tril_indices(r1 - r0, -1)
+        lower = tuple(t[:(r1 - r0) * (r1 - r0 - 1) // 2] for t in tril)
         blk[lower] = blk.T[lower]
 
 
 def _tri_sum(out: np.ndarray, L: np.ndarray, R: np.ndarray, rh: np.ndarray) -> None:
     """out[a, b] += sum_e exp(-rh_e (b - a)) L[a, e] R[b, e] for a <= b.
 
-    By blocks of _FOLD rows: the diagonal block gathers its powers
-    (_powers), and the block's rows right of it are one GEMM with the
-    powers split at the block's last row, so every power is non-negative."""
+    By blocks of _FOLD rows: the diagonal block reads the powers of gaps
+    0 .. _FOLD - 1 (_powers), gathered once, and the block's rows right of
+    it are one GEMM with the powers split at the block's last row, so every
+    power is non-negative."""
     m = len(L)
-    pw = _powers(rh, m + 1)
+    pw = _powers(rh, max(m, _FOLD) + 1)
+    gap = np.arange(_FOLD) - np.arange(_FOLD)[:, None]  # b - a
+    pg = np.where(gap[:, :, None] >= 0, pw[np.maximum(gap, 0)], 0.0)
     for a0 in range(0, m, _FOLD):
         a1 = min(a0 + _FOLD, m)
-        gap = np.arange(a1 - a0) - np.arange(a1 - a0)[:, None]  # b - a
-        blk = np.einsum("abe,ae,be->ab", pw[np.maximum(gap, 0)], L[a0:a1], R[a0:a1])
-        out[a0:a1, a0:a1] += np.where(gap >= 0, blk, 0.0)
+        g = pg[:a1 - a0, :a1 - a0]
+        out[a0:a1, a0:a1] += np.einsum("abe,ae,be->ab", g, L[a0:a1], R[a0:a1])
         if a1 < m:
             Lh = L[a0:a1] * pw[a1 - 1 - np.arange(a0, a1)]
             out[a0:a1, a1:m] += Lh @ (R[a1:m] * pw[1:m - a1 + 1]).T
@@ -633,6 +669,7 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
 
     # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
     plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    wick = _wick_means(grid, spec)
     tab = _BlockTables(plan)
     zt[0] = 0.0
     for c in range(0, P, _PATH_BLOCK):
@@ -640,7 +677,7 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
             S = S.reshape(-1, plan.M)
             zt[l0 + 1:l1 + 1, c:c + _PATH_BLOCK] = lam2[l0:l1, None] * (
                 np.einsum("ij,ij->i", S, S).reshape(-1, l1 - l0).T
-                - plan.wick[l0:l1, None])
+                - wick[l0:l1, None])
     np.cumsum(zt[1:], axis=0, out=zt[1:])
     zt[1:] *= spec.d
     return zt.T

@@ -120,6 +120,24 @@ def test_pair_matrix_diagonal_and_calibration():
         assert abs(v - target) < 1e-10 * max(1.0, target)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 96), H=st.floats(0.51, 0.99),
+       T=st.sampled_from([0.5, 1.0, 3.0]))
+@example(n=96, H=0.99, T=3.0)
+@example(n=96, H=0.51, T=0.5)
+def test_lattice_variance_is_calibrated_at_every_grid_index(n, H, T):
+    """Var Z(t_k) = t_k^(2H) at every grid index k: the diagonal of the
+    lattice Gram over range(1, n + 1), whose pair matrices come from one
+    _pair_sums sweep, a different route from the calibrating one."""
+    from stochtransport.noise import _lattice_gram
+
+    grid = TimeGrid(T=T, n=n)
+    spec = HermiteSpec.create(2, H)
+    var = np.diag(_lattice_gram(grid, spec, range(1, n + 1)))
+    target = grid.points[1:] ** (2.0 * H)
+    assert np.max(np.abs(var / target - 1.0)) <= 1e-12
+
+
 def test_simulated_path_equals_quadratic_form():
     """The streamed window recursion and the pair-matrix Wick form are two
     routes to the same number; they must agree to rounding."""
@@ -942,21 +960,72 @@ def test_forward_pass_equals_the_oracle_wick_sum(n, H, data):
     dense Gauss-Legendre rows (_gl_factor_rows),
     Z(t_{l+1}) - Z(t_l) = d lam2_l ((S_l * S_l) @ w - dt (F_l * F_l) @ w)
     with S_l = dW[:, :l+1] @ F_l.T, over more than one path chunk."""
-    from stochtransport.noise import _PATH_BLOCK, _from_driver, _window_plan, _window_scales
+    from stochtransport.noise import _PATH_BLOCK, _from_driver
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, H)
     paths = data.draw(st.integers(_PATH_BLOCK + 1, _PATH_BLOCK + 40), label="paths")
     dW = generate_increments(grid, 17, range(paths))
+    ref = _oracle_wick_sum(grid, spec, dW)
+    z = _from_driver(grid, spec, dW)
+    assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+def _oracle_wick_sum(grid, spec, dW):
+    """Z on the grid for the driver rows dW, window by window from the dense
+    Gauss-Legendre rows (_gl_factor_rows):
+    Z(t_{l+1}) - Z(t_l) = d lam2_l ((S_l * S_l) @ w - dt (F_l * F_l) @ w)
+    with S_l = dW[:, :l+1] @ F_l.T."""
+    from stochtransport.noise import _window_plan, _window_scales
+
     w, lam2 = _window_plan(grid, spec).wu, _window_scales(grid, spec)
     tables = _gl_tables(grid, spec)
-    ref = np.zeros((paths, n + 1))
-    for l in range(n):
+    ref = np.zeros((len(dW), grid.n + 1))
+    for l in range(grid.n):
         F = _gl_factor_rows(grid, spec, l, tables)
         S = dW[:, :l + 1] @ F.T
         term = (S * S) @ w - grid.dt * ((F * F).sum(axis=1) @ w)
         ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
-    z = _from_driver(grid, spec, dW)
+    return ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 96), H=st.floats(0.55, 0.95))
+def test_wick_means_equal_the_oracle_rows(n, H):
+    """The Wick means the calibration sweep leaves in the plan, dt times the
+    trace of each window's Gram, against dt sum_p w_p sum_i F_l[p, i]^2 from
+    the dense oracle rows (_gl_factor_rows)."""
+    from stochtransport.noise import _wick_means, _window_plan
+
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, H)
+    wick = _wick_means(grid, spec)
+    w, tables = _window_plan(grid, spec).wu, _gl_tables(grid, spec)
+    ref = np.array([grid.dt * (w @ (_gl_factor_rows(grid, spec, l, tables) ** 2).sum(axis=1))
+                    for l in range(n)])
+    assert np.max(np.abs(wick / ref - 1.0)) <= 1e-13
+
+
+def test_wick_means_survive_a_plan_evicted_under_cached_scales():
+    """Seventeen other plans evict this grid's plan from _window_plan (16
+    entries) while its lam2 stays in _window_scales.  Only a calibration
+    sweep fills a plan's Wick means, so the rebuilt plan must get them
+    without a cache miss of lam2: the forward pass against the oracle Wick
+    sum."""
+    import stochtransport.noise as noise
+
+    grid = TimeGrid(T=1.0, n=48)
+    spec = HermiteSpec.create(2, 0.64)
+    dW = generate_increments(grid, 23, range(9))
+    noise._window_scales(grid, spec)
+    plan = noise._window_plan(grid, spec)
+    for H in np.linspace(0.561, 0.941, 17):  # plans no other test builds
+        noise._window_plan(TimeGrid(T=0.37, n=8), HermiteSpec.create(2, H))
+    misses = noise._window_scales.cache_info().misses
+    z = noise._from_driver(grid, spec, dW)
+    assert noise._window_plan(grid, spec) is not plan
+    assert noise._window_scales.cache_info().misses == misses
+    ref = _oracle_wick_sum(grid, spec, dW)
     assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
 
