@@ -41,16 +41,17 @@ increments, to the chaos sums of _FOLD windows by one GEMM per block and
 chunk of _PATH_BLOCK driver rows: O(n N M) per path, forward in the
 simulator and transposed in the derivative norm.  _window_scales solves
 the calibration in one forward sweep, O(n N^2 M), whose per-window Grams
-also give the Wick means the simulator subtracts, and _pair_sums builds
-the pair matrices at any set of indices in one backward sweep,
-O(k N^2 M + k^2 N) for A_k; both sweeps batch the lambda-free products of
-a block of _FOLD windows and step one (N+1, N+1) state per window.  The
-Wick form of A_k, d * (dW' A dW - dt * tr A), reproduces simulated values
-to roundoff.  A k x k array is built only when a consumer reads a pair
-matrix: _pair_matrix_cached keeps the last two single blocks, and
-_lattice_gram drops its blocks on return.  The four plan caches
-(_fbm_weights, _window_plan, _window_scales, _pair_matrix_cached) are keyed
-by the TimeGrid and HermiteSpec their caller holds; both hash by value.
+also give the Wick means the simulator subtracts (one cached record), and
+_pair_sums builds the pair matrices at any set of indices in one backward
+sweep, O(k N^2 M + k^2 N) for A_k; both sweeps batch the lambda-free
+products of a block of _FOLD windows and step one (N+1, N+1) state per
+window.  The Wick form of A_k, d * (dW' A dW - dt * tr A), reproduces
+simulated values to roundoff.  A k x k array is built only when a consumer
+reads a pair matrix: _pair_matrix_cached keeps the last two single blocks,
+and _lattice_gram drops its cross moments' blocks on return.  The four plan
+caches (_fbm_weights, _window_plan, _window_scales, _pair_matrix_cached)
+are keyed by the TimeGrid and HermiteSpec their caller holds; both hash by
+value.
 
 Both ranks store an ensemble time-first: the values fill one (n+1, paths)
 array, row k holding Z(t_k) for every path, and come back as its
@@ -82,8 +83,8 @@ or of the window pass.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
-variances themselves are calibrated), and these let tests separate it from
-Monte Carlo error.
+variances themselves are calibrated: rank 2 reads t^(2H)), and these let
+tests separate it from Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -216,11 +218,9 @@ class _WindowPlan:
     _window_scales and _pair_sums read through exp_block and the window
     pass (_window_blocks) through the tables of _BlockTables.
 
-    wick[l] = dt sum_p w_p |F_l[p]|^2 is the Wick mean the simulator
-    subtracts from window l's square.  Windows l < 4 take it from their
-    factor rows here; the rest is dt tr(Psi_l Psi_l^T), which the
-    calibration sweep forms for each window anyway and writes in
-    (_calibrate).  wick_ready says whether that sweep has run on this plan.
+    The plan holds quadrature only, nothing the calibration solves for: the
+    scales lambda_l^2 and the Wick means live in the _window_scales record,
+    so a plan evicted and rebuilt needs no second calibration.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
@@ -270,10 +270,6 @@ class _WindowPlan:
         # sqrt(w)-weighted factor rows of windows l < 4, rows (l, p)
         Fs = self.factor_block(0, min(n, 4))[0]
         self.first = (Fs * np.tile(np.sqrt(self.wu), len(Fs) // self.M)[:, None]).T
-        # the Wick means of windows l < 4; the calibration sweep fills the rest
-        self.wick = np.empty(n)
-        self.wick[:4] = h * (self.first ** 2).sum(axis=0).reshape(-1, self.M).sum(axis=1)
-        self.wick_ready = n <= 4
 
     def factor_block(self, l0: int, l1: int):
         """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
@@ -311,7 +307,8 @@ class _BlockTables:
     dW_{l0-1} .. dW_{l1-1} through wb[b] (edge cells, bulk cells
     l0-1 <= i <= l-2), u-powers and sqrt(w) included; X_l1 = rf X_l0 +
     dW_{l0-1 .. l1-2} @ tn[b + 1], rf = r^_FOLD, and X_4 = dW_1,2 @ tn[0].
-    Products stay per window, small enough that BLAS keeps to one thread.
+    The one product, ct[l0-1:l1-1] @ er, (_FOLD, N) @ (N, _FOLD M), is
+    formed per block, small enough that BLAS keeps to one thread.
     """
 
     def __init__(self, plan: _WindowPlan):
@@ -343,8 +340,8 @@ def _window_plan(grid: TimeGrid, spec: HermiteSpec) -> _WindowPlan:
 
 def _probe_indices(n: int) -> np.ndarray:
     """Grid indices of the eighths of [0, T], 0 excluded: the probe times of
-    noise-stats and mt_diagnostic, whose lattice Gram builds the eight pair
-    matrices in one _pair_sums sweep."""
+    noise-stats and mt_diagnostic.  Every second one, the quarters, is a
+    noise-stats covariance time."""
     return np.unique(np.round(np.linspace(0, n, 9)).astype(int))[1:]
 
 
@@ -355,9 +352,17 @@ def _probe_indices(n: int) -> np.ndarray:
 _FOLD = 16
 
 
+class _Calibration(NamedTuple):
+    """_window_scales' record, read-only: lam2[l] scales window l's Gram, and
+    wick[l] = dt sum_p w_p |F_l[p]|^2 is the mean subtracted from its square."""
+    lam2: np.ndarray
+    wick: np.ndarray
+
+
 @lru_cache(maxsize=4)
-def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
-    """The variance-calibration factors lambda_l^2, one per window (rank 2).
+def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> _Calibration:
+    """The variance-calibration factors lambda_l^2, one per window, and the
+    Wick means, as one record (rank 2).
 
     With A_k = sum_{l<k} lambda_l^2 B_l (B_l = Psi_l^T Psi_l the window-l
     Gram matrix of the weighted factor rows Psi_l = sqrt(w) F_l), the
@@ -371,52 +376,36 @@ def _window_scales(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
     in-y projection cannot represent.  lambda is largest on the first
     window and smallest on the last; at n = 1024 it runs over [1.03, 1.25]
     at H = 0.6, [1.01, 1.19] at H = 0.7, [1.04, 1.28] at H = 0.8 and
-    [1.17, 1.60] at H = 0.9.
+    [1.17, 1.60] at H = 0.9.  So lattice_variance returns t_k^(2H) itself.
 
     x_l = sum_{m<l} lambda_m^2 ||Psi_l Psi_m^T||^2 and y_l = ||Psi_l
     Psi_l^T||^2 come from one forward sweep on the exponential sum
     (_scales_sweep), never from a pair matrix; windows l < 4 take the small
     products of their factor rows.  The sweep forms every window's M x M
-    Gram Psi_l Psi_l^T, and dt times its trace is the window's Wick mean,
-    so the calibration also fills plan.wick (_calibrate, _wick_means).  The
-    entry holds n doubles.
+    Gram Psi_l Psi_l^T, and dt times its trace is the window's Wick mean:
+    the record's other half.  The entry holds 2n doubles.
     """
-    return _calibrate(grid, spec, _window_plan(grid, spec))
-
-
-def _calibrate(grid: TimeGrid, spec: HermiteSpec, plan: _WindowPlan) -> np.ndarray:
-    """lam2 of _window_scales, uncached; fills plan.wick on the way."""
-    n = grid.n
-    tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * grid.dt * grid.dt)
-    lam2 = np.empty(n)
+    plan = _window_plan(grid, spec)
+    n, h = grid.n, grid.dt
+    tau = np.diff(grid.points ** (2.0 * spec.H)) / (2.0 * spec.d * spec.d * h * h)
+    lam2, wick = np.empty(n), np.empty(n)
+    wick[:4] = h * (plan.first ** 2).sum(axis=0).reshape(-1, plan.M).sum(axis=1)
     Psi = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(n, 4))]
     for l, P in enumerate(Psi):
         x = sum(lam2[m] * np.sum((P[:, :m + 1] @ Q.T) ** 2) for m, Q in enumerate(Psi[:l]))
         y = np.sum((P @ P.T) ** 2)
         lam2[l] = (-x + np.sqrt(x * x + y * tau[l])) / y
     if n > 4:
-        _scales_sweep(plan, lam2, tau, Psi, grid.dt)
-    plan.wick_ready = True
-    lam2.flags.writeable = False
-    return lam2
+        _scales_sweep(plan, lam2, wick, tau, Psi, h)
+    lam2.flags.writeable = wick.flags.writeable = False
+    return _Calibration(lam2, wick)
 
 
-def _wick_means(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
-    """The plan's Wick means (_WindowPlan.wick).  The calibration sweep fills
-    them on a _window_scales miss, and once more for a plan rebuilt while
-    its lam2 stayed cached."""
-    _window_scales(grid, spec)
-    plan = _window_plan(grid, spec)
-    if not plan.wick_ready:
-        _calibrate(grid, spec, plan)
-    return plan.wick
-
-
-def _scales_sweep(plan: _WindowPlan, lam2: np.ndarray, tau: np.ndarray,
-                  Psi: list, dt: float) -> None:
+def _scales_sweep(plan: _WindowPlan, lam2: np.ndarray, wick: np.ndarray,
+                  tau: np.ndarray, Psi: list, dt: float) -> None:
     """Solve lam2_l for windows l >= 4 in place (see _window_scales), given
     those before and the factor rows Psi of windows 0 .. 3, and fill
-    plan.wick[4:].
+    wick[4:].
 
     For m <= l - 2 every cell of window m but cell 0 is a bulk cell of
     window l, Psi_l[:, i] = Eh_l (r^(l-2-i) ct_i) (_WindowPlan.exp_block), so
@@ -474,7 +463,7 @@ def _scales_sweep(plan: _WindowPlan, lam2: np.ndarray, tau: np.ndarray,
         S = Eh[1:] @ EK[1:].transpose(0, 2, 1)
         S += Pt[1:] @ P[1:]
         y = np.einsum("bij,bij->b", S, S).tolist()
-        plan.wick[l0:l1] = dt * np.einsum("bii->b", S)
+        wick[l0:l1] = dt * np.einsum("bii->b", S)
         # bulk cells, then (e0_l, p1_l, Eh_l ct_{l-2}) against cells 0, l-1
         # and l-2 of window l-1
         S = (Eh[1:] * r) @ EK[:-1].transpose(0, 2, 1)
@@ -546,6 +535,7 @@ def _pair_sums(plan: _WindowPlan, lam2: np.ndarray, ks) -> dict:
             hi = min(l1, ks[a]) - l0
             z[a][l0 - 2:l0 - 2 + hi] = zb[a, :hi, :N]
             row0[a, l0 - 2:l0 - 2 + hi] = zb[a, :hi, N]
+        del Eh, P, G, Phi  # so the last block's tables do not outlive the sweep
     del Y
     out = {}
     first = [plan.first[:l + 1, l * plan.M:(l + 1) * plan.M].T for l in range(min(kmax, 3))]
@@ -668,8 +658,8 @@ def _from_driver(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray) -> np.ndarra
         return zt.T
 
     # rank 2: window l's Wick-ordered square, (S * S) @ w less its mean, in row l+1
-    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
-    wick = _wick_means(grid, spec)
+    plan = _window_plan(grid, spec)
+    lam2, wick = _window_scales(grid, spec)
     tab = _BlockTables(plan)
     zt[0] = 0.0
     for c in range(0, P, _PATH_BLOCK):
@@ -700,7 +690,7 @@ def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
     if spec.q == 1:
         G[1:] = _fbm_weights(grid, spec)
         return G
-    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec).lam2
     for l0 in range(0, grid.n, _FOLD):
         l1 = min(l0 + _FOLD, grid.n)
         Fs, w = plan.factor_block(l0, l1)
@@ -752,7 +742,7 @@ def _dz_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
         rows *= 2.0 * spec.d
         rows *= rows
         return rows.sum(axis=1) * grid.dt
-    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec).lam2
     tab = _BlockTables(plan)
     N, M, nb, rows = plan.r.size, plan.M, len(range(4, kt, _FOLD)), min(paths, _PATH_BLOCK)
     out = np.empty(paths)
@@ -884,7 +874,7 @@ def _pair_matrix_cached(grid: TimeGrid, spec: HermiteSpec, k: int) -> np.ndarray
     m > k: every window l >= k adds lam2_l B_l[:k, :k] to the cells below
     k, and B_l is nonzero there.
     """
-    return _pair_sums(_window_plan(grid, spec), _window_scales(grid, spec), (k,))[k]
+    return _pair_sums(_window_plan(grid, spec), _window_scales(grid, spec).lam2, (k,))[k]
 
 
 def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
@@ -912,24 +902,28 @@ def pair_matrix(grid: TimeGrid, spec: HermiteSpec, t: float) -> np.ndarray:
 
 def _lattice_gram(grid: TimeGrid, spec: HermiteSpec, ks) -> np.ndarray:
     """E[Z(t_i) Z(t_j)] of the lattice noise over the grid indices ks (see
-    lattice_covariance).  Rank 2 reads a single nonzero index from
-    _pair_matrix_cached, and several from one _pair_sums sweep over exactly
-    those indices, dropped on return."""
+    lattice_covariance).  A rank-2 variance is t_k^(2H), what the
+    calibration solves for (_window_scales); cross moments of distinct
+    nonzero indices take one _pair_sums sweep over them, dropped on return."""
     ks = [int(k) for k in ks]
     if spec.q == 1:
         M = _fbm_weights(grid, spec)
     else:
+        var = grid.points ** (2.0 * spec.H)
         nonzero = {k for k in ks if k}
-        A = (_pair_sums(_window_plan(grid, spec), _window_scales(grid, spec), nonzero)
-             if len(nonzero) > 1
-             else {k: _pair_matrix_cached(grid, spec, k) for k in nonzero})
+        A = (_pair_sums(_window_plan(grid, spec), _window_scales(grid, spec).lam2, nonzero)
+             if len(nonzero) > 1 else {})
     G = np.zeros((len(ks), len(ks)))
     for i, a in enumerate(ks):
         for j, b in enumerate(ks[i:], i):
             k = min(a, b)
-            if k and spec.q == 1:
+            if not k:
+                continue
+            if spec.q == 1:
                 G[i, j] = G[j, i] = grid.dt * (M[a - 1] @ M[b - 1])
-            elif k:
+            elif a == b:
+                G[i, j] = G[j, i] = var[a]
+            else:
                 G[i, j] = G[j, i] = (2.0 * spec.d**2 * grid.dt**2
                                      * (A[a][:k, :k] * A[b][:k, :k]).sum())
     return G
@@ -946,8 +940,8 @@ def lattice_covariance(grid: TimeGrid, spec: HermiteSpec, s: float,
     refinement; rank 1 carries the usual small midpoint bias.  Either way
     this is the exact second moment of what simulate_* samples, so tests
     can separate discretization bias from Monte Carlo error.  The two-index
-    case of _lattice_gram: two distinct rank-2 indices take one _pair_sums
-    sweep, and one index reads _pair_matrix_cached.
+    case of _lattice_gram: only two distinct nonzero rank-2 indices build
+    pair matrices, in one _pair_sums sweep.
     """
     return float(_lattice_gram(grid, spec, (grid.index_of(s), grid.index_of(t)))[0, 1])
 

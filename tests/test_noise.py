@@ -126,16 +126,36 @@ def test_pair_matrix_diagonal_and_calibration():
 @example(n=96, H=0.99, T=3.0)
 @example(n=96, H=0.51, T=0.5)
 def test_lattice_variance_is_calibrated_at_every_grid_index(n, H, T):
-    """Var Z(t_k) = t_k^(2H) at every grid index k: the diagonal of the
-    lattice Gram over range(1, n + 1), whose pair matrices come from one
-    _pair_sums sweep, a different route from the calibrating one."""
-    from stochtransport.noise import _lattice_gram
+    """Var Z(t_k) = 2 d^2 dt^2 ||A_k||_F^2 = t_k^(2H) at every grid index k,
+    with every A_k from one _pair_sums sweep over range(1, n + 1), a
+    different route from the calibrating one."""
+    from stochtransport.noise import _pair_sums, _window_plan, _window_scales
 
     grid = TimeGrid(T=T, n=n)
     spec = HermiteSpec.create(2, H)
-    var = np.diag(_lattice_gram(grid, spec, range(1, n + 1)))
+    A = _pair_sums(_window_plan(grid, spec), _window_scales(grid, spec).lam2,
+                   range(1, n + 1))
+    var = 2.0 * spec.d**2 * grid.dt**2 * np.array([np.sum(A[k] ** 2) for k in range(1, n + 1)])
     target = grid.points[1:] ** (2.0 * H)
     assert np.max(np.abs(var / target - 1.0)) <= 1e-12
+
+
+def test_rank2_variances_build_no_pair_matrix(monkeypatch):
+    """A rank-2 lattice_variance at any grid index, and a lattice_covariance
+    with one end at 0, read what the calibration solves for, t^(2H) and 0:
+    no _pair_sums sweep, and _pair_matrix_cached untouched."""
+    import stochtransport.noise as noise
+
+    grid = TimeGrid(T=1.0, n=40)
+    spec = HermiteSpec.create(2, 0.7)
+    passes = _record_pair_passes(monkeypatch)
+    cached = noise._pair_matrix_cached.cache_info()
+    var = [lattice_variance(grid, spec, t) for t in grid.points]
+    cov = [lattice_covariance(grid, spec, 0.0, t) for t in grid.points]
+    assert passes == []
+    assert noise._pair_matrix_cached.cache_info() == cached
+    assert np.array_equal(var, grid.points ** (2.0 * spec.H))
+    assert cov == [0.0] * len(cov)
 
 
 def test_simulated_path_equals_quadratic_form():
@@ -518,7 +538,7 @@ def test_window_scales_match_reference_recursion(H):
         tau = (grid.points[l + 1] ** (2 * H) - grid.points[l] ** (2 * H)) / tau_scale
         ref[l] = (-x + np.sqrt(x * x + y * tau)) / y
         A[: l + 1, : l + 1] += ref[l] * B
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec).lam2
     assert lam2.shape == (grid.n,) and not lam2.flags.writeable
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
@@ -603,7 +623,7 @@ def test_window_scales_match_the_dense_calibrating_pass(n, H, T):
     tau = np.diff(grid.points ** (2 * H)) / (2.0 * spec.d**2 * grid.dt**2)
     ref = np.empty(n)
     _dense_pair_blocks(_window_plan(grid, spec), [n], ref, tau)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec).lam2
     assert np.max(np.abs(lam2 - ref) / ref) < 1e-12
 
 
@@ -649,7 +669,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
 
     grid = TimeGrid(T=1.0, n=_PIN_N)
     spec = HermiteSpec.create(2, H)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec).lam2
     eighths = np.unique(np.round(np.linspace(0, grid.n, 9)).astype(int))[1:]
     for k in list(eighths) + [37]:
         lam = pair_matrix(grid, spec, grid.points[k])
@@ -674,7 +694,7 @@ def test_pair_sums_match_the_dense_accumulating_pass(n, H):
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, H)
-    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec)
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec).lam2
     ks = sorted({*range(1, 7), *(int(k) for k in _probe_indices(n)), n})
     ref = _dense_pair_blocks(plan, ks, lam2)
     together = _pair_sums(plan, lam2, ks)
@@ -709,8 +729,9 @@ def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
     """The lattice Gram at the probe indices builds every probe block, A_n
     included, in one sweep over exactly those indices and reads no cache;
     each block is the dense accumulation to 1e-13 of its largest entry,
-    and every Gram entry is, bit for bit, the Wick covariance of the
-    blocks the sweep returned.  n = 512 takes several row blocks."""
+    every off-diagonal Gram entry is, bit for bit, the Wick covariance of
+    the blocks the sweep returned, and every diagonal one the calibrated
+    t^(2H).  n = 512 takes several row blocks."""
     import stochtransport.noise as noise
 
     grid = TimeGrid(T=1.0, n=n)
@@ -724,21 +745,25 @@ def test_probe_pair_matrices_come_from_one_recording_pass(n, monkeypatch):
 
     blocks = passes[0][1]
     ref = _dense_pair_blocks(noise._window_plan(grid, spec), probes,
-                             noise._window_scales(grid, spec))
+                             noise._window_scales(grid, spec).lam2)
     for k in probes:
         assert blocks[k].shape == (k, k) and not blocks[k].flags.writeable
         assert np.max(np.abs(blocks[k] - ref[k])) <= 1e-13 * np.max(np.abs(ref[k])), k
-    c = 2.0 * spec.d**2 * grid.dt**2
+    c, var = 2.0 * spec.d**2 * grid.dt**2, grid.points ** (2.0 * spec.H)
     for i, a in enumerate(probes):
         for j, b in enumerate(probes):
             k = min(a, b)
-            assert gram[i, j] == c * (blocks[a][:k, :k] * blocks[b][:k, :k]).sum()
+            if a == b:
+                assert gram[i, j] == var[a]
+            else:
+                assert gram[i, j] == c * (blocks[a][:k, :k] * blocks[b][:k, :k]).sum()
 
 
 def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path):
     """A cold pair_matrix or dz_norm_ensemble at T/2 makes one calibration
     and one sweep over {n/2}, not over all eight probes; a cold noise-stats
-    makes one calibration and one sweep over the eight."""
+    makes one calibration and one sweep over its four covariance times, the
+    quarters."""
     import stochtransport.noise as noise
     from stochtransport.experiments import ExperimentConfig, run
     from stochtransport.malliavin import dz_norm_ensemble
@@ -746,7 +771,7 @@ def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path
     n = 64
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.7)
-    probes = tuple(int(k) for k in noise._probe_indices(n))
+    quarters = tuple(int(k) for k in noise._probe_indices(n)[1::2])
     passes = _record_pair_passes(monkeypatch)
     dW = generate_increments(grid, 3, range(4))
     for call in (lambda: pair_matrix(grid, spec, 0.5),
@@ -763,7 +788,7 @@ def test_a_pair_matrix_below_n_makes_one_pass_to_its_index(monkeypatch, tmp_path
     passes.clear()
     run(ExperimentConfig(kind="noise-stats", q=2, n=n, paths=50, seed=7,
                          out_dir=str(tmp_path)))
-    assert [p[0] for p in passes] == [probes]
+    assert [p[0] for p in passes] == [quarters]
     assert noise._window_scales.cache_info().misses == 1
 
 
@@ -785,11 +810,15 @@ def test_a_sine_drift_density_builds_no_pair_matrix(monkeypatch, tmp_path):
 
 
 def test_calibration_keeps_only_the_scales():
-    """A cold calibration leaves lam2 alone in its lru entry: n doubles,
-    and no (n, n) array on the way.  With the plan warm, its traced peak is
-    one block's (N, N) tables, _FOLD of each of K, H H^T and Phi and their
-    temporaries: 5.7 _FOLD N^2 doubles measured at n = 2048, 0.05 n^2, where
-    the dense pass peaked above its A_n."""
+    """A cold calibration leaves one record in its lru entry, lam2 and the
+    Wick means: 2n doubles, and no (n, n) array on the way.  The warm plan
+    holds no n-vector, so the plan and the record together hold what they
+    held when the plan kept the Wick means.  On top of the record, the
+    interpreter's free lists keep some of the sweep's small objects: 0.9
+    to 3.2 KB measured, depending on the tests run before.  With the plan
+    warm, the traced peak is one block's (N, N) tables, _FOLD of each of
+    K, H H^T and Phi and their temporaries: 5.7 _FOLD N^2 doubles measured
+    at n = 2048, 0.05 n^2, where the dense pass peaked above its A_n."""
     import tracemalloc
 
     from stochtransport.noise import _FOLD, _window_plan, _window_scales
@@ -797,15 +826,18 @@ def test_calibration_keeps_only_the_scales():
     n = 2048
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, 0.66)  # an H no other test uses: cold caches
-    N = _window_plan(grid, spec).r.size
+    plan = _window_plan(grid, spec)
+    N = plan.r.size
     tracemalloc.start()
     try:
-        lam2 = _window_scales(grid, spec)
+        record = _window_scales(grid, spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lam2.shape == (n,) and lam2.base is None
-    assert held <= 8 * n + 1024
+    for a in record:
+        assert a.shape == (n,) and a.base is None and not a.flags.writeable
+    assert held <= 16 * n + 4096
+    assert not [k for k, v in vars(plan).items() if np.shape(v) == (n,)]
     assert peak <= 6.5 * 8 * _FOLD * N * N
     assert peak <= 0.1 * 8 * n * n
 
@@ -858,6 +890,36 @@ def test_lattice_gram_keeps_no_block_below_n():
     assert peak >= 2.0 * 8 * n * n  # the blocks were built ...
     assert held <= 0.05 * 8 * n * n  # ... and dropped
     assert noise._pair_matrix_cached.cache_info() == before
+
+
+def test_noise_stats_lattice_moments_build_four_blocks():
+    """noise-stats reads its eight probe variances off the calibration and
+    asks the lattice Gram for the cross moments of its four covariance
+    times: pair matrices at n/4, n/2, 3n/4 and n, 1.875 n^2 doubles.  With
+    the calibration warm its traced peak stays near them: the bound adds
+    the sweep's column factors (k rows of N per A_k and 2N edge terms per
+    window, 4.5 n N) and the (k, N) temporaries of assembling a block
+    (about 5 n N): 2.91 n^2, measured 2.64 n^2.  The eight-probe Gram it
+    replaces peaked at 4.46 n^2 here (6.5 n^2 at n = 256)."""
+    import tracemalloc
+
+    import stochtransport.noise as noise
+
+    n = 512
+    grid = TimeGrid(T=1.0, n=n)
+    spec = HermiteSpec.create(2, 0.69)  # an H no other test uses: cold caches
+    N = noise._window_plan(grid, spec).r.size
+    noise._window_scales(grid, spec)
+    probes = noise._probe_indices(n)
+    tracemalloc.start()
+    try:
+        var = [lattice_variance(grid, spec, t) for t in grid.points[probes]]
+        gram = noise._lattice_gram(grid, spec, probes[1::2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(var) == 8 and gram.shape == (4, 4)
+    assert peak <= 8 * (1.875 * n * n + 9.5 * n * N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -942,7 +1004,7 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     spec = HermiteSpec.create(2, 0.7)
     dW = generate_increments(grid, 5, range(_PATH_BLOCK + 5))
     plan = _window_plan(grid, spec)
-    lam2 = _window_scales(grid, spec)
+    lam2 = _window_scales(grid, spec).lam2
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
         F, w = plan.factor_block(l, l + 1)
@@ -978,7 +1040,7 @@ def _oracle_wick_sum(grid, spec, dW):
     with S_l = dW[:, :l+1] @ F_l.T."""
     from stochtransport.noise import _window_plan, _window_scales
 
-    w, lam2 = _window_plan(grid, spec).wu, _window_scales(grid, spec)
+    w, lam2 = _window_plan(grid, spec).wu, _window_scales(grid, spec).lam2
     tables = _gl_tables(grid, spec)
     ref = np.zeros((len(dW), grid.n + 1))
     for l in range(grid.n):
@@ -992,14 +1054,14 @@ def _oracle_wick_sum(grid, spec, dW):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(4, 96), H=st.floats(0.55, 0.95))
 def test_wick_means_equal_the_oracle_rows(n, H):
-    """The Wick means the calibration sweep leaves in the plan, dt times the
-    trace of each window's Gram, against dt sum_p w_p sum_i F_l[p, i]^2 from
-    the dense oracle rows (_gl_factor_rows)."""
-    from stochtransport.noise import _wick_means, _window_plan
+    """The Wick means of the calibration record, dt times the trace of each
+    window's Gram, against dt sum_p w_p sum_i F_l[p, i]^2 from the dense
+    oracle rows (_gl_factor_rows)."""
+    from stochtransport.noise import _window_plan, _window_scales
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, H)
-    wick = _wick_means(grid, spec)
+    wick = _window_scales(grid, spec).wick
     w, tables = _window_plan(grid, spec).wu, _gl_tables(grid, spec)
     ref = np.array([grid.dt * (w @ (_gl_factor_rows(grid, spec, l, tables) ** 2).sum(axis=1))
                     for l in range(n)])
@@ -1008,16 +1070,16 @@ def test_wick_means_equal_the_oracle_rows(n, H):
 
 def test_wick_means_survive_a_plan_evicted_under_cached_scales():
     """Seventeen other plans evict this grid's plan from _window_plan (16
-    entries) while its lam2 stays in _window_scales.  Only a calibration
-    sweep fills a plan's Wick means, so the rebuilt plan must get them
-    without a cache miss of lam2: the forward pass against the oracle Wick
-    sum."""
+    entries) while its calibration record stays in _window_scales.  The
+    rebuilt plan holds no Wick means; the simulator reads them from the
+    same record, without a second calibration: the forward pass against
+    the oracle Wick sum."""
     import stochtransport.noise as noise
 
     grid = TimeGrid(T=1.0, n=48)
     spec = HermiteSpec.create(2, 0.64)
     dW = generate_increments(grid, 23, range(9))
-    noise._window_scales(grid, spec)
+    record = noise._window_scales(grid, spec)
     plan = noise._window_plan(grid, spec)
     for H in np.linspace(0.561, 0.941, 17):  # plans no other test builds
         noise._window_plan(TimeGrid(T=0.37, n=8), HermiteSpec.create(2, H))
@@ -1025,6 +1087,7 @@ def test_wick_means_survive_a_plan_evicted_under_cached_scales():
     z = noise._from_driver(grid, spec, dW)
     assert noise._window_plan(grid, spec) is not plan
     assert noise._window_scales.cache_info().misses == misses
+    assert noise._window_scales(grid, spec) is record
     ref = _oracle_wick_sum(grid, spec, dW)
     assert np.all(np.abs(z - ref) <= 1e-13 * (1.0 + np.abs(ref)))
 
