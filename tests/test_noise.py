@@ -108,14 +108,14 @@ def test_factor_rows_match_direct_kernel_quadrature():
 def test_pair_matrix_diagonal_and_calibration():
     # The stored matrix keeps a positive diagonal (the Wick correction is
     # applied at the trace, not by zeroing cells), and its Frobenius norm is
-    # calibrated so the lattice variance equals t^(2H) at every grid time.
+    # calibrated: 2 d^2 dt^2 ||A_k||_F^2 = t^(2H) at every grid time.
     grid = TimeGrid(T=1.0, n=32)
     spec = HermiteSpec.create(2, 0.65)
     for t in (grid.points[1], 0.25, 0.5, 1.0):
         k = grid.index_of(t)
         lam = pair_matrix(grid, spec, t)
         assert np.all(np.diag(lam)[:k] > 0.0)
-        v = lattice_variance(grid, spec, t)
+        v = 2.0 * spec.d**2 * grid.dt**2 * np.sum(lam**2)
         target = t ** (2.0 * spec.H)
         assert abs(v - target) < 1e-10 * max(1.0, target)
 
@@ -306,8 +306,9 @@ def test_sample_mean_is_centered():
 
 
 def test_rank_two_variance_matches_lattice_value():
-    # The scheme's own variance (computable exactly from the pair matrix)
-    # is what the Monte Carlo sample must reproduce.
+    # The scheme's own variance, t^(2H) by the calibration (its pair-matrix
+    # route is test_lattice_variance_is_calibrated_at_every_grid_index), is
+    # what the Monte Carlo sample must reproduce.
     grid = TimeGrid(T=1.0, n=256)
     spec = HermiteSpec.create(2, 0.7)
     Z = simulate_ensemble(grid, spec, seed=13, path_ids=range(1500))
@@ -680,7 +681,7 @@ def test_pair_matrix_matches_direct_accumulation(H):
         assert np.array_equal(lam, lam.T)
         assert np.all(lam[k:, :] == 0.0) and np.all(lam[:, k:] == 0.0)
         assert np.max(np.abs(lam - ref)) < 1e-13 * np.max(np.abs(ref))
-        assert lattice_variance(grid, spec, grid.points[k]) == pytest.approx(
+        assert 2.0 * spec.d**2 * grid.dt**2 * np.sum(lam**2) == pytest.approx(
             grid.points[k] ** (2 * H), rel=1e-10)
 
 
@@ -813,14 +814,20 @@ def test_calibration_keeps_only_the_scales():
     """A cold calibration leaves one record in its lru entry, lam2 and the
     Wick means: 2n doubles, and no (n, n) array on the way.  The warm plan
     holds no n-vector, so the plan and the record together hold what they
-    held when the plan kept the Wick means.  On top of the record, the
-    interpreter's free lists keep some of the sweep's small objects: 0.9
-    to 3.2 KB measured, depending on the tests run before.  With the plan
+    held when the plan kept the Wick means.  What else stays traced depends
+    on the state before: the lru dict grows its table on some inserts, and
+    the sweep's small objects stay in the interpreter's and numpy's free
+    lists.  So the cache is cleared and one small cold calibration fills
+    the table and the free lists first; the record then holds its 2n
+    doubles plus 0.89 to 1.0 KB of array headers, its lru entry and small
+    objects, run alone, with its file or with the suite.  With the plan
     warm, the traced peak is one block's (N, N) tables, _FOLD of each of
     K, H H^T and Phi and their temporaries: 5.7 _FOLD N^2 doubles measured
     at n = 2048, 0.05 n^2, where the dense pass peaked above its A_n."""
+    import gc
     import tracemalloc
 
+    from stochtransport import noise
     from stochtransport.noise import _FOLD, _window_plan, _window_scales
 
     n = 2048
@@ -828,6 +835,9 @@ def test_calibration_keeps_only_the_scales():
     spec = HermiteSpec.create(2, 0.66)  # an H no other test uses: cold caches
     plan = _window_plan(grid, spec)
     N = plan.r.size
+    gc.collect()
+    noise._window_scales.cache_clear()
+    _window_scales(TimeGrid(T=1.0, n=64), HermiteSpec.create(2, 0.67))
     tracemalloc.start()
     try:
         record = _window_scales(grid, spec)
@@ -836,7 +846,7 @@ def test_calibration_keeps_only_the_scales():
         tracemalloc.stop()
     for a in record:
         assert a.shape == (n,) and a.base is None and not a.flags.writeable
-    assert held <= 16 * n + 4096
+    assert held <= 16 * n + 1024
     assert not [k for k, v in vars(plan).items() if np.shape(v) == (n,)]
     assert peak <= 6.5 * 8 * _FOLD * N * N
     assert peak <= 0.1 * 8 * n * n
