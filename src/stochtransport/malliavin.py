@@ -125,7 +125,8 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
     path; its continuum limit is kernels.kernel_KH(t, alpha, H)).  rank 2:
     the order-1 chaos sum 2 d (A_t @ dW)[a], from the cached pair matrix —
     the simulator's trace correction is deterministic and drops out — so
-    difference quotients of simulated values close exactly.
+    difference quotients of simulated values close exactly.  A loop over
+    alpha at one t costs O(k) per call after one build, not a table each.
     """
     if alpha < 0:
         raise DomainError(f"alpha={alpha} is negative")
@@ -138,7 +139,7 @@ def dz_hermite(w: WienerLattice, t: float, alpha: float,
 def dz_table(Z: NoisePath) -> np.ndarray:
     """All lattice derivatives of one noise path: G[k, a] = D_alpha Z_{t_k},
     shape (n+1, n), row k supported on steps a < k (noise._dz_rows): kernel
-    rows at rank 1, one more window pass over the path at rank 2."""
+    rows at rank 1, the simulator's window pass transposed at rank 2."""
     return _dz_rows(Z.grid, Z.spec, Z.driver)
 
 

@@ -39,7 +39,7 @@ window pass (_window_blocks) keeps per path the state
 X_l = sum_{1<=i<=l-2} r^(l-2-i) ct_i dW_i and maps it, with the newest
 increments, to the chaos sums of _FOLD windows by one GEMM per block and
 chunk of _PATH_BLOCK driver rows: O(n N M) per path, forward in the
-simulator and transposed in the derivative norm.  _window_scales solves
+simulator, transposed in the derivative norm and table.  _window_scales solves
 the calibration in one forward sweep, O(n N^2 M), whose per-window Grams
 also give the Wick means the simulator subtracts (one cached record), and
 _pair_sums builds the pair matrices at any set of indices in one backward
@@ -76,10 +76,10 @@ on the calling thread.
 
 The Malliavin derivative of the lattice noise is a product with the same
 kernels, so it lives here, beside the forward product it transposes:
-_dz_rows gives the rows G[k] = D Z_{t_k}, kernel rows or 2 d A_k dW, and
-_dz_norm the per-path norm ||sum_r w[r] G[ks+r]||^2 dt, off two kernel rows
-or pair matrices for w = e_0 - e_m, else by the adjoint of _fbm_in_place
-or of the window pass.
+_dz_rows gives the rows G[k] = D Z_{t_k}, kernel rows or 2 d A_k dW (the
+window pass transposed), and _dz_norm the per-path norm
+||sum_r w[r] G[ks+r]||^2 dt, off two kernel rows or pair matrices for
+w = e_0 - e_m, else by the adjoint of _fbm_in_place or of the window pass.
 
 lattice_variance/lattice_covariance return exact second moments of the
 lattice process; at finite n a small increment-level bias remains (the grid
@@ -206,17 +206,17 @@ def _powers(rh: np.ndarray, k: int) -> np.ndarray:
 class _WindowPlan:
     """Per-grid quadrature tables for cell-averaged kernel factor rows.
 
-    factor_block(l, l + 1), the one-window block, returns (F, w):
-    F[p, i] is the average of dK(u_p, y) over cell i (i <= l) at the
-    window-l u-nodes u_p, and w the matching u-weights, so F.T @ diag(w) @ F
-    is window l's contribution to the pair matrix and F @ dW[:l+1] evaluates
-    the chaos integrand at the u-nodes.  Edge cells 0, l-1 and l, next to
-    the singularities at y = 0 and y = u, are exact incomplete-Beta
-    averages (edges).  Bulk cells 1 .. l-2 average the kernel power with a
-    fixed Gauss-Legendre rule, and the power's exponential sum (rates,
-    weights) factors them as E[p] r^(l-2-i) ct[i] times the u-power, which
-    _window_scales and _pair_sums read through exp_block and the window
-    pass (_window_blocks) through the tables of _BlockTables.
+    Window l's factor rows F, (M, l + 1): F[p, i] is the average of
+    dK(u_p, y) over cell i (i <= l) at the window-l u-nodes u_p, and wu the
+    matching u-weights, so F.T @ diag(wu) @ F is window l's contribution to
+    the pair matrix and F @ dW[:l+1] evaluates the chaos integrand at the
+    u-nodes.  Edge cells 0, l-1 and l, next to the singularities at y = 0
+    and y = u, are exact incomplete-Beta averages (edges).  Bulk cells
+    1 .. l-2 average the kernel power with a fixed Gauss-Legendre rule, and
+    the power's exponential sum (rates, weights) factors them as
+    E[p] r^(l-2-i) ct[i] times the u-power, which _window_scales and
+    _pair_sums read through exp_block and the window pass (_window_blocks)
+    through the tables of _BlockTables.  Only windows l < 4 are held whole.
 
     The plan holds quadrature only, nothing the calibration solves for: the
     scales lambda_l^2 and the Wick means live in the _window_scales record,
@@ -267,27 +267,15 @@ class _WindowPlan:
         self.r = np.exp(-self.rh)
         self.E = self.weights * np.exp(-np.outer(du, self.rates))
         self.ct = cw.T @ np.exp(-np.outer(2.0 * h - yoff, self.rates))
-        # sqrt(w)-weighted factor rows of windows l < 4, rows (l, p)
-        Fs = self.factor_block(0, min(n, 4))[0]
-        self.first = (Fs * np.tile(np.sqrt(self.wu), len(Fs) // self.M)[:, None]).T
-
-    def factor_block(self, l0: int, l1: int):
-        """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack
-        Fs hold window l's factor rows, l0 <= l < l1, exactly zero past
-        column l; the u-powers go in with one multiply per block."""
-        m, pw, ct = l1 - l0, _powers(self.rh, l1), self.ct
-        Fs = np.zeros((m, self.M, l1))
-        # bulk cells 1 .. l-2: the cells i <= l0-2 of every window at once,
-        # r^(l-2-i) = r^(l-l0) r^(l0-2-i), then each window's newer cells
-        if l0 > 2:
-            Fs[:, :, 1:l0 - 1] = (pw[:m, None] * self.E) @ (pw[l0 - 3::-1] * ct[1:l0 - 1]).T
-        i0 = max(1, l0 - 1)
-        for l in range(max(l0 + 1, 3), l1):
-            Fs[l - l0, :, i0:l - 1] = self.E @ (pw[l - 2 - i0::-1] * ct[i0:l - 1]).T
-        Fs *= self.upow[l0:l1, :, None]
-        l = np.arange(l0, l1)[:, None]
-        Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[l0:l1]
-        return Fs.reshape(m * self.M, l1), self.wu
+        # sqrt(w)-weighted rows of windows l < 4, first[i, l M + p]: window
+        # 3's one bulk cell E (r^0 ct_1), the u-powers, then the edge cells
+        L = min(n, 4)
+        F = np.zeros((L, self.M, L))
+        F[3:, :, 1:2] = self.E @ self.ct[1:2].T  # no window 3 for n < 4
+        F *= self.upow[:L, :, None]
+        l = np.arange(L)[:, None]
+        F[l, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = self.edges[:L]
+        self.first = (F.reshape(-1, L) * np.tile(np.sqrt(self.wu), L)[:, None]).T
 
     def exp_block(self, l0: int, l1: int):
         """(Eh, P) for windows 3 <= l0 <= l < l1, weighted by sqrt(w): the
@@ -677,10 +665,13 @@ def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
              entry: tuple[int, int] | None = None):
     """G[k, a] = D_alpha Z_{t_k}, alpha in step a, for the increments dW (n,):
     the (n+1, n) table, row k supported on a < k, or with entry = (k, a) the
-    one entry G[k, a].  A rank-2 entry reads row a of the cached pair
-    matrix; the table takes every window's factor rows (factor_block, in
-    blocks of _FOLD windows), window l's term in row l+1, and sums the rows
-    in place."""
+    one entry G[k, a].  The rank-2 table runs the simulator's window pass
+    (_window_blocks): window l's row lam2_l S_l @ W_l^T goes into row l+1,
+    and the rows are summed in place, O(n^2 N).  Its map W_l reads cells
+    directly, or the state X_l0, whose cells 1 .. l0-2 take one product per
+    block with their coefficients r^(l0-2-i) ct_i.  A rank-2 entry reads row
+    a of the cached pair matrix instead: a loop over alpha at one t costs
+    O(k) per call after one build, where the table costs a whole pass."""
     if entry is not None:
         k, a = entry
         if spec.q == 1:
@@ -691,11 +682,16 @@ def _dz_rows(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray,
         G[1:] = _fbm_weights(grid, spec)
         return G
     plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec).lam2
-    for l0 in range(0, grid.n, _FOLD):
-        l1 = min(l0 + _FOLD, grid.n)
-        Fs, w = plan.factor_block(l0, l1)
-        X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[l0:l1, None]
-        G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
+    N, M, ct, pw = plan.r.size, plan.M, plan.ct, _powers(plan.rh, grid.n)
+    for b, l0, l1, S, W in _window_blocks(plan, _BlockTables(plan), dW[None], 0, grid.n):
+        m = l1 - l0
+        g = lam2[l0:l1, None] * np.einsum("lp,rlp->lr", S.reshape(m, M), W.reshape(-1, m, M))
+        if b < 0:
+            G[1:l1 + 1, :l1] = g
+            continue
+        G[l0 + 1:l1 + 1, 0] = g[:, N]
+        G[l0 + 1:l1 + 1, l0 - 1:l1] = g[:, N + 1:]
+        G[l0 + 1:l1 + 1, 1:l0 - 1] = g[:, :N] @ (pw[l0 - 3::-1] * ct[1:l0 - 1]).T
     np.cumsum(G, axis=0, out=G)
     G *= 2.0 * spec.d
     return G
@@ -707,7 +703,8 @@ def _dz_norm(grid: TimeGrid, spec: HermiteSpec, dW: np.ndarray | None,
     rows dW (paths, n) and weights w (kt-ks+1, paths) of sum zero; zero for
     ks == kt.  w = None stands for e_0 - e_m: G[kt] - G[ks] from two kernel
     rows (one value for every path) or two cached pair matrices, one GEMM
-    per end.  Rank 2 otherwise: window l's term of G[k] counts in every row
+    per end (rank 2: built once for every path, where the adjoint below
+    nearly doubled a zero-drift rank-2 density).  Rank 2 otherwise: window l's term of G[k] counts in every row
     k > l, so it carries -run, run the running sum of w (zero for l < ks).
     Per chunk of _PATH_BLOCK paths, the window pass runs forward, each
     block's scaled S goes back through its map W, and the state gradients

@@ -163,23 +163,27 @@ class TestDzHermite:
 
 
 class TestDzTable:
+    # n < 4 and windows l < 4 alone, one partial block of 16 windows, and
+    # several blocks with a partial last one
+    NS = (2, 3, 5, 17, 100)
+
     def test_rank2_matches_pair_matrix(self):
-        """The incremental pass must rebuild 2 d Lambda dW exactly."""
-        w, Z = rank2_path()
-        G = dz_table(Z)
-        grid = Z.grid
-        for t in (0.25, 0.5, 1.0):
-            k = grid.index_of(t)
-            lam = pair_matrix(grid, Z.spec, t)
-            direct = 2.0 * Z.spec.d * (lam @ w.increments)
-            assert np.allclose(G[k], direct, atol=1e-12)
+        """The window pass must rebuild 2 d Lambda dW at every grid index."""
+        for n in self.NS:
+            w, Z = rank2_path(n=n)
+            G = dz_table(Z)
+            grid = Z.grid
+            for k, t in enumerate(grid.points):
+                lam = pair_matrix(grid, Z.spec, t)
+                direct = 2.0 * Z.spec.d * (lam @ w.increments)
+                assert np.allclose(G[k], direct, atol=1e-12), (n, k)
 
     def test_adaptedness_exact(self):
-        _, Z = rank2_path()
-        G = dz_table(Z)
-        for t in (0.25, 0.5):
-            k = Z.grid.index_of(t)
-            assert np.all(G[k, k:] == 0.0)
+        for n in self.NS:
+            _, Z = rank2_path(n=n)
+            G = dz_table(Z)
+            for k in range(n + 1):
+                assert np.all(G[k, k:] == 0.0), (n, k)
 
     def test_rank1_rows_are_kernel_values(self):
         grid = TimeGrid(T=1.0, n=128)

@@ -26,6 +26,28 @@ from stochtransport.kernels import _kernel_L_hp
 from stochtransport.noise import lattice_covariance, lattice_variance, pair_matrix
 
 
+def _factor_block(plan, l0, l1):
+    """(Fs, w): rows (l - l0) M .. (l - l0 + 1) M of the (m M, l1) stack Fs
+    hold window l's factor rows from the plan's tables, l0 <= l < l1,
+    exactly zero past column l, and w the u-weights: the dense rows the
+    window pass and the sweeps never form, window by window."""
+    from stochtransport.noise import _powers
+
+    m, pw, ct = l1 - l0, _powers(plan.rh, l1), plan.ct
+    Fs = np.zeros((m, plan.M, l1))
+    # bulk cells 1 .. l-2: the cells i <= l0-2 of every window at once,
+    # r^(l-2-i) = r^(l-l0) r^(l0-2-i), then each window's newer cells
+    if l0 > 2:
+        Fs[:, :, 1:l0 - 1] = (pw[:m, None] * plan.E) @ (pw[l0 - 3::-1] * ct[1:l0 - 1]).T
+    i0 = max(1, l0 - 1)
+    for l in range(max(l0 + 1, 3), l1):
+        Fs[l - l0, :, i0:l - 1] = plan.E @ (pw[l - 2 - i0::-1] * ct[i0:l - 1]).T
+    Fs *= plan.upow[l0:l1, :, None]
+    l = np.arange(l0, l1)[:, None]
+    Fs[l - l0, :, np.hstack([0 * l, np.maximum(l - 1, 0), l])] = plan.edges[l0:l1]
+    return Fs.reshape(m * plan.M, l1), plan.wu
+
+
 def test_rank_one_reduces_to_fbm_exactly():
     # With q = 1 the chaos sum collapses to the plain kernel-weighted sum,
     # so both entry points must produce bit-identical arrays.
@@ -89,7 +111,7 @@ def test_factor_rows_match_direct_kernel_quadrature():
     plan = _window_plan(grid, spec)
     A = np.zeros((16, 16))
     for l in range(16):
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         A[: l + 1, : l + 1] += F.T @ (w[:, None] * F)
     xg, wg = np.polynomial.legendre.leggauss(6)
     h = grid.dt
@@ -493,7 +515,7 @@ def _direct_pair_matrix(grid, spec, k, lam2):
     plan = _window_plan(grid, spec)
     A = np.zeros((grid.n, grid.n))
     for l in range(k):
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         A[: l + 1, : l + 1] += lam2[l] * (F.T @ (w[:, None] * F))
     return A
 
@@ -509,7 +531,7 @@ def test_factor_rows_bulk_cells_match_direct_powers(H):
     spec = HermiteSpec.create(2, H)
     plan = _window_plan(grid, spec)
     for l in range(grid.n):
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         assert F.shape == (24, l + 1) and w.shape == (24,)
         assert np.all(np.isfinite(F)) and np.all(F > 0.0)
         if l >= 3:
@@ -532,7 +554,7 @@ def test_window_scales_match_reference_recursion(H):
     A = np.zeros((grid.n, grid.n))
     ref = np.empty(grid.n)
     for l in range(grid.n):
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         B = F.T @ (w[:, None] * F)
         x = float((A[: l + 1, : l + 1] * B).sum())
         y = float((B * B).sum())
@@ -596,7 +618,7 @@ def _dense_pair_blocks(plan, ks, lam2, tau=None):
         if l1 is None:
             return out
         m = l1 - l0
-        Psi, w = plan.factor_block(l0, l1)
+        Psi, w = _factor_block(plan, l0, l1)
         Psi *= np.sqrt(np.tile(w, m))[:, None]
         if tau is not None:
             P0 = Psi[:, :l0]
@@ -633,9 +655,9 @@ def test_window_scales_match_the_dense_calibrating_pass(n, H, T):
 def test_exp_sum_reproduces_the_bulk_powers(n, H):
     """sum_e weights_e exp(-rates_e x) against every tabulated bulk power
     D = x^(hp - 3/2), x in [h, T], of the Gauss-Legendre oracle, with
-    positive rates and weights; factor_block's bulk rows, built from
+    positive rates and weights; _factor_block's bulk rows, built from
     E r^(k-2) ct, against the oracle's rows from D and C; and exp_block's
-    weighted rows against factor_block's."""
+    weighted rows against _factor_block's."""
     from stochtransport.noise import _window_plan
 
     grid = TimeGrid(T=1.0, n=n)
@@ -653,7 +675,7 @@ def test_exp_sum_reproduces_the_bulk_powers(n, H):
     assert np.max(np.abs(approx / tables[0] - 1.0)) <= 1e-14
     if n > 3:
         l = n - 1
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         ref = _gl_factor_rows(grid, spec, l, tables)
         assert np.max(np.abs(F[:, 1:l - 1] / ref[:, 1:l - 1] - 1.0)) <= 1e-13
         Eh, P = plan.exp_block(l, l + 1)
@@ -662,6 +684,21 @@ def test_exp_sum_reproduces_the_bulk_powers(n, H):
         ref = np.sqrt(w)[:, None] * F
         assert np.max(np.abs(rows / ref[:, 1:l - 1] - 1.0)) <= 1e-13
         assert np.array_equal(P[0], ref[:, [0, l - 1, l]].T)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0])
+@pytest.mark.parametrize("H", [0.51, 0.7, 0.99])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 512])
+def test_first_windows_equal_the_dense_factor_rows(n, H, T):
+    """The plan's rows of windows l < 4 bit for bit against the dense rows
+    (_factor_block(0, min(n, 4))) weighted by sqrt(w): every lambda^2, Wick
+    mean and simulated path starts from them."""
+    from stochtransport.noise import _window_plan
+
+    plan = _window_plan(TimeGrid(T=T, n=n), HermiteSpec.create(2, H))
+    Fs, w = _factor_block(plan, 0, min(n, 4))
+    ref = (Fs * np.tile(np.sqrt(w), len(Fs) // plan.M)[:, None]).T
+    assert np.array_equal(plan.first, ref)
 
 
 @pytest.mark.parametrize("H", _PIN_HS)
@@ -1017,7 +1054,7 @@ def test_rank2_blocks_equal_the_window_by_window_wick_sum(n):
     lam2 = _window_scales(grid, spec).lam2
     ref = np.zeros((dW.shape[0], n + 1))
     for l in range(n):
-        F, w = plan.factor_block(l, l + 1)
+        F, w = _factor_block(plan, l, l + 1)
         S = dW[:, :l + 1] @ F.T
         term = (S * S) @ w - grid.dt * ((F * F).sum(axis=1) @ w)
         ref[:, l + 1] = ref[:, l] + spec.d * lam2[l] * term
@@ -1106,9 +1143,11 @@ def test_wick_means_survive_a_plan_evicted_under_cached_scales():
 @given(n=st.integers(4, 96), H=st.floats(0.55, 0.95), data=st.data())
 def test_window_adjoint_equals_the_derivative_table(n, H, data):
     """The adjoint pass, _dz_norm with zero-sum weights w at ks < kt,
-    against ||sum_r w[r] G[ks+r]||^2 dt from each path's derivative table
-    (_dz_rows), on paths of both sides of a path-chunk boundary."""
-    from stochtransport.noise import _PATH_BLOCK, _dz_norm, _dz_rows
+    against ||sum_r w[r] G[ks+r]||^2 dt from each path's derivative table,
+    built from the dense factor rows (_factor_row_table) since _dz_rows
+    runs the window pass itself, on paths of both sides of a path-chunk
+    boundary."""
+    from stochtransport.noise import _PATH_BLOCK, _dz_norm
 
     grid = TimeGrid(T=1.0, n=n)
     spec = HermiteSpec.create(2, H)
@@ -1121,5 +1160,23 @@ def test_window_adjoint_equals_the_derivative_table(n, H, data):
     w -= w.mean(axis=0)
     got = _dz_norm(grid, spec, dW, paths, ks, kt, w)
     for p in (0, 1, _PATH_BLOCK - 1, _PATH_BLOCK, paths - 1):
-        v = w[:, p] @ _dz_rows(grid, spec, dW[p])[ks:kt + 1]
+        v = w[:, p] @ _factor_row_table(grid, spec, dW[p])[ks:kt + 1]
         assert got[p] == pytest.approx(v @ v * grid.dt, rel=1e-12)
+
+
+def _factor_row_table(grid, spec, dW):
+    """The rank-2 derivative table G[k] = 2 d A_k dW of one path from the
+    dense factor rows (_factor_block) in blocks of _FOLD windows: window
+    l's row lam2_l ((F_l @ dW) * w) @ F_l goes into row l+1, and the rows
+    are summed.  It shares the plan's tables with the window pass, but not
+    the state recursion or the block maps."""
+    from stochtransport.noise import _FOLD, _window_plan, _window_scales
+
+    plan, lam2 = _window_plan(grid, spec), _window_scales(grid, spec).lam2
+    G = np.zeros((grid.n + 1, grid.n))
+    for l0 in range(0, grid.n, _FOLD):
+        l1 = min(l0 + _FOLD, grid.n)
+        Fs, w = _factor_block(plan, l0, l1)
+        X = (Fs @ dW[:l1]).reshape(-1, w.size) * w * lam2[l0:l1, None]
+        G[l0 + 1:l1 + 1, :l1] = np.einsum("ap,apk->ak", X, Fs.reshape(len(X), w.size, l1))
+    return 2.0 * spec.d * np.cumsum(G, axis=0)
