@@ -5,12 +5,14 @@ registry instead of parsing arbitrary expressions.  Every preset is a plain
 :class:`~stochtransport.flow.DriftField` or
 :class:`~stochtransport.transport.InitialDatum`, so library users are never
 restricted to this list -- it only bounds what the command-line surface will
-build.  A parameter that makes a preset nan or infinite on its validation
-sample (a nan, an infinity, or a slope like m = 1e308 that overflows) is
-refused with DomainError, which the CLI reports with exit code 2.
+build.  Both registries go through one lookup, so an unknown name or a bad
+parameter is reported in the same words for a drift as for a datum.  A
+parameter that makes a preset nan or infinite on its validation sample (a nan,
+an infinity, or a slope like m = 1e308 that overflows) is refused with
+DomainError, which the CLI reports with exit code 2.
 
 Drift presets
-    zero            b = 0
+    zero            b = 0                           (constant at lam = 0)
     constant        b = lam                         (constant in t and x)
     linear          b = -lam * x                    (mean reverting, lam >= 0)
     sine            b = a * sin(x)
@@ -34,15 +36,6 @@ from .transport import InitialDatum
 _LINEAR_BOX = 8.0
 
 
-def _zero_drift() -> DriftField:
-    return DriftField(
-        b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        b_prime=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        sup_norm_b=0.0,
-        sup_norm_bprime=0.0,
-    )
-
-
 def _constant_drift(lam: float = 0.5) -> DriftField:
     lam = float(lam)
     return DriftField(
@@ -51,6 +44,10 @@ def _constant_drift(lam: float = 0.5) -> DriftField:
         sup_norm_b=abs(lam),
         sup_norm_bprime=0.0,
     )
+
+
+def _zero_drift() -> DriftField:
+    return _constant_drift(0.0)
 
 
 def _linear_drift(lam: float = 0.5) -> DriftField:
@@ -121,32 +118,26 @@ U0_PRESETS = {
 }
 
 
-def drift_preset(name: str, **params) -> DriftField:
-    """Build a named drift; unknown names or parameters raise DomainError."""
+def _preset(registry: dict, what: str, name: str, params: dict):
     try:
-        factory = DRIFT_PRESETS[name]
+        factory = registry[name]
     except KeyError:
         raise DomainError(
-            f"unknown drift preset {name!r}; available: "
-            f"{sorted(DRIFT_PRESETS)}") from None
+            f"unknown {what} preset {name!r}; available: {sorted(registry)}") from None
     try:
         return factory(**params)
     except (TypeError, ValueError) as exc:  # also a value float() refuses
-        raise DomainError(f"bad parameters for drift preset {name!r}: {exc}") from None
+        raise DomainError(f"bad parameters for {what} preset {name!r}: {exc}") from None
+
+
+def drift_preset(name: str, **params) -> DriftField:
+    """Build a named drift; unknown names or parameters raise DomainError."""
+    return _preset(DRIFT_PRESETS, "drift", name, params)
 
 
 def u0_preset(name: str, **params) -> InitialDatum:
     """Build a named initial datum; unknown names or parameters raise DomainError."""
-    try:
-        factory = U0_PRESETS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown u0 preset {name!r}; available: "
-            f"{sorted(U0_PRESETS)}") from None
-    try:
-        return factory(**params)
-    except (TypeError, ValueError) as exc:  # also a value float() refuses
-        raise DomainError(f"bad parameters for u0 preset {name!r}: {exc}") from None
+    return _preset(U0_PRESETS, "u0", name, params)
 
 
 __all__ = ["DRIFT_PRESETS", "U0_PRESETS", "drift_preset", "u0_preset"]

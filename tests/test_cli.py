@@ -81,8 +81,10 @@ class TestValidate:
 
     def test_unknown_presets_flagged(self):
         diags = validate(cfg(kind="density", drift="warp", u0="spline"))
-        assert any("drift preset" in d for d in diags)
-        assert any("u0 preset" in d for d in diags)
+        assert "unknown drift preset 'warp'; available: " \
+            "['constant', 'linear', 'sine', 'zero']" in diags
+        assert "unknown u0 preset 'spline'; available: " \
+            "['affine', 'identity', 'offset-tanh', 'tanh-floor']" in diags
 
     def test_unknown_kind_flagged(self):
         assert any("experiment kind" in d for d in validate(cfg(kind="plot")))
@@ -98,7 +100,11 @@ class TestValidate:
 
     def test_non_numeric_preset_parameter_is_a_diagnostic(self):
         diags = validate(cfg(kind="flow", drift="sine", drift_params={"a": "x"}))
-        assert any("bad parameters for drift preset" in d for d in diags)
+        assert diags == ["bad parameters for drift preset 'sine': "
+                         "could not convert string to float: 'x'"]
+        diags = validate(cfg(kind="density", u0="affine", u0_params={"m": "x"}))
+        assert "bad parameters for u0 preset 'affine': " \
+            "could not convert string to float: 'x'" in diags
 
     @pytest.mark.parametrize("fields", [
         {"kind": "flow", "drift": "sine", "drift_params": {"a": True}},
@@ -363,6 +369,12 @@ class TestRun:
         check = m.checks[0]
         assert check["name"] == "round-trip-exact"
         assert check["passed"] and check["value"] <= 1e-12
+        zero, const = drift_preset("zero"), drift_preset("constant", lam=0.0)
+        assert zero.is_zero and const.is_zero
+        for x in (np.linspace(-2.0, 2.0, 9), np.arange(-4, 5)):
+            for field in ("b", "b_prime"):
+                got, want = getattr(zero, field)(0.5, x), getattr(const, field)(0.5, x)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_drifted_flow_inverts(self, tmp_path):
         m = run(cfg(kind="flow", drift="sine", drift_params={"a": 0.4},

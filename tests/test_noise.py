@@ -727,7 +727,8 @@ def test_pair_matrix_matches_direct_accumulation(H):
 def test_pair_sums_match_the_dense_accumulating_pass(n, H):
     """A_k from the exponential sum against the dense accumulating pass,
     for k = 0 .. 6 (the windows whose edge cells coincide or leave one bulk
-    cell), every probe index and n, from one sweep and one at a time."""
+    cell), every probe index and n, from one sweep and one at a time.  The
+    one sweep and the single-index sweep give the same bits."""
     from stochtransport.noise import _pair_sums, _probe_indices, _window_plan, _window_scales
 
     grid = TimeGrid(T=1.0, n=n)
@@ -738,7 +739,9 @@ def test_pair_sums_match_the_dense_accumulating_pass(n, H):
     together = _pair_sums(plan, lam2, ks)
     assert sorted(together) == ks
     for k in ks:
-        for A in (together[k], _pair_sums(plan, lam2, [k])[k]):
+        alone = _pair_sums(plan, lam2, [k])[k]
+        assert np.array_equal(together[k], alone), k
+        for A in (together[k], alone):
             assert A.shape == (k, k) and not A.flags.writeable
             assert np.array_equal(A, A.T)
             assert np.max(np.abs(A - ref[k])) <= 1e-13 * np.max(np.abs(ref[k])), k
